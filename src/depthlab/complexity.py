@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .toyvm import (
-    BudgetExceeded,
-    Halted,
     MachineState,
     Program,
     _advance,
     bits_to_hex,
+    check_bits,
     oracle_key,
     programs_up_to,
     rope_equals,
@@ -97,52 +96,62 @@ class TimeBound:
 
 class HaltingTable:
     """Resumable halting data for every program of at most cap bits under
-    one oracle.  Results are independent of query interleaving; sharing a
-    table across threads is safe under the interpreter lock because every
-    mutation is idempotent bookkeeping toward the same fixed run."""
+    one oracle.  Results are independent of query interleaving.
+
+    Outcomes sit in lists parallel to `programs`: the outcome kind (None
+    while unresolved), the steps it took, and for halting runs the output
+    rope and its length.  Only the runs still live after the last `ensure`
+    hold a parsed body and a MachineState; a run drops both when it
+    resolves."""
 
     def __init__(self, oracle, cap: int):
         self.oracle = oracle
         self.cap = cap
         self.programs = programs_up_to(cap)
-        self._ent = [
-            {"status": "running", "budget": -1,
-             "state": MachineState(), "instrs": p.instructions()}
-            for p in self.programs
-        ]
+        n = len(self.programs)
+        self._status: list = [None] * n
+        self._steps = [0] * n
+        self._rope: list = [None] * n
+        self._out_len = [0] * n
+        self._live: dict = {}  # program index -> (instructions, MachineState)
+        self._budget = -1      # every run is resolved or advanced this far
         self._output_maps: dict = {}
         self._mass_maps: dict = {}
 
-    def ensure(self, budget: int) -> None:
-        for ent in self._ent:
-            if ent["status"] == "running" and ent["budget"] < budget:
-                outcome = _advance(ent["instrs"], self.oracle, budget,
-                                   ent["state"], True)
-                ent["budget"] = budget
-                if outcome is not None:
-                    ent["status"] = outcome.kind
-                    ent["steps"] = outcome.steps
-                    if outcome.kind == "halted":
-                        ent["rope"] = outcome.rope
-                        ent["out_len"] = outcome.output_length
-                    ent.pop("instrs", None)
+    @property
+    def unresolved(self) -> int:
+        """Number of programs whose run neither halted, aborted nor
+        provably diverged within the budgets ensured so far."""
+        return len(self.programs) if self._budget < 0 else len(self._live)
 
-    def outcome(self, i: int, budget: int):
-        """The exact run outcome of program i at the given budget."""
-        self.ensure(budget)
-        ent = self._ent[i]
-        if ent["status"] == "halted" and ent["steps"] <= budget:
-            return Halted(ent["steps"], ent["rope"], ent["out_len"])
-        if ent["status"] == "aborted" and ent["steps"] <= budget:
-            return run(self.programs[i], self.oracle, budget)
-        return BudgetExceeded(budget)
+    def ensure(self, budget: int) -> None:
+        if budget <= self._budget:
+            return
+        if self._budget < 0:
+            runs = ((i, p.instructions(), MachineState())
+                    for i, p in enumerate(self.programs))
+        else:
+            runs = [(i, instrs, st) for i, (instrs, st) in self._live.items()]
+        for i, instrs, st in runs:
+            outcome = _advance(instrs, self.oracle, budget, st, True)
+            if outcome is None:
+                self._live[i] = (instrs, st)
+                continue
+            self._live.pop(i, None)
+            self._status[i] = outcome.kind
+            self._steps[i] = outcome.steps
+            if outcome.kind == "halted":
+                self._rope[i] = outcome.rope
+                self._out_len[i] = outcome.output_length
+        self._budget = budget
 
     def halted_by(self, budget: int):
         """(program, halt step, rope, output length) for all halting runs."""
         self.ensure(budget)
-        for p, ent in zip(self.programs, self._ent):
-            if ent["status"] == "halted" and ent["steps"] <= budget:
-                yield p, ent["steps"], ent["rope"], ent["out_len"]
+        for p, status, steps, rope, out_len in zip(
+                self.programs, self._status, self._steps, self._rope, self._out_len):
+            if status == "halted" and steps <= budget:
+                yield p, steps, rope, out_len
 
     def output_map(self, budget: int, max_len: int) -> dict:
         """output string -> (program length, Program), first (= canonical)
@@ -165,27 +174,30 @@ class HaltingTable:
         key = (budget, max_len)
         cached = self._mass_maps.get(key)
         if cached is None:
-            cached = {}
+            numerators: dict = {}  # mass in units of 2^-cap
             for p, _s, rope, out_len in self.halted_by(budget):
                 if out_len <= max_len:
                     sigma = rope_materialize(rope, max_len)
-                    cached[sigma] = cached.get(sigma, 0) + Fraction(1, 1 << len(p))
+                    numerators[sigma] = numerators.get(sigma, 0) + (1 << (self.cap - len(p)))
+            unit = 1 << self.cap
+            cached = {sigma: Fraction(num, unit) for sigma, num in numerators.items()}
             self._mass_maps[key] = cached
         return cached
 
     def total_mass(self, budget: int) -> Fraction:
-        return sum((Fraction(1, 1 << len(p))
-                    for p, _s, _r, _l in self.halted_by(budget)), Fraction(0))
+        return Fraction(sum(1 << (self.cap - len(p))
+                            for p, _s, _r, _l in self.halted_by(budget)),
+                        1 << self.cap)
 
     def halt_events(self, max_len: int):
         """Halting runs resolved so far, sorted by halting step, for
         first-crossing searches; call ensure() up to the stage ceiling
         first.  Does not advance any program."""
         events = []
-        for p, ent in zip(self.programs, self._ent):
-            if ent["status"] == "halted" and ent["out_len"] <= max_len:
-                events.append((ent["steps"],
-                               rope_materialize(ent["rope"], max_len), len(p)))
+        for p, status, steps, rope, out_len in zip(
+                self.programs, self._status, self._steps, self._rope, self._out_len):
+            if status == "halted" and out_len <= max_len:
+                events.append((steps, rope_materialize(rope, max_len), len(p)))
         events.sort()
         return events
 
@@ -225,6 +237,7 @@ class ComplexityResult:
 def k_stage(sigma: str, stage: int, oracle=None, cap: int = 16) -> ComplexityResult:
     """Min length of a program halting on sigma within `stage` absolute
     steps; nonincreasing in stage."""
+    check_bits(sigma)
     if cap < 2:
         raise ValueError("cap must be at least 2")
     if stage < 0:

@@ -39,6 +39,21 @@ Execution conventions
     * A run is a pure function of (program, oracle, budget).  If it halts
       within the budget, it halts identically under every larger budget.
 
+Cycle detection
+    A run asked to look for cycles keys each step by the program counter
+    and the body's control registers: every register some JZ tests, plus
+    R0 when the body contains an ORACLE.  The other registers cannot
+    influence what the run does next.  INC and DEC change only their own
+    register, JZ reads only a key register, ORACLE writes R1 from the
+    answer at index R0 (a key register), and halting depends only on the
+    program counter.  So the key's next value is a function of its current
+    value, and once a key repeats the run repeats the same cycle forever:
+    it never halts, never aborts and asks no oracle index it has not asked
+    already.  Such a run is reported as Diverged.  A loop that only grows
+    an untested register, such as INC R1; JMP -2, is caught on its first
+    lap.  A loop whose tested register keeps growing never repeats a key
+    and runs to the budget.
+
 Program indices
     Bodies are ranked in length-lexicographic order: the empty body is 0,
     "0" is 1, "1" is 2, "00" is 3, and so on; body_index/index_to_body
@@ -51,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 
 class MachineError(Exception):
@@ -173,14 +189,41 @@ def _signed4(bits: str) -> int:
     return v - 16 if v >= 8 else v
 
 
+class Instructions(tuple):
+    """A parsed body: a tuple of (opcode, register, offset) triples.
+
+    `key_regs` lists, ascending, the control registers: every JZ-tested
+    register, plus R0 when the body has an ORACLE.  `project` reads them
+    from a register file, or is None when there are none.  Both are class
+    attributes: parse_body picks one of sixteen subclasses, one per set of
+    control registers, so they are found once per parse and a parsed body
+    costs no more memory than a plain tuple.
+    """
+
+    __slots__ = ()
+    key_regs: tuple[int, ...] = ()
+    project: itemgetter | None = None
+
+
+def _instructions_class(mask: int) -> type:
+    regs = tuple(r for r in range(4) if mask >> r & 1)
+    return type("Instructions", (Instructions,), {
+        "__slots__": (), "key_regs": regs,
+        "project": itemgetter(*regs) if regs else None})
+
+
+_INSTRUCTIONS_BY_MASK = tuple(_instructions_class(mask) for mask in range(16))
+
+
 @lru_cache(maxsize=1 << 16)
-def parse_body(body: str) -> tuple[tuple[int, int, int], ...]:
+def parse_body(body: str) -> Instructions:
     """Decode a body into (opcode, register, offset) triples.
 
     Incomplete trailing bits are dropped; reserved opcodes are kept and
     halt at execution time.
     """
     out = []
+    mask = 0  # bit r set when Rr is a control register
     i, n = 0, len(body)
     while i + 4 <= n:
         op = int(body[i : i + 4], 2)
@@ -193,7 +236,9 @@ def parse_body(body: str) -> tuple[tuple[int, int, int], ...]:
         elif op == OP_JZ:
             if i + 6 > n:
                 break
-            out.append((op, int(body[i : i + 2], 2), _signed4(body[i + 2 : i + 6])))
+            reg = int(body[i : i + 2], 2)
+            out.append((op, reg, _signed4(body[i + 2 : i + 6])))
+            mask |= 1 << reg
             i += 6
         elif op == OP_JMP:
             if i + 4 > n:
@@ -202,7 +247,9 @@ def parse_body(body: str) -> tuple[tuple[int, int, int], ...]:
             i += 4
         else:
             out.append((op, 0, 0))
-    return tuple(out)
+            if op == OP_ORACLE:
+                mask |= 1
+    return _INSTRUCTIONS_BY_MASK[mask](out)
 
 
 def assemble(items: list) -> str:
@@ -306,7 +353,7 @@ class Program:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def instructions(self) -> tuple[tuple[int, int, int], ...]:
+    def instructions(self) -> Instructions:
         return parse_body(self.body)
 
 
@@ -511,8 +558,9 @@ class Aborted:
 
 @dataclass(frozen=True)
 class Diverged:
-    """Provable non-termination (a repeated machine state).  Only produced
-    when a run is asked to look for cycles."""
+    """Provable non-termination: the program counter and the control
+    registers (see the module docstring) took the same values twice.  Only
+    produced when a run is asked to look for cycles."""
 
     steps: int
     queried: frozenset = frozenset()
@@ -537,7 +585,9 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
     """Run until halt/abort/divergence or until steps reach budget.
 
     Returns an outcome, or None when the budget ran out with the state
-    still live (st then holds the resume point).
+    still live (st then holds the resume point).  With detect_cycles the
+    keys seen so far are kept in st.seen, projected onto the control
+    registers of instrs (see the module docstring).
     """
     pc = st.pc
     r = st.regs
@@ -546,6 +596,7 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
     out_len = st.output_length
     queried = st.queried
     seen = st.seen
+    project = instrs.project
     n = len(instrs)
     while True:
         if not 0 <= pc < n:
@@ -555,7 +606,7 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
             st.pc, st.steps, st.rope, st.output_length = pc, steps, rope, out_len
             return None
         if detect_cycles:
-            key = (pc, r[0], r[1], r[2], r[3])
+            key = (pc, project(r)) if project else pc
             if seen is None:
                 seen = st.seen = set()
             if key in seen:
@@ -658,7 +709,9 @@ def phi(e: int, x: int, oracle, budget: int, detect_cycles: bool = False) -> Phi
 
 
 class _DiagonalTable:
-    """Resumable memo of the diagonal runs phi_e(e) under the zero oracle."""
+    """Resumable memo of the diagonal runs phi_e(e) under the zero oracle.
+    A running entry holds its parsed body and MachineState; both are
+    dropped when the run resolves."""
 
     def __init__(self):
         self.entries: dict[int, dict] = {}
@@ -676,13 +729,14 @@ class _DiagonalTable:
             outcome = _advance(ent["instrs"], ZERO, stage, ent["state"], True)
             ent["budget"] = stage
             if outcome is not None:
+                state = ent.pop("state")
+                del ent["instrs"]
                 if outcome.kind == "halted":
                     ent["status"] = "halted"
                     ent["step"] = outcome.steps
-                    ent["value"] = ent["state"].regs[3]
+                    ent["value"] = state.regs[3]
                 else:
                     ent["status"] = "diverged"
-                ent.pop("instrs", None)
         return ent
 
 

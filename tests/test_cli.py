@@ -150,6 +150,14 @@ def test_validation_error_exit_code(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_k_rejects_non_binary_sigma(tmp_path, capsys):
+    code = dispatch(["k", "--sigma", "2", "--stage", "100", "--cap", "12",
+                     "--out", str(tmp_path / "k.csv")])
+    assert code == EXIT_VALIDATION
+    assert "not a 0/1 string" in capsys.readouterr().err
+    assert not (tmp_path / "k.csv").exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cap=14\nstage=100\n")

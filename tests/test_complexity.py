@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from depthlab.complexity import (
+    HaltingTable,
     ReductionDiverged,
     TimeBound,
     WRAPPER_BITS,
@@ -14,7 +15,14 @@ from depthlab.complexity import (
     lowk_gap,
     result_csv_row,
 )
-from depthlab.toyvm import PrefixOracle, ZERO, HaltingOracle, assemble, run
+from depthlab.toyvm import (
+    HaltingOracle,
+    PrefixOracle,
+    ZERO,
+    assemble,
+    parse_oracle,
+    run,
+)
 
 
 def all_strings(max_len):
@@ -104,6 +112,26 @@ def test_witness_validity_rerun():
         if not res.above_cap:
             out = run(res.witness, None, 1000)
             assert out.kind == "halted" and out.output == sigma
+
+
+@pytest.mark.parametrize("descriptor,cap", [("none", cap) for cap in range(18, 25)]
+                         + [("zero", 22)])
+def test_every_run_resolves_by_stage_1e5(descriptor, cap):
+    table = HaltingTable(parse_oracle(descriptor), cap)
+    assert table.unresolved == len(table.programs)
+    table.ensure(10 ** 5)
+    assert table.unresolved == 0
+
+
+def test_table_results_independent_of_ensure_steps():
+    stepped = HaltingTable(None, 18)
+    stepped.ensure(0)
+    stepped.ensure(1)
+    assert 0 < stepped.unresolved < len(stepped.programs)
+    direct = HaltingTable(None, 18)
+    assert list(stepped.halted_by(1000)) == list(direct.halted_by(1000))
+    assert stepped.unresolved == direct.unresolved
+    assert stepped.halt_events(4) == direct.halt_events(4)
 
 
 def test_kraft_sum_at_most_one():

@@ -16,7 +16,7 @@ from depthlab.semimeasure import (
     relative_mass,
     semimeasure_to_timebound,
 )
-from depthlab.toyvm import PrefixOracle, Program, assemble, programs_up_to
+from depthlab.toyvm import PrefixOracle, Program, assemble, programs_up_to, run
 
 
 def all_strings(max_len):
@@ -41,6 +41,21 @@ def test_empty_string_mass_from_one_bit_program():
 def test_total_mass_at_most_one():
     table = halting_table(None, 16)
     assert table.total_mass(10 ** 4) <= 1
+
+
+def test_masses_match_fraction_sums_over_halting_runs():
+    table = halting_table(PrefixOracle("0110"), 14)
+    by_output: dict = {}
+    total = Fraction(0)
+    for p in programs_up_to(14):
+        out = run(p, PrefixOracle("0110"), 2000)
+        if out.kind == "halted":
+            total += Fraction(1, 1 << len(p))
+            if out.output_length <= 3:
+                by_output[out.output] = by_output.get(out.output, 0) + Fraction(1, 1 << len(p))
+    assert table.mass_map(2000, 3) == by_output
+    assert list(table.mass_map(2000, 3)) == list(by_output)
+    assert table.total_mass(2000) == total
 
 
 def test_stage_monotone_exhaustive():

@@ -18,6 +18,7 @@ from depthlab.toyvm import (
     fixed_point,
     gamma_encode,
     index_to_body,
+    parse_oracle,
     phi,
     programs_up_to,
     run,
@@ -136,6 +137,64 @@ def test_double_and_emitr():
 def test_reserved_opcode_halts():
     out = run_body("1010" + "0001", None, 20)
     assert out.kind == "halted" and out.output == "" and out.steps == 1
+
+
+# ------------------------------------------------------------------ cycle key
+
+@pytest.mark.parametrize("descriptor", ["none", "zero", "halting:1000", "bits:0101"])
+def test_cycle_detection_agrees_with_plain_runs(descriptor):
+    oracle = parse_oracle(descriptor)
+    for p in programs_up_to(20):
+        checked = run(p, oracle, 2000, detect_cycles=True)
+        plain = run(p, oracle, 2000)
+        if checked.kind == "diverged":
+            assert plain.kind == "budget", p.bits
+            assert checked.queried == plain.queried, p.bits
+            continue
+        assert checked == plain, p.bits
+
+
+@pytest.mark.parametrize("reg", range(4))
+def test_growing_untested_register_diverges_on_first_lap(reg):
+    out = run_body(assemble([("INC", reg), ("JMP", -2)]), None, 10 ** 6,
+                   detect_cycles=True)
+    assert out.kind == "diverged" and out.steps <= 3
+
+
+def test_oracle_loop_aborts_rather_than_diverging():
+    body = assemble([("INC", 0), ("ORACLE",), ("JMP", -3)])
+    assert tv.parse_body(body).key_regs == (0,)
+    out = run_body(body, parse_oracle("bits:0101"), 10 ** 6, detect_cycles=True)
+    assert out.kind == "aborted" and out.reason == "out-of-table"
+    assert out.queried == frozenset({1, 2, 3})
+
+
+def test_loop_testing_growing_register_is_not_flagged():
+    body = assemble(["top:", ("INC", 1), ("JZ", 1, "top"), ("JMP", "top")])
+    assert tv.parse_body(body).key_regs == (1,)
+    out = run_body(body, None, 5000, detect_cycles=True)
+    assert out.kind == "budget" and out.steps == 5000
+
+
+def test_counted_loop_halts_with_exact_steps():
+    body = assemble(["top:", ("JZ", 2, "end"), ("DEC", 2), ("INC", 1),
+                     ("JMP", "top"), "end:", ("EMIT1",)])
+    assert tv.parse_body(body).key_regs == (2,)
+    for x in (0, 1, 5, 300):
+        out = run_body(body, None, 10 ** 4, r2=x, detect_cycles=True)
+        assert out.kind == "halted" and out.output == "1"
+        assert out.steps == 4 * x + 2
+
+
+def test_resolved_diagonal_entries_release_run_state():
+    table = tv._DiagonalTable()
+    for e in (0, body_index(DIVERGE_BODY), body_index(assemble([("INC", 1), ("JMP", -2)]))):
+        ent = table.probe(e, 100)
+        assert ent["status"] in ("halted", "diverged")
+        assert "state" not in ent and "instrs" not in ent
+    live = table.probe(body_index(assemble(["top:", ("INC", 1), ("JZ", 1, "top"),
+                                            ("JMP", "top")])), 100)
+    assert live["status"] == "running" and live["state"].steps == 100
 
 
 def test_assemble_disassemble():
