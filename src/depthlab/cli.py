@@ -18,8 +18,10 @@ from fractions import Fraction
 
 from . import complexity, constructions, pi01forcing, randomness, semimeasure
 from .complexity import TimeBound, k_stage, k_time_bounded
+from .semimeasure import parse_fraction
 from .toyvm import (
     ZERO,
+    MachineError,
     check_bits,
     compile_const,
     fixed_point,
@@ -28,16 +30,12 @@ from .toyvm import (
     phi,
     programs_up_to,
     smn,
+    strings_of_length,
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
-
-
-def _frac(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -108,7 +106,7 @@ def _cmd_convert_timebound(args) -> int:
     oracle = parse_oracle(args.oracle)
     try:
         stage = semimeasure.semimeasure_to_timebound(
-            m, _frac(args.c), args.n, oracle, args.cap, args.ceiling)
+            m, parse_fraction(args.c), args.n, oracle, args.cap, args.ceiling)
     except complexity.NoStageWithinBudget as exc:
         _emit_json(args, {"error": "no-stage-within-budget", "detail": str(exc),
                           "config": _resolved(args, ("table", "c", "n", "cap", "ceiling"))})
@@ -121,7 +119,7 @@ def _cmd_convert_timebound(args) -> int:
 
 
 def _cmd_space_lemma(args) -> int:
-    delta = _frac(args.delta)
+    delta = parse_fraction(args.delta)
     l = randomness.space_lemma_length(delta, args.k)
     tested = violations = 0
     if args.mode == "exhaustive":
@@ -129,8 +127,7 @@ def _cmd_space_lemma(args) -> int:
                                   (2, tuple(Fraction(i, 4) for i in range(5)))):
             for table in randomness.dyadic_family(fam_depth, splits):
                 for slen in range(max(fam_depth + 1, l + 1) - l):
-                    for v in range(1 << slen):
-                        sigma = format(v, "b").zfill(slen) if slen else ""
+                    for sigma in strings_of_length(slen):
                         if len(sigma) + l > table.depth or table.value(sigma) == 0:
                             continue
                         tested += 1
@@ -156,7 +153,7 @@ def _cmd_space_lemma(args) -> int:
 def _cmd_psi(args) -> int:
     res = randomness.psi(
         _read_bits(args.a_prefix), TimeBound.parse(args.t),
-        TimeBound.parse(args.tprime), _frac(args.c),
+        TimeBound.parse(args.tprime), parse_fraction(args.c),
         args.len_cap, args.stage, args.cap)
     _emit_json(args, {
         "value": _frac_str(res.value),
@@ -185,7 +182,7 @@ def _cmd_avg(args) -> int:
 
 def _cmd_measure_cheap(args) -> int:
     mu = randomness.measure_cheap_oracles(
-        _read_bits(args.x), args.n, _frac(args.k),
+        _read_bits(args.x), args.n, parse_fraction(args.k),
         TimeBound.parse(args.t), args.stage, args.depth, args.cap)
     _emit_json(args, {
         "measure": _frac_str(mu),
@@ -335,8 +332,7 @@ def selftest(seed: int = 7) -> dict:
     for s1, s2 in ((0, 10), (10, 200), (200, 2000)):
         m1, m2 = table.output_map(s1, 3), table.output_map(s2, 3)
         for L in range(4):
-            for v in range(1 << L):
-                sigma = format(v, "b").zfill(L) if L else ""
+            for sigma in strings_of_length(L):
                 k1 = m1.get(sigma, (15,))[0]
                 k2 = m2.get(sigma, (15,))[0]
                 if k2 > k1:
@@ -409,8 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="desk-scale complexity, semimeasure and forcing experiments",
     )
     parser.add_argument("--config", help="key=value file; flags override it")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallelism bound (results are identical at any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, **kwargs):
@@ -539,21 +533,21 @@ def _config_argv(path: str) -> list[str]:
 
 def dispatch(argv: list[str]) -> int:
     """Parse arguments (config file first so flags win) and run one
-    subcommand; returns the exit status."""
-    if "--config" in argv:
-        i = argv.index("--config")
-        path = argv[i + 1]
-        head, tail = argv[: i + 2], argv[i + 2 :]
-        sub = tail[:1]
-        argv = head + sub + _config_argv(path) + tail[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    subcommand; returns the exit status.  Bad input exits 2 with an
+    `error:` line on stderr, argparse's own errors included."""
     try:
+        if "--config" in argv:
+            i = argv.index("--config")
+            if i + 1 == len(argv):
+                raise ValueError("--config needs a file")
+            head, tail = argv[: i + 2], argv[i + 2 :]
+            argv = head + tail[:1] + _config_argv(argv[i + 1]) + tail[1:]
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (ValueError, KeyError, FileNotFoundError,
-            pi01forcing.ForcingError, randomness.FairnessError,
-            semimeasure.DepthViolation,
-            constructions.ReductionMismatch) as exc:
+    except (ValueError, KeyError, OSError, MachineError,
+            complexity.ReductionDiverged, constructions.BuilderError,
+            constructions.ReductionMismatch, pi01forcing.ForcingError,
+            randomness.FairnessError, semimeasure.DepthViolation) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except complexity.NoStageWithinBudget as exc:

@@ -1,11 +1,11 @@
 """Brute-force stage- and time-bounded program-size complexity.
 
-All complexity queries share one memoized enumeration per (oracle, cap):
-a HaltingTable holds a resumable machine state for every program of at
-most cap bits and advances them only as far as queries require, so a
-stage sweep costs one pass over the program space rather than one per
-stage.  Witnesses are the lexicographically least among the shortest,
-which the canonical enumeration order gives for free.
+All complexity queries share one enumeration per (oracle, cap), kept in
+toyvm.MEMO.tables: a HaltingTable runs every program of at most cap bits
+and resumes the live ones only as far as queries require, so a stage
+sweep costs one pass over the program space rather than one per stage.
+Witnesses are the lexicographically least among the shortest, which the
+canonical enumeration order gives for free.
 
 The unrelativised complexity runs with no oracle at all: a program that
 executes ORACLE then aborts, so every oracle-free witness is verbatim a
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .toyvm import (
+    MEMO,
     MachineState,
     Program,
     _advance,
@@ -202,14 +203,11 @@ class HaltingTable:
         return events
 
 
-_TABLES: dict = {}
-
-
 def halting_table(oracle, cap: int) -> HaltingTable:
     key = (oracle_key(oracle), cap)
-    table = _TABLES.get(key)
+    table = MEMO.tables.get(key)
     if table is None:
-        table = _TABLES[key] = HaltingTable(oracle, cap)
+        table = MEMO.tables[key] = HaltingTable(oracle, cap)
     return table
 
 

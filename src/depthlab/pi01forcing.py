@@ -38,15 +38,12 @@ from .toyvm import (
     index_to_body,
     phi,
     smn,
+    strings_of_length,
 )
 
 
 class ForcingError(Exception):
     """A precondition or internal invariant of the forcing loop failed."""
-
-
-class BudgetInconclusive(Exception):
-    """An emptiness test could not be settled at the stage budget."""
 
 
 # --------------------------------------------------------------------------
@@ -112,12 +109,8 @@ def members_at_stage(schedule: PruningSchedule, d: int, stage: int) -> list[str]
     by_len: dict[int, set] = {}
     for w in forbidden:
         by_len.setdefault(len(w), set()).add(w)
-    out = []
-    for v in range(1 << d):
-        x = format(v, "b").zfill(d) if d else ""
-        if not any(x[:n] in ws for n, ws in by_len.items() if n <= d):
-            out.append(x)
-    return out
+    return [x for x in strings_of_length(d)
+            if not any(x[:n] in ws for n, ws in by_len.items() if n <= d)]
 
 
 # --------------------------------------------------------------------------
@@ -307,28 +300,31 @@ def _answer_base(i: int | None) -> int:
 
 
 def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
-          functional: Functional | None = None, coding=None,
-          dnc_witness: Dnc2Witness | None = None) -> ForcingResult:
+          functional: Functional | None = None) -> ForcingResult:
     """Run the forcing loop for the given number of steps.
 
-    f is either a Dnc2Witness (which then also supplies the coding bits
-    unless `coding` is given) or a plain bit string whose bit s is the
-    coding bit of step s, with the dodge bits coming from `dnc_witness`
-    (default: the canonical halting-table witness at the stage budget).
+    f is either a Dnc2Witness, which then supplies both the dodge bits and
+    the coding bits (bit s of step s is its value at s), or a plain bit
+    string whose bit s is the coding bit of step s, with the dodge bits
+    coming from the canonical halting-table witness at the stage budget.
     """
     depth = schedule.depth
     if isinstance(f, Dnc2Witness):
         dodge = f
-        coding_bits = coding if coding is not None else _WitnessCoding(f)
+        coding_bit = f.value
     else:
         check_bits(f)
         if len(f) < steps:
             raise ForcingError("coding prefix shorter than the step count")
-        coding_bits = _PrefixCoding(f)
-        dodge = dnc_witness or Dnc2Witness.from_halting_table(stage_budget)
+        dodge = Dnc2Witness.from_halting_table(stage_budget)
+
+        def coding_bit(s: int) -> int:
+            return int(f[s])
     if functional is None:
         functional = Functional.projection(
             tuple(steps + s for s in range(steps)))
+    if len(functional.query_schedule) < steps:
+        raise ForcingError("functional query schedule shorter than the step count")
     if max(functional.query_schedule[:steps], default=0) >= depth:
         raise ForcingError("functional query schedule runs past the depth cap")
     if steps > depth:
@@ -374,7 +370,7 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
 
         m_index = fixed_point(transformer)
         unanimous = event(m_index)
-        a_bit = coding_bits.bit(s)
+        a_bit = coding_bit(s)
         keep = [x for x in survivors if functional.apply(inst, x, m_index) == a_bit]
         if not keep:
             raise ForcingError(
@@ -408,22 +404,6 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
     result.b_member = final_members[0]
     result.schedule = work
     return result
-
-
-class _WitnessCoding:
-    def __init__(self, witness: Dnc2Witness):
-        self.witness = witness
-
-    def bit(self, s: int) -> int:
-        return self.witness.value(s)
-
-
-class _PrefixCoding:
-    def __init__(self, bits: str):
-        self.bits = bits
-
-    def bit(self, s: int) -> int:
-        return int(self.bits[s])
 
 
 # --------------------------------------------------------------------------

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexity import TimeBound, halting_table
-from .semimeasure import m_stage, relative_mass
-from .toyvm import check_bits, rope_materialize, rope_prefix
-
-
-def rope_materialize_short(rope) -> str:
-    s = rope_materialize(rope, 64)
-    return s if s is not None else ""
+from .semimeasure import (m_stage, read_fraction_table, relative_mass,
+                          write_fraction_table)
+from .toyvm import check_bits, rope_materialize, rope_prefix, strings_of_length
 
 
 class FairnessError(ValueError):
@@ -66,15 +62,13 @@ class MartingaleTable:
         self.depth = depth
         self.values = {k: Fraction(v) for k, v in values.items()}
         for length in range(depth + 1):
-            for v in range(1 << length):
-                sigma = format(v, "b").zfill(length) if length else ""
+            for sigma in strings_of_length(length):
                 if sigma not in self.values:
                     raise FairnessError(f"missing value at {sigma!r}")
                 if self.values[sigma] < 0:
                     raise FairnessError(f"negative value at {sigma!r}")
         for length in range(depth):
-            for v in range(1 << length):
-                sigma = format(v, "b").zfill(length) if length else ""
+            for sigma in strings_of_length(length):
                 if 2 * self.values[sigma] != self.values[sigma + "0"] + self.values[sigma + "1"]:
                     raise FairnessError(f"unfair split at {sigma!r}")
 
@@ -86,12 +80,9 @@ class MartingaleTable:
 
     @classmethod
     def constant(cls, depth: int, c: Fraction = Fraction(1)) -> "MartingaleTable":
-        vals = {}
-        for length in range(depth + 1):
-            for v in range(1 << length):
-                sigma = format(v, "b").zfill(length) if length else ""
-                vals[sigma] = Fraction(c)
-        return cls(depth, vals)
+        c = Fraction(c)
+        return cls(depth, {sigma: c for length in range(depth + 1)
+                           for sigma in strings_of_length(length)})
 
     @classmethod
     def from_splits(cls, depth: int, split) -> "MartingaleTable":
@@ -99,8 +90,7 @@ class MartingaleTable:
         bet on the 0-child, so d(sigma 0) = 2 a d(sigma)."""
         vals = {"": Fraction(1)}
         for length in range(depth):
-            for v in range(1 << length):
-                sigma = format(v, "b").zfill(length) if length else ""
+            for sigma in strings_of_length(length):
                 a = Fraction(split(sigma))
                 if not 0 <= a <= 1:
                     raise FairnessError(f"split {a} out of range at {sigma!r}")
@@ -110,23 +100,11 @@ class MartingaleTable:
 
     @classmethod
     def from_file(cls, path) -> "MartingaleTable":
-        vals = {}
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                sigma, _, frac = line.partition("\t")
-                num, _, den = frac.partition("/")
-                vals[sigma] = Fraction(int(num), int(den) if den else 1)
-        depth = max((len(s) for s in vals), default=0)
-        return cls(depth, vals)
+        vals = read_fraction_table(path)
+        return cls(max(map(len, vals), default=0), vals)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for sigma in sorted(self.values, key=lambda s: (len(s), s)):
-                v = self.values[sigma]
-                fh.write(f"{sigma}\t{v.numerator}/{v.denominator}\n")
+        write_fraction_table(path, self.values)
 
 
 def count_cheap_extensions(d: MartingaleTable, sigma: str, delta, l: int) -> int:
@@ -136,12 +114,7 @@ def count_cheap_extensions(d: MartingaleTable, sigma: str, delta, l: int) -> int
     if len(sigma) + l > d.depth:
         raise ValueError("extension runs past the table depth")
     bound = delta * d.value(sigma)
-    count = 0
-    for v in range(1 << l):
-        tau = format(v, "b").zfill(l) if l else ""
-        if d.value(sigma + tau) < bound:
-            count += 1
-    return count
+    return sum(1 for tau in strings_of_length(l) if d.value(sigma + tau) < bound)
 
 
 # families used by the counting sweeps
@@ -152,10 +125,7 @@ DYADIC_SPLITS = (Fraction(0), Fraction(1, 2), Fraction(1))
 def dyadic_family(depth: int, splits=DYADIC_SPLITS):
     """Every martingale of the given depth whose per-node splits come from
     the grid; normalised to 1 at the root.  Exhaustive over the grid."""
-    internal = []
-    for length in range(depth):
-        for v in range(1 << length):
-            internal.append(format(v, "b").zfill(length) if length else "")
+    internal = [sigma for length in range(depth) for sigma in strings_of_length(length)]
     n = len(internal)
     total = len(splits) ** n
     for code in range(total):
@@ -170,8 +140,7 @@ def dyadic_family(depth: int, splits=DYADIC_SPLITS):
 def random_table(depth: int, rng: random.Random, grain: int = 8) -> MartingaleTable:
     splits = {}
     for length in range(depth):
-        for v in range(1 << length):
-            sigma = format(v, "b").zfill(length) if length else ""
+        for sigma in strings_of_length(length):
             splits[sigma] = Fraction(rng.randint(0, grain), grain)
     return MartingaleTable.from_splits(depth, lambda s: splits[s])
 
@@ -206,7 +175,7 @@ def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale
             for p, _step, rope, out_len in table.halted_by(stage):
                 mass = Fraction(1, 1 << len(p))
                 if out_len <= 64:
-                    s = rope_materialize_short(rope)
+                    s = rope_materialize(rope, 64)
                     short[s] = short.get(s, Fraction(0)) + mass
                 else:
                     long_ropes.append((rope, out_len, mass))
@@ -322,14 +291,9 @@ def psi(a_prefix: str, t: TimeBound, t_prime: TimeBound, c: Fraction,
         raise ValueError("c must be positive")
     total = Fraction(0)
     dropped = 0
-    seen: set[str] = set()
     for sigma_len in range(len_cap + 1):
         budget = t(sigma_len)
-        for v in range(1 << sigma_len):
-            sigma = format(v, "b").zfill(sigma_len) if sigma_len else ""
-            if sigma in seen:
-                continue
-            seen.add(sigma)
+        for sigma in strings_of_length(sigma_len):
             rel = relative_mass(sigma, a_prefix, budget, cap)
             if rel == 0:
                 continue
@@ -353,8 +317,7 @@ def psi_domination_constant(t: TimeBound, t_prime: TimeBound, len_cap: int,
 
     best = Fraction(0)
     for sigma_len in range(len_cap + 1):
-        for v in range(1 << sigma_len):
-            sigma = format(v, "b").zfill(sigma_len) if sigma_len else ""
+        for sigma in strings_of_length(sigma_len):
             denom = m_stage(sigma, t_prime(sigma_len), None, cap)
             if denom == 0:
                 continue
@@ -367,10 +330,8 @@ def psi_average(t: TimeBound, t_prime: TimeBound, c: Fraction, len_cap: int,
                 stage: int, depth: int, cap: int = 16) -> Fraction:
     """Exact average of the truncated test over all 2^depth oracle
     prefixes."""
-    total = Fraction(0)
-    for w in range(1 << depth):
-        prefix = format(w, "b").zfill(depth) if depth else ""
-        total += psi(prefix, t, t_prime, c, len_cap, stage, cap).value
+    total = sum((psi(prefix, t, t_prime, c, len_cap, stage, cap).value
+                 for prefix in strings_of_length(depth)), Fraction(0))
     return total / (1 << depth)
 
 
@@ -383,15 +344,12 @@ def measure_cheap_oracles(x_prefix: str, n: int, k, t: TimeBound, stage: int,
     """Exact measure of depth-bit oracle prefixes Y with
     m^{Y,stage}(X|n) >= k * m^t(X|n), by enumeration of all prefixes."""
     check_bits(x_prefix)
-    if n > len(x_prefix):
-        raise ValueError("n exceeds the given prefix")
+    if not 0 <= n <= len(x_prefix):
+        raise ValueError("n must lie between 0 and the prefix length")
     k = Fraction(k)
     sigma = x_prefix[:n]
     base = m_stage(sigma, t(n), None, cap)
     threshold = k * base
-    hits = 0
-    for w in range(1 << depth):
-        prefix = format(w, "b").zfill(depth) if depth else ""
-        if relative_mass(sigma, prefix, stage, cap) >= threshold:
-            hits += 1
+    hits = sum(1 for prefix in strings_of_length(depth)
+               if relative_mass(sigma, prefix, stage, cap) >= threshold)
     return Fraction(hits, 1 << depth)

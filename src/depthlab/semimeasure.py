@@ -21,15 +21,16 @@ from fractions import Fraction
 
 from .complexity import NoStageWithinBudget, TimeBound, halting_table, k_stage
 from .toyvm import (
+    MEMO,
     MachineState,
     OutOfTableError,
     Program,
     _advance,
     check_bits,
-    oracle_key,
     parse_body,
     programs_up_to,
     rope_materialize,
+    strings_of_length,
 )
 
 
@@ -54,23 +55,35 @@ def m_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> Frac
     return m_stage(sigma, t(len(sigma)), oracle, cap)
 
 
-@dataclass(frozen=True)
-class StagedSemimeasure:
-    """Stage-indexed monotone rational approximations m_s."""
-
-    evaluator: object
-    description: str
-
-    def __call__(self, sigma: str, stage: int) -> Fraction:
-        return self.evaluator(sigma, stage)
+# --------------------------------------------------------------------------
+# exact fraction tables on disk: one `sigma<TAB>num/den` line per string
 
 
-def machine_semimeasure(oracle=None, cap: int = 16) -> StagedSemimeasure:
-    label = "machine" if oracle is None else f"machine^{oracle_key(oracle)}"
-    return StagedSemimeasure(
-        lambda sigma, stage: m_stage(sigma, stage, oracle, cap),
-        f"{label}/cap{cap}",
-    )
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational from "num/den" or "num"."""
+    num, _, den = text.partition("/")
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
+
+
+def read_fraction_table(path) -> dict[str, Fraction]:
+    table = {}
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.strip():
+                sigma, _, frac = line.partition("\t")
+                table[sigma] = parse_fraction(frac)
+    return table
+
+
+def write_fraction_table(path, table: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        for sigma in sorted(table, key=lambda s: (len(s), s)):
+            v = table[sigma]
+            fh.write(f"{sigma}\t{v.numerator}/{v.denominator}\n")
 
 
 class ComputableSemimeasure:
@@ -92,22 +105,10 @@ class ComputableSemimeasure:
 
     @classmethod
     def from_file(cls, path) -> "ComputableSemimeasure":
-        table = {}
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                sigma, _, frac = line.partition("\t")
-                num, _, den = frac.partition("/")
-                table[sigma] = Fraction(int(num), int(den) if den else 1)
-        return cls(table, description=str(path))
+        return cls(read_fraction_table(path), description=str(path))
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for sigma in sorted(self.table, key=lambda s: (len(s), s)):
-                v = self.table[sigma]
-                fh.write(f"{sigma}\t{v.numerator}/{v.denominator}\n")
+        write_fraction_table(path, self.table)
 
 
 # --------------------------------------------------------------------------
@@ -161,8 +162,7 @@ def semimeasure_to_timebound(m: ComputableSemimeasure, c: Fraction, n: int,
     table.ensure(stage_ceiling)
     events = table.halt_events(n)
     best = 0
-    for v in range(1 << n):
-        sigma = format(v, "b").zfill(n) if n else ""
+    for sigma in strings_of_length(n):
         threshold = m(sigma) / c
         cum = Fraction(0)
         crossed = None
@@ -223,19 +223,10 @@ class OracleLeaf:
         return all(prefix[i] == ("1" if b else "0") for i, b in self.assign)
 
 
-_LEAVES: dict = {}
-
-
 def oracle_leaves(program: Program, budget: int, depth: int,
                   max_len: int = 1 << 12) -> tuple[OracleLeaf, ...]:
     """All reachable oracle-answer branches of one program at one budget.
     Raises DepthViolation if any reachable query lands at or past depth."""
-    key = (program.bits, budget, depth)
-    cached = _LEAVES.get(key)
-    if cached is not None:
-        if cached == "depth-violation":
-            raise DepthViolation(program.bits)
-        return cached
     instrs = parse_body(program.body)
     leaves = []
 
@@ -261,36 +252,17 @@ def oracle_leaves(program: Program, budget: int, depth: int,
             st.steps,
         ))
 
-    try:
-        explore({})
-    except DepthViolation:
-        _LEAVES[key] = "depth-violation"
-        raise
-    cached = tuple(leaves)
-    _LEAVES[key] = cached
-    return cached
-
-
-def oracle_average(sigma: str, t: TimeBound, cap: int = 16,
-                   depth: int = 6) -> Fraction:
-    """Exact integral of the oracle-relative semimeasure at sigma over all
-    oracle prefixes of the given depth: the weighted sum, over halting
-    (program, pinned-bits) pairs, of 2^-(|p| + pinned)."""
-    check_bits(sigma)
-    budget = t(len(sigma))
-    total = Fraction(0)
-    for p in programs_up_to(cap):
-        for leaf in oracle_leaves(p, budget, depth):
-            if leaf.halted and leaf.output == sigma:
-                total += Fraction(1, 1 << (len(p) + leaf.pinned))
-    return total
+    explore({})
+    return tuple(leaves)
 
 
 class PrefixMassEvaluator:
     """Relative mass evaluation prepared for sweeps over many prefixes.
 
     Programs whose single branch never queries contribute a constant map;
-    only the query-sensitive rest is walked per prefix."""
+    only the query-sensitive rest keeps its branches and is walked per
+    prefix.  oracle_average reads the same two parts, so the branches of a
+    (budget, cap, depth) are explored once and stored only here."""
 
     def __init__(self, budget: int, cap: int, depth: int):
         self.depth = depth
@@ -319,15 +291,27 @@ class PrefixMassEvaluator:
         return total
 
 
-_EVALUATORS: dict = {}
-
-
 def prefix_mass_evaluator(budget: int, cap: int, depth: int) -> PrefixMassEvaluator:
     key = (budget, cap, depth)
-    ev = _EVALUATORS.get(key)
+    ev = MEMO.evaluators.get(key)
     if ev is None:
-        ev = _EVALUATORS[key] = PrefixMassEvaluator(budget, cap, depth)
+        ev = MEMO.evaluators[key] = PrefixMassEvaluator(budget, cap, depth)
     return ev
+
+
+def oracle_average(sigma: str, t: TimeBound, cap: int = 16,
+                   depth: int = 6) -> Fraction:
+    """Exact integral of the oracle-relative semimeasure at sigma over all
+    oracle prefixes of the given depth: the weighted sum, over halting
+    (program, pinned-bits) pairs, of 2^-(|p| + pinned)."""
+    check_bits(sigma)
+    ev = prefix_mass_evaluator(t(len(sigma)), cap, depth)
+    total = ev.const.get(sigma, Fraction(0))
+    for weight, leaves in ev.sensitive:
+        for leaf in leaves:
+            if leaf.halted and leaf.output == sigma:
+                total += weight / (1 << leaf.pinned)
+    return total
 
 
 def oracle_average_direct(sigma: str, t: TimeBound, cap: int = 16,
@@ -335,10 +319,8 @@ def oracle_average_direct(sigma: str, t: TimeBound, cap: int = 16,
     """The same integral by brute enumeration of all 2^depth prefixes."""
     check_bits(sigma)
     ev = prefix_mass_evaluator(t(len(sigma)), cap, depth)
-    total = Fraction(0)
-    for w in range(1 << depth):
-        prefix = format(w, "b").zfill(depth) if depth else ""
-        total += ev.mass(sigma, prefix)
+    total = sum((ev.mass(sigma, prefix) for prefix in strings_of_length(depth)),
+                Fraction(0))
     return total / (1 << depth)
 
 

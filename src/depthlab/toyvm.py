@@ -65,7 +65,6 @@ Program indices
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 
 
@@ -132,6 +131,13 @@ def index_to_body(e: int) -> str:
     length = (e + 1).bit_length() - 1
     offset = e - ((1 << length) - 1)
     return format(offset, "b").zfill(length) if length else ""
+
+
+def strings_of_length(n: int):
+    """The 2^n strings of n bits, in lexicographic order."""
+    if n == 0:
+        return iter(("",))
+    return (format(v, "b").zfill(n) for v in range(1 << n))
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +221,6 @@ def _instructions_class(mask: int) -> type:
 _INSTRUCTIONS_BY_MASK = tuple(_instructions_class(mask) for mask in range(16))
 
 
-@lru_cache(maxsize=1 << 16)
 def parse_body(body: str) -> Instructions:
     """Decode a body into (opcode, register, offset) triples.
 
@@ -367,11 +372,7 @@ def programs_up_to(cap: int) -> list[Program]:
     out = []
     n = 0
     while program_length(n) <= cap:
-        if n == 0:
-            out.append(Program.encode(""))
-        else:
-            for v in range(1 << n):
-                out.append(Program.encode(format(v, "b").zfill(n)))
+        out.extend(map(Program.encode, strings_of_length(n)))
         n += 1
     return out
 
@@ -462,15 +463,6 @@ def oracle_key(oracle) -> tuple:
 # DOUBLE makes outputs grow geometrically, so the output is kept as a
 # shared binary tree: leaf (1, bit, None, None), node (len, None, l, r).
 # Materialisation is always bounded by an explicit limit.
-
-
-def rope_append(node, bit: int):
-    leaf = (1, bit, None, None)
-    return leaf if node is None else (node[0] + 1, None, node, leaf)
-
-
-def rope_double(node):
-    return None if node is None else (node[0] * 2, None, node, node)
 
 
 def rope_len(node) -> int:
@@ -682,6 +674,37 @@ def run_body(body: str, oracle, budget: int, **kw):
 
 
 # --------------------------------------------------------------------------
+# the memo scope
+
+
+class Memo:
+    """Every result kept from one call to the next, in one place.
+
+    Each field maps a key to what the pinned machine computes for it (a
+    diagonal entry is a run resumed as far as it was asked), so clearing
+    them changes no answer, only what must be recomputed:
+
+    parsed      body index -> Instructions, for phi
+    diagonal    index e -> entry of the diagonal run phi_e(e)
+    tables      (oracle key, cap) -> complexity.HaltingTable
+    evaluators  (budget, cap, depth) -> semimeasure.PrefixMassEvaluator
+    """
+
+    def __init__(self):
+        self.parsed: dict = {}
+        self.diagonal: dict = {}
+        self.tables: dict = {}
+        self.evaluators: dict = {}
+
+    def reset(self) -> None:
+        for memo in vars(self).values():
+            memo.clear()
+
+
+MEMO = Memo()
+
+
+# --------------------------------------------------------------------------
 # the program enumeration phi
 
 
@@ -699,7 +722,9 @@ def phi(e: int, x: int, oracle, budget: int, detect_cycles: bool = False) -> Phi
     """Run body e with R2 = x; on halting the value is the final R3."""
     if e < 0:
         raise ValueError("index must be nonnegative")
-    instrs = parse_body(index_to_body(e))
+    instrs = MEMO.parsed.get(e)
+    if instrs is None:
+        instrs = MEMO.parsed[e] = parse_body(index_to_body(e))
     st = MachineState(regs=[0, 0, x, 0])
     outcome = _advance(instrs, oracle, budget, st, detect_cycles)
     if outcome is None:
@@ -708,44 +733,31 @@ def phi(e: int, x: int, oracle, budget: int, detect_cycles: bool = False) -> Phi
     return PhiResult(outcome, value)
 
 
-class _DiagonalTable:
-    """Resumable memo of the diagonal runs phi_e(e) under the zero oracle.
-    A running entry holds its parsed body and MachineState; both are
-    dropped when the run resolves."""
-
-    def __init__(self):
-        self.entries: dict[int, dict] = {}
-
-    def probe(self, e: int, stage: int) -> dict:
-        ent = self.entries.get(e)
-        if ent is None:
-            ent = self.entries[e] = {
-                "status": "running",
-                "state": MachineState(regs=[0, 0, e, 0]),
-                "instrs": parse_body(index_to_body(e)),
-                "budget": 0,
-            }
-        if ent["status"] == "running" and ent["budget"] < stage:
-            outcome = _advance(ent["instrs"], ZERO, stage, ent["state"], True)
-            ent["budget"] = stage
-            if outcome is not None:
-                state = ent.pop("state")
-                del ent["instrs"]
-                if outcome.kind == "halted":
-                    ent["status"] = "halted"
-                    ent["step"] = outcome.steps
-                    ent["value"] = state.regs[3]
-                else:
-                    ent["status"] = "diverged"
-        return ent
-
-
-_DIAGONAL = _DiagonalTable()
-
-
 def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
-    """(halts within stage, value, halting step) for phi_e(e)."""
-    ent = _DIAGONAL.probe(e, stage)
+    """(halts within stage, value, halting step) for phi_e(e) under the
+    zero oracle.  The run is resumed from MEMO.diagonal[e]; a running
+    entry holds its parsed body and MachineState, and drops both when the
+    run resolves."""
+    ent = MEMO.diagonal.get(e)
+    if ent is None:
+        ent = MEMO.diagonal[e] = {
+            "status": "running",
+            "state": MachineState(regs=[0, 0, e, 0]),
+            "instrs": parse_body(index_to_body(e)),
+            "budget": -1,  # not yet run, so even stage 0 runs it
+        }
+    if ent["status"] == "running" and ent["budget"] < stage:
+        outcome = _advance(ent["instrs"], ZERO, stage, ent["state"], True)
+        ent["budget"] = stage
+        if outcome is not None:
+            state = ent.pop("state")
+            del ent["instrs"]
+            if outcome.kind == "halted":
+                ent["status"] = "halted"
+                ent["step"] = outcome.steps
+                ent["value"] = state.regs[3]
+            else:
+                ent["status"] = "diverged"
     if ent["status"] == "halted" and ent["step"] <= stage:
         return True, ent["value"], ent["step"]
     return False, None, None

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab.complexity import TimeBound, identity_reduction, Reduction
+from depthlab import constructions
+from depthlab.complexity import WRAPPER_BITS, TimeBound, identity_reduction, Reduction
 from depthlab.constructions import (
     BuilderConfig,
+    DepthProfile,
+    ProfileRow,
     ReductionMismatch,
     build_deep_random,
     depth_profile,
@@ -208,6 +211,25 @@ def test_sgl_reduction_mismatch_rejected():
     red = _even_bit_reduction()
     with pytest.raises(ReductionMismatch):
         sgl_compare("1111", "00000000", red, TimeBound.poly(3, 1), 1000, None, 16)
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_sgl_flag_checks_the_a_priori_constant(monkeypatch, excess):
+    # crafted profiles: X is deeper than Y by the reduction's size plus the
+    # wrapper, then by one bit more, at n = 2
+    red = identity_reduction()
+    limit = len(red.program) + WRAPPER_BITS
+
+    def profile(gaps):
+        return DepthProfile("", tuple(ProfileRow(n, None, None, g)
+                                      for n, g in enumerate(gaps, 1)), {})
+
+    profiles = iter([profile([0, limit + excess, 0]), profile([0, 0, 0])])
+    monkeypatch.setattr(constructions, "depth_profile",
+                        lambda *args, **kwargs: next(profiles))
+    rep = sgl_compare("0101", "0101", red, TimeBound.poly(5, 1), 2000, None, 12)
+    assert rep.overhead == limit + excess
+    assert rep.holds_with_overhead is (excess == 0)
 
 
 def test_sgl_computable_source_vacuous():

@@ -8,7 +8,6 @@ from depthlab.semimeasure import (
     DepthViolation,
     coding_gap,
     m_stage,
-    machine_semimeasure,
     monte_carlo_average,
     oracle_average,
     oracle_average_direct,
@@ -65,11 +64,6 @@ def test_stage_monotone_exhaustive():
             cur = m_stage(sigma, s, None, 16)
             assert cur >= prev
             prev = cur
-
-
-def test_staged_wrapper():
-    m = machine_semimeasure(None, 14)
-    assert m("", 10) == m_stage("", 10, None, 14)
 
 
 # ------------------------------------------------------------------ coding gap

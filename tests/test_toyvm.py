@@ -24,6 +24,7 @@ from depthlab.toyvm import (
     run,
     run_body,
     smn,
+    strings_of_length,
 )
 
 bodies = st.text(alphabet="01", max_size=16)
@@ -62,6 +63,10 @@ def test_rank_unrank_roundtrip():
     assert index_to_body(1) == "0"
     assert index_to_body(2) == "1"
     assert index_to_body(3) == "00"
+    # strings of one length are a contiguous, lexicographic run of ranks
+    for n in range(12):
+        assert list(strings_of_length(n)) == [index_to_body(e) for e in
+                                              range((1 << n) - 1, (2 << n) - 1)]
 
 
 # ------------------------------------------------------------------ running
@@ -187,13 +192,14 @@ def test_counted_loop_halts_with_exact_steps():
 
 
 def test_resolved_diagonal_entries_release_run_state():
-    table = tv._DiagonalTable()
     for e in (0, body_index(DIVERGE_BODY), body_index(assemble([("INC", 1), ("JMP", -2)]))):
-        ent = table.probe(e, 100)
+        diagonal(e, 100)
+        ent = tv.MEMO.diagonal[e]
         assert ent["status"] in ("halted", "diverged")
         assert "state" not in ent and "instrs" not in ent
-    live = table.probe(body_index(assemble(["top:", ("INC", 1), ("JZ", 1, "top"),
-                                            ("JMP", "top")])), 100)
+    e = body_index(assemble(["top:", ("INC", 1), ("JZ", 1, "top"), ("JMP", "top")]))
+    assert diagonal(e, 100) == (False, None, None)
+    live = tv.MEMO.diagonal[e]
     assert live["status"] == "running" and live["state"].steps == 100
 
 
@@ -225,12 +231,14 @@ def test_phi_halting_answers_never_flip():
 
 
 def test_diagonal_matches_phi_and_is_monotone():
+    # stage 0 first, on a cold memo: a body that halts in 0 steps counts
     for e in (0, 1, 5, 81, 382, 1000):
-        halts, value, step = diagonal(e, 2000)
-        direct = phi(e, e, ZERO, 2000, detect_cycles=True)
-        assert halts == direct.halted
-        if halts:
-            assert value == direct.value and step <= 2000
+        for stage in (0, 1, 2000):
+            halts, value, step = diagonal(e, stage)
+            direct = phi(e, e, ZERO, stage, detect_cycles=True)
+            assert halts == direct.halted
+            if halts:
+                assert value == direct.value and step <= stage
 
 
 def test_halting_oracle_monotone():
