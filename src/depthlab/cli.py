@@ -119,6 +119,8 @@ def _cmd_convert_timebound(args) -> int:
 
 
 def _cmd_space_lemma(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
     delta = parse_fraction(args.delta)
     l = randomness.space_lemma_length(delta, args.k)
     tested = violations = 0
@@ -164,6 +166,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_avg(args) -> int:
+    if args.mc < 0:
+        raise ValueError(f"--mc must be nonnegative, got {args.mc}")
     t = TimeBound.parse(args.t)
     exact = semimeasure.oracle_average(args.sigma, t, args.cap, args.depth)
     payload = {
@@ -269,6 +273,8 @@ def solovay_probe(t: TimeBound, n_range: int, c: int, stage: int,
     budget: the bounded search space is contained in the staged one),
     and `undecided` collects n where both sides sit above the cap.
     The density of the tight list is reported, never asserted."""
+    if n_range < 0:
+        raise ValueError(f"range must be nonnegative, got {n_range}")
     tight, violations, undecided = [], [], []
     for n in range(n_range):
         sigma = int_to_bin(n)

@@ -52,6 +52,10 @@ class BuilderConfig:
 
 @dataclass(frozen=True)
 class BuilderRound:
+    """One round of the builder.  `k_rejected` counts the cheap candidates
+    the complexity filter rejected before the chosen one (every candidate
+    on a flagged round); 0 means the filter rejected nothing."""
+
     n: int
     sigma: str
     extension_length: int
@@ -60,6 +64,7 @@ class BuilderRound:
     d_value: Fraction
     k_value: int | None
     flagged: bool
+    k_rejected: int
 
 
 @dataclass
@@ -110,6 +115,7 @@ class BuilderTrace:
                     "d_num": r.d_value.numerator,
                     "d_den": r.d_value.denominator,
                     "flagged": r.flagged,
+                    "k_rejected": r.k_rejected,
                 }
                 for r in self.rounds
             ],
@@ -133,50 +139,57 @@ def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
         "mart_stage": cfg.mart_stage,
     })
     trace.d_lambda = d("", cfg.mart_stage)
+    price = d.numerator
     sigma = ""
     for r in range(1, cfg.rounds + 1):
         delta = 1 + Fraction(1, r * r)
         k = 1 << r
         l = space_lemma_length(delta, k)
-        base_value = d(sigma, cfg.mart_stage)
-        bound = delta * base_value
-        cheap = [tau for tau in strings_of_length(l)
-                 if d(sigma + tau, cfg.mart_stage) < bound]
-        if not cheap:
+        # d(sigma tau) < delta d(sigma), cross-multiplied over d's scale
+        bound = delta.numerator * price(sigma, cfg.mart_stage)
+        den = delta.denominator
+        budget = cfg.dominating(len(sigma) + l)
+        omap = table.output_map(budget, len(sigma) + l)
+        # one pass, in lex order, through both filters: count the cheap
+        # extensions, take the first one the complexity filter passes, and
+        # remember the least-compressible rejected one (first on ties)
+        ext_count = rejected = 0
+        chosen = fallback = None
+        best_k = -1
+        for tau in strings_of_length(l):
+            if price(sigma + tau, cfg.mart_stage) * den >= bound:
+                continue
+            ext_count += 1
+            if chosen is None:
+                hit = omap.get(sigma + tau)
+                if hit is None or hit[0] > r - 1:
+                    chosen = tau
+                else:
+                    rejected += 1
+                    if hit[0] > best_k:
+                        fallback, best_k = tau, hit[0]
+        if not ext_count:
             raise BuilderError(
                 f"round {r}: no extension priced under {delta} x current;"
                 " the counting bound guarantees at least"
                 f" {k}, so the martingale is not a supermartingale")
-        budget = cfg.dominating(len(sigma) + l)
-        omap = table.output_map(budget, len(sigma) + l)
-        chosen = None
-        for tau in cheap:
-            hit = omap.get(sigma + tau)
-            if hit is None or hit[0] > r - 1:
-                chosen = tau
-                flagged = False
-                break
-        if chosen is None:
-            # every candidate compresses below the threshold at this cap:
-            # take the least-compressible one (first in lex order on ties)
-            # and mark the round
-            best_k = -1
-            for tau in cheap:
-                kv = omap.get(sigma + tau, (cfg.cap + 1,))[0]
-                if kv > best_k:
-                    chosen, best_k = tau, kv
-            flagged = True
+        # if every candidate compresses below the threshold at this cap,
+        # take the least-compressible one and mark the round
+        flagged = chosen is None
+        if flagged:
+            chosen = fallback
         sigma = sigma + chosen
         hit = omap.get(sigma)
         trace.rounds.append(BuilderRound(
             n=r,
             sigma=sigma,
             extension_length=l,
-            ext_count=len(cheap),
+            ext_count=ext_count,
             chosen=chosen,
             d_value=d(sigma, cfg.mart_stage),
             k_value=None if hit is None else hit[0],
             flagged=flagged,
+            k_rejected=rejected,
         ))
     return trace
 

@@ -7,13 +7,25 @@ rational delta > 1 and k >= 1, every martingale has at least k cheap
 extensions (d(sigma tau) < delta d(sigma)) among the 2^l strings of
 length l = ceil(log2((k+1) / (1 - 1/delta))), provided d(sigma) > 0.
 count_cheap_extensions is the exhaustive oracle for that bound.
+
+The betting layer computes in integers.  A MartingaleTable holds integer
+numerators over one shared denominator, a StagedSupermartingale gives an
+integer numerator over one fixed scale, and prices are compared by
+cross-multiplication, so no Fraction is built while tables are checked,
+extensions counted or the builder's candidates priced.  Fractions appear
+only where a value leaves the layer: MartingaleTable.value and .values,
+and calling a StagedSupermartingale.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from typing import Callable
 
 from .complexity import TimeBound, halting_table
 from .semimeasure import (m_stage, read_fraction_table, relative_mass,
@@ -25,78 +37,140 @@ class FairnessError(ValueError):
     """A martingale table breaks the exact fairness condition."""
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational; ints and Fractions
+    are read as they are, anything else goes through Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _ceil_log2(num: int, den: int) -> int:
+    """Smallest integer m with num/den <= 2^m, for positive num and den."""
+    m = num.bit_length() - den.bit_length()
+    # 2^(m-1) < num/den < 2^(m+1), so the answer is m or m + 1
+    fits = num <= den << m if m >= 0 else num << -m <= den
+    return m if fits else m + 1
+
+
 def exact_ceil_log2(x: Fraction) -> int:
     """Smallest integer m with x <= 2^m, exactly."""
-    x = Fraction(x)
-    if x <= 0:
+    num, den = _ratio(x)
+    if num <= 0:
         raise ValueError("log of a nonpositive rational")
-    m = x.numerator.bit_length() - x.denominator.bit_length()
-    # 2^(m-1) <= num/den < 2^(m+1); settle the boundary exactly
-    while Fraction(2) ** m < x:
-        m += 1
-    while m > 0 and Fraction(2) ** (m - 1) >= x:
-        m -= 1
-    return m
+    return _ceil_log2(num, den)
 
 
 def space_lemma_length(delta, k: int) -> int:
     """Extension length guaranteeing at least k cheap extensions:
     ceil(log2((k+1) / (1 - 1/delta)))."""
-    delta = Fraction(delta)
-    if delta <= 1:
+    num, den = _ratio(delta)
+    if num <= den:
         raise ValueError("delta must exceed 1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    return exact_ceil_log2(Fraction(k + 1) / (1 - 1 / delta))
+    # (k+1) / (1 - 1/delta) = (k+1) delta / (delta - 1)
+    return _ceil_log2((k + 1) * num, num - den)
 
 
 # --------------------------------------------------------------------------
 # martingale tables
 
 
+def heap_index(sigma: str) -> int:
+    """Position of sigma in length-lex order, 2^|sigma| - 1 + int(sigma, 2);
+    the children of index i sit at 2i + 1 and 2i + 2."""
+    return (1 << len(sigma)) - 1 + (int(sigma, 2) if sigma else 0)
+
+
+def _heap_strings(depth: int) -> list[str]:
+    """Every string of length <= depth, in heap order."""
+    return [sigma for length in range(depth + 1) for sigma in strings_of_length(length)]
+
+
+def _sigma_at(index: int) -> str:
+    length = (index + 1).bit_length() - 1
+    return format(index + 1 - (1 << length), "b").zfill(length) if length else ""
+
+
 class MartingaleTable:
     """Exact nonnegative rationals on every string of length <= depth,
-    validated against fairness on construction."""
+    validated against fairness on construction.
 
-    def __init__(self, depth: int, values: dict[str, Fraction]):
+    The table is the list `nums` of integer numerators over the one
+    shared denominator `den`, in heap order (see `heap_index`), so
+    fairness is the integer identity 2 n[i] = n[2i+1] + n[2i+2] and the
+    extensions of sigma of one length are a contiguous slice.  Build it
+    from a dict of rationals, or pass `nums` and `den`; both are checked
+    the same way.  `value` and `values` return Fractions."""
+
+    def __init__(self, depth: int, values: dict | None = None, *,
+                 nums: list[int] | None = None, den: int = 1):
         self.depth = depth
-        self.values = {k: Fraction(v) for k, v in values.items()}
-        for length in range(depth + 1):
-            for sigma in strings_of_length(length):
-                if sigma not in self.values:
+        size = (2 << depth) - 1
+        if values is not None:
+            rationals = []
+            for sigma in _heap_strings(depth):
+                if sigma not in values:
                     raise FairnessError(f"missing value at {sigma!r}")
-                if self.values[sigma] < 0:
+                v = Fraction(values[sigma])
+                if v < 0:
                     raise FairnessError(f"negative value at {sigma!r}")
-        for length in range(depth):
-            for sigma in strings_of_length(length):
-                if 2 * self.values[sigma] != self.values[sigma + "0"] + self.values[sigma + "1"]:
-                    raise FairnessError(f"unfair split at {sigma!r}")
+                rationals.append(v)
+            den = lcm(*(v.denominator for v in rationals))
+            nums = [v.numerator * (den // v.denominator) for v in rationals]
+        elif len(nums) < size:
+            raise FairnessError(f"missing value at {_sigma_at(len(nums))!r}")
+        if den < 1:
+            raise FairnessError(f"denominator {den} is not positive")
+        self.nums = nums = nums[:size]
+        self.den = den
+        for i, v in enumerate(nums):
+            if v < 0:
+                raise FairnessError(f"negative value at {_sigma_at(i)!r}")
+        for i, (v, left, right) in enumerate(zip(nums, nums[1::2], nums[2::2])):
+            if 2 * v != left + right:
+                raise FairnessError(f"unfair split at {_sigma_at(i)!r}")
+
+    @property
+    def values(self) -> dict[str, Fraction]:
+        den = self.den
+        return {sigma: Fraction(v, den)
+                for sigma, v in zip(_heap_strings(self.depth), self.nums)}
 
     def value(self, sigma: str) -> Fraction:
         """Table value, extended constantly below the table's leaves."""
-        if len(sigma) <= self.depth:
-            return self.values[sigma]
-        return self.values[sigma[: self.depth]]
+        check_bits(sigma)
+        return Fraction(self.nums[heap_index(sigma[: self.depth])], self.den)
 
     @classmethod
     def constant(cls, depth: int, c: Fraction = Fraction(1)) -> "MartingaleTable":
-        c = Fraction(c)
-        return cls(depth, {sigma: c for length in range(depth + 1)
-                           for sigma in strings_of_length(length)})
+        num, den = _ratio(c)
+        return cls(depth, nums=[num] * ((2 << depth) - 1), den=den)
 
     @classmethod
     def from_splits(cls, depth: int, split) -> "MartingaleTable":
         """Build from a split rule: split(sigma) is the fraction of 2 d(sigma)
-        bet on the 0-child, so d(sigma 0) = 2 a d(sigma)."""
-        vals = {"": Fraction(1)}
-        for length in range(depth):
-            for sigma in strings_of_length(length):
-                a = Fraction(split(sigma))
-                if not 0 <= a <= 1:
-                    raise FairnessError(f"split {a} out of range at {sigma!r}")
-                vals[sigma + "0"] = 2 * a * vals[sigma]
-                vals[sigma + "1"] = 2 * (1 - a) * vals[sigma]
-        return cls(depth, vals)
+        bet on the 0-child, so d(sigma 0) = 2 a d(sigma).  With q the lcm
+        of the splits' denominators, the values are integers over
+        q^depth, the root being q^depth itself."""
+        splits = []
+        for sigma in _heap_strings(depth - 1):
+            p, q = _ratio(split(sigma))
+            if not 0 <= p <= q:
+                raise FairnessError(f"split {Fraction(p, q)} out of range at {sigma!r}")
+            splits.append((p, q))
+        grain = lcm(*(q for _p, q in splits))
+        nums = [grain ** depth]
+        for i, (p, q) in enumerate(splits):
+            # above the leaves n[i] keeps a factor grain, so w = 2 n[i] / grain
+            # is exact; the 0-child takes p/q of it in grain units, the
+            # 1-child the rest
+            p *= grain // q
+            w = 2 * (nums[i] // grain)
+            nums.append(w * p)
+            nums.append(w * (grain - p))
+        return cls(depth, nums=nums, den=grain ** depth)
 
     @classmethod
     def from_file(cls, path) -> "MartingaleTable":
@@ -108,13 +182,16 @@ class MartingaleTable:
 
 
 def count_cheap_extensions(d: MartingaleTable, sigma: str, delta, l: int) -> int:
-    """Exact count of tau of length l with d(sigma tau) < delta d(sigma)."""
-    delta = Fraction(delta)
+    """Exact count of tau of length l with d(sigma tau) < delta d(sigma),
+    in integers over the table's slice of sigma's extensions."""
+    num, den = _ratio(delta)
     check_bits(sigma)
     if len(sigma) + l > d.depth:
         raise ValueError("extension runs past the table depth")
-    bound = delta * d.value(sigma)
-    return sum(1 for tau in strings_of_length(l) if d.value(sigma + tau) < bound)
+    first = heap_index(sigma + "0" * l)
+    # for an integer v, v * den < num * n(sigma) is v < ceil(num n(sigma) / den)
+    bound = -(-num * d.nums[heap_index(sigma)] // den)
+    return sum(map(bound.__gt__, d.nums[first: first + (1 << l)]))
 
 
 # families used by the counting sweeps
@@ -138,11 +215,9 @@ def dyadic_family(depth: int, splits=DYADIC_SPLITS):
 
 
 def random_table(depth: int, rng: random.Random, grain: int = 8) -> MartingaleTable:
-    splits = {}
-    for length in range(depth):
-        for sigma in strings_of_length(length):
-            splits[sigma] = Fraction(rng.randint(0, grain), grain)
-    return MartingaleTable.from_splits(depth, lambda s: splits[s])
+    grid = [Fraction(i, grain) for i in range(grain + 1)]
+    splits = {sigma: grid[rng.randint(0, grain)] for sigma in _heap_strings(depth - 1)}
+    return MartingaleTable.from_splits(depth, splits.__getitem__)
 
 
 # --------------------------------------------------------------------------
@@ -152,70 +227,83 @@ def random_table(depth: int, rng: random.Random, grain: int = 8) -> MartingaleTa
 @dataclass(frozen=True)
 class StagedSupermartingale:
     """(sigma, stage) -> rational, monotone in stage, with
-    2 d_s(sigma) >= d_s(sigma 0) + d_s(sigma 1)."""
+    2 d_s(sigma) >= d_s(sigma 0) + d_s(sigma 1).
 
-    evaluator: object
+    `numerator(sigma, stage)` is the exact integer value times `scale`;
+    calling the object gives the Fraction."""
+
+    numerator: Callable[[str, int], int]
+    scale: int
     description: str
 
     def __call__(self, sigma: str, stage: int) -> Fraction:
-        return self.evaluator(sigma, stage)
+        return Fraction(self.numerator(sigma, stage), self.scale)
 
 
 def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
     """Cylinder-mass supermartingale from the machine semimeasure:
-    d_s(sigma) = 2^|sigma| * sum of halting mass on outputs extending sigma."""
+    d_s(sigma) = 2^|sigma| * sum of halting mass on outputs extending sigma,
+    over the scale 2^cap."""
     table = halting_table(oracle, cap)
     cache: dict[int, tuple] = {}
 
     def outputs_at(stage: int) -> tuple:
+        """Outputs of at most 64 bits, sorted, with prefix sums of their
+        masses in units of 2^-cap; longer outputs as (rope, length, mass)."""
         entry = cache.get(stage)
         if entry is None:
-            short: dict[str, Fraction] = {}
+            short: dict[str, int] = {}
             long_ropes = []
             for p, _step, rope, out_len in table.halted_by(stage):
-                mass = Fraction(1, 1 << len(p))
+                mass = 1 << (cap - len(p))
                 if out_len <= 64:
                     s = rope_materialize(rope, 64)
-                    short[s] = short.get(s, Fraction(0)) + mass
+                    short[s] = short.get(s, 0) + mass
                 else:
                     long_ropes.append((rope, out_len, mass))
-            entry = cache[stage] = (sorted(short.items()), long_ropes)
+            outs = sorted(short)
+            sums = list(accumulate((short[s] for s in outs), initial=0))
+            entry = cache[stage] = (outs, sums, long_ropes)
         return entry
 
-    def evaluate(sigma: str, stage: int) -> Fraction:
-        total = Fraction(0)
+    def numerator(sigma: str, stage: int) -> int:
+        outs, sums, long_ropes = outputs_at(stage)
         n = len(sigma)
-        short, long_ropes = outputs_at(stage)
-        for out, mass in short:
-            if len(out) >= n and out.startswith(sigma):
-                total += mass
+        # the outputs extending sigma sort between sigma and sigma + "2"
+        total = sums[bisect_left(outs, sigma + "2")] - sums[bisect_left(outs, sigma)]
         for rope, out_len, mass in long_ropes:
             if out_len >= n and rope_prefix(rope, n) == sigma:
                 total += mass
-        return total * (1 << n)
+        return total << n
 
-    return StagedSupermartingale(evaluate, f"machine-cylinder/cap{cap}")
+    return StagedSupermartingale(numerator, 1 << cap, f"machine-cylinder/cap{cap}")
 
 
 def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSupermartingale:
     """Weighted mixture of normalised finite tables plus the machine
-    cylinder supermartingale; the builder default."""
-    normalised = []
-    for tab in tables:
-        root = tab.value("")
-        normalised.append((tab, root))
-    machine_part = machine_supermartingale(oracle, cap)
-    tail_weight = Fraction(1, 1 << (len(normalised) + 1))
+    cylinder supermartingale; the builder default.  Table i enters with
+    weight 2^-(i+1) over its root value, the machine part with
+    2^-(len(tables)+1); the scale is the lcm of the machine part's
+    2^(cap+len(tables)+1) and each 2^(i+1) root numerator."""
+    machine = machine_supermartingale(oracle, cap)
+    tail_shift = cap + len(tables) + 1
+    scale = 1 << tail_shift
+    for i, tab in enumerate(tables):
+        if tab.nums[0]:
+            scale = lcm(scale, tab.nums[0] << (i + 1))
+    terms = [(tab.nums, tab.depth, scale // (tab.nums[0] << (i + 1)))
+             for i, tab in enumerate(tables) if tab.nums[0]]
+    tail = scale >> tail_shift
+    machine_numerator = machine.numerator
 
-    def evaluate(sigma: str, stage: int) -> Fraction:
-        total = Fraction(0)
-        for i, (tab, root) in enumerate(normalised):
-            if root:
-                total += Fraction(1, 1 << (i + 1)) * tab.value(sigma) / root
-        return total + tail_weight * machine_part(sigma, stage)
+    def numerator(sigma: str, stage: int) -> int:
+        total = tail * machine_numerator(sigma, stage)
+        for nums, depth, factor in terms:
+            total += factor * nums[heap_index(sigma[:depth])]
+        return total
 
-    names = ",".join(f"t{i}" for i in range(len(normalised)))
-    return StagedSupermartingale(evaluate, f"mixture({names})+machine/cap{cap}")
+    names = ",".join(f"t{i}" for i in range(len(tables)))
+    return StagedSupermartingale(numerator, scale, f"mixture({names})+machine/cap{cap}")
 
 
 def default_builder_martingale(oracle=None, cap: int = 16) -> StagedSupermartingale:

@@ -334,6 +334,8 @@ def monte_carlo_average(sigma: str, t: TimeBound, cap: int = 16, depth: int = 6,
                         samples: int = 10 ** 4, seed: int = 0):
     """(sample mean, standard error) of the oracle-relative mass at sigma
     over uniformly random depth-bit prefixes."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
     ev = prefix_mass_evaluator(t(len(sigma)), cap, depth)
     values = []

@@ -190,6 +190,21 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--mc", "-5"], "--mc"),
+    (["solovay", "--t", "poly:1,1", "--range", "-3", "--cap", "8", "--stage", "10"],
+     "range"),
+    (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "-4"],
+     "--n"),
+], ids=["avg-mc", "solovay-range", "space-lemma-n"])
+def test_negative_count_exits_2_without_an_artifact(tmp_path, capsys, argv, flag):
+    out = tmp_path / "artifact.json"
+    assert dispatch(argv + ["--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "nonnegative" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc", [MachineError("m"), FixedPointError("f"),
                                  BuilderError("b"), ReductionDiverged("r")])
 def test_machine_and_builder_failures_exit_2(monkeypatch, capsys, exc):

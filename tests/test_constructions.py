@@ -16,7 +16,13 @@ from depthlab.constructions import (
     sgl_compare,
     symdiff,
 )
-from depthlab.randomness import default_builder_martingale, space_lemma_length
+from depthlab.randomness import (
+    MartingaleTable,
+    StagedSupermartingale,
+    default_builder_martingale,
+    heap_index,
+    space_lemma_length,
+)
 from depthlab.toyvm import HaltingOracle, Program, assemble
 
 
@@ -91,7 +97,74 @@ def test_builder_trace_json_schema():
     assert set(doc) == {"config", "rounds", "checks"}
     assert set(doc["checks"]) == {"claim2", "claim3"}
     for row in doc["rounds"]:
-        assert set(row) == {"n", "sigma_hex", "ext_count", "d_num", "d_den", "flagged"}
+        assert set(row) == {"n", "sigma_hex", "ext_count", "d_num", "d_den", "flagged",
+                            "k_rejected"}
+
+
+def fraction_priced(cfg, sigma, r):
+    """The cheap extensions of one round, priced with Fractions."""
+    d, stage = cfg.martingale, cfg.mart_stage
+    delta = 1 + Fraction(1, r * r)
+    l = space_lemma_length(delta, 1 << r)
+    bound = delta * d(sigma, stage)
+    return [format(v, "b").zfill(l) for v in range(1 << l)
+            if d(sigma + format(v, "b").zfill(l), stage) < bound]
+
+
+def test_builder_prices_and_filter_match_fraction_reference():
+    cfg = small_builder()
+    trace = build_deep_random(cfg)
+    table = constructions.halting_table(cfg.oracle, cfg.cap)
+    prev = ""
+    for r in trace.rounds:
+        cheap = fraction_priced(cfg, prev, r.n)
+        assert r.ext_count == len(cheap)
+        omap = table.output_map(cfg.dominating(len(r.sigma)), len(r.sigma))
+        passed = [tau for tau in cheap
+                  if omap.get(prev + tau) is None or omap[prev + tau][0] > r.n - 1]
+        assert not r.flagged and r.chosen == passed[0]
+        assert r.k_rejected == cheap.index(passed[0])
+        prev = r.sigma
+
+
+def test_builder_price_bound_is_strict():
+    splits = {"": Fraction(1, 2), "0": 1, "1": Fraction(1, 4), "00": Fraction(1, 2),
+              "01": Fraction(1, 2), "10": 0, "11": Fraction(1, 3)}
+    tab = MartingaleTable.from_splits(3, splits.__getitem__)
+    mart = StagedSupermartingale(lambda s, _stage: tab.nums[heap_index(s[:3])],
+                                 tab.den, "table")
+    cfg = BuilderConfig(rounds=1, martingale=mart, oracle=None,
+                        dominating=TimeBound.poly(2, 2), cap=12, mart_stage=0)
+    values = [tab.value(format(v, "b").zfill(3)) for v in range(8)]
+    # three extensions sit exactly on the round-1 bound 2 d(lambda) = 2
+    assert values.count(Fraction(2)) == 3
+    r = build_deep_random(cfg).rounds[0]
+    assert r.ext_count == len(fraction_priced(cfg, "", 1)) == 5
+
+
+def test_builder_flags_a_round_whose_candidates_all_compress(monkeypatch):
+    cfg = small_builder(rounds=2)
+
+    def k_of(s):
+        # round 1 (3 bits) compresses everything to 0 bits, round 2 to at
+        # most 1 bit, least on strings ending in 0
+        return 0 if len(s) <= 3 else int(s.endswith("1"))
+
+    class Table:
+        def output_map(self, budget, max_len):
+            return {format(v, "b").zfill(n): (k_of(format(v, "b").zfill(n)), None)
+                    for n in range(1, max_len + 1) for v in range(1 << n)}
+
+    monkeypatch.setattr(constructions, "halting_table", lambda oracle, cap: Table())
+    trace = build_deep_random(cfg)
+    prev = ""
+    for r in trace.rounds:
+        cheap = fraction_priced(cfg, prev, r.n)
+        best = max(k_of(prev + tau) for tau in cheap)
+        assert r.flagged and r.k_rejected == r.ext_count == len(cheap)
+        assert r.chosen == next(tau for tau in cheap if k_of(prev + tau) == best)
+        prev = r.sigma
+    assert trace.rounds[1].chosen.endswith("1")
 
 
 def test_builder_length_fit_reported():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab.complexity import TimeBound
+from depthlab import randomness
+from depthlab.complexity import TimeBound, halting_table
 from depthlab.randomness import (
     DYADIC_SPLITS,
     FairnessError,
@@ -17,6 +19,7 @@ from depthlab.randomness import (
     exact_ceil_log2,
     machine_supermartingale,
     measure_cheap_oracles,
+    mixture_supermartingale,
     psi,
     psi_average,
     psi_domination_constant,
@@ -24,6 +27,7 @@ from depthlab.randomness import (
     space_lemma_length,
 )
 from depthlab.semimeasure import m_stage, oracle_average
+from depthlab.toyvm import HaltingOracle, rope_materialize, strings_of_length
 
 
 def all_strings(max_len):
@@ -41,6 +45,39 @@ def test_exact_ceil_log2():
     assert exact_ceil_log2(Fraction(1, 3)) == -1
     with pytest.raises(ValueError):
         exact_ceil_log2(Fraction(0))
+
+
+def fraction_ceil_log2(x):
+    """The earlier all-Fraction definition, kept as the reference."""
+    x = Fraction(x)
+    m = x.numerator.bit_length() - x.denominator.bit_length()
+    while Fraction(2) ** m < x:
+        m += 1
+    while m > 0 and Fraction(2) ** (m - 1) >= x:
+        m -= 1
+    return m
+
+
+def test_exact_ceil_log2_matches_fraction_definition():
+    grid = {Fraction(p, q) for p in range(1, 41) for q in range(1, 41)}
+    grid |= {Fraction(2) ** e * f for e in range(-70, 71, 7)
+             for f in (Fraction(1), Fraction(2, 3), Fraction(3, 2), Fraction(1, 1 << 20))}
+    grid |= {Fraction((1 << 64) + 1, 1 << 64), Fraction((1 << 64) - 1, 1 << 64),
+             Fraction(1, 3 ** 40), Fraction(3 ** 40)}
+    assert any(x < 1 for x in grid) and Fraction(1) in grid
+    for x in grid:
+        assert exact_ceil_log2(x) == fraction_ceil_log2(x), x
+    assert exact_ceil_log2(5) == 3 and exact_ceil_log2(1) == 0
+    with pytest.raises(ValueError):
+        exact_ceil_log2(Fraction(-1, 3))
+
+
+def test_space_lemma_length_matches_fraction_formula():
+    deltas = [Fraction(p, q) for p in range(2, 30) for q in range(1, p)]
+    for delta in deltas:
+        for k in (1, 2, 3, 7, 8, 255, 256):
+            want = fraction_ceil_log2(Fraction(k + 1) / (1 - 1 / delta))
+            assert space_lemma_length(delta, k) == want, (delta, k)
 
 
 def test_space_lemma_length_frozen():
@@ -85,6 +122,160 @@ def test_fairness_validation():
         MartingaleTable(1, {"": Fraction(1), "0": Fraction(1), "1": Fraction(2)})
     with pytest.raises(FairnessError):
         MartingaleTable(1, {"": Fraction(1), "0": Fraction(1)})
+
+
+def test_negative_value_and_out_of_range_split_rejected():
+    with pytest.raises(FairnessError, match="negative value at '1'"):
+        MartingaleTable(1, {"": Fraction(0), "0": Fraction(1), "1": Fraction(-1)})
+    with pytest.raises(FairnessError, match="negative value at ''"):
+        MartingaleTable.constant(2, Fraction(-1, 3))
+    with pytest.raises(FairnessError, match="split 3/2 out of range at '0'"):
+        MartingaleTable.from_splits(2, lambda s: Fraction(3, 2) if s == "0" else 0)
+    with pytest.raises(FairnessError, match="split -1/3 out of range at ''"):
+        MartingaleTable.from_splits(1, lambda s: Fraction(-1, 3))
+
+
+def test_integer_constructor_checks_like_the_dict_one():
+    with pytest.raises(FairnessError, match="missing value at '00'"):
+        MartingaleTable(2, nums=[2, 2, 2], den=1)
+    with pytest.raises(FairnessError, match="unfair split at '1'"):
+        MartingaleTable(2, nums=[4, 4, 4, 4, 4, 3, 4], den=3)
+    with pytest.raises(FairnessError, match="negative value at '00'"):
+        MartingaleTable(2, nums=[0, 0, 0, -1, 1, 0, 0], den=1)
+    d = MartingaleTable(1, nums=[3, 1, 5], den=6)
+    assert d.values == {"": Fraction(1, 2), "0": Fraction(1, 6), "1": Fraction(5, 6)}
+
+
+# ------------------------------------------------------------------ integer layer
+# against the plain Fraction definitions it replaced
+
+NON_DYADIC = (Fraction(1, 3), Fraction(2, 5), Fraction(0), Fraction(1), Fraction(3, 7),
+              Fraction(1, 2), Fraction(5, 6))
+
+
+def fraction_from_splits(depth, split):
+    vals = {"": Fraction(1)}
+    for sigma in all_strings(depth - 1):
+        a = Fraction(split(sigma))
+        vals[sigma + "0"] = 2 * a * vals[sigma]
+        vals[sigma + "1"] = 2 * (1 - a) * vals[sigma]
+    return vals
+
+
+def split_tables(rng, count, depth):
+    """(table, Fraction reference, splits) over non-dyadic split grids."""
+    for _ in range(count):
+        grid = rng.sample(NON_DYADIC, rng.randint(1, len(NON_DYADIC)))
+        assign = {sigma: rng.choice(grid) for sigma in all_strings(depth - 1)}
+        yield (MartingaleTable.from_splits(depth, assign.__getitem__),
+               fraction_from_splits(depth, assign.__getitem__),
+               assign)
+
+
+def test_from_splits_matches_fraction_reference():
+    rng = random.Random(11)
+    for depth in (0, 1, 3, 5):
+        for table, ref, assign in split_tables(rng, 40, depth):
+            grain = lcm(*(a.denominator for a in assign.values()))
+            assert table.den == grain ** depth and table.nums[0] == table.den
+            assert table.values == ref
+            for sigma in all_strings(depth + 2):
+                assert table.value(sigma) == ref[sigma[:depth]]
+
+
+def test_count_cheap_extensions_matches_fraction_reference():
+    rng = random.Random(12)
+    deltas = (Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(3, 2), Fraction(5, 3),
+              Fraction(2), Fraction(3), 4)
+    pairs = list(split_tables(rng, 30, 4))
+    pairs += [(t, t.values, None) for t in (random_table(4, rng) for _ in range(30))]
+    for table, ref, _assign in pairs:
+        for sigma in all_strings(4):
+            for l in range(4 - len(sigma) + 1):
+                for delta in deltas:
+                    bound = delta * ref[sigma]
+                    want = sum(1 for tau in strings_of_length(l)
+                               if ref[sigma + tau] < bound)
+                    assert count_cheap_extensions(table, sigma, delta, l) == want
+
+
+def linear_cylinder_value(entries, sigma):
+    """2^|sigma| times the Fraction mass on outputs extending sigma,
+    summed one halting run at a time."""
+    total = Fraction(0)
+    for p, _step, rope, out_len in entries:
+        out = rope_materialize(rope, out_len)
+        if out.startswith(sigma):
+            total += Fraction(1, 1 << len(p))
+    return total * (1 << len(sigma))
+
+
+@pytest.mark.parametrize("oracle", [None, HaltingOracle(1000)], ids=["none", "halting"])
+def test_cylinder_bisect_matches_linear_scan(oracle):
+    cap = 16
+    d = machine_supermartingale(oracle, cap)
+    assert d.scale == 1 << cap
+    table = halting_table(oracle, cap)
+    for stage in (0, 1, 5, 100, 10 ** 4):
+        entries = list(table.halted_by(stage))
+        for sigma in all_strings(7):
+            want = linear_cylinder_value(entries, sigma)
+            assert Fraction(d.numerator(sigma, stage), d.scale) == want
+            assert d(sigma, stage) == want
+
+
+def test_cylinder_scans_outputs_longer_than_64_bits(monkeypatch):
+    def leaf(bit):
+        return (1, bit, None, None)
+
+    def cat(a, b):
+        return (a[0] + b[0], None, a, b)
+
+    rope = cat(leaf(0), leaf(1))
+    long_ropes = []
+    for _ in range(6):
+        rope = cat(rope, rope)
+        long_ropes.append(cat(leaf(1), rope))
+    shorts = [leaf(0), cat(leaf(0), leaf(1)), cat(leaf(1), leaf(1)), None]
+    entries = [("1" * (3 + i), 0, r, 0 if r is None else r[0])
+               for i, r in enumerate(shorts + long_ropes)]
+    assert any(e[3] > 64 for e in entries) and any(e[3] <= 64 for e in entries)
+
+    class Table:
+        def halted_by(self, stage):
+            return iter(entries)
+
+    monkeypatch.setattr(randomness, "halting_table", lambda oracle, cap: Table())
+    d = machine_supermartingale(None, 16)
+    longest = rope_materialize(long_ropes[-1], 1 << 10)
+    sigmas = list(all_strings(5)) + [longest[:n] for n in (63, 64, 65, 66, 100, 129, 130)]
+    for sigma in sigmas:
+        assert d(sigma, 7) == linear_cylinder_value(entries, sigma), sigma
+
+
+def test_mixture_numerator_matches_fraction_reference():
+    cap = 16
+    tables = [
+        MartingaleTable.constant(8),
+        MartingaleTable.from_splits(8, lambda s: Fraction(3, 4)),
+        MartingaleTable.constant(3, Fraction(0)),
+        MartingaleTable.from_splits(3, lambda s: (Fraction(1, 3), Fraction(2, 5))[len(s) % 2]),
+        MartingaleTable.constant(4, Fraction(7, 3)),
+    ]
+    d = mixture_supermartingale(tables, None, cap)
+    machine = machine_supermartingale(None, cap)
+    table = halting_table(None, cap)
+    assert d.scale % (1 << (cap + len(tables) + 1)) == 0
+    for stage in (0, 5, 100, 10 ** 4):
+        entries = list(table.halted_by(stage))
+        for sigma in all_strings(6):
+            want = Fraction(1, 1 << (len(tables) + 1)) * linear_cylinder_value(entries, sigma)
+            for i, tab in enumerate(tables):
+                root = tab.value("")
+                if root:
+                    want += Fraction(1, 1 << (i + 1)) * tab.value(sigma) / root
+            assert Fraction(d.numerator(sigma, stage), d.scale) == want, (sigma, stage)
+            assert machine(sigma, stage) == linear_cylinder_value(entries, sigma)
 
 
 def test_table_file_roundtrip(tmp_path):

@@ -205,3 +205,10 @@ def test_depth_violation_detected():
     t = TimeBound.poly(10, 1)
     with pytest.raises(DepthViolation):
         oracle_average("", t, cap, 1)
+
+
+def test_monte_carlo_needs_a_sample():
+    t = TimeBound.poly(10, 1)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="at least one sample"):
+            monte_carlo_average("1", t, 8, 2, samples)
