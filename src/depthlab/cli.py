@@ -66,6 +66,13 @@ def _resolved(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
+def _require_nonnegative(args, *flags) -> None:
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 
@@ -119,8 +126,7 @@ def _cmd_convert_timebound(args) -> int:
 
 
 def _cmd_space_lemma(args) -> int:
-    if args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
+    _require_nonnegative(args, "--n")
     delta = parse_fraction(args.delta)
     l = randomness.space_lemma_length(delta, args.k)
     tested = violations = 0
@@ -153,6 +159,7 @@ def _cmd_space_lemma(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    _require_nonnegative(args, "--len-cap")
     res = randomness.psi(
         _read_bits(args.a_prefix), TimeBound.parse(args.t),
         TimeBound.parse(args.tprime), parse_fraction(args.c),
@@ -166,8 +173,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_avg(args) -> int:
-    if args.mc < 0:
-        raise ValueError(f"--mc must be nonnegative, got {args.mc}")
+    _require_nonnegative(args, "--depth", "--mc")
     t = TimeBound.parse(args.t)
     exact = semimeasure.oracle_average(args.sigma, t, args.cap, args.depth)
     payload = {
@@ -185,6 +191,7 @@ def _cmd_avg(args) -> int:
 
 
 def _cmd_measure_cheap(args) -> int:
+    _require_nonnegative(args, "--depth")
     mu = randomness.measure_cheap_oracles(
         _read_bits(args.x), args.n, parse_fraction(args.k),
         TimeBound.parse(args.t), args.stage, args.depth, args.cap)
@@ -196,6 +203,7 @@ def _cmd_measure_cheap(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    _require_nonnegative(args, "--stage")
     bits = _read_bits(args.infile)
     prof = constructions.depth_profile(
         bits, TimeBound.parse(args.t), args.stage,
@@ -207,6 +215,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_build_deep(args) -> int:
+    _require_nonnegative(args, "--mart-stage")
     oracle = parse_oracle(args.oracle)
     if args.mart != "mixture":
         raise ValueError(f"unknown martingale family {args.mart!r}")
@@ -245,6 +254,7 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_join_check(args) -> int:
+    _require_nonnegative(args, "--stage")
     rep = pi01forcing.join_check(
         _read_bits(args.F), _read_bits(args.X), _read_bits(args.Y),
         args.k, args.stage, args.cap)

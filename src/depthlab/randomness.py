@@ -28,8 +28,8 @@ from math import lcm
 from typing import Callable
 
 from .complexity import TimeBound, halting_table
-from .semimeasure import (m_stage, read_fraction_table, relative_mass,
-                          write_fraction_table)
+from .semimeasure import (m_stage, prefix_mass_evaluator, read_fraction_table,
+                          relative_mass, write_fraction_table)
 from .toyvm import check_bits, rope_materialize, rope_prefix, strings_of_length
 
 
@@ -434,10 +434,10 @@ def measure_cheap_oracles(x_prefix: str, n: int, k, t: TimeBound, stage: int,
     check_bits(x_prefix)
     if not 0 <= n <= len(x_prefix):
         raise ValueError("n must lie between 0 and the prefix length")
-    k = Fraction(k)
     sigma = x_prefix[:n]
-    base = m_stage(sigma, t(n), None, cap)
-    threshold = k * base
-    hits = sum(1 for prefix in strings_of_length(depth)
-               if relative_mass(sigma, prefix, stage, cap) >= threshold)
+    threshold = Fraction(k) * m_stage(sigma, t(n), None, cap)
+    ev = prefix_mass_evaluator(stage, cap, depth)
+    bound = threshold.numerator << cap
+    hits = sum(1 for y in range(1 << depth)
+               if ev.numerator(sigma, y) * threshold.denominator >= bound)
     return Fraction(hits, 1 << depth)

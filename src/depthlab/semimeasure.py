@@ -9,8 +9,9 @@ monotone in s with total mass at most 1 by prefix-freeness.  The module
 also converts computable semimeasure tables into the stage at which the
 machine semimeasure dominates them (a first-crossing search over halting
 events), and integrates the oracle-relative semimeasure exactly over all
-oracle prefixes of a given depth by exploring every reachable branch of
-each program's oracle queries.
+oracle prefixes of a given depth, as integer sums over one index per
+(budget, cap, depth) of every program's halting oracle branches, weighted
+in units of 2^-cap; a Fraction is built only for the value returned.
 """
 
 from __future__ import annotations
@@ -212,8 +213,6 @@ class OracleLeaf:
     assign: tuple
     halted: bool
     output: str | None
-    output_length: int
-    steps: int
 
     @property
     def pinned(self) -> int:
@@ -248,8 +247,6 @@ def oracle_leaves(program: Program, budget: int, depth: int,
             tuple(sorted(assign.items())),
             halted,
             rope_materialize(st.rope, max_len) if halted else None,
-            st.output_length if halted else 0,
-            st.steps,
         ))
 
     explore({})
@@ -257,38 +254,33 @@ def oracle_leaves(program: Program, budget: int, depth: int,
 
 
 class PrefixMassEvaluator:
-    """Relative mass evaluation prepared for sweeps over many prefixes.
-
-    Programs whose single branch never queries contribute a constant map;
-    only the query-sensitive rest keeps its branches and is walked per
-    prefix.  oracle_average reads the same two parts, so the branches of a
-    (budget, cap, depth) are explored once and stored only here."""
+    """Every halting oracle branch of the programs of at most cap bits,
+    indexed by output: halts[sigma][mask, bits] is the summed 2^-|p|, in
+    units of 2^-cap, of the branches printing sigma that pin the indices
+    in mask to the answers in bits (index i of a depth-bit prefix y is bit
+    depth-1-i of int(y, 2); a program that never queries is (0, 0)).  A
+    program's branches partition the prefixes, so the mass under y is the
+    sum of the weights whose entry matches y."""
 
     def __init__(self, budget: int, cap: int, depth: int):
-        self.depth = depth
-        const: dict[str, Fraction] = {}
-        sensitive = []
+        self.cap = cap
+        self.halts: dict[str, dict[tuple[int, int], int]] = {}
         for p in programs_up_to(cap):
-            leaves = oracle_leaves(p, budget, depth)
-            if len(leaves) == 1 and not leaves[0].assign:
-                leaf = leaves[0]
+            weight = 1 << (cap - len(p))
+            for leaf in oracle_leaves(p, budget, depth):
                 if leaf.halted:
-                    const[leaf.output] = const.get(leaf.output, Fraction(0)) \
-                        + Fraction(1, 1 << len(p))
-            else:
-                sensitive.append((Fraction(1, 1 << len(p)), leaves))
-        self.const = const
-        self.sensitive = sensitive
+                    mask = sum(1 << (depth - 1 - i) for i, _b in leaf.assign)
+                    bits = sum(b << (depth - 1 - i) for i, b in leaf.assign)
+                    entries = self.halts.setdefault(leaf.output, {})
+                    entries[mask, bits] = entries.get((mask, bits), 0) + weight
+
+    def numerator(self, sigma: str, prefix: int) -> int:
+        """The mass at sigma under the prefix int(y, 2), in units of 2^-cap."""
+        return sum(w for (mask, bits), w in self.halts.get(sigma, {}).items()
+                   if prefix & mask == bits)
 
     def mass(self, sigma: str, prefix: str) -> Fraction:
-        total = self.const.get(sigma, Fraction(0))
-        for weight, leaves in self.sensitive:
-            for leaf in leaves:
-                if leaf.consistent(prefix):
-                    if leaf.halted and leaf.output == sigma:
-                        total += weight
-                    break
-        return total
+        return Fraction(self.numerator(sigma, int(prefix or "0", 2)), 1 << self.cap)
 
 
 def prefix_mass_evaluator(budget: int, cap: int, depth: int) -> PrefixMassEvaluator:
@@ -306,27 +298,31 @@ def oracle_average(sigma: str, t: TimeBound, cap: int = 16,
     (program, pinned-bits) pairs, of 2^-(|p| + pinned)."""
     check_bits(sigma)
     ev = prefix_mass_evaluator(t(len(sigma)), cap, depth)
-    total = ev.const.get(sigma, Fraction(0))
-    for weight, leaves in ev.sensitive:
-        for leaf in leaves:
-            if leaf.halted and leaf.output == sigma:
-                total += weight / (1 << leaf.pinned)
-    return total
+    total = sum(w << (depth - mask.bit_count())
+                for (mask, _bits), w in ev.halts.get(sigma, {}).items())
+    return Fraction(total, 1 << (cap + depth))
 
 
 def oracle_average_direct(sigma: str, t: TimeBound, cap: int = 16,
                           depth: int = 6) -> Fraction:
-    """The same integral by brute enumeration of all 2^depth prefixes."""
+    """The same integral by brute enumeration of all 2^depth prefixes, each
+    taking the one branch of each program it is consistent with; the
+    reference for oracle_average, so it reads no evaluator."""
     check_bits(sigma)
-    ev = prefix_mass_evaluator(t(len(sigma)), cap, depth)
-    total = sum((ev.mass(sigma, prefix) for prefix in strings_of_length(depth)),
-                Fraction(0))
-    return total / (1 << depth)
+    budget = t(len(sigma))
+    hits = 0
+    for p in programs_up_to(cap):
+        leaves = oracle_leaves(p, budget, depth)
+        for prefix in strings_of_length(depth):
+            leaf = next(leaf for leaf in leaves if leaf.consistent(prefix))
+            if leaf.halted and leaf.output == sigma:
+                hits += 1 << (cap - len(p))
+    return Fraction(hits, 1 << (cap + depth))
 
 
 def relative_mass(sigma: str, prefix: str, budget: int, cap: int = 16) -> Fraction:
     """m^.(sigma) under one concrete oracle prefix, via the cached branch
-    trees (so sweeps over many prefixes share the machine runs)."""
+    index (so sweeps over many prefixes share the machine runs)."""
     return prefix_mass_evaluator(budget, cap, len(prefix)).mass(sigma, prefix)
 
 
@@ -338,11 +334,14 @@ def monte_carlo_average(sigma: str, t: TimeBound, cap: int = 16, depth: int = 6,
         raise ValueError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
     ev = prefix_mass_evaluator(t(len(sigma)), cap, depth)
-    values = []
+    total = squares = 0
     for _ in range(samples):
-        prefix = format(rng.getrandbits(depth), "b").zfill(depth) if depth else ""
-        values.append(ev.mass(sigma, prefix))
-    mean = sum(values, Fraction(0)) / samples
-    var = sum((v - mean) ** 2 for v in values) / (samples - 1) if samples > 1 else Fraction(0)
+        v = ev.numerator(sigma, rng.getrandbits(depth))
+        total += v
+        squares += v * v
+    mean = Fraction(total, samples << cap)
+    # sum (v - mean)^2 = (n sum v^2 - (sum v)^2) / n, which is 0 for one sample
+    var = Fraction(samples * squares - total * total,
+                   max(samples * (samples - 1), 1) << (2 * cap))
     se = (float(var) / samples) ** 0.5
     return mean, se

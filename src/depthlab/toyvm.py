@@ -372,7 +372,8 @@ def programs_up_to(cap: int) -> list[Program]:
     out = []
     n = 0
     while program_length(n) <= cap:
-        out.extend(map(Program.encode, strings_of_length(n)))
+        header = gamma_encode(n + 1)
+        out.extend(Program(header + body, body) for body in strings_of_length(n))
         n += 1
     return out
 

@@ -196,7 +196,20 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
      "range"),
     (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "-4"],
      "--n"),
-], ids=["avg-mc", "solovay-range", "space-lemma-n"])
+    (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--depth", "-2"],
+     "--depth"),
+    (["measure-cheap", "--x", "bits:0000", "--n", "1", "--k", "1", "--t", "poly:10,1",
+      "--stage", "10", "--depth", "-1", "--cap", "8"], "--depth"),
+    (["psi", "--a-prefix", "bits:00", "--t", "poly:5,1", "--tprime", "poly:5,1",
+      "--len-cap", "-1", "--cap", "8"], "--len-cap"),
+    (["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "-3", "--cap", "8"],
+     "--stage"),
+    (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
+      "--k", "1", "--stage", "-1", "--cap", "8"], "--stage"),
+    (["build-deep", "--rounds", "1", "--T", "poly:2,2", "--cap", "8",
+      "--mart-stage", "-5"], "--mart-stage"),
+], ids=["avg-mc", "solovay-range", "space-lemma-n", "avg-depth", "measure-cheap-depth",
+        "psi-len-cap", "profile-stage", "join-check-stage", "build-deep-mart-stage"])
 def test_negative_count_exits_2_without_an_artifact(tmp_path, capsys, argv, flag):
     out = tmp_path / "artifact.json"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_VALIDATION

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from depthlab import semimeasure
 from depthlab.complexity import NoStageWithinBudget, TimeBound, halting_table
 from depthlab.semimeasure import (
     ComputableSemimeasure,
@@ -15,7 +17,8 @@ from depthlab.semimeasure import (
     relative_mass,
     semimeasure_to_timebound,
 )
-from depthlab.toyvm import PrefixOracle, Program, assemble, programs_up_to, run
+from depthlab.toyvm import (PrefixOracle, Program, assemble, programs_up_to, run,
+                            strings_of_length)
 
 
 def all_strings(max_len):
@@ -171,6 +174,16 @@ def test_exact_equals_direct_enumeration():
         assert oracle_average(sigma, t, 15, 4) == oracle_average_direct(sigma, t, 15, 4)
 
 
+def test_direct_enumeration_catches_overlapping_branches(monkeypatch):
+    # the index sums every branch a prefix matches, the reference takes one
+    # per program, so branches that overlapped would break the identity
+    explore = semimeasure.oracle_leaves
+    monkeypatch.setattr(semimeasure, "oracle_leaves", lambda *a: explore(*a) * 2)
+    t = TimeBound.poly(10, 1)
+    exact = oracle_average("1", t, 12, 2)
+    assert exact == 2 * oracle_average_direct("1", t, 12, 2) > 0
+
+
 def test_monte_carlo_within_three_se():
     t = TimeBound.poly(10, 1)
     exact = oracle_average("1", t, 15, 4)
@@ -178,21 +191,50 @@ def test_monte_carlo_within_three_se():
     assert abs(float(mean) - float(exact)) <= 3 * se + 1e-12
 
 
-def test_relative_mass_vs_prefix_table():
-    # the prepared evaluator agrees with direct runs under a prefix oracle
-    prefix = "1010"
-    budget = 50
-    cap = 15
-    direct = {}
+def run_masses(prefix, budget, cap):
+    """Every output's mass under one concrete prefix, by direct runs."""
+    masses = {}
     for p in programs_up_to(cap):
-        from depthlab.toyvm import run
-
         out = run(p, PrefixOracle(prefix), budget)
-        if out.kind == "halted" and out.output_length <= 2:
-            key = out.output
-            direct[key] = direct.get(key, Fraction(0)) + Fraction(1, 1 << len(p))
-    for sigma in all_strings(2):
-        assert relative_mass(sigma, prefix, budget, cap) == direct.get(sigma, Fraction(0))
+        if out.kind == "halted":
+            masses[out.output] = masses.get(out.output, Fraction(0)) + Fraction(1, 1 << len(p))
+    return masses
+
+
+def test_relative_mass_vs_prefix_table():
+    # the prepared evaluator agrees with direct runs under every prefix
+    budget, cap = 50, 15
+    for prefix in strings_of_length(4):
+        direct = run_masses(prefix, budget, cap)
+        for sigma in set(direct) | set(all_strings(2)):
+            assert relative_mass(sigma, prefix, budget, cap) == direct.get(sigma, 0)
+
+
+def test_oracle_leaves_partition_the_prefixes():
+    # the index sums every matching branch, so no prefix may match two
+    for p in programs_up_to(15):
+        leaves = oracle_leaves(p, 50, 4)
+        for prefix in strings_of_length(4):
+            assert sum(leaf.consistent(prefix) for leaf in leaves) == 1
+
+
+def test_monte_carlo_matches_fraction_recomputation():
+    # the same seeded prefixes, valued by direct runs and summed in Fractions
+    t, cap, depth = TimeBound.poly(10, 1), 15, 4
+    masses = {}
+    for sigma, samples in (("1", 400), ("0", 37), ("", 2), ("01", 1)):
+        rng = random.Random(11)
+        values = []
+        for _ in range(samples):
+            key = (format(rng.getrandbits(depth), "b").zfill(depth), t(len(sigma)))
+            if key not in masses:
+                masses[key] = run_masses(*key, cap)
+            values.append(masses[key].get(sigma, Fraction(0)))
+        mean = sum(values, Fraction(0)) / samples
+        var = (sum((v - mean) ** 2 for v in values) / (samples - 1)
+               if samples > 1 else Fraction(0))
+        se = (float(var) / samples) ** 0.5
+        assert monte_carlo_average(sigma, t, cap, depth, samples, seed=11) == (mean, se)
 
 
 def test_depth_violation_detected():
