@@ -4,8 +4,14 @@ All complexity queries share one enumeration per (oracle, cap), kept in
 toyvm.MEMO.tables: a HaltingTable runs every program of at most cap bits
 and resumes the live ones only as far as queries require, so a stage
 sweep costs one pass over the program space rather than one per stage.
-Witnesses are the lexicographically least among the shortest, which the
-canonical enumeration order gives for free.
+As runs halt, the table folds them into one index by output: per halting
+step, the least program index and the summed mass.  Every read at a
+budget -- K_s, m_s, the output and mass maps, the cylinder sums of the
+machine martingale, the first-crossing search -- is a bisect into one
+output's step-sorted running totals, so no read rescans the programs or
+keeps a cache per (budget, length).  Witnesses are the lexicographically
+least among the shortest, which the canonical enumeration order gives
+for free.
 
 The unrelativised complexity runs with no oracle at all: a program that
 executes ORACLE then aborts, so every oracle-free witness is verbatim a
@@ -14,6 +20,7 @@ witness under any oracle and K^A <= K holds with constant zero.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +35,7 @@ from .toyvm import (
     programs_up_to,
     rope_equals,
     rope_materialize,
+    rope_prefix,
     run,
 )
 
@@ -95,29 +103,62 @@ class TimeBound:
 # the shared enumeration core
 
 
+OUTPUT_BITS = 64
+"""Outputs of at most this many bits are indexed by their string; a longer
+one keeps its rope in a side list that reads scan."""
+
+_NO_HALTS = ((), (), ())
+
+
+def _running(at: dict) -> tuple:
+    """(halt steps ascending, running least program index, running mass
+    numerator) of one output's {halt step: [least index, mass]}."""
+    steps = sorted(at)
+    least, mass = [], []
+    lo, total = float("inf"), 0
+    for s in steps:
+        i, m = at[s]
+        lo = min(lo, i)
+        total += m
+        least.append(lo)
+        mass.append(total)
+    return steps, least, mass
+
+
+def _within(record: tuple, budget: int):
+    """(least program index, mass numerator) of a _running record at
+    budget, or None when nothing halts within it."""
+    steps, least, mass = record
+    j = bisect_right(steps, budget)
+    return (least[j - 1], mass[j - 1]) if j else None
+
+
 class HaltingTable:
     """Resumable halting data for every program of at most cap bits under
     one oracle.  Results are independent of query interleaving.
 
-    Outcomes sit in lists parallel to `programs`: the outcome kind (None
-    while unresolved), the steps it took, and for halting runs the output
-    rope and its length.  Only the runs still live after the last `ensure`
-    hold a parsed body and a MachineState; a run drops both when it
-    resolves."""
+    Each halting run is folded, as `ensure` resolves it, into one index
+    output -> {halt step: [least program index, mass numerator]}, masses
+    in units of 2^-cap; the output is materialized once, and only outputs
+    longer than OUTPUT_BITS keep their rope, in a short side list.  Every
+    read goes through a per-output view sorted by step with a running
+    least index and running mass, so a budget is one bisect_right; the
+    view is rebuilt only after an `ensure` adds halts.  Only the runs
+    still live after the last `ensure` hold a parsed body and a
+    MachineState; a run drops both when it resolves."""
 
     def __init__(self, oracle, cap: int):
+        if cap < 2:
+            raise ValueError("cap must be at least 2")
         self.oracle = oracle
         self.cap = cap
         self.programs = programs_up_to(cap)
-        n = len(self.programs)
-        self._status: list = [None] * n
-        self._steps = [0] * n
-        self._rope: list = [None] * n
-        self._out_len = [0] * n
-        self._live: dict = {}  # program index -> (instructions, MachineState)
-        self._budget = -1      # every run is resolved or advanced this far
-        self._output_maps: dict = {}
-        self._mass_maps: dict = {}
+        self._halts: dict = {}  # output -> {halt step: [least index, mass]}
+        self._long: list = []   # (index, halt step, mass, rope, output length)
+        self._view: dict | None = {}  # output -> _running(...), lex order
+        self._order: list = []  # the outputs of _view, sorted
+        self._live: dict = {}   # program index -> (instructions, MachineState)
+        self._budget = -1       # every run is resolved or advanced this far
 
     @property
     def unresolved(self) -> int:
@@ -133,74 +174,124 @@ class HaltingTable:
                     for i, p in enumerate(self.programs))
         else:
             runs = [(i, instrs, st) for i, (instrs, st) in self._live.items()]
+        cap, programs, halts = self.cap, self.programs, self._halts
+        added = False
         for i, instrs, st in runs:
             outcome = _advance(instrs, self.oracle, budget, st, True)
             if outcome is None:
                 self._live[i] = (instrs, st)
                 continue
             self._live.pop(i, None)
-            self._status[i] = outcome.kind
-            self._steps[i] = outcome.steps
-            if outcome.kind == "halted":
-                self._rope[i] = outcome.rope
-                self._out_len[i] = outcome.output_length
+            if outcome.kind != "halted":
+                continue
+            added = True
+            mass = 1 << (cap - len(programs[i]))
+            if outcome.output_length > OUTPUT_BITS:
+                self._long.append((i, outcome.steps, mass, outcome.rope,
+                                   outcome.output_length))
+                continue
+            at = halts.setdefault(rope_materialize(outcome.rope, OUTPUT_BITS), {})
+            # one pass finds every halt at a step, in index order, so the
+            # first index recorded at a step is its least
+            at.setdefault(outcome.steps, [i, 0])[1] += mass
+        if added:
+            self._view = None
         self._budget = budget
 
-    def halted_by(self, budget: int):
-        """(program, halt step, rope, output length) for all halting runs."""
+    def _read_view(self) -> dict:
+        view = self._view
+        if view is None:
+            self._order = sorted(self._halts)
+            view = self._view = {sigma: _running(self._halts[sigma])
+                                 for sigma in self._order}
+        return view
+
+    def halts_on(self, sigma: str) -> tuple:
+        """(halt steps ascending, running least program index, running
+        mass numerator) of the halts on sigma resolved so far; call
+        ensure() first.  Does not advance any program."""
+        if len(sigma) <= OUTPUT_BITS:
+            return self._read_view().get(sigma, _NO_HALTS)
+        at: dict = {}
+        for i, s, m, rope, _n in self._long:
+            if rope_equals(rope, sigma):
+                at.setdefault(s, [i, 0])[1] += m
+        return _running(at) if at else _NO_HALTS
+
+    def _at(self, sigma: str, budget: int):
+        """(least program index, mass numerator) of the halts on sigma
+        within budget, or None."""
         self.ensure(budget)
-        for p, status, steps, rope, out_len in zip(
-                self.programs, self._status, self._steps, self._rope, self._out_len):
-            if status == "halted" and steps <= budget:
-                yield p, steps, rope, out_len
+        return _within(self.halts_on(sigma), budget)
+
+    def first(self, sigma: str, budget: int) -> Program | None:
+        """The canonically first program halting on sigma within budget."""
+        hit = self._at(sigma, budget)
+        return None if hit is None else self.programs[hit[0]]
+
+    def mass_numerator(self, sigma: str, budget: int) -> int:
+        """Halting mass on sigma within budget, in units of 2^-cap."""
+        hit = self._at(sigma, budget)
+        return 0 if hit is None else hit[1]
+
+    def _outputs(self, budget: int, max_len: int) -> list:
+        """(least program index, output, mass numerator) of every output
+        of at most max_len bits that halts within budget, in canonical
+        order of the first witness."""
+        self.ensure(budget)
+        found = []
+        for sigma, record in self._read_view().items():
+            hit = _within(record, budget) if len(sigma) <= max_len else None
+            if hit is not None:
+                found.append((hit[0], sigma, hit[1]))
+        longs: dict = {}
+        for i, s, m, rope, n in self._long:
+            if s <= budget and n <= max_len:
+                entry = longs.setdefault(rope_materialize(rope, n), [i, 0])
+                entry[0] = min(entry[0], i)
+                entry[1] += m
+        found += [(i, sigma, m) for sigma, (i, m) in longs.items()]
+        found.sort()
+        return found
 
     def output_map(self, budget: int, max_len: int) -> dict:
         """output string -> (program length, Program), first (= canonical)
         witness per output, restricted to outputs of at most max_len bits."""
-        key = (budget, max_len)
-        cached = self._output_maps.get(key)
-        if cached is None:
-            cached = {}
-            for p, _s, rope, out_len in self.halted_by(budget):
-                if out_len <= max_len:
-                    sigma = rope_materialize(rope, max_len)
-                    if sigma not in cached:
-                        cached[sigma] = (len(p), p)
-            self._output_maps[key] = cached
-        return cached
+        programs = self.programs
+        return {sigma: (len(programs[i]), programs[i])
+                for i, sigma, _m in self._outputs(budget, max_len)}
 
     def mass_map(self, budget: int, max_len: int) -> dict:
         """output string -> exact halting mass sum(2^-|p|), restricted to
         outputs of at most max_len bits."""
-        key = (budget, max_len)
-        cached = self._mass_maps.get(key)
-        if cached is None:
-            numerators: dict = {}  # mass in units of 2^-cap
-            for p, _s, rope, out_len in self.halted_by(budget):
-                if out_len <= max_len:
-                    sigma = rope_materialize(rope, max_len)
-                    numerators[sigma] = numerators.get(sigma, 0) + (1 << (self.cap - len(p)))
-            unit = 1 << self.cap
-            cached = {sigma: Fraction(num, unit) for sigma, num in numerators.items()}
-            self._mass_maps[key] = cached
-        return cached
+        unit = 1 << self.cap
+        return {sigma: Fraction(m, unit)
+                for _i, sigma, m in self._outputs(budget, max_len)}
 
     def total_mass(self, budget: int) -> Fraction:
-        return Fraction(sum(1 << (self.cap - len(p))
-                            for p, _s, _r, _l in self.halted_by(budget)),
-                        1 << self.cap)
+        self.ensure(budget)
+        total = sum(m for _i, s, m, _r, _n in self._long if s <= budget)
+        for record in self._read_view().values():
+            hit = _within(record, budget)
+            total += 0 if hit is None else hit[1]
+        return Fraction(total, 1 << self.cap)
 
-    def halt_events(self, max_len: int):
-        """Halting runs resolved so far, sorted by halting step, for
-        first-crossing searches; call ensure() up to the stage ceiling
-        first.  Does not advance any program."""
-        events = []
-        for p, status, steps, rope, out_len in zip(
-                self.programs, self._status, self._steps, self._rope, self._out_len):
-            if status == "halted" and out_len <= max_len:
-                events.append((steps, rope_materialize(rope, max_len), len(p)))
-        events.sort()
-        return events
+    def cylinder_numerator(self, prefix: str, budget: int) -> int:
+        """Halting mass within budget on the outputs extending prefix, in
+        units of 2^-cap."""
+        self.ensure(budget)
+        view = self._read_view()
+        order = self._order
+        total = 0
+        # the outputs extending prefix sort between prefix and prefix + "2"
+        for sigma in order[bisect_left(order, prefix):bisect_left(order, prefix + "2")]:
+            hit = _within(view[sigma], budget)
+            total += 0 if hit is None else hit[1]
+        n = len(prefix)
+        for _i, s, m, rope, out_len in self._long:
+            if s <= budget and out_len >= n and rope_prefix(rope, n) == prefix:
+                total += m
+        return total
 
 
 def halting_table(oracle, cap: int) -> HaltingTable:
@@ -236,15 +327,10 @@ def k_stage(sigma: str, stage: int, oracle=None, cap: int = 16) -> ComplexityRes
     """Min length of a program halting on sigma within `stage` absolute
     steps; nonincreasing in stage."""
     check_bits(sigma)
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
     if stage < 0:
         raise ValueError("stage must be nonnegative")
-    table = halting_table(oracle, cap)
-    hit = table.output_map(stage, len(sigma)).get(sigma)
-    if hit is None:
-        return ComplexityResult(None, None)
-    return ComplexityResult(hit[0], hit[1])
+    p = halting_table(oracle, cap).first(sigma, stage)
+    return ComplexityResult(None, None) if p is None else ComplexityResult(len(p), p)
 
 
 def k_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> ComplexityResult:

@@ -239,15 +239,13 @@ def depth_profile(x_prefix: str, t: TimeBound, stage: int, oracle=None,
             f"stage {stage} is below the largest time budget {worst};"
             " gaps may come out negative", stacklevel=2)
     table = halting_table(oracle, cap)
-    smap = table.output_map(stage, len(x_prefix))
     rows = []
     for n in range(1, len(x_prefix) + 1):
         prefix = x_prefix[:n]
-        tmap = table.output_map(t(n), n)
-        hit_t = tmap.get(prefix)
-        hit_s = smap.get(prefix)
-        k_t = None if hit_t is None else hit_t[0]
-        k_s = None if hit_s is None else hit_s[0]
+        w_t = table.first(prefix, t(n))
+        w_s = table.first(prefix, stage)
+        k_t = None if w_t is None else len(w_t)
+        k_s = None if w_s is None else len(w_s)
         gap = (k_t if k_t is not None else cap + 1) - (k_s if k_s is not None else cap + 1)
         rows.append(ProfileRow(n, k_t, k_s, gap))
     return DepthProfile(x_prefix, tuple(rows), {

@@ -20,17 +20,15 @@ and calling a StagedSupermartingale.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import Callable
 
 from .complexity import TimeBound, halting_table
 from .semimeasure import (m_stage, prefix_mass_evaluator, read_fraction_table,
                           relative_mass, write_fraction_table)
-from .toyvm import check_bits, rope_materialize, rope_prefix, strings_of_length
+from .toyvm import check_bits, strings_of_length
 
 
 class FairnessError(ValueError):
@@ -244,37 +242,10 @@ def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale
     """Cylinder-mass supermartingale from the machine semimeasure:
     d_s(sigma) = 2^|sigma| * sum of halting mass on outputs extending sigma,
     over the scale 2^cap."""
-    table = halting_table(oracle, cap)
-    cache: dict[int, tuple] = {}
-
-    def outputs_at(stage: int) -> tuple:
-        """Outputs of at most 64 bits, sorted, with prefix sums of their
-        masses in units of 2^-cap; longer outputs as (rope, length, mass)."""
-        entry = cache.get(stage)
-        if entry is None:
-            short: dict[str, int] = {}
-            long_ropes = []
-            for p, _step, rope, out_len in table.halted_by(stage):
-                mass = 1 << (cap - len(p))
-                if out_len <= 64:
-                    s = rope_materialize(rope, 64)
-                    short[s] = short.get(s, 0) + mass
-                else:
-                    long_ropes.append((rope, out_len, mass))
-            outs = sorted(short)
-            sums = list(accumulate((short[s] for s in outs), initial=0))
-            entry = cache[stage] = (outs, sums, long_ropes)
-        return entry
+    cylinder = halting_table(oracle, cap).cylinder_numerator
 
     def numerator(sigma: str, stage: int) -> int:
-        outs, sums, long_ropes = outputs_at(stage)
-        n = len(sigma)
-        # the outputs extending sigma sort between sigma and sigma + "2"
-        total = sums[bisect_left(outs, sigma + "2")] - sums[bisect_left(outs, sigma)]
-        for rope, out_len, mass in long_ropes:
-            if out_len >= n and rope_prefix(rope, n) == sigma:
-                total += mass
-        return total << n
+        return cylinder(sigma, stage) << len(sigma)
 
     return StagedSupermartingale(numerator, 1 << cap, f"machine-cylinder/cap{cap}")
 
@@ -335,9 +306,6 @@ class DeficiencyRecord:
     value: int
     argmax: int
     cap: int
-
-    def looks_random(self, k: int) -> bool:
-        return self.value <= k
 
 
 def deficiency(sigma: str, stage: int, cap: int = 16, oracle=None) -> DeficiencyRecord:

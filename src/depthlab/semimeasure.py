@@ -48,8 +48,7 @@ def m_stage(sigma: str, stage: int, oracle=None, cap: int = 16) -> Fraction:
     check_bits(sigma)
     if stage < 0:
         raise ValueError("stage must be nonnegative")
-    table = halting_table(oracle, cap)
-    return table.mass_map(stage, len(sigma)).get(sigma, Fraction(0))
+    return Fraction(halting_table(oracle, cap).mass_numerator(sigma, stage), 1 << cap)
 
 
 def m_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> Fraction:
@@ -100,9 +99,6 @@ class ComputableSemimeasure:
 
     def __call__(self, sigma: str) -> Fraction:
         return self.table.get(sigma, Fraction(0))
-
-    def support(self):
-        return sorted(self.table)
 
     @classmethod
     def from_file(cls, path) -> "ComputableSemimeasure":
@@ -161,18 +157,15 @@ def semimeasure_to_timebound(m: ComputableSemimeasure, c: Fraction, n: int,
         raise ValueError("c must be positive")
     table = halting_table(oracle, cap)
     table.ensure(stage_ceiling)
-    events = table.halt_events(n)
     best = 0
     for sigma in strings_of_length(n):
-        threshold = m(sigma) / c
-        cum = Fraction(0)
-        crossed = None
-        for step, out, plen in events:
-            if out == sigma:
-                cum += Fraction(1, 1 << plen)
-                if cum > threshold:
-                    crossed = step
-                    break
+        v = m(sigma)
+        # m(sigma) < c * mass / 2^cap, cross-multiplied
+        lhs = (v.numerator * c.denominator) << cap
+        rhs = c.numerator * v.denominator
+        steps, _least, mass = table.halts_on(sigma)
+        crossed = next((s for s, num in zip(steps, mass)
+                        if s <= stage_ceiling and lhs < rhs * num), None)
         if crossed is None:
             raise NoStageWithinBudget(
                 f"no stage <= {stage_ceiling} dominates {sigma!r} at c={c}")
@@ -263,6 +256,8 @@ class PrefixMassEvaluator:
     sum of the weights whose entry matches y."""
 
     def __init__(self, budget: int, cap: int, depth: int):
+        if cap < 2:
+            raise ValueError("cap must be at least 2")
         self.cap = cap
         self.halts: dict[str, dict[tuple[int, int], int]] = {}
         for p in programs_up_to(cap):

@@ -347,10 +347,6 @@ class Program:
             raise DecodeError("length mismatch between header and body")
         return cls(bits, bits[used:])
 
-    @classmethod
-    def from_index(cls, e: int) -> "Program":
-        return cls.encode(index_to_body(e))
-
     @property
     def index(self) -> int:
         return body_index(self.body)

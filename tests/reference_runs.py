@@ -1,0 +1,68 @@
+"""Reference halting data for the table tests, computed one program at a
+time with toyvm.run: it reads no HaltingTable, so the table's index is
+checked against runs it did not make."""
+
+from fractions import Fraction
+
+from depthlab.toyvm import programs_up_to, run
+
+REFERENCE_BUDGET = 10 ** 4
+
+
+def halting_runs(oracle, cap: int, budget: int = REFERENCE_BUDGET,
+                 programs=None) -> list:
+    """(program index, Program, halt step, output) of every program of at
+    most cap bits that halts within budget, in canonical program order or
+    in the order of `programs` when given.  A run's halt step does not
+    depend on the budget it was given, so one run at the largest budget
+    serves every smaller one."""
+    runs = []
+    for i, p in enumerate(programs_up_to(cap) if programs is None else programs):
+        out = run(p, oracle, budget)
+        if out.kind == "halted":
+            runs.append((i, p, out.steps, out.output))
+    return runs
+
+
+def reference_output_map(runs, budget: int, max_len: int) -> dict:
+    """output -> (program length, Program) of the canonically first run
+    halting on it within budget, in the order those first runs come."""
+    omap: dict = {}
+    for _i, p, steps, out in runs:
+        if steps <= budget and len(out) <= max_len and out not in omap:
+            omap[out] = (len(p), p)
+    return omap
+
+
+def _mass(lengths: dict) -> Fraction:
+    """sum 2^-n over a {program length n: count} tally."""
+    return sum((Fraction(count, 1 << n) for n, count in lengths.items()), Fraction(0))
+
+
+def reference_mass_map(runs, budget: int, max_len: int) -> dict:
+    """output -> summed 2^-|p| of the runs halting on it within budget, in
+    the order of the first such run."""
+    lengths: dict = {}
+    for _i, p, steps, out in runs:
+        if steps <= budget and len(out) <= max_len:
+            tally = lengths.setdefault(out, {})
+            tally[len(p)] = tally.get(len(p), 0) + 1
+    return {out: _mass(tally) for out, tally in lengths.items()}
+
+
+def reference_total_mass(runs, budget: int) -> Fraction:
+    tally: dict = {}
+    for _i, p, steps, _out in runs:
+        if steps <= budget:
+            tally[len(p)] = tally.get(len(p), 0) + 1
+    return _mass(tally)
+
+
+def reference_cylinder(runs, sigma: str, budget: int) -> Fraction:
+    """2^|sigma| times the mass of the runs halting within budget on an
+    output that extends sigma, summed one run at a time."""
+    total = Fraction(0)
+    for _i, p, steps, out in runs:
+        if steps <= budget and out.startswith(sigma):
+            total += Fraction(1, 1 << len(p))
+    return total * (1 << len(sigma))

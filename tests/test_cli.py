@@ -218,6 +218,32 @@ def test_negative_count_exits_2_without_an_artifact(tmp_path, capsys, argv, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["m", "--sigma", "0", "--stage", "10", "--cap", "-3"],
+    ["m", "--sigma", "0", "--stage", "10", "--cap", "1"],
+    ["k", "--sigma", "0", "--stage", "10", "--cap", "1"],
+    ["psi", "--a-prefix", "bits:00", "--t", "poly:5,1", "--tprime", "poly:5,1",
+     "--cap", "-1"],
+    ["measure-cheap", "--x", "bits:0000", "--n", "1", "--k", "1", "--t", "poly:10,1",
+     "--stage", "10", "--depth", "2", "--cap", "-4"],
+    ["avg", "--sigma", "1", "--t", "poly:10,1", "--depth", "2", "--cap", "1"],
+    ["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "100", "--cap", "-2"],
+    ["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
+     "--k", "1", "--stage", "10", "--cap", "-1"],
+    ["build-deep", "--rounds", "1", "--T", "poly:2,2", "--cap", "0"],
+    ["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "2", "--n", "1", "--cap", "-1"],
+    ["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "1"],
+], ids=["m-negative", "m-one", "k-one", "psi", "measure-cheap", "avg", "profile",
+        "join-check", "build-deep", "convert-timebound", "solovay"])
+def test_cap_below_two_exits_2_without_an_artifact(tmp_path, capsys, argv):
+    (tmp_path / "m.tsv").write_text("0\t1/4\n")
+    out = tmp_path / "artifact"
+    assert dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cap must be at least 2" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc", [MachineError("m"), FixedPointError("f"),
                                  BuilderError("b"), ReductionDiverged("r")])
 def test_machine_and_builder_failures_exit_2(monkeypatch, capsys, exc):

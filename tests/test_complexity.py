@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from depthlab import complexity
 from depthlab.complexity import (
     HaltingTable,
     ReductionDiverged,
@@ -21,7 +23,15 @@ from depthlab.toyvm import (
     ZERO,
     assemble,
     parse_oracle,
+    programs_up_to,
     run,
+)
+from depthlab.semimeasure import m_stage
+from reference_runs import (
+    halting_runs,
+    reference_mass_map,
+    reference_output_map,
+    reference_total_mass,
 )
 
 
@@ -129,9 +139,118 @@ def test_table_results_independent_of_ensure_steps():
     stepped.ensure(1)
     assert 0 < stepped.unresolved < len(stepped.programs)
     direct = HaltingTable(None, 18)
-    assert list(stepped.halted_by(1000)) == list(direct.halted_by(1000))
+    runs = halting_runs(None, 18)
+    want = reference_reads(runs, 18, 1000)
+    assert table_reads(stepped, 1000) == want
+    assert table_reads(direct, 1000) == want
     assert stepped.unresolved == direct.unresolved
-    assert stepped.halt_events(4) == direct.halt_events(4)
+
+
+# ------------------------------------------------------------------ the halting index
+
+INDEX_ORACLES = ["none", "zero", "halting:1000", "bits:0101"]
+INDEX_BUDGETS = (0, 1, 2, 3, 4, 5, 10 ** 4)
+MAX_LENS = (0, 1, 2, 3, 4, 100)
+TARGETS = list(all_strings(5))
+
+
+def table_reads(table, budget):
+    """Every read the table serves at one budget, in comparable form."""
+    witnesses = [table.first(sigma, budget) for sigma in TARGETS]
+    return {
+        "output_map": [[(sigma, n, p.bits) for sigma, (n, p)
+                        in table.output_map(budget, max_len).items()]
+                       for max_len in MAX_LENS],
+        "mass_map": [list(table.mass_map(budget, max_len).items())
+                     for max_len in MAX_LENS],
+        "total_mass": table.total_mass(budget),
+        "first": [None if p is None else p.bits for p in witnesses],
+        "mass": [table.mass_numerator(sigma, budget) for sigma in TARGETS],
+        "cylinder": [table.cylinder_numerator(sigma, budget) for sigma in TARGETS],
+    }
+
+
+def reference_reads(runs, cap, budget):
+    """table_reads, computed from one-at-a-time runs."""
+    everything = reference_output_map(runs, budget, 1 << 20)
+    masses = reference_mass_map(runs, budget, 1 << 20)
+    return {
+        "output_map": [[(sigma, n, p.bits) for sigma, (n, p) in everything.items()
+                        if len(sigma) <= max_len] for max_len in MAX_LENS],
+        "mass_map": [[(sigma, m) for sigma, m in masses.items() if len(sigma) <= max_len]
+                     for max_len in MAX_LENS],
+        "total_mass": reference_total_mass(runs, budget),
+        "first": [everything[sigma][1].bits if sigma in everything else None
+                  for sigma in TARGETS],
+        "mass": [masses.get(sigma, 0) * (1 << cap) for sigma in TARGETS],
+        "cylinder": [sum(mass for out, mass in masses.items() if out.startswith(sigma))
+                     * (1 << cap) for sigma in TARGETS],
+    }
+
+
+@pytest.mark.parametrize("cap", [12, 18])
+@pytest.mark.parametrize("descriptor", INDEX_ORACLES)
+def test_index_reads_match_one_at_a_time_runs(descriptor, cap):
+    oracle = parse_oracle(descriptor)
+    runs = halting_runs(oracle, cap)
+    table = halting_table(oracle, cap)
+    for budget in INDEX_BUDGETS:
+        want = reference_reads(runs, cap, budget)
+        assert table_reads(table, budget) == want, budget
+        for sigma, p_bits, mass in zip(TARGETS, want["first"], want["mass"]):
+            res = k_stage(sigma, budget, oracle, cap)
+            assert res.value == (None if p_bits is None else len(p_bits))
+            assert (res.witness and res.witness.bits) == p_bits
+            assert m_stage(sigma, budget, oracle, cap) == Fraction(mass, 1 << cap)
+
+
+@pytest.mark.parametrize("order", [
+    INDEX_BUDGETS,
+    INDEX_BUDGETS[::-1],
+    (3, 0, 10 ** 4, 1, 5, 2, 4),
+], ids=["ascending", "descending", "interleaved"])
+@pytest.mark.parametrize("descriptor", INDEX_ORACLES)
+def test_index_reads_independent_of_ensure_order(descriptor, order):
+    oracle = parse_oracle(descriptor)
+    cold = {b: table_reads(HaltingTable(oracle, 16), b) for b in INDEX_BUDGETS}
+    table = HaltingTable(oracle, 16)
+    ensured = -1
+    for step in order:
+        table.ensure(step)
+        ensured = max(ensured, step)
+        for budget in INDEX_BUDGETS:
+            if budget <= ensured:
+                assert table_reads(table, budget) == cold[budget], (step, budget)
+
+
+@pytest.mark.parametrize("descriptor", INDEX_ORACLES)
+def test_index_reads_independent_of_program_arrival_order(monkeypatch, descriptor):
+    # in canonical order every output's halts at these caps arrive in
+    # ascending step order; an enumeration that reaches programs in another
+    # order (a seeded shuffle here) must give the same step-sorted totals
+    programs = programs_up_to(16)
+    random.Random(0).shuffle(programs)
+    monkeypatch.setattr(complexity, "programs_up_to", lambda cap: list(programs))
+    oracle = parse_oracle(descriptor)
+    runs = halting_runs(oracle, 16, programs=programs)
+    table = HaltingTable(oracle, 16)
+    table.ensure(10 ** 4)
+    for budget in INDEX_BUDGETS:
+        assert table_reads(table, budget) == reference_reads(runs, 16, budget), budget
+
+
+def test_index_long_output_path(monkeypatch):
+    # cap 20 is the least cap with 3- and 4-bit outputs, which then take
+    # the path of outputs too long to index
+    monkeypatch.setattr(complexity, "OUTPUT_BITS", 2)
+    runs = halting_runs(None, 20)
+    assert any(len(out) > 2 for _i, _p, _s, out in runs)
+    stepped, full = HaltingTable(None, 20), HaltingTable(None, 20)
+    full.ensure(10 ** 4)
+    for budget in INDEX_BUDGETS:
+        want = reference_reads(runs, 20, budget)
+        assert table_reads(stepped, budget) == want, budget
+        assert table_reads(full, budget) == want, budget
 
 
 def test_kraft_sum_at_most_one():
@@ -209,10 +328,9 @@ def test_lift_measured_budget_bound():
     red = identity_reduction()
     t = TimeBound.poly(10, 1)
     c = red.budget  # crude per-query ceiling; the measured bound is tighter
-    table = halting_table(PrefixOracle("0101"), 16)
     checked = 0
-    for p, _step, rope, out_len in table.halted_by(t(4)):
-        if out_len > 4:
+    for _i, p, _step, output in halting_runs(PrefixOracle("0101"), 16, t(4)):
+        if len(output) > 4:
             continue
         out = run(p, PrefixOracle("0101"), t(4))
         if not out.queried:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab import randomness
+from depthlab import complexity
 from depthlab.complexity import TimeBound, halting_table
 from depthlab.randomness import (
     DYADIC_SPLITS,
@@ -27,7 +27,14 @@ from depthlab.randomness import (
     space_lemma_length,
 )
 from depthlab.semimeasure import m_stage, oracle_average
-from depthlab.toyvm import HaltingOracle, rope_materialize, strings_of_length
+from depthlab.toyvm import Halted, HaltingOracle, rope_materialize, strings_of_length
+from reference_runs import (
+    halting_runs,
+    reference_cylinder,
+    reference_mass_map,
+    reference_output_map,
+    reference_total_mass,
+)
 
 
 def all_strings(max_len):
@@ -199,27 +206,15 @@ def test_count_cheap_extensions_matches_fraction_reference():
                     assert count_cheap_extensions(table, sigma, delta, l) == want
 
 
-def linear_cylinder_value(entries, sigma):
-    """2^|sigma| times the Fraction mass on outputs extending sigma,
-    summed one halting run at a time."""
-    total = Fraction(0)
-    for p, _step, rope, out_len in entries:
-        out = rope_materialize(rope, out_len)
-        if out.startswith(sigma):
-            total += Fraction(1, 1 << len(p))
-    return total * (1 << len(sigma))
-
-
 @pytest.mark.parametrize("oracle", [None, HaltingOracle(1000)], ids=["none", "halting"])
 def test_cylinder_bisect_matches_linear_scan(oracle):
     cap = 16
     d = machine_supermartingale(oracle, cap)
     assert d.scale == 1 << cap
-    table = halting_table(oracle, cap)
+    runs = halting_runs(oracle, cap)
     for stage in (0, 1, 5, 100, 10 ** 4):
-        entries = list(table.halted_by(stage))
         for sigma in all_strings(7):
-            want = linear_cylinder_value(entries, sigma)
+            want = reference_cylinder(runs, sigma, stage)
             assert Fraction(d.numerator(sigma, stage), d.scale) == want
             assert d(sigma, stage) == want
 
@@ -232,25 +227,43 @@ def test_cylinder_scans_outputs_longer_than_64_bits(monkeypatch):
         return (a[0] + b[0], None, a, b)
 
     rope = cat(leaf(0), leaf(1))
-    long_ropes = []
-    for _ in range(6):
+    for _ in range(5):
         rope = cat(rope, rope)
-        long_ropes.append(cat(leaf(1), rope))
-    shorts = [leaf(0), cat(leaf(0), leaf(1)), cat(leaf(1), leaf(1)), None]
-    entries = [("1" * (3 + i), 0, r, 0 if r is None else r[0])
-               for i, r in enumerate(shorts + long_ropes)]
-    assert any(e[3] > 64 for e in entries) and any(e[3] <= 64 for e in entries)
+    # the machine's outputs at cap 16 are at most 2 bits; widen four of
+    # them into ropes of 64 (indexed), 65 and 129 bits (kept as ropes)
+    wide = {"": rope, "0": cat(leaf(1), rope), "1": cat(leaf(0), rope),
+            "10": cat(leaf(1), cat(rope, rope))}
+    assert sorted(r[0] for r in wide.values()) == [64, 65, 65, 129]
+    advance = complexity._advance
 
-    class Table:
-        def halted_by(self, stage):
-            return iter(entries)
+    def widened(instrs, oracle, budget, st, detect_cycles):
+        out = advance(instrs, oracle, budget, st, detect_cycles)
+        if out is not None and out.kind == "halted" and out.output in wide:
+            r = wide[out.output]
+            out = Halted(out.steps, r, r[0], out.queried)
+        return out
 
-    monkeypatch.setattr(randomness, "halting_table", lambda oracle, cap: Table())
+    monkeypatch.setattr(complexity, "_advance", widened)
+    runs = [(i, p, steps, rope_materialize(wide[out], 1 << 10) if out in wide else out)
+            for i, p, steps, out in halting_runs(None, 16)]
+    assert {len(out) for *_x, out in runs} >= {64, 65, 129}
     d = machine_supermartingale(None, 16)
-    longest = rope_materialize(long_ropes[-1], 1 << 10)
-    sigmas = list(all_strings(5)) + [longest[:n] for n in (63, 64, 65, 66, 100, 129, 130)]
-    for sigma in sigmas:
-        assert d(sigma, 7) == linear_cylinder_value(entries, sigma), sigma
+    table = halting_table(None, 16)
+    longest = rope_materialize(wide["10"], 1 << 10)
+    sigmas = (list(all_strings(5)) + [longest[:n] for n in (63, 64, 65, 66, 100, 129, 130)]
+              + [rope_materialize(wide[s], 1 << 10) for s in ("", "0", "1")])
+    for stage in (0, 1, 10 ** 4):
+        for sigma in sigmas:
+            assert d(sigma, stage) == reference_cylinder(runs, sigma, stage), sigma
+            p = table.first(sigma, stage)
+            want = reference_output_map(runs, stage, len(sigma)).get(sigma)
+            assert (p is None and want is None) or p == want[1]
+        for max_len in (64, 65, 129, 200):
+            assert (list(table.output_map(stage, max_len).items())
+                    == list(reference_output_map(runs, stage, max_len).items()))
+            assert (list(table.mass_map(stage, max_len).items())
+                    == list(reference_mass_map(runs, stage, max_len).items()))
+        assert table.total_mass(stage) == reference_total_mass(runs, stage)
 
 
 def test_mixture_numerator_matches_fraction_reference():
@@ -264,18 +277,18 @@ def test_mixture_numerator_matches_fraction_reference():
     ]
     d = mixture_supermartingale(tables, None, cap)
     machine = machine_supermartingale(None, cap)
-    table = halting_table(None, cap)
+    runs = halting_runs(None, cap)
     assert d.scale % (1 << (cap + len(tables) + 1)) == 0
     for stage in (0, 5, 100, 10 ** 4):
-        entries = list(table.halted_by(stage))
         for sigma in all_strings(6):
-            want = Fraction(1, 1 << (len(tables) + 1)) * linear_cylinder_value(entries, sigma)
+            cylinder = reference_cylinder(runs, sigma, stage)
+            want = Fraction(1, 1 << (len(tables) + 1)) * cylinder
             for i, tab in enumerate(tables):
                 root = tab.value("")
                 if root:
                     want += Fraction(1, 1 << (i + 1)) * tab.value(sigma) / root
             assert Fraction(d.numerator(sigma, stage), d.scale) == want, (sigma, stage)
-            assert machine(sigma, stage) == linear_cylinder_value(entries, sigma)
+            assert machine(sigma, stage) == cylinder
 
 
 def test_table_file_roundtrip(tmp_path):

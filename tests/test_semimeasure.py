@@ -17,8 +17,9 @@ from depthlab.semimeasure import (
     relative_mass,
     semimeasure_to_timebound,
 )
-from depthlab.toyvm import (PrefixOracle, Program, assemble, programs_up_to, run,
-                            strings_of_length)
+from depthlab.toyvm import (PrefixOracle, Program, assemble, parse_oracle,
+                            programs_up_to, run, strings_of_length)
+from reference_runs import halting_runs, reference_mass_map
 
 
 def all_strings(max_len):
@@ -123,6 +124,46 @@ def test_conversion_returns_least_stage():
     failures = [sigma for sigma in ("0", "1")
                 if not m(sigma) < 64 * m_stage(sigma, s - 1, None, 16)]
     assert failures
+
+
+def reference_crossing(runs, m, c, n, ceiling):
+    """The least stage <= ceiling from which m < c * m_s on every string of
+    length n, by Fraction sums over the runs in step order; None if none."""
+    best = 0
+    for sigma in strings_of_length(n):
+        cum, crossed = Fraction(0), None
+        for _i, p, steps, out in sorted(runs, key=lambda r: r[2]):
+            if out == sigma and steps <= ceiling:
+                cum += Fraction(1, 1 << len(p))
+                if m(sigma) < c * cum:
+                    crossed = steps
+                    break
+        if crossed is None:
+            return None
+        best = max(best, crossed)
+    return best
+
+
+@pytest.mark.parametrize("descriptor", ["none", "halting:1000"])
+def test_conversion_matches_run_based_first_crossing(descriptor):
+    oracle = parse_oracle(descriptor)
+    runs = halting_runs(oracle, 16)
+    limit = reference_mass_map(runs, 10 ** 4, 2)
+    m = ComputableSemimeasure({sigma: mass / 2 for sigma, mass in limit.items()})
+    outcomes = set()
+    # the ceilings cycle, so most searches run on a table already ensured
+    # past their ceiling and must still stop at it
+    for n in (0, 1, 2):
+        for c in (Fraction(1), Fraction(3, 2), Fraction(4), Fraction(64)):
+            for ceiling in (0, 1, 2, 10 ** 4):
+                want = reference_crossing(runs, m, c, n, ceiling)
+                outcomes.add(want)
+                if want is None:
+                    with pytest.raises(NoStageWithinBudget):
+                        semimeasure_to_timebound(m, c, n, oracle, 16, ceiling)
+                else:
+                    assert semimeasure_to_timebound(m, c, n, oracle, 16, ceiling) == want
+    assert {None, 1, 2} <= outcomes
 
 
 def test_conversion_signals_undersized_constant():
