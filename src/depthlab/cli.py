@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 from . import complexity, constructions, pi01forcing, randomness, semimeasure
@@ -205,9 +206,13 @@ def _cmd_measure_cheap(args) -> int:
 def _cmd_profile(args) -> int:
     _require_nonnegative(args, "--stage")
     bits = _read_bits(args.infile)
-    prof = constructions.depth_profile(
-        bits, TimeBound.parse(args.t), args.stage,
-        parse_oracle(args.oracle), args.cap)
+    with warnings.catch_warnings(record=True) as notices:
+        warnings.simplefilter("always")
+        prof = constructions.depth_profile(
+            bits, TimeBound.parse(args.t), args.stage,
+            parse_oracle(args.oracle), args.cap)
+    for notice in notices:
+        sys.stderr.write(f"warning: {notice.message}\n")
     if args.csv and not args.out:
         args.out = args.csv
     _emit(args, "\n".join(prof.csv_lines()) + "\n")

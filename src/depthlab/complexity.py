@@ -1,17 +1,31 @@
 """Brute-force stage- and time-bounded program-size complexity.
 
 All complexity queries share one enumeration per (oracle, cap), kept in
-toyvm.MEMO.tables: a HaltingTable runs every program of at most cap bits
-and resumes the live ones only as far as queries require, so a stage
-sweep costs one pass over the program space rather than one per stage.
-As runs halt, the table folds them into one index by output: per halting
-step, the least program index and the summed mass.  Every read at a
-budget -- K_s, m_s, the output and mass maps, the cylinder sums of the
-machine martingale, the first-crossing search -- is a bisect into one
-output's step-sorted running totals, so no read rescans the programs or
-keeps a cache per (budget, length).  Witnesses are the lexicographically
-least among the shortest, which the canonical enumeration order gives
-for free.
+toyvm.MEMO.tables: a HaltingTable resolves every program of at most cap
+bits and resumes the live ones only as far as queries require, so a
+stage sweep costs one pass over the program space rather than one per
+stage.
+
+The pass does not run the programs one by one.  It walks a trie of
+instruction prefixes and runs each prefix once: bodies that share a
+prefix run identically until the program counter first leaves it, and
+at the caps in use almost every run halts, aborts or diverges within a
+few steps of its first instructions.  A prefix whose run ends inside it
+settles its whole subtree, whose mass has a closed form; a prefix whose
+run reaches its end settles the bodies whose remaining bits hold no
+complete instruction and splits into one child per next instruction.
+The HaltingTable docstring gives the rules and why the cycle key of a
+prefix is sound for all its extensions.
+
+As runs halt, the table folds them into one index by output: per
+halting step, the least program index and the summed mass.  Every read
+at a budget -- K_s, m_s, the output and mass maps, the cylinder sums of
+the machine martingale, the first-crossing search -- is a bisect into
+one output's step-sorted running totals, so no read rescans the
+programs or keeps a cache per (budget, length).  Witnesses are the
+lexicographically least among the shortest: a program's index is its
+rank in canonical order, and each step keeps the least index folded
+into it.
 
 The unrelativised complexity runs with no oracle at all: a program that
 executes ORACLE then aborts, so every oracle-free witness is verbatim a
@@ -21,18 +35,23 @@ witness under any oracle and K^A <= K holds with constant zero.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .toyvm import (
+    INSTRUCTION_CODES,
     MEMO,
+    Instructions,
     MachineState,
     Program,
     _advance,
     bits_to_hex,
     check_bits,
+    extend,
+    index_to_body,
     oracle_key,
-    programs_up_to,
+    program_length,
     rope_equals,
     rope_materialize,
     rope_prefix,
@@ -133,67 +152,176 @@ def _within(record: tuple, budget: int):
     return (least[j - 1], mass[j - 1]) if j else None
 
 
+def _fold(at: dict, steps: int, index: int, mass: int) -> None:
+    """Add mass halting at steps, with least program index index, to one
+    output's {halt step: [least index, mass]}."""
+    entry = at.get(steps)
+    if entry is None:
+        at[steps] = [index, mass]
+    else:
+        entry[0] = min(entry[0], index)
+        entry[1] += mass
+
+
+def _max_body_length(cap: int) -> int:
+    """The longest body whose program fits in cap bits."""
+    n = 0
+    while program_length(n + 1) <= cap:
+        n += 1
+    return n
+
+
+class Programs(Sequence):
+    """Every program of at most cap bits, in canonical order (shortest
+    first, then lexicographic), built on demand: item i is the program
+    whose body has index i."""
+
+    def __init__(self, cap: int):
+        self._len = (1 << (_max_body_length(cap) + 1)) - 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Program:
+        if not 0 <= i < self._len:
+            raise IndexError("program index out of range")
+        return Program.encode(index_to_body(i))
+
+
+def _tail_counts() -> list:
+    """count[l]: how many l-bit strings hold no complete instruction, that
+    is, no prefix in INSTRUCTION_CODES; 0 from the widest code on."""
+    counts = []
+    while not counts or counts[-1]:
+        n = len(counts)
+        counts.append((1 << n) - sum(1 << (n - w) for w, *_ in INSTRUCTION_CODES if w <= n))
+    return counts
+
+
 class HaltingTable:
     """Resumable halting data for every program of at most cap bits under
     one oracle.  Results are independent of query interleaving.
 
-    Each halting run is folded, as `ensure` resolves it, into one index
-    output -> {halt step: [least program index, mass numerator]}, masses
-    in units of 2^-cap; the output is materialized once, and only outputs
-    longer than OUTPUT_BITS keep their rope, in a short side list.  Every
-    read goes through a per-output view sorted by step with a running
-    least index and running mass, so a budget is one bisect_right; the
-    view is rebuilt only after an `ensure` adds halts.  Only the runs
-    still live after the last `ensure` hold a parsed body and a
-    MachineState; a run drops both when it resolves."""
+    The programs are walked as a trie of instruction prefixes, not one by
+    one.  A node is a body prefix P of whole instructions with one machine
+    state, run as the body P alone.  Every body P.x runs exactly as P does
+    until the program counter first leaves P's instructions, so the run
+    stops in one of three ways:
+
+    * It halts, aborts or diverges inside P (HALT, a reserved opcode, a
+      jump before the start, an oracle abort, a repeated cycle key).
+      Every extension of P does the same, so the subtree is recorded once:
+      mass sum over body lengths n of 2^(n-|P|) 2^-|gamma(n+1)| 2^-n, least
+      program index that of P itself.
+    * It traps: the program counter reaches len(P) or beyond.  The bodies
+      P.x whose tail x holds no complete next instruction halt there, and
+      are recorded as one entry (the tail counts follow from the opcode
+      widths).  Every other body is P.I.y for exactly one next instruction
+      I, so one child per encoding of I that fits under the cap resumes
+      from a copy of the state; a child whose program counter is still
+      past its end traps again at once.
+    * It reaches the budget, and waits in `_live` for the next `ensure`.
+
+    Cycle keys project onto P's control registers.  That is sound for
+    every extension, because between two equal keys the run executed only
+    P's instructions, which read no other register; a child whose control
+    registers grow starts a fresh key set.
+
+    Halts are folded into one index output -> {halt step: [least program
+    index, mass numerator]}, masses in units of 2^-cap.  The walk is not
+    in canonical order, so each step keeps the minimum index it is given.
+    The output is materialized once, and only outputs longer than
+    OUTPUT_BITS keep their rope, in a short side list.  Every read goes
+    through a per-output view sorted by step with a running least index
+    and running mass, so a budget is one bisect_right; the view is rebuilt
+    only after an `ensure` adds halts."""
 
     def __init__(self, oracle, cap: int):
         if cap < 2:
             raise ValueError("cap must be at least 2")
         self.oracle = oracle
         self.cap = cap
-        self.programs = programs_up_to(cap)
+        self.programs = Programs(cap)
+        nmax = self._nmax = _max_body_length(cap)
+        weight = [1 << (cap - program_length(n)) for n in range(nmax + 1)]
+        tails = _tail_counts()
+        # per prefix length p: the mass of the subtree, and of its tails
+        # that hold no complete instruction
+        self._subtree_mass = [sum(weight[n] << (n - p) for n in range(p, nmax + 1))
+                              for p in range(nmax + 1)]
+        self._tail_mass = [sum(c * weight[p + n] for n, c in enumerate(tails)
+                               if p + n <= nmax) for p in range(nmax + 1)]
+        # per number of body bits left: the instruction codes that fit
+        self._fits = [[code for code in INSTRUCTION_CODES if code[0] <= room]
+                      for room in range(nmax + 1)]
         self._halts: dict = {}  # output -> {halt step: [least index, mass]}
         self._long: list = []   # (index, halt step, mass, rope, output length)
         self._view: dict | None = {}  # output -> _running(...), lex order
         self._order: list = []  # the outputs of _view, sorted
-        self._live: dict = {}   # program index -> (instructions, MachineState)
+        # trie nodes waiting on a larger budget: (instructions, prefix
+        # length, prefix value, MachineState); the root is the empty body
+        self._live: list = [(Instructions(), 0, 0, MachineState())]
         self._budget = -1       # every run is resolved or advanced this far
 
     @property
     def unresolved(self) -> int:
         """Number of programs whose run neither halted, aborted nor
         provably diverged within the budgets ensured so far."""
-        return len(self.programs) if self._budget < 0 else len(self._live)
+        nmax = self._nmax
+        return sum((1 << (nmax - p + 1)) - 1 for _i, p, _v, _st in self._live)
+
+    @property
+    def settled_stage(self) -> int | None:
+        """The largest halting step resolved so far, or None before any
+        halt: every read at a larger budget equals the read at this one
+        once nothing is unresolved."""
+        steps = [s for at in self._halts.values() for s in at]
+        steps += [s for _i, s, _m, _r, _n in self._long]
+        return max(steps, default=None)
+
+    @property
+    def reach(self) -> int | None:
+        """The longest output resolved so far, or None before any halt."""
+        lengths = [len(sigma) for sigma in self._halts]
+        lengths += [n for _i, _s, _m, _r, n in self._long]
+        return max(lengths, default=None)
 
     def ensure(self, budget: int) -> None:
         if budget <= self._budget:
             return
-        if self._budget < 0:
-            runs = ((i, p.instructions(), MachineState())
-                    for i, p in enumerate(self.programs))
-        else:
-            runs = [(i, instrs, st) for i, (instrs, st) in self._live.items()]
-        cap, programs, halts = self.cap, self.programs, self._halts
+        oracle, nmax, halts, fits = self.oracle, self._nmax, self._halts, self._fits
+        subtree_mass, tail_mass = self._subtree_mass, self._tail_mass
+        stack, live = self._live, []
         added = False
-        for i, instrs, st in runs:
-            outcome = _advance(instrs, self.oracle, budget, st, True)
+        while stack:
+            node = stack.pop()
+            instrs, p, v, st = node
+            outcome = _advance(instrs, oracle, budget, st, True)
             if outcome is None:
-                self._live[i] = (instrs, st)
+                live.append(node)
                 continue
-            self._live.pop(i, None)
             if outcome.kind != "halted":
                 continue
             added = True
-            mass = 1 << (cap - len(programs[i]))
+            index = (1 << p) - 1 + v
+            trapped = st.pc >= len(instrs)
+            mass = tail_mass[p] if trapped else subtree_mass[p]
             if outcome.output_length > OUTPUT_BITS:
-                self._long.append((i, outcome.steps, mass, outcome.rope,
+                self._long.append((index, outcome.steps, mass, outcome.rope,
                                    outcome.output_length))
+            else:
+                _fold(halts.setdefault(rope_materialize(outcome.rope, OUTPUT_BITS), {}),
+                      outcome.steps, index, mass)
+            if not trapped:
                 continue
-            at = halts.setdefault(rope_materialize(outcome.rope, OUTPUT_BITS), {})
-            # one pass finds every halt at a step, in index order, so the
-            # first index recorded at a step is its least
-            at.setdefault(outcome.steps, [i, 0])[1] += mass
+            regs, queried, seen = st.regs, st.queried, st.seen
+            for code in fits[nmax - p]:
+                child = extend(instrs, code)
+                width = code[0]
+                stack.append((child, p + width, v << width | code[1], MachineState(
+                    st.pc, regs[:], st.steps, st.rope, st.output_length, set(queried),
+                    set(seen) if seen is not None and child.mask == instrs.mask else None)))
+        self._live = live
         if added:
             self._view = None
         self._budget = budget
@@ -215,7 +343,7 @@ class HaltingTable:
         at: dict = {}
         for i, s, m, rope, _n in self._long:
             if rope_equals(rope, sigma):
-                at.setdefault(s, [i, 0])[1] += m
+                _fold(at, s, i, m)
         return _running(at) if at else _NO_HALTS
 
     def _at(self, sigma: str, budget: int):
@@ -257,9 +385,9 @@ class HaltingTable:
     def output_map(self, budget: int, max_len: int) -> dict:
         """output string -> (program length, Program), first (= canonical)
         witness per output, restricted to outputs of at most max_len bits."""
-        programs = self.programs
-        return {sigma: (len(programs[i]), programs[i])
-                for i, sigma, _m in self._outputs(budget, max_len)}
+        witnesses = {sigma: self.programs[i]
+                     for i, sigma, _m in self._outputs(budget, max_len)}
+        return {sigma: (len(p), p) for sigma, p in witnesses.items()}
 
     def mass_map(self, budget: int, max_len: int) -> dict:
         """output string -> exact halting mass sum(2^-|p|), restricted to

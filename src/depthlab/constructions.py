@@ -233,12 +233,12 @@ def depth_profile(x_prefix: str, t: TimeBound, stage: int, oracle=None,
     complexity, both relative to the same oracle; the gap column is the
     desk-scale depth signal.  Above-cap values enter the gap as cap+1."""
     check_bits(x_prefix)
+    table = halting_table(oracle, cap)
     worst = max((t(n) for n in range(1, len(x_prefix) + 1)), default=0)
     if stage < worst:
         warnings.warn(
             f"stage {stage} is below the largest time budget {worst};"
             " gaps may come out negative", stacklevel=2)
-    table = halting_table(oracle, cap)
     rows = []
     for n in range(1, len(x_prefix) + 1):
         prefix = x_prefix[:n]

@@ -199,26 +199,58 @@ class Instructions(tuple):
     """A parsed body: a tuple of (opcode, register, offset) triples.
 
     `key_regs` lists, ascending, the control registers: every JZ-tested
-    register, plus R0 when the body has an ORACLE.  `project` reads them
-    from a register file, or is None when there are none.  Both are class
-    attributes: parse_body picks one of sixteen subclasses, one per set of
-    control registers, so they are found once per parse and a parsed body
-    costs no more memory than a plain tuple.
+    register, plus R0 when the body has an ORACLE; `mask` has bit r set
+    for each.  `project` reads them from a register file, or is None when
+    there are none.  All three are class attributes: parse_body picks one
+    of sixteen subclasses, one per set of control registers, so they are
+    found once per parse and a parsed body costs no more memory than a
+    plain tuple.
     """
 
     __slots__ = ()
     key_regs: tuple[int, ...] = ()
+    mask = 0
     project: itemgetter | None = None
 
 
 def _instructions_class(mask: int) -> type:
     regs = tuple(r for r in range(4) if mask >> r & 1)
     return type("Instructions", (Instructions,), {
-        "__slots__": (), "key_regs": regs,
+        "__slots__": (), "key_regs": regs, "mask": mask,
         "project": itemgetter(*regs) if regs else None})
 
 
 _INSTRUCTIONS_BY_MASK = tuple(_instructions_class(mask) for mask in range(16))
+
+
+def _instruction_codes() -> tuple:
+    codes = []
+    for op in range(16):
+        if op in (OP_INC, OP_DEC):
+            codes += [(6, op << 2 | r, (op, r, 0), 0) for r in range(4)]
+        elif op == OP_JZ:
+            codes += [(10, (op << 2 | r) << 4 | d, (op, r, d - 16 if d >= 8 else d), 1 << r)
+                      for r in range(4) for d in range(16)]
+        elif op == OP_JMP:
+            codes += [(8, op << 4 | d, (op, 0, d - 16 if d >= 8 else d), 0)
+                      for d in range(16)]
+        else:
+            codes.append((4, op, (op, 0, 0), 1 if op == OP_ORACLE else 0))
+    return tuple(codes)
+
+
+INSTRUCTION_CODES = _instruction_codes()
+"""Every encoding of one instruction, as (width in bits, the bits read as
+an integer, (opcode, register, offset), control-register mask), in
+lexicographic order of the bits.  The widths are 4, 6, 8 and 10 bits and
+sum to Kraft equality, so every body splits uniquely into whole
+instructions and a tail holding no complete one."""
+
+
+def extend(instrs: Instructions, code: tuple) -> Instructions:
+    """instrs with the instruction of one INSTRUCTION_CODES entry appended;
+    equal to parse_body of the concatenated bits."""
+    return _INSTRUCTIONS_BY_MASK[instrs.mask | code[3]](instrs + (code[2],))
 
 
 def parse_body(body: str) -> Instructions:

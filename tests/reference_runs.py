@@ -9,15 +9,13 @@ from depthlab.toyvm import programs_up_to, run
 REFERENCE_BUDGET = 10 ** 4
 
 
-def halting_runs(oracle, cap: int, budget: int = REFERENCE_BUDGET,
-                 programs=None) -> list:
+def halting_runs(oracle, cap: int, budget: int = REFERENCE_BUDGET) -> list:
     """(program index, Program, halt step, output) of every program of at
-    most cap bits that halts within budget, in canonical program order or
-    in the order of `programs` when given.  A run's halt step does not
-    depend on the budget it was given, so one run at the largest budget
-    serves every smaller one."""
+    most cap bits that halts within budget, in canonical program order.  A
+    run's halt step does not depend on the budget it was given, so one run
+    at the largest budget serves every smaller one."""
     runs = []
-    for i, p in enumerate(programs_up_to(cap) if programs is None else programs):
+    for i, p in enumerate(programs_up_to(cap)):
         out = run(p, oracle, budget)
         if out.kind == "halted":
             runs.append((i, p, out.steps, out.output))

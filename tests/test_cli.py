@@ -15,7 +15,7 @@ from depthlab.cli import (
     solovay_probe,
 )
 from depthlab.complexity import ReductionDiverged, TimeBound
-from depthlab.constructions import BuilderError
+from depthlab.constructions import BuilderError, depth_profile
 from depthlab.toyvm import FixedPointError, MachineError
 
 
@@ -102,6 +102,25 @@ def test_profile_subcommand(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "n,k_time,k_stage,gap,above_cap"
     assert len(lines) == 5
+
+
+def test_profile_validates_cap_before_the_low_stage_warning(capsys):
+    argv = ["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "10", "--cap", "-2"]
+    assert dispatch(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: cap must be at least 2\n"
+    assert captured.out == ""
+
+
+def test_profile_low_stage_notice_is_a_plain_warning_line(capsys):
+    argv = ["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "10", "--cap", "8"]
+    assert dispatch(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: stage 10 is below the largest time budget 25;"
+                            " gaps may come out negative\n")
+    with pytest.warns(UserWarning):
+        prof = depth_profile("0000", TimeBound.poly(5, 1), 10, None, 8)
+    assert captured.out == "\n".join(prof.csv_lines()) + "\n"
 
 
 def test_build_deep_subcommand(tmp_path):

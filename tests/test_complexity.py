@@ -20,10 +20,11 @@ from depthlab.complexity import (
 from depthlab.toyvm import (
     HaltingOracle,
     PrefixOracle,
+    Program,
     ZERO,
     assemble,
+    body_index,
     parse_oracle,
-    programs_up_to,
     run,
 )
 from depthlab.semimeasure import m_stage
@@ -124,11 +125,12 @@ def test_witness_validity_rerun():
             assert out.kind == "halted" and out.output == sigma
 
 
-@pytest.mark.parametrize("descriptor,cap", [("none", cap) for cap in range(18, 25)]
+@pytest.mark.parametrize("descriptor,cap", [("none", cap) for cap in range(18, 29)]
                          + [("zero", 22)])
 def test_every_run_resolves_by_stage_1e5(descriptor, cap):
     table = HaltingTable(parse_oracle(descriptor), cap)
     assert table.unresolved == len(table.programs)
+    assert table.settled_stage is None and table.reach is None
     table.ensure(10 ** 5)
     assert table.unresolved == 0
 
@@ -140,6 +142,8 @@ def test_table_results_independent_of_ensure_steps():
     assert 0 < stepped.unresolved < len(stepped.programs)
     direct = HaltingTable(None, 18)
     runs = halting_runs(None, 18)
+    assert stepped.settled_stage == 1
+    assert stepped.reach == max(len(out) for _i, _p, s, out in runs if s <= 1)
     want = reference_reads(runs, 18, 1000)
     assert table_reads(stepped, 1000) == want
     assert table_reads(direct, 1000) == want
@@ -188,7 +192,7 @@ def reference_reads(runs, cap, budget):
     }
 
 
-@pytest.mark.parametrize("cap", [12, 18])
+@pytest.mark.parametrize("cap", [12, 18, 20])
 @pytest.mark.parametrize("descriptor", INDEX_ORACLES)
 def test_index_reads_match_one_at_a_time_runs(descriptor, cap):
     oracle = parse_oracle(descriptor)
@@ -202,6 +206,8 @@ def test_index_reads_match_one_at_a_time_runs(descriptor, cap):
             assert res.value == (None if p_bits is None else len(p_bits))
             assert (res.witness and res.witness.bits) == p_bits
             assert m_stage(sigma, budget, oracle, cap) == Fraction(mass, 1 << cap)
+    assert table.settled_stage == max(s for _i, _p, s, _out in runs)
+    assert table.reach == max(len(out) for _i, _p, _s, out in runs)
 
 
 @pytest.mark.parametrize("order", [
@@ -225,18 +231,32 @@ def test_index_reads_independent_of_ensure_order(descriptor, order):
 
 @pytest.mark.parametrize("descriptor", INDEX_ORACLES)
 def test_index_reads_independent_of_program_arrival_order(monkeypatch, descriptor):
-    # in canonical order every output's halts at these caps arrive in
-    # ascending step order; an enumeration that reaches programs in another
-    # order (a seeded shuffle here) must give the same step-sorted totals
-    programs = programs_up_to(16)
-    random.Random(0).shuffle(programs)
-    monkeypatch.setattr(complexity, "programs_up_to", lambda cap: list(programs))
+    # the trie walk reaches programs out of canonical order, so the halts
+    # folded at one step arrive in no fixed index order; with the walker's
+    # child order shuffled (seeded) the reads must still match runs made
+    # one program at a time
+    codes = list(complexity.INSTRUCTION_CODES)
+    random.Random(0).shuffle(codes)
+    monkeypatch.setattr(complexity, "INSTRUCTION_CODES", tuple(codes))
     oracle = parse_oracle(descriptor)
-    runs = halting_runs(oracle, 16, programs=programs)
+    runs = halting_runs(oracle, 16)
     table = HaltingTable(oracle, 16)
     table.ensure(10 ** 4)
     for budget in INDEX_BUDGETS:
         assert table_reads(table, budget) == reference_reads(runs, 16, budget), budget
+
+
+def test_index_reads_match_runs_where_a_jump_skips_instructions():
+    # cap 25 is the least cap with a body that jumps past the end of an
+    # instruction prefix and then runs an instruction it jumped to: JMP +1;
+    # EMIT0; EMIT1 is 16 bits.  Every run here halts within 4 steps, so
+    # reference runs at budget 64 cover every halt.
+    body = assemble([("JMP", 1), ("EMIT0",), ("EMIT1",)])
+    runs = halting_runs(None, 25, 64)
+    assert (body_index(body), Program.encode(body), 2, "1") in runs
+    table = halting_table(None, 25)
+    for budget in (0, 1, 2, 3, 4, 5, 64):
+        assert table_reads(table, budget) == reference_reads(runs, 25, budget), budget
 
 
 def test_index_long_output_path(monkeypatch):
@@ -251,6 +271,8 @@ def test_index_long_output_path(monkeypatch):
         want = reference_reads(runs, 20, budget)
         assert table_reads(stepped, budget) == want, budget
         assert table_reads(full, budget) == want, budget
+    assert full.settled_stage == max(s for _i, _p, s, _out in runs)
+    assert full.reach == max(len(out) for _i, _p, _s, out in runs)
 
 
 def test_kraft_sum_at_most_one():

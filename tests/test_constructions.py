@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,13 @@ def test_profile_gap_nondecreasing_in_stage():
 def test_profile_warns_on_small_stage():
     with pytest.warns(UserWarning):
         depth_profile("00", TimeBound.poly(100, 1), 5, None, 16)
+
+
+def test_profile_validates_cap_before_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cap must be at least 2"):
+            depth_profile("00", TimeBound.poly(100, 1), 5, None, -2)
 
 
 def test_profile_csv_shape():

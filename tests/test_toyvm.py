@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import toyvm as tv
@@ -144,6 +144,22 @@ def test_reserved_opcode_halts():
     assert out.kind == "halted" and out.output == "" and out.steps == 1
 
 
+@pytest.mark.parametrize("prefix", ["", assemble([("JZ", 2, 1), ("INC", 1)])])
+def test_instruction_codes_decode_like_parse_body(prefix):
+    base = tv.parse_body(prefix)
+    seen = set()
+    for code in tv.INSTRUCTION_CODES:
+        width, value = code[0], code[1]
+        bits = format(value, "b").zfill(width)
+        want = tv.parse_body(prefix + bits)
+        got = tv.extend(base, code)
+        assert got == want and got.key_regs == want.key_regs, bits
+        seen.add(bits)
+    # prefix-free and complete: every 10-bit string starts with exactly one code
+    assert sum(1 << (10 - len(bits)) for bits in seen) == 1 << 10
+    assert all(not b.startswith(a) for a, b in zip(sorted(seen), sorted(seen)[1:]))
+
+
 # ------------------------------------------------------------------ cycle key
 
 @pytest.mark.parametrize("descriptor", ["none", "zero", "halting:1000", "bits:0101"])
@@ -157,6 +173,56 @@ def test_cycle_detection_agrees_with_plain_runs(descriptor):
             assert checked.queried == plain.queried, p.bits
             continue
         assert checked == plain, p.bits
+
+
+# Loops are rare among uniform bodies (about 1 in 10^5 at 28-36 bits), so
+# these bodies are built from instruction tokens weighted toward the ones
+# loops are made of: counters, tests, backward jumps and oracle queries.
+_LOOP_KINDS = ["DEC"] * 3 + ["JZ"] * 3 + ["INC"] * 2 + ["ORACLE"] * 2 + [
+    "JMP", "EMIT0", "EMIT1", "EMITR"]
+
+
+def _loop_token(kind, counter):
+    reg = st.one_of(st.just(counter), st.integers(0, 3))
+    if kind in ("INC", "DEC"):
+        return reg.map(lambda r: (kind, r))
+    if kind == "JZ":
+        return st.tuples(st.just(kind), reg, st.integers(-8, 7))
+    if kind == "JMP":
+        return st.integers(-8, -1).map(lambda d: (kind, d))
+    return st.just((kind,))
+
+
+@st.composite
+def loop_bodies(draw):
+    """28-48 bits: a counter register set by 1-3 INCs, a loop of tokens
+    closed by a JMP or JZ back to its start, then more tokens.  A token
+    cut at the end is a tail the parser drops, never a HALT."""
+    counter = draw(st.integers(0, 3))
+    token = st.sampled_from(_LOOP_KINDS).flatmap(lambda kind: _loop_token(kind, counter))
+    loop = draw(st.lists(token, min_size=1, max_size=4))
+    back = -len(loop) - 1
+    close = draw(st.one_of(st.just(("JMP", back)),
+                           st.integers(0, 3).map(lambda r: ("JZ", r, back))))
+    body = assemble([("INC", counter)] * draw(st.integers(1, 3)) + loop + [close])
+    size = draw(st.integers(28, 48))
+    while len(body) < size:
+        body += assemble([draw(token)])
+    return body[:size]
+
+
+@pytest.mark.parametrize("descriptor", ["none", "zero", "halting:1000", "bits:0101"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=loop_bodies(), x=st.integers(0, 6))
+def test_cycle_detection_agrees_with_plain_runs_on_loops(descriptor, body, x):
+    oracle = parse_oracle(descriptor)
+    checked = run_body(body, oracle, 2000, r2=x, detect_cycles=True)
+    plain = run_body(body, oracle, 2000, r2=x)
+    if checked.kind == "diverged":
+        assert plain.kind == "budget"
+        assert checked.queried == plain.queried
+    else:
+        assert checked == plain
 
 
 @pytest.mark.parametrize("reg", range(4))
