@@ -14,7 +14,11 @@ few steps of its first instructions.  A prefix whose run ends inside it
 settles its whole subtree, whose mass has a closed form; a prefix whose
 run reaches its end settles the bodies whose remaining bits hold no
 complete instruction and splits into one child per next instruction.
-The HaltingTable docstring gives the rules and why the cycle key of a
+An ORACLE is one more branch point: under OracleBranches a run that asks
+an unpinned index splits into one child per answer.  That is how
+semimeasure.PrefixMassEvaluator averages over oracle prefixes, and it
+never fires under the real oracles of a HaltingTable.  PrefixTrie holds
+the one walk loop both use, its rules, and why the cycle key of a
 prefix is sound for all its extensions.
 
 As runs halt, the table folds them into one index by output: per
@@ -44,6 +48,7 @@ from .toyvm import (
     MEMO,
     Instructions,
     MachineState,
+    OutOfTableError,
     Program,
     _advance,
     bits_to_hex,
@@ -198,34 +203,162 @@ def _tail_counts() -> list:
     return counts
 
 
+NO_PINS = (0, 0, ())
+"""The pins of a node that has split on no oracle answer (see OracleBranches)."""
+
+
+class OracleBranches:
+    """The oracle of a walk that makes each answer a branch point.
+
+    It answers an index below depth from the pins of the node being run and
+    stops the run at any other index, which it keeps in `asked`.  Pins are
+    (mask, bits, order): index i of a depth-bit prefix is bit depth-1-i of
+    mask when pinned and of bits for its answer, and order lists the
+    answers in the order the run pinned them.  A node stopped at an index
+    at or beyond depth does not split; the least (body index, order,
+    index) of such nodes is kept in `too_deep`."""
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.pins = NO_PINS
+        self.asked: int | None = None
+        self.too_deep: tuple | None = None
+
+    def answer(self, index: int) -> int:
+        mask, bits, _order = self.pins
+        shift = self.depth - 1 - index
+        if shift >= 0 and mask >> shift & 1:
+            return bits >> shift & 1
+        self.asked = index
+        raise OutOfTableError(f"unpinned index {index}")
+
+    def split(self, body_index: int) -> tuple:
+        """(answer, child pins) for each answer to the index the node with
+        this body index stopped at, or nothing when that index is too deep."""
+        index, (mask, bits, order) = self.asked, self.pins
+        if index >= self.depth:
+            hit = (body_index, order, index)
+            if self.too_deep is None or hit < self.too_deep:
+                self.too_deep = hit
+            return ()
+        bit = 1 << (self.depth - 1 - index)
+        return ((0, (mask | bit, bits, order + (0,))),
+                (1, (mask | bit, bits | bit, order + (1,))))
+
+
+class PrefixTrie:
+    """The trie of instruction prefixes of the bodies of at most cap bits,
+    and the one loop that walks it.
+
+    A node is (instructions, prefix length, prefix value, MachineState,
+    pins): a body prefix P of whole instructions run as the body P alone,
+    under the oracle answers its pins fix (NO_PINS under a real oracle).
+    Every body P.x runs exactly as P does until the program counter first
+    leaves P's instructions, so the run stops in one of four ways:
+
+    * It halts, aborts or diverges inside P (HALT, a reserved opcode, a
+      jump before the start, an oracle abort, a repeated cycle key).
+      Every extension of P does the same, so the subtree is settled at
+      once: a halt has mass sum over body lengths n of
+      2^(n-|P|) 2^-|gamma(n+1)| 2^-n and least program index that of P.
+    * It traps: the program counter reaches len(P) or beyond.  The bodies
+      P.x whose tail x holds no complete next instruction halt there, and
+      make one halt (the tail counts follow from the opcode widths).
+      Every other body is P.I.y for exactly one next instruction I, so
+      one child per encoding of I that fits under the cap resumes from a
+      copy of the state; a child whose program counter is still past its
+      end traps again at once.
+    * It stops at an ORACLE of an OracleBranches whose answer is not
+      pinned.  An index below depth splits the node into two children on
+      the same P, one per answer: each resumes at the next instruction
+      with R1 set to its answer and the index added to `queried` and to
+      its pins; `steps` already counts the ORACLE step.  An index at or
+      beyond depth drops the node and is recorded by the oracle.  A real
+      oracle never leaves an answer unpinned, so under one this never
+      happens.
+    * It reaches the budget: the node goes to `live` for a later walk
+      at a larger budget, or is dropped when there is none.
+
+    Cycle keys project onto P's control registers.  That is sound for
+    every extension, because between two equal keys the run executed only
+    P's instructions, which read no other register, and asked no index
+    it had not pinned; a child whose control registers grow starts a
+    fresh key set, and a split child keeps a copy of its parent's."""
+
+    def __init__(self, cap: int):
+        if cap < 2:
+            raise ValueError("cap must be at least 2")
+        nmax = self.nmax = _max_body_length(cap)
+        weight = [1 << (cap - program_length(n)) for n in range(nmax + 1)]
+        tails = _tail_counts()
+        # per prefix length p, in units of 2^-cap: the mass of the subtree,
+        # and of its tails that hold no complete instruction
+        self.subtree_mass = [sum(weight[n] << (n - p) for n in range(p, nmax + 1))
+                             for p in range(nmax + 1)]
+        self.tail_mass = [sum(c * weight[p + n] for n, c in enumerate(tails)
+                              if p + n <= nmax) for p in range(nmax + 1)]
+        # per number of body bits left: the instruction codes that fit
+        self.fits = [[code for code in INSTRUCTION_CODES if code[0] <= room]
+                     for room in range(nmax + 1)]
+
+    @staticmethod
+    def root() -> list:
+        """A stack holding the root, the empty body."""
+        return [(Instructions(), 0, 0, MachineState(), NO_PINS)]
+
+    def walk(self, stack: list, oracle, budget: int, live: list | None = None):
+        """Run the nodes on stack and all their descendants to budget,
+        popping them; yield (least program index, pins, Halted, mass
+        numerator) for each halt, in no fixed order."""
+        nmax, fits = self.nmax, self.fits
+        subtree_mass, tail_mass = self.subtree_mass, self.tail_mass
+        branching = isinstance(oracle, OracleBranches)
+        while stack:
+            node = stack.pop()
+            instrs, p, v, st, pins = node
+            if branching:
+                oracle.pins = pins
+            outcome = _advance(instrs, oracle, budget, st, True)
+            if outcome is None:
+                if live is not None:
+                    live.append(node)
+                continue
+            kind = outcome.kind
+            if kind == "aborted" and branching:
+                index = oracle.asked
+                for bit, child_pins in oracle.split((1 << p) - 1 + v):
+                    regs = st.regs[:]
+                    regs[1] = bit
+                    stack.append((instrs, p, v, MachineState(
+                        st.pc + 1, regs, st.steps, st.rope, st.output_length,
+                        st.queried | {index}, set(st.seen)), child_pins))
+                continue
+            if kind != "halted":
+                continue
+            trapped = st.pc >= len(instrs)
+            yield (1 << p) - 1 + v, pins, outcome, tail_mass[p] if trapped else subtree_mass[p]
+            if not trapped:
+                continue
+            regs, queried, seen = st.regs, st.queried, st.seen
+            for code in fits[nmax - p]:
+                child = extend(instrs, code)
+                width = code[0]
+                stack.append((child, p + width, v << width | code[1], MachineState(
+                    st.pc, regs[:], st.steps, st.rope, st.output_length, set(queried),
+                    set(seen) if seen is not None and child.mask == instrs.mask else None),
+                    pins))
+
+
 class HaltingTable:
     """Resumable halting data for every program of at most cap bits under
     one oracle.  Results are independent of query interleaving.
 
-    The programs are walked as a trie of instruction prefixes, not one by
-    one.  A node is a body prefix P of whole instructions with one machine
-    state, run as the body P alone.  Every body P.x runs exactly as P does
-    until the program counter first leaves P's instructions, so the run
-    stops in one of three ways:
-
-    * It halts, aborts or diverges inside P (HALT, a reserved opcode, a
-      jump before the start, an oracle abort, a repeated cycle key).
-      Every extension of P does the same, so the subtree is recorded once:
-      mass sum over body lengths n of 2^(n-|P|) 2^-|gamma(n+1)| 2^-n, least
-      program index that of P itself.
-    * It traps: the program counter reaches len(P) or beyond.  The bodies
-      P.x whose tail x holds no complete next instruction halt there, and
-      are recorded as one entry (the tail counts follow from the opcode
-      widths).  Every other body is P.I.y for exactly one next instruction
-      I, so one child per encoding of I that fits under the cap resumes
-      from a copy of the state; a child whose program counter is still
-      past its end traps again at once.
-    * It reaches the budget, and waits in `_live` for the next `ensure`.
-
-    Cycle keys project onto P's control registers.  That is sound for
-    every extension, because between two equal keys the run executed only
-    P's instructions, which read no other register; a child whose control
-    registers grow starts a fresh key set.
+    The programs are walked as a PrefixTrie, not one by one: a node whose
+    run ends inside its prefix settles its whole subtree, one that traps
+    settles its tails and grows one child per next instruction, and one
+    that reaches the budget waits in `_live` for the next `ensure`.  The
+    oracle is a real one, so no node branches on an oracle answer (the
+    trie's ORACLE branch point serves PrefixMassEvaluator).
 
     Halts are folded into one index output -> {halt step: [least program
     index, mass numerator]}, masses in units of 2^-cap.  The walk is not
@@ -237,38 +370,24 @@ class HaltingTable:
     only after an `ensure` adds halts."""
 
     def __init__(self, oracle, cap: int):
-        if cap < 2:
-            raise ValueError("cap must be at least 2")
+        self._trie = PrefixTrie(cap)
         self.oracle = oracle
         self.cap = cap
         self.programs = Programs(cap)
-        nmax = self._nmax = _max_body_length(cap)
-        weight = [1 << (cap - program_length(n)) for n in range(nmax + 1)]
-        tails = _tail_counts()
-        # per prefix length p: the mass of the subtree, and of its tails
-        # that hold no complete instruction
-        self._subtree_mass = [sum(weight[n] << (n - p) for n in range(p, nmax + 1))
-                              for p in range(nmax + 1)]
-        self._tail_mass = [sum(c * weight[p + n] for n, c in enumerate(tails)
-                               if p + n <= nmax) for p in range(nmax + 1)]
-        # per number of body bits left: the instruction codes that fit
-        self._fits = [[code for code in INSTRUCTION_CODES if code[0] <= room]
-                      for room in range(nmax + 1)]
         self._halts: dict = {}  # output -> {halt step: [least index, mass]}
         self._long: list = []   # (index, halt step, mass, rope, output length)
         self._view: dict | None = {}  # output -> _running(...), lex order
         self._order: list = []  # the outputs of _view, sorted
-        # trie nodes waiting on a larger budget: (instructions, prefix
-        # length, prefix value, MachineState); the root is the empty body
-        self._live: list = [(Instructions(), 0, 0, MachineState())]
+        # trie nodes waiting on a larger budget; the root is the empty body
+        self._live: list = PrefixTrie.root()
         self._budget = -1       # every run is resolved or advanced this far
 
     @property
     def unresolved(self) -> int:
         """Number of programs whose run neither halted, aborted nor
         provably diverged within the budgets ensured so far."""
-        nmax = self._nmax
-        return sum((1 << (nmax - p + 1)) - 1 for _i, p, _v, _st in self._live)
+        nmax = self._trie.nmax
+        return sum((1 << (nmax - p + 1)) - 1 for _i, p, _v, _st, _pins in self._live)
 
     @property
     def settled_stage(self) -> int | None:
@@ -289,38 +408,17 @@ class HaltingTable:
     def ensure(self, budget: int) -> None:
         if budget <= self._budget:
             return
-        oracle, nmax, halts, fits = self.oracle, self._nmax, self._halts, self._fits
-        subtree_mass, tail_mass = self._subtree_mass, self._tail_mass
-        stack, live = self._live, []
+        halts, live = self._halts, []
         added = False
-        while stack:
-            node = stack.pop()
-            instrs, p, v, st = node
-            outcome = _advance(instrs, oracle, budget, st, True)
-            if outcome is None:
-                live.append(node)
-                continue
-            if outcome.kind != "halted":
-                continue
+        for index, _pins, outcome, mass in self._trie.walk(self._live, self.oracle,
+                                                           budget, live):
             added = True
-            index = (1 << p) - 1 + v
-            trapped = st.pc >= len(instrs)
-            mass = tail_mass[p] if trapped else subtree_mass[p]
             if outcome.output_length > OUTPUT_BITS:
                 self._long.append((index, outcome.steps, mass, outcome.rope,
                                    outcome.output_length))
             else:
                 _fold(halts.setdefault(rope_materialize(outcome.rope, OUTPUT_BITS), {}),
                       outcome.steps, index, mass)
-            if not trapped:
-                continue
-            regs, queried, seen = st.regs, st.queried, st.seen
-            for code in fits[nmax - p]:
-                child = extend(instrs, code)
-                width = code[0]
-                stack.append((child, p + width, v << width | code[1], MachineState(
-                    st.pc, regs[:], st.steps, st.rope, st.output_length, set(queried),
-                    set(seen) if seen is not None and child.mask == instrs.mask else None)))
         self._live = live
         if added:
             self._view = None

@@ -402,8 +402,13 @@ def measure_cheap_oracles(x_prefix: str, n: int, k, t: TimeBound, stage: int,
     check_bits(x_prefix)
     if not 0 <= n <= len(x_prefix):
         raise ValueError("n must lie between 0 and the prefix length")
+    k = Fraction(k)
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if stage < 0:
+        raise ValueError(f"stage must be nonnegative, got {stage}")
     sigma = x_prefix[:n]
-    threshold = Fraction(k) * m_stage(sigma, t(n), None, cap)
+    threshold = k * m_stage(sigma, t(n), None, cap)
     ev = prefix_mass_evaluator(stage, cap, depth)
     bound = threshold.numerator << cap
     hits = sum(1 for y in range(1 << depth)

@@ -9,9 +9,11 @@ monotone in s with total mass at most 1 by prefix-freeness.  The module
 also converts computable semimeasure tables into the stage at which the
 machine semimeasure dominates them (a first-crossing search over halting
 events), and integrates the oracle-relative semimeasure exactly over all
-oracle prefixes of a given depth, as integer sums over one index per
-(budget, cap, depth) of every program's halting oracle branches, weighted
-in units of 2^-cap; a Fraction is built only for the value returned.
+oracle prefixes of a given depth.  The integral reads one index per
+(budget, cap, depth) of every halting oracle branch, built by one walk
+of the instruction-prefix trie (complexity.PrefixTrie) in which each
+unpinned oracle answer is a branch point.  It sums integers in units of
+2^-cap; a Fraction is built only for the value returned.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexity import NoStageWithinBudget, TimeBound, halting_table, k_stage
+from .complexity import (
+    NoStageWithinBudget,
+    OracleBranches,
+    PrefixTrie,
+    TimeBound,
+    halting_table,
+    k_stage,
+)
 from .toyvm import (
     MEMO,
     MachineState,
@@ -28,6 +37,7 @@ from .toyvm import (
     Program,
     _advance,
     check_bits,
+    index_to_body,
     parse_body,
     programs_up_to,
     rope_materialize,
@@ -176,9 +186,16 @@ def semimeasure_to_timebound(m: ComputableSemimeasure, c: Fraction, n: int,
 # --------------------------------------------------------------------------
 # exact averaging over oracle prefixes
 #
-# Outcomes depend only on queried bits, so each program is explored as a
-# finite branching tree over its oracle answers; a leaf that pins q bits
-# stands for a 2^-q slice of the prefix space.
+# Outcomes depend only on queried bits, so a program's runs form a finite
+# branching tree over its oracle answers; a leaf that pins q bits stands
+# for a 2^-q slice of the prefix space, and a program's leaves partition
+# it.  PrefixMassEvaluator grows these trees for every program at once:
+# it walks the instruction-prefix trie under OracleBranches, where a run
+# that asks an unpinned index below depth splits into one child per
+# answer, and each halt adds its closed-form subtree or tail mass to the
+# entry of its pinned bits.  oracle_leaves explores one program by
+# restarting it per branch; it reads nothing from the walk and is the
+# reference the walk is checked against.
 
 
 class _ProbeOracle:
@@ -251,23 +268,35 @@ class PrefixMassEvaluator:
     indexed by output: halts[sigma][mask, bits] is the summed 2^-|p|, in
     units of 2^-cap, of the branches printing sigma that pin the indices
     in mask to the answers in bits (index i of a depth-bit prefix y is bit
-    depth-1-i of int(y, 2); a program that never queries is (0, 0)).  A
-    program's branches partition the prefixes, so the mass under y is the
-    sum of the weights whose entry matches y."""
+    depth-1-i of int(y, 2); a program that never queries is (0, 0)).  An
+    output longer than 4096 bits is keyed None.  A program's branches
+    partition the prefixes, so the mass under y is the sum of the weights
+    whose entry matches y.
+
+    The index comes from one walk of the instruction-prefix trie (see
+    complexity.PrefixTrie) under OracleBranches(depth): a node that asks
+    an unpinned index below depth splits into one child per answer, and
+    a node that halts adds its subtree or tail mass to its entry.  A run
+    that reaches the budget or diverges adds nothing, as there is only
+    this one budget.  A query at depth or beyond raises DepthViolation
+    naming the canonically least program that makes one, with the index
+    its first such branch asks."""
 
     def __init__(self, budget: int, cap: int, depth: int):
-        if cap < 2:
-            raise ValueError("cap must be at least 2")
+        if budget < 0:
+            raise ValueError("budget must be nonnegative")
+        trie = PrefixTrie(cap)
+        answers = OracleBranches(depth)
         self.cap = cap
-        self.halts: dict[str, dict[tuple[int, int], int]] = {}
-        for p in programs_up_to(cap):
-            weight = 1 << (cap - len(p))
-            for leaf in oracle_leaves(p, budget, depth):
-                if leaf.halted:
-                    mask = sum(1 << (depth - 1 - i) for i, _b in leaf.assign)
-                    bits = sum(b << (depth - 1 - i) for i, b in leaf.assign)
-                    entries = self.halts.setdefault(leaf.output, {})
-                    entries[mask, bits] = entries.get((mask, bits), 0) + weight
+        self.halts: dict[str | None, dict[tuple[int, int], int]] = {}
+        for _index, (mask, bits, _order), outcome, mass in trie.walk(
+                trie.root(), answers, budget):
+            entries = self.halts.setdefault(rope_materialize(outcome.rope, 1 << 12), {})
+            entries[mask, bits] = entries.get((mask, bits), 0) + mass
+        if answers.too_deep is not None:
+            index, _order, query = answers.too_deep
+            program = Program.encode(index_to_body(index))
+            raise DepthViolation(f"program {program.bits} queries index {query}")
 
     def numerator(self, sigma: str, prefix: int) -> int:
         """The mass at sigma under the prefix int(y, 2), in units of 2^-cap."""

@@ -190,6 +190,14 @@ def test_k_rejects_non_binary_sigma(tmp_path, capsys):
      "--t", "poly:10,1", "--stage", "20", "--depth", "2", "--cap", "10"],
     ["measure-cheap", "--x", "bits:0000", "--n", "-5", "--k", "1",
      "--t", "table:{tmp}/t.txt", "--stage", "20", "--depth", "2", "--cap", "10"],
+    ["measure-cheap", "--x", "bits:1111", "--n", "1", "--k", "0",
+     "--t", "poly:10,1", "--stage", "20", "--depth", "2", "--cap", "10"],
+    ["measure-cheap", "--x", "bits:1111", "--n", "1", "--k", "-2",
+     "--t", "poly:10,1", "--stage", "20", "--depth", "2", "--cap", "10"],
+    ["measure-cheap", "--x", "bits:1111", "--n", "1", "--k", "1",
+     "--t", "poly:10,1", "--stage", "-5", "--depth", "2", "--cap", "10"],
+    ["avg", "--sigma", "1", "--t", "table:{tmp}/negative.txt", "--depth", "2",
+     "--cap", "10"],
     ["psi", "--a-prefix", "bits:00", "--t", "poly:5,1", "--tprime", "poly:5,1",
      "--c", "1/0", "--cap", "10"],
     ["convert-timebound", "--table", "{tmp}/zero-den.tsv", "--c", "2", "--n", "1",
@@ -202,6 +210,7 @@ def test_k_rejects_non_binary_sigma(tmp_path, capsys):
 ])
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "t.txt").write_text("1 2 3\n")
+    (tmp_path / "negative.txt").write_text("-4 -3\n")
     (tmp_path / "zero-den.tsv").write_text("0\t1/0\n")
     (tmp_path / "sched.json").write_text('{"depth": 8, "stages": []}')
     code = dispatch([a.format(tmp=tmp_path) for a in argv])

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from depthlab import semimeasure
-from depthlab.complexity import NoStageWithinBudget, TimeBound, halting_table
+from depthlab.complexity import (NO_PINS, NoStageWithinBudget, OracleBranches, PrefixTrie,
+                                 TimeBound, halting_table)
 from depthlab.semimeasure import (
     ComputableSemimeasure,
     DepthViolation,
+    PrefixMassEvaluator,
     coding_gap,
     m_stage,
     monte_carlo_average,
@@ -17,9 +20,11 @@ from depthlab.semimeasure import (
     relative_mass,
     semimeasure_to_timebound,
 )
-from depthlab.toyvm import (PrefixOracle, Program, assemble, parse_oracle,
-                            programs_up_to, run, strings_of_length)
+from depthlab.toyvm import (MEMO, MachineState, PrefixOracle, Program, assemble,
+                            parse_body, parse_oracle, programs_up_to, run,
+                            strings_of_length)
 from reference_runs import halting_runs, reference_mass_map
+from test_toyvm import loop_bodies
 
 
 def all_strings(max_len):
@@ -217,12 +222,23 @@ def test_exact_equals_direct_enumeration():
 
 def test_direct_enumeration_catches_overlapping_branches(monkeypatch):
     # the index sums every branch a prefix matches, the reference takes one
-    # per program, so branches that overlapped would break the identity
-    explore = semimeasure.oracle_leaves
-    monkeypatch.setattr(semimeasure, "oracle_leaves", lambda *a: explore(*a) * 2)
+    # per program, so branches that overlapped would break the identity.
+    # Here the walk's answer-1 child leaves its index unpinned, so it also
+    # matches the prefixes of its answer-0 sibling; at cap 15 ORACLE; EMITR
+    # fits, so "1" depends on an answer
+    split = OracleBranches.split
+
+    def overlapping(self, body_index):
+        pins = self.pins
+        return tuple((bit, pins if bit else child)
+                     for bit, child in split(self, body_index))
+
     t = TimeBound.poly(10, 1)
-    exact = oracle_average("1", t, 12, 2)
-    assert exact == 2 * oracle_average_direct("1", t, 12, 2) > 0
+    direct = oracle_average_direct("1", t, 15, 2)
+    assert oracle_average("1", t, 15, 2) == direct
+    MEMO.reset()
+    monkeypatch.setattr(OracleBranches, "split", overlapping)
+    assert oracle_average("1", t, 15, 2) > direct
 
 
 def test_monte_carlo_within_three_se():
@@ -276,6 +292,98 @@ def test_monte_carlo_matches_fraction_recomputation():
                if samples > 1 else Fraction(0))
         se = (float(var) / samples) ** 0.5
         assert monte_carlo_average(sigma, t, cap, depth, samples, seed=11) == (mean, se)
+
+
+def reference_prefix_index(budget, cap, depth):
+    """PrefixMassEvaluator.halts rebuilt one program at a time from
+    oracle_leaves, which restarts the program per oracle branch."""
+    halts = {}
+    for p in programs_up_to(cap):
+        weight = 1 << (cap - len(p))
+        for leaf in oracle_leaves(p, budget, depth):
+            if leaf.halted:
+                mask = sum(1 << (depth - 1 - i) for i, _b in leaf.assign)
+                bits = sum(b << (depth - 1 - i) for i, b in leaf.assign)
+                entries = halts.setdefault(leaf.output, {})
+                entries[mask, bits] = entries.get((mask, bits), 0) + weight
+    return halts
+
+
+@pytest.mark.parametrize("budget,cap,depth", [(30, 22, 6), (20, 20, 8), (1000, 18, 6),
+                                              (10, 18, 2)])
+def test_prefix_walk_matches_per_program_leaves(budget, cap, depth):
+    halts = PrefixMassEvaluator(budget, cap, depth).halts
+    assert halts == reference_prefix_index(budget, cap, depth)
+    assert any(mask for entries in halts.values() for mask, _bits in entries)
+
+
+def first_depth_violation(budget, cap, depth):
+    """The message oracle_leaves raises for the canonically first program
+    that queries at depth or beyond, or None."""
+    for p in programs_up_to(cap):
+        try:
+            oracle_leaves(p, budget, depth)
+        except DepthViolation as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("budget,cap", [(10, 17), (10, 20), (30, 22)])
+def test_depth_violation_names_the_first_program(budget, cap):
+    expected = first_depth_violation(budget, cap, 1)
+    assert expected is not None
+    with pytest.raises(DepthViolation) as exc:
+        PrefixMassEvaluator(budget, cap, 1)
+    assert str(exc.value) == expected
+
+
+def test_depth_violation_names_the_first_branch():
+    # the answer-0 branch asks index 2 and the answer-1 branch index 1;
+    # oracle_leaves explores answer 0 first, so both name index 2
+    body = assemble([("ORACLE",), ("JZ", 1, "zero"), ("INC", 0), ("ORACLE",), ("HALT",),
+                     "zero:", ("INC", 0), ("INC", 0), ("ORACLE",)])
+    p = Program.encode(body)
+    with pytest.raises(DepthViolation, match="queries index 2$") as exc:
+        oracle_leaves(p, 10, 1)
+    trie, answers = PrefixTrie(len(p)), OracleBranches(1)
+    node = (parse_body(body), len(body), int(body, 2), MachineState(), NO_PINS)
+    assert list(trie.walk([node], answers, 10)) == []
+    index, order, query = answers.too_deep
+    assert (index, order, query) == (p.index, (0,), 2)
+    assert str(exc.value) == f"program {p.bits} queries index {query}"
+
+
+def test_evaluator_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        PrefixMassEvaluator(-1, 10, 2)
+
+
+# loop bodies around an R0 counter, weighted toward queries and the
+# registers they read and write, so that some runs query several indices
+_ORACLE_LOOP_KINDS = ["ORACLE"] * 3 + ["INC"] * 2 + ["DEC"] * 2 + ["JZ"] * 2 + [
+    "EMITR"] * 2 + ["JMP"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=st.one_of(loop_bodies(), loop_bodies(counter=0, kinds=_ORACLE_LOOP_KINDS)))
+def test_oracle_leaves_agree_with_prefix_runs_on_loops(body):
+    # bodies that loop and query more than once: the leaves partition the
+    # depth-4 prefixes, and the leaf a prefix selects is the outcome of one
+    # run under the bits: oracle of that prefix; a depth violation is a
+    # run that leaves the table
+    p = Program.encode(body)
+    runs = {prefix: run(p, PrefixOracle(prefix), 500, detect_cycles=True)
+            for prefix in strings_of_length(4)}
+    try:
+        leaves = oracle_leaves(p, 500, 4)
+    except DepthViolation:
+        assert any(out.kind == "aborted" for out in runs.values())
+        return
+    for prefix, out in runs.items():
+        (leaf,) = [leaf for leaf in leaves if leaf.consistent(prefix)]
+        assert out.kind != "aborted"
+        assert leaf.halted == (out.kind == "halted")
+        assert leaf.output == (out.output if leaf.halted else None)
 
 
 def test_depth_violation_detected():

@@ -194,12 +194,14 @@ def _loop_token(kind, counter):
 
 
 @st.composite
-def loop_bodies(draw):
-    """28-48 bits: a counter register set by 1-3 INCs, a loop of tokens
-    closed by a JMP or JZ back to its start, then more tokens.  A token
-    cut at the end is a tail the parser drops, never a HALT."""
-    counter = draw(st.integers(0, 3))
-    token = st.sampled_from(_LOOP_KINDS).flatmap(lambda kind: _loop_token(kind, counter))
+def loop_bodies(draw, counter=None, kinds=_LOOP_KINDS):
+    """28-48 bits: a counter register (drawn unless given) set by 1-3
+    INCs, a loop of tokens of the given kinds closed by a JMP or JZ back
+    to its start, then more tokens.  A token cut at the end is a tail the
+    parser drops, never a HALT."""
+    if counter is None:
+        counter = draw(st.integers(0, 3))
+    token = st.sampled_from(kinds).flatmap(lambda kind: _loop_token(kind, counter))
     loop = draw(st.lists(token, min_size=1, max_size=4))
     back = -len(loop) - 1
     close = draw(st.one_of(st.just(("JMP", back)),
