@@ -213,8 +213,6 @@ def _cmd_profile(args) -> int:
             parse_oracle(args.oracle), args.cap)
     for notice in notices:
         sys.stderr.write(f"warning: {notice.message}\n")
-    if args.csv and not args.out:
-        args.out = args.csv
     _emit(args, "\n".join(prof.csv_lines()) + "\n")
     return EXIT_OK
 
@@ -222,8 +220,6 @@ def _cmd_profile(args) -> int:
 def _cmd_build_deep(args) -> int:
     _require_nonnegative(args, "--mart-stage")
     oracle = parse_oracle(args.oracle)
-    if args.mart != "mixture":
-        raise ValueError(f"unknown martingale family {args.mart!r}")
     cfg = constructions.BuilderConfig(
         rounds=args.rounds,
         martingale=randomness.default_builder_martingale(oracle, args.cap),
@@ -424,12 +420,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depthlab",
         description="desk-scale complexity, semimeasure and forcing experiments",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="write the artifact here instead of stdout")
         return p
@@ -499,11 +496,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--oracle", default="none")
     p.add_argument("--cap", type=int, default=18)
-    p.add_argument("--csv", help="CSV destination (same as --out)")
 
     p = add("build-deep", _cmd_build_deep, help="finite-extension builder")
     p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--mart", default="mixture")
     p.add_argument("--oracle", default="halting:10000")
     p.add_argument("--T", required=True, help="dominating time bound")
     p.add_argument("--cap", type=int, default=18)

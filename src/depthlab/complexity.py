@@ -23,8 +23,8 @@ prefix is sound for all its extensions.
 
 As runs halt, the table folds them into one index by output: per
 halting step, the least program index and the summed mass.  Every read
-at a budget -- K_s, m_s, the output and mass maps, the cylinder sums of
-the machine martingale, the first-crossing search -- is a bisect into
+at a budget -- K_s, m_s, the output map, the cylinder sums of the
+machine martingale, the first-crossing search -- is a bisect into
 one output's step-sorted running totals, so no read rescans the
 programs or keeps a cache per (budget, length).  Witnesses are the
 lexicographically least among the shortest: a program's index is its
@@ -47,6 +47,7 @@ from .toyvm import (
     INSTRUCTION_CODES,
     MEMO,
     Instructions,
+    MachineError,
     MachineState,
     OutOfTableError,
     Program,
@@ -56,10 +57,9 @@ from .toyvm import (
     extend,
     index_to_body,
     oracle_key,
+    output_string,
     program_length,
-    rope_equals,
     rope_materialize,
-    rope_prefix,
     run,
 )
 
@@ -126,10 +126,6 @@ class TimeBound:
 # --------------------------------------------------------------------------
 # the shared enumeration core
 
-
-OUTPUT_BITS = 64
-"""Outputs of at most this many bits are indexed by their string; a longer
-one keeps its rope in a side list that reads scan."""
 
 _NO_HALTS = ((), (), ())
 
@@ -363,11 +359,12 @@ class HaltingTable:
     Halts are folded into one index output -> {halt step: [least program
     index, mass numerator]}, masses in units of 2^-cap.  The walk is not
     in canonical order, so each step keeps the minimum index it is given.
-    The output is materialized once, and only outputs longer than
-    OUTPUT_BITS keep their rope, in a short side list.  Every read goes
-    through a per-output view sorted by step with a running least index
-    and running mass, so a budget is one bisect_right; the view is rebuilt
-    only after an `ensure` adds halts."""
+    Each halt is keyed by its whole output (toyvm.output_string), so a
+    halt on more than toyvm.OUTPUT_LIMIT bits stops the walk with
+    MachineError, and the table refuses any later `ensure`.  Every read
+    goes through a per-output view sorted by step with a running least
+    index and running mass, so a budget is one bisect_right; the view is
+    rebuilt only after an `ensure` adds halts."""
 
     def __init__(self, oracle, cap: int):
         self._trie = PrefixTrie(cap)
@@ -375,11 +372,11 @@ class HaltingTable:
         self.cap = cap
         self.programs = Programs(cap)
         self._halts: dict = {}  # output -> {halt step: [least index, mass]}
-        self._long: list = []   # (index, halt step, mass, rope, output length)
         self._view: dict | None = {}  # output -> _running(...), lex order
         self._order: list = []  # the outputs of _view, sorted
-        # trie nodes waiting on a larger budget; the root is the empty body
-        self._live: list = PrefixTrie.root()
+        # trie nodes waiting on a larger budget; the root is the empty body;
+        # None after a walk that raised, whose nodes are lost
+        self._live: list | None = PrefixTrie.root()
         self._budget = -1       # every run is resolved or advanced this far
 
     @property
@@ -394,31 +391,26 @@ class HaltingTable:
         """The largest halting step resolved so far, or None before any
         halt: every read at a larger budget equals the read at this one
         once nothing is unresolved."""
-        steps = [s for at in self._halts.values() for s in at]
-        steps += [s for _i, s, _m, _r, _n in self._long]
-        return max(steps, default=None)
+        return max((s for at in self._halts.values() for s in at), default=None)
 
     @property
     def reach(self) -> int | None:
         """The longest output resolved so far, or None before any halt."""
-        lengths = [len(sigma) for sigma in self._halts]
-        lengths += [n for _i, _s, _m, _r, n in self._long]
-        return max(lengths, default=None)
+        return max(map(len, self._halts), default=None)
 
     def ensure(self, budget: int) -> None:
         if budget <= self._budget:
             return
-        halts, live = self._halts, []
+        if self._live is None:
+            raise MachineError("an earlier walk of this table stopped part-way")
+        halts, pending, live = self._halts, self._live, []
+        self._live = None
         added = False
-        for index, _pins, outcome, mass in self._trie.walk(self._live, self.oracle,
+        for index, _pins, outcome, mass in self._trie.walk(pending, self.oracle,
                                                            budget, live):
             added = True
-            if outcome.output_length > OUTPUT_BITS:
-                self._long.append((index, outcome.steps, mass, outcome.rope,
-                                   outcome.output_length))
-            else:
-                _fold(halts.setdefault(rope_materialize(outcome.rope, OUTPUT_BITS), {}),
-                      outcome.steps, index, mass)
+            _fold(halts.setdefault(output_string(outcome.rope), {}),
+                  outcome.steps, index, mass)
         self._live = live
         if added:
             self._view = None
@@ -436,13 +428,7 @@ class HaltingTable:
         """(halt steps ascending, running least program index, running
         mass numerator) of the halts on sigma resolved so far; call
         ensure() first.  Does not advance any program."""
-        if len(sigma) <= OUTPUT_BITS:
-            return self._read_view().get(sigma, _NO_HALTS)
-        at: dict = {}
-        for i, s, m, rope, _n in self._long:
-            if rope_equals(rope, sigma):
-                _fold(at, s, i, m)
-        return _running(at) if at else _NO_HALTS
+        return self._read_view().get(sigma, _NO_HALTS)
 
     def _at(self, sigma: str, budget: int):
         """(least program index, mass numerator) of the halts on sigma
@@ -460,47 +446,22 @@ class HaltingTable:
         hit = self._at(sigma, budget)
         return 0 if hit is None else hit[1]
 
-    def _outputs(self, budget: int, max_len: int) -> list:
-        """(least program index, output, mass numerator) of every output
-        of at most max_len bits that halts within budget, in canonical
-        order of the first witness."""
+    def output_map(self, budget: int, max_len: int) -> dict:
+        """output string -> (program length, Program), first (= canonical)
+        witness per output, restricted to outputs of at most max_len bits,
+        in canonical order of the witnesses."""
         self.ensure(budget)
         found = []
         for sigma, record in self._read_view().items():
             hit = _within(record, budget) if len(sigma) <= max_len else None
             if hit is not None:
-                found.append((hit[0], sigma, hit[1]))
-        longs: dict = {}
-        for i, s, m, rope, n in self._long:
-            if s <= budget and n <= max_len:
-                entry = longs.setdefault(rope_materialize(rope, n), [i, 0])
-                entry[0] = min(entry[0], i)
-                entry[1] += m
-        found += [(i, sigma, m) for sigma, (i, m) in longs.items()]
+                found.append((hit[0], sigma))
         found.sort()
-        return found
-
-    def output_map(self, budget: int, max_len: int) -> dict:
-        """output string -> (program length, Program), first (= canonical)
-        witness per output, restricted to outputs of at most max_len bits."""
-        witnesses = {sigma: self.programs[i]
-                     for i, sigma, _m in self._outputs(budget, max_len)}
+        witnesses = {sigma: self.programs[i] for i, sigma in found}
         return {sigma: (len(p), p) for sigma, p in witnesses.items()}
 
-    def mass_map(self, budget: int, max_len: int) -> dict:
-        """output string -> exact halting mass sum(2^-|p|), restricted to
-        outputs of at most max_len bits."""
-        unit = 1 << self.cap
-        return {sigma: Fraction(m, unit)
-                for _i, sigma, m in self._outputs(budget, max_len)}
-
     def total_mass(self, budget: int) -> Fraction:
-        self.ensure(budget)
-        total = sum(m for _i, s, m, _r, _n in self._long if s <= budget)
-        for record in self._read_view().values():
-            hit = _within(record, budget)
-            total += 0 if hit is None else hit[1]
-        return Fraction(total, 1 << self.cap)
+        return Fraction(self.cylinder_numerator("", budget), 1 << self.cap)
 
     def cylinder_numerator(self, prefix: str, budget: int) -> int:
         """Halting mass within budget on the outputs extending prefix, in
@@ -513,10 +474,6 @@ class HaltingTable:
         for sigma in order[bisect_left(order, prefix):bisect_left(order, prefix + "2")]:
             hit = _within(view[sigma], budget)
             total += 0 if hit is None else hit[1]
-        n = len(prefix)
-        for _i, s, m, rope, out_len in self._long:
-            if s <= budget and out_len >= n and rope_prefix(rope, n) == prefix:
-                total += m
         return total
 
 
@@ -682,7 +639,7 @@ def lift_code(tau: Program, reduction: Reduction, t: TimeBound | None = None,
         raise ValueError("tt-case lifting needs the base oracle and target")
     generous = t(len(sigma)) * (reduction.budget + 1) + reduction.budget + 1
     out, total = lifted.run_under(b_oracle, generous)
-    if out.kind != "halted" or not rope_equals(out.rope, sigma):
+    if out.kind != "halted" or rope_materialize(out.rope, len(sigma)) != sigma:
         raise ReductionDiverged("wrapped run failed to reproduce the target")
     t_prime = TimeBound.from_table([max(total, t(n)) for n in range(len(sigma) + 1)])
     return lifted, t_prime

@@ -38,9 +38,9 @@ from .toyvm import (
     _advance,
     check_bits,
     index_to_body,
+    output_string,
     parse_body,
     programs_up_to,
-    rope_materialize,
     strings_of_length,
 )
 
@@ -232,10 +232,10 @@ class OracleLeaf:
         return all(prefix[i] == ("1" if b else "0") for i, b in self.assign)
 
 
-def oracle_leaves(program: Program, budget: int, depth: int,
-                  max_len: int = 1 << 12) -> tuple[OracleLeaf, ...]:
-    """All reachable oracle-answer branches of one program at one budget.
-    Raises DepthViolation if any reachable query lands at or past depth."""
+def oracle_leaves(program: Program, budget: int, depth: int) -> tuple[OracleLeaf, ...]:
+    """All reachable oracle-answer branches of one program at one budget,
+    each halting one with its whole output (toyvm.output_string).  Raises
+    DepthViolation if any reachable query lands at or past depth."""
     instrs = parse_body(program.body)
     leaves = []
 
@@ -256,7 +256,7 @@ def oracle_leaves(program: Program, budget: int, depth: int,
         leaves.append(OracleLeaf(
             tuple(sorted(assign.items())),
             halted,
-            rope_materialize(st.rope, max_len) if halted else None,
+            output_string(st.rope) if halted else None,
         ))
 
     explore({})
@@ -268,10 +268,11 @@ class PrefixMassEvaluator:
     indexed by output: halts[sigma][mask, bits] is the summed 2^-|p|, in
     units of 2^-cap, of the branches printing sigma that pin the indices
     in mask to the answers in bits (index i of a depth-bit prefix y is bit
-    depth-1-i of int(y, 2); a program that never queries is (0, 0)).  An
-    output longer than 4096 bits is keyed None.  A program's branches
-    partition the prefixes, so the mass under y is the sum of the weights
-    whose entry matches y.
+    depth-1-i of int(y, 2); a program that never queries is (0, 0)).  Each
+    branch is keyed by its whole output (toyvm.output_string), so one
+    longer than toyvm.OUTPUT_LIMIT bits raises MachineError.  A program's
+    branches partition the prefixes, so the mass under y is the sum of the
+    weights whose entry matches y.
 
     The index comes from one walk of the instruction-prefix trie (see
     complexity.PrefixTrie) under OracleBranches(depth): a node that asks
@@ -288,10 +289,10 @@ class PrefixMassEvaluator:
         trie = PrefixTrie(cap)
         answers = OracleBranches(depth)
         self.cap = cap
-        self.halts: dict[str | None, dict[tuple[int, int], int]] = {}
+        self.halts: dict[str, dict[tuple[int, int], int]] = {}
         for _index, (mask, bits, _order), outcome, mass in trie.walk(
                 trie.root(), answers, budget):
-            entries = self.halts.setdefault(rope_materialize(outcome.rope, 1 << 12), {})
+            entries = self.halts.setdefault(output_string(outcome.rope), {})
             entries[mask, bits] = entries.get((mask, bits), 0) + mass
         if answers.too_deep is not None:
             index, _order, query = answers.too_deep

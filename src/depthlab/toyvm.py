@@ -294,7 +294,8 @@ def assemble(items: list) -> str:
 
     A bare string ending in ":" defines a label; jump targets may be given
     as label names instead of numeric offsets.  Offsets are encoded
-    relative to the next instruction and must fit in 4 signed bits.
+    relative to the next instruction and must fit in 4 signed bits;
+    registers must be 0-3.
     """
     labels: dict[str, int] = {}
     instrs = []
@@ -305,26 +306,28 @@ def assemble(items: list) -> str:
             labels[item[:-1]] = len(instrs)
         else:
             instrs.append(item)
+
+    def register(r, idx: int) -> str:
+        if not 0 <= r <= 3:
+            raise ValueError(f"register {r} out of range at {idx}")
+        return format(r, "02b")
+
+    def offset(target, idx: int) -> str:
+        off = (labels[target] - idx - 1) if isinstance(target, str) else target
+        if not -8 <= off <= 7:
+            raise ValueError(f"offset {off} out of range at {idx}")
+        return format(off & 0xF, "04b")
+
     pieces = []
     for idx, ins in enumerate(instrs):
-        name = ins[0]
-        op = _MNEMONIC[name]
+        op = _MNEMONIC[ins[0]]
         pieces.append(format(op, "04b"))
         if op in (OP_INC, OP_DEC):
-            pieces.append(format(ins[1], "02b"))
+            pieces.append(register(ins[1], idx))
         elif op == OP_JZ:
-            pieces.append(format(ins[1], "02b"))
-            target = ins[2]
-            off = (labels[target] - idx - 1) if isinstance(target, str) else target
-            if not -8 <= off <= 7:
-                raise ValueError(f"offset {off} out of range at {idx}")
-            pieces.append(format(off & 0xF, "04b"))
+            pieces += [register(ins[1], idx), offset(ins[2], idx)]
         elif op == OP_JMP:
-            target = ins[1]
-            off = (labels[target] - idx - 1) if isinstance(target, str) else target
-            if not -8 <= off <= 7:
-                raise ValueError(f"offset {off} out of range at {idx}")
-            pieces.append(format(off & 0xF, "04b"))
+            pieces.append(offset(ins[1], idx))
     return "".join(pieces)
 
 
@@ -491,11 +494,12 @@ def oracle_key(oracle) -> tuple:
 #
 # DOUBLE makes outputs grow geometrically, so the output is kept as a
 # shared binary tree: leaf (1, bit, None, None), node (len, None, l, r).
-# Materialisation is always bounded by an explicit limit.
+# Every index keys a halt by its whole output, read through output_string,
+# so a halting run that prints more than OUTPUT_LIMIT bits is an error
+# rather than a key.
 
-
-def rope_len(node) -> int:
-    return 0 if node is None else node[0]
+OUTPUT_LIMIT = 1 << 20
+"""The longest output, in bits, that a halting run may print."""
 
 
 def rope_materialize(node, limit: int):
@@ -516,27 +520,14 @@ def rope_materialize(node, limit: int):
     return "".join(out)
 
 
-def rope_prefix(node, k: int) -> str:
-    """First min(k, len) bits of the output."""
-    out: list[str] = []
-    stack = [node] if node is not None else []
-    while stack and len(out) < k:
-        ln, bit, left, right = stack.pop()
-        if bit is not None:
-            out.append("1" if bit else "0")
-        elif ln <= k - len(out):
-            s = rope_materialize((ln, bit, left, right), ln)
-            out.append(s)
-        else:
-            stack.append(right)
-            stack.append(left)
-    return "".join(out)[:k]
-
-
-def rope_equals(node, target: str) -> bool:
-    if rope_len(node) != len(target):
-        return False
-    return rope_materialize(node, len(target)) == target
+def output_string(rope) -> str:
+    """The whole output of a rope; MachineError when it is longer than
+    OUTPUT_LIMIT bits."""
+    s = rope_materialize(rope, OUTPUT_LIMIT)
+    if s is None:
+        raise MachineError(
+            f"an output of {rope[0]} bits is over the limit of {OUTPUT_LIMIT} bits")
+    return s
 
 
 # --------------------------------------------------------------------------
@@ -554,10 +545,7 @@ class Halted:
 
     @property
     def output(self) -> str:
-        s = rope_materialize(self.rope, 1 << 20)
-        if s is None:
-            raise MachineError("output too large to materialise")
-        return s
+        return output_string(self.rope)
 
 
 @dataclass(frozen=True)
@@ -844,22 +832,29 @@ def compile_const(value: int) -> int:
 DIVERGE_BODY = "01111111"  # JMP -1: a one-instruction busy loop
 
 
-def _behaviour(e: int, probes, budget: int):
+# fixed_point compares two indices on these inputs x, each run at this
+# step budget, and gives up after this many candidates
+FIXED_POINT_PROBES = (0, 1, 7)
+FIXED_POINT_BUDGET = 4096
+FIXED_POINT_ROUNDS = 32
+
+
+def _behaviour(e: int):
     sig = []
-    for x in probes:
-        res = phi(e, x, ZERO, budget, detect_cycles=True)
+    for x in FIXED_POINT_PROBES:
+        res = phi(e, x, ZERO, FIXED_POINT_BUDGET, detect_cycles=True)
         out = res.outcome
         if out.kind == "halted":
-            sig.append(("halt", res.value, rope_materialize(out.rope, 64)))
+            sig.append(("halt", res.value, output_string(out.rope)))
         else:
             sig.append(("nohalt",))
     return tuple(sig)
 
 
-def fixed_point(transformer, probes=(0, 1, 7), probe_budget: int = 4096,
-                max_rounds: int = 32) -> int:
+def fixed_point(transformer) -> int:
     """An index e* with phi_e* and phi_transformer(e*) agreeing on the
-    probe battery (inputs x in probes, at probe_budget steps).
+    probe battery (inputs x in FIXED_POINT_PROBES, at FIXED_POINT_BUDGET
+    steps, whole outputs compared).
 
     The search chases the transformer from index 0 (so the returned index
     is normally one the transformer itself built), then falls back to a
@@ -871,14 +866,14 @@ def fixed_point(transformer, probes=(0, 1, 7), probe_budget: int = 4096,
     candidates = [transformer(0), 0, body_index("010011"),
                   body_index(DIVERGE_BODY)]
     rounds = 0
-    while candidates and rounds < max_rounds:
+    while candidates and rounds < FIXED_POINT_ROUNDS:
         e = candidates.pop(0)
         rounds += 1
         if e in tried:
             continue
         tried.add(e)
         te = transformer(e)
-        if te == e or _behaviour(e, probes, probe_budget) == _behaviour(te, probes, probe_budget):
+        if te == e or _behaviour(e) == _behaviour(te):
             return e
         if te not in tried:
             candidates.insert(0, te)

@@ -1,0 +1,68 @@
+"""The benchmark's workloads still build and parse against this tree.
+
+bench/cases.py imports names from depthlab, reads attributes of its
+modules and hands argv lists to the command line.  Building every
+workload at seed 0 and parsing each case's argv here makes a renamed
+function or a removed flag fail the test suite, not only a benchmark
+run.  Nothing is spawned and no file is written: the cases' input files
+are only named, and the module is loaded without a bytecode cache.
+"""
+
+import ast
+import importlib.util
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from depthlab import cli
+from depthlab.semimeasure import PrefixMassEvaluator
+
+CASES_PATH = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
+
+
+def _load_cases():
+    spec = importlib.util.spec_from_file_location("bench_cases", CASES_PATH)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+cases = _load_cases()
+
+
+@pytest.mark.parametrize("name", sorted(cases.WORKLOADS))
+def test_workload_argvs_parse(name):
+    workload = cases.make_workload(name, cases.DEFAULT_SEED, "work")
+    assert workload.cases
+    parser = cli._build_parser()
+    for case in workload.cases:
+        args = parser.parse_args(case.argv)
+        assert args.command == case.argv[0], case.name
+
+
+def test_depthlab_attributes_the_cases_read_exist():
+    modules = {name for name, value in vars(cases).items()
+               if isinstance(value, types.ModuleType)
+               and value.__name__.startswith("depthlab")}
+    read = set()
+    for node in ast.walk(ast.parse(CASES_PATH.read_text())):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            read.add((node.id, *reversed(chain)))
+    assert ("semimeasure", "oracle_average_direct") in read
+    for root, *names in sorted(read):
+        value = getattr(cases, root)
+        for attr in names:
+            assert hasattr(value, attr), ".".join([root, *names])
+            value = getattr(value, attr)
+    # read off the evaluator that semimeasure.prefix_mass_evaluator returns
+    assert callable(PrefixMassEvaluator.mass)

@@ -170,6 +170,20 @@ def test_unknown_flag_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--in", "bits:01", "--t", "poly:5,1", "--stage", "3", "--cap", "8",
+     "--csv", "p.csv"],
+    ["build-deep", "--rounds", "1", "--mart", "mixture", "--T", "poly:1,1", "--cap", "8"],
+    # not an abbreviation of --mart-stage
+    ["build-deep", "--rounds", "1", "--mart", "5", "--T", "poly:1,1", "--cap", "8"],
+])
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code(tmp_path):
     code = dispatch(["m", "--sigma", "0x", "--stage", "1",
                      "--out", str(tmp_path / "x.json")])
@@ -394,7 +408,6 @@ def _argv(d):
         "profile": [("--in", bitsrc), ("--t", tb), ("--stage", stage),
                     ("--oracle", oracle), ("--cap", cap)],
         "build-deep": [("--rounds", st.integers(-1, 3)),
-                       ("--mart", _mostly(["mixture"], ["x"])),
                        ("--oracle", oracle), ("--T", tb), ("--cap", cap),
                        ("--mart-stage", stage)],
         "force": [("--class", _mostly([f + "/sched.json", f + "/late.json"], [missing])),

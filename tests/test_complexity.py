@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from depthlab import complexity
+from depthlab import cli, complexity, toyvm
 from depthlab.complexity import (
+    INSTRUCTION_CODES,
+    NO_PINS,
     HaltingTable,
+    PrefixTrie,
     ReductionDiverged,
     TimeBound,
     WRAPPER_BITS,
@@ -19,21 +24,26 @@ from depthlab.complexity import (
 )
 from depthlab.toyvm import (
     HaltingOracle,
+    MachineError,
+    MachineState,
     PrefixOracle,
     Program,
     ZERO,
     assemble,
     body_index,
+    parse_body,
     parse_oracle,
+    program_length,
     run,
 )
-from depthlab.semimeasure import m_stage
+from depthlab.semimeasure import PrefixMassEvaluator, m_stage
 from reference_runs import (
     halting_runs,
     reference_mass_map,
     reference_output_map,
     reference_total_mass,
 )
+from test_toyvm import COUNTED_LOOP, loop_bodies
 
 
 def all_strings(max_len):
@@ -165,7 +175,8 @@ def table_reads(table, budget):
         "output_map": [[(sigma, n, p.bits) for sigma, (n, p)
                         in table.output_map(budget, max_len).items()]
                        for max_len in MAX_LENS],
-        "mass_map": [list(table.mass_map(budget, max_len).items())
+        "mass_map": [[(sigma, Fraction(table.mass_numerator(sigma, budget), 1 << table.cap))
+                      for sigma in table.output_map(budget, max_len)]
                      for max_len in MAX_LENS],
         "total_mass": table.total_mass(budget),
         "first": [None if p is None else p.bits for p in witnesses],
@@ -259,20 +270,65 @@ def test_index_reads_match_runs_where_a_jump_skips_instructions():
         assert table_reads(table, budget) == reference_reads(runs, 25, budget), budget
 
 
-def test_index_long_output_path(monkeypatch):
-    # cap 20 is the least cap with 3- and 4-bit outputs, which then take
-    # the path of outputs too long to index
-    monkeypatch.setattr(complexity, "OUTPUT_BITS", 2)
-    runs = halting_runs(None, 20)
-    assert any(len(out) > 2 for _i, _p, _s, out in runs)
-    stepped, full = HaltingTable(None, 20), HaltingTable(None, 20)
-    full.ensure(10 ** 4)
-    for budget in INDEX_BUDGETS:
-        want = reference_reads(runs, 20, budget)
-        assert table_reads(stepped, budget) == want, budget
-        assert table_reads(full, budget) == want, budget
-    assert full.settled_stage == max(s for _i, _p, s, _out in runs)
-    assert full.reach == max(len(out) for _i, _p, _s, out in runs)
+def test_output_over_the_limit_is_an_error(monkeypatch, capsys):
+    # cap 20 is the least cap with 3- and 4-bit outputs, which are over a
+    # limit of 2 bits: every index that keys them raises, and so does a
+    # table that a failed walk left part-way
+    assert any(len(out) > 2 for _i, _p, _s, out in halting_runs(None, 20, 64))
+    monkeypatch.setattr(toyvm, "OUTPUT_LIMIT", 2)
+    table = HaltingTable(None, 20)
+    with pytest.raises(MachineError, match="limit of 2 bits"):
+        table.ensure(10 ** 4)
+    with pytest.raises(MachineError, match="part-way"):
+        table.first("0", 10 ** 4)
+    with pytest.raises(MachineError, match="limit of 2 bits"):
+        PrefixMassEvaluator(100, 20, 2)
+    assert cli.dispatch(["k", "--sigma", "0", "--stage", "100", "--cap", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "limit of 2 bits" in err
+
+
+_WIDTH = {instruction: width for width, _bits, instruction, _mask in INSTRUCTION_CODES}
+
+
+def resumed_walk(body, oracle, budgets, x=0):
+    """Walk the whole instructions of body as the one node of a PrefixTrie
+    whose cap leaves no room for a child, resuming its live list at each
+    budget in turn; yield (budget, halts so far, steps of the live nodes)."""
+    instrs = parse_body(body)
+    whole = body[:sum(_WIDTH[i] for i in instrs)]
+    trie = PrefixTrie(program_length(len(whole)))
+    live = [(instrs, len(whole), int(whole or "0", 2), MachineState(regs=[0, 0, x, 0]),
+             NO_PINS)]
+    halts = []
+    for budget in budgets:
+        stack, live = live, []
+        halts += [(i, outcome) for i, _pins, outcome, _mass
+                  in trie.walk(stack, oracle, budget, live)]
+        yield budget, halts, [st.steps for _i, _p, _v, st, _pins in live]
+
+
+@pytest.mark.parametrize("descriptor", INDEX_ORACLES)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=loop_bodies(), x=st.integers(0, 6))
+def test_resumed_trie_walk_matches_one_shot_runs_on_loops(descriptor, body, x):
+    oracle = parse_oracle(descriptor)
+    whole = body[:sum(_WIDTH[i] for i in parse_body(body))]
+    for budget, halts, live in resumed_walk(body, oracle, (3, 7, 12, 20, 2000), x):
+        want = run(Program.encode(whole), oracle, budget, r2=x, detect_cycles=True)
+        if want.kind == "halted":
+            assert halts == [(body_index(whole), want)] and live == [], budget
+        else:
+            assert halts == [], budget
+            assert live == ([budget] if want.kind == "budget" else []), budget
+
+
+def test_resumed_trie_walk_halts_at_exactly_its_step_count():
+    halted = run(Program.encode(COUNTED_LOOP), None, 17)
+    assert halted.steps == 17 and halted.output == "111"
+    assert [(budget, list(halts), live) for budget, halts, live
+            in resumed_walk(COUNTED_LOOP, None, (16, 17))] == [
+        (16, [], [16]), (17, [(body_index(COUNTED_LOOP), halted)], [])]
 
 
 def test_kraft_sum_at_most_one():

@@ -61,8 +61,9 @@ def test_masses_match_fraction_sums_over_halting_runs():
             total += Fraction(1, 1 << len(p))
             if out.output_length <= 3:
                 by_output[out.output] = by_output.get(out.output, 0) + Fraction(1, 1 << len(p))
-    assert table.mass_map(2000, 3) == by_output
-    assert list(table.mass_map(2000, 3)) == list(by_output)
+    assert {sigma: Fraction(table.mass_numerator(sigma, 2000), 1 << 14)
+            for sigma in by_output} == by_output
+    assert list(table.output_map(2000, 3)) == list(by_output)
     assert table.total_mass(2000) == total
 
 

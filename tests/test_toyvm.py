@@ -227,6 +227,20 @@ def test_cycle_detection_agrees_with_plain_runs_on_loops(descriptor, body, x):
         assert checked == plain
 
 
+# 3 INCs, 3 laps of JZ/DEC/EMIT1/JMP, the JZ that leaves the loop and the
+# HALT: 17 steps, so a budget of 17 is the least at which it halts
+COUNTED_LOOP = assemble([("INC", 0)] * 3 + [
+    "top:", ("JZ", 0, "end"), ("DEC", 0), ("EMIT1",), ("JMP", "top"), "end:", ("HALT",)])
+
+
+@pytest.mark.parametrize("detect_cycles", [False, True])
+def test_run_halts_at_exactly_its_step_count(detect_cycles):
+    out = run_body(COUNTED_LOOP, None, 17, detect_cycles=detect_cycles)
+    assert out.kind == "halted" and out.steps == 17 and out.output == "111"
+    out = run_body(COUNTED_LOOP, None, 16, detect_cycles=detect_cycles)
+    assert out.kind == "budget" and out.steps == 16
+
+
 @pytest.mark.parametrize("reg", range(4))
 def test_growing_untested_register_diverges_on_first_lap(reg):
     out = run_body(assemble([("INC", reg), ("JMP", -2)]), None, 10 ** 6,
@@ -275,6 +289,17 @@ def test_assemble_disassemble():
     body = assemble(["top:", ("JZ", 2, "end"), ("DEC", 2), ("INC", 0),
                      ("JMP", "top"), "end:", ("ORACLE",)])
     assert disassemble(body) == ["JZ R2, +3", "DEC R2", "INC R0", "JMP -4", "ORACLE"]
+
+
+@pytest.mark.parametrize("items", [
+    [("INC", 5), ("EMIT1",)],
+    [("DEC", -1)],
+    [("JZ", 4, 1)],
+    [("EMIT0",), ("JZ", 7, "end"), "end:"],
+])
+def test_assemble_rejects_registers_outside_r0_to_r3(items):
+    with pytest.raises(ValueError, match="register"):
+        assemble(items)
 
 
 # ------------------------------------------------------------------ phi
