@@ -241,6 +241,21 @@ class OracleBranches:
         return ((0, (mask | bit, bits, order + (0,))),
                 (1, (mask | bit, bits | bit, order + (1,))))
 
+    def children(self, body_index: int, st: MachineState) -> list:
+        """The split rule: (pins, state) of each child of a run stopped, in
+        state st, at the index it asked (none when that index is too deep,
+        see split).  A child resumes after the ORACLE with R1 set to its
+        answer and the index added to `queried`; `steps` already counts the
+        ORACLE step, and regs, queried and seen are the child's own copies."""
+        index, out = self.asked, []
+        for answer, pins in self.split(body_index):
+            regs = st.regs[:]
+            regs[1] = answer
+            out.append((pins, MachineState(
+                st.pc + 1, regs, st.steps, st.rope, st.output_length,
+                st.queried | {index}, set(st.seen))))
+        return out
+
 
 class PrefixTrie:
     """The trie of instruction prefixes of the bodies of at most cap bits,
@@ -271,7 +286,8 @@ class PrefixTrie:
       its pins; `steps` already counts the ORACLE step.  An index at or
       beyond depth drops the node and is recorded by the oracle.  A real
       oracle never leaves an answer unpinned, so under one this never
-      happens.
+      happens.  OracleBranches.children builds the two children; it is
+      the one split rule, which pi01forcing.Functional.values shares.
     * It reaches the budget: the node goes to `live` for a later walk
       at a larger budget, or is dropped when there is none.
 
@@ -321,13 +337,8 @@ class PrefixTrie:
                 continue
             kind = outcome.kind
             if kind == "aborted" and branching:
-                index = oracle.asked
-                for bit, child_pins in oracle.split((1 << p) - 1 + v):
-                    regs = st.regs[:]
-                    regs[1] = bit
-                    stack.append((instrs, p, v, MachineState(
-                        st.pc + 1, regs, st.steps, st.rope, st.output_length,
-                        st.queried | {index}, set(st.seen)), child_pins))
+                for child_pins, child in oracle.children((1 << p) - 1 + v, st):
+                    stack.append((instrs, p, v, child, child_pins))
                 continue
             if kind != "halted":
                 continue

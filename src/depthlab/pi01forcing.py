@@ -17,18 +17,31 @@ values are realised inside the class and one extra coding bit is pressed
 into it.  The emitted string together with the final class member lets
 every consumed bit be read back by running the recorded functional
 instances, which is exactly the content the trace certifies.
+
+The loop reads a functional instance on the whole surviving class at
+once (Functional.values): one run that branches on each oracle answer
+it asks, by the split rule of complexity.PrefixTrie, stands for every
+member that agrees with the answers on its branch.  The projection
+functional asks one index, so each reading costs two runs however many
+members survive.  Functional.apply, one plain run on one member, is the
+reference; ForcingResult.reconstruct reads the coding bits back with it,
+so every trace checks the branched values against independent runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 
+from .complexity import NO_PINS, OracleBranches
 from .constructions import symdiff
 from .randomness import deficiency
 from .toyvm import (
     DIVERGE_BODY,
+    MachineState,
     PrefixOracle,
+    _advance,
     body_index,
     check_bits,
     compile_const,
@@ -36,9 +49,9 @@ from .toyvm import (
     disassemble,
     fixed_point,
     index_to_body,
+    parsed_body,
     phi,
     smn,
-    strings_of_length,
 )
 
 
@@ -50,10 +63,22 @@ class ForcingError(Exception):
 # pruning schedules
 
 
+MAX_DEPTH = 20
+"""The largest depth cap: a class is listed as its up to 2^MAX_DEPTH members."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class PruningSchedule:
     """Monotone stage -> forbidden-string map with a depth cap."""
 
     def __init__(self, stages, depth: int):
+        if not _is_int(depth) or depth < 0:
+            raise ValueError(f"schedule depth must be a nonnegative int, got {depth!r}")
+        if depth > MAX_DEPTH:
+            raise ValueError(f"schedule depth {depth} is above the bound {MAX_DEPTH}")
         self.depth = depth
         cleaned = []
         for s, forbid in sorted(stages, key=lambda kv: kv[0]):
@@ -87,8 +112,23 @@ class PruningSchedule:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "PruningSchedule":
-        return cls([(st["s"], st["forbid"]) for st in data["stages"]], data["depth"])
+    def from_json(cls, data) -> "PruningSchedule":
+        """The schedule of a {"depth": int, "stages": [{"s": int, "forbid":
+        [bit string, ...]}, ...]} document; ValueError on any other shape."""
+        if not isinstance(data, dict):
+            raise ValueError("a schedule must be a JSON object")
+        stages = data.get("stages")
+        if not isinstance(stages, list) or not all(isinstance(st, dict) for st in stages):
+            raise ValueError("schedule stages must be a list of objects")
+        pairs = []
+        for st in stages:
+            s, forbid = st.get("s"), st.get("forbid")
+            if not _is_int(s):
+                raise ValueError(f"a stage's s must be an int, got {s!r}")
+            if not isinstance(forbid, list) or not all(isinstance(w, str) for w in forbid):
+                raise ValueError(f"a stage's forbid must be a list of strings, got {forbid!r}")
+            pairs.append((s, forbid))
+        return cls(pairs, data.get("depth"))
 
     @classmethod
     def from_file(cls, path) -> "PruningSchedule":
@@ -105,12 +145,17 @@ def members_at_stage(schedule: PruningSchedule, d: int, stage: int) -> list[str]
     sorted, and nonincreasing in the stage."""
     if d > schedule.depth:
         raise ValueError("depth beyond the schedule cap")
-    forbidden = schedule.forbidden_at(stage)
-    by_len: dict[int, set] = {}
-    for w in forbidden:
-        by_len.setdefault(len(w), set()).add(w)
-    return [x for x in strings_of_length(d)
-            if not any(x[:n] in ws for n, ws in by_len.items() if n <= d)]
+    # alive[i]: string i (as a d-bit number) has no forbidden prefix; a
+    # forbidden w of at most d bits prunes one interval of d-bit strings
+    alive = bytearray(b"\x01") * (1 << d)
+    for w in schedule.forbidden_at(stage):
+        if len(w) <= d:
+            width = 1 << (d - len(w))
+            low = int(w or "0", 2) * width
+            alive[low:low + width] = bytes(width)
+    if d == 0:
+        return [""] * alive[0]
+    return [format(i, f"0{d}b") for i in compress(range(1 << d), alive)]
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +237,13 @@ class Functional:
 
     The step-s instance is the base program with the step's query index
     pressed into R1; its value on oracle X at input e must be 0 or 1 and
-    is read as Phi^X(e) for that step."""
+    is read as Phi^X(e) for that step.
+
+    The forcing loop reads an instance on a list of members with
+    `values`, per oracle branch: one run splits at each answer it asks,
+    so the projection costs two runs however long the list.  `apply` is
+    one plain run on one member; it is the per-member reference, and
+    ForcingResult.reconstruct uses it."""
 
     base_index: int
     budget: int
@@ -214,6 +265,48 @@ class Functional:
         if res.value not in (0, 1):
             raise ForcingError(f"functional value {res.value} outside 0/1")
         return res.value
+
+    def values(self, instance_index: int, members: list, input_value: int,
+               depth: int) -> list[int]:
+        """[apply(instance_index, x, input_value) for x in members], for
+        depth-bit members, from one run that branches on oracle answers.
+
+        The run starts as apply's does and goes under OracleBranches(depth):
+        an unpinned index below depth splits it into one child per answer
+        (OracleBranches.children, the split rule of PrefixTrie.walk), and
+        an index at or past depth ends the branch without a halt, as it
+        aborts a run on a depth-bit member.  Each branch ends in a leaf
+        (mask, bits, R3 or None when it did not halt), and the leaves
+        partition the members: x reads the leaf whose pins int(x, 2)
+        matches.  The first member, in list order, whose leaf did not halt
+        or holds a value outside 0/1 raises apply's ForcingError."""
+        instrs = parsed_body(instance_index)
+        answers = OracleBranches(depth)
+        stack = [(NO_PINS, MachineState(regs=[0, 0, input_value, 0]))]
+        leaves: dict[int, dict[int, int | None]] = {}  # mask -> {bits: R3}
+        while stack:
+            pins, st = stack.pop()
+            answers.pins = pins
+            outcome = _advance(instrs, answers, self.budget, st, True)
+            if outcome is not None and outcome.kind == "aborted":
+                children = answers.children(instance_index, st)
+                if children:
+                    stack.extend(children)
+                    continue
+            halted = outcome is not None and outcome.kind == "halted"
+            leaves.setdefault(pins[0], {})[pins[1]] = st.regs[3] if halted else None
+        out = []
+        for x in members:
+            y = int(x, 2)
+            value = next(by_bits[y & mask] for mask, by_bits in leaves.items()
+                         if y & mask in by_bits)
+            if value is None:
+                raise ForcingError(
+                    f"functional instance {instance_index} not total on a member")
+            if value not in (0, 1):
+                raise ForcingError(f"functional value {value} outside 0/1")
+            out.append(value)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +455,7 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
         inst = functional.instance(s)
 
         def event(e: int):
-            vals = {functional.apply(inst, x, e) for x in survivors}
+            vals = set(functional.values(inst, survivors, e, depth))
             return vals.pop() if len(vals) == 1 else None
 
         def transformer(e: int) -> int:
@@ -371,12 +464,13 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
         m_index = fixed_point(transformer)
         unanimous = event(m_index)
         a_bit = coding_bit(s)
-        keep = [x for x in survivors if functional.apply(inst, x, m_index) == a_bit]
+        values = functional.values(inst, survivors, m_index, depth)
+        keep = [x for x, v in zip(survivors, values) if v == a_bit]
         if not keep:
             raise ForcingError(
                 f"step {s}: coding bit {a_bit} unrealisable; the functional"
                 f" is unanimous on the other value")
-        forbid = {x for x in survivors if x not in keep}
+        forbid = {x for x, v in zip(survivors, values) if v != a_bit}
         if forbid:
             work = work.extended(next_stage, forbid)
             next_stage += 1

@@ -701,7 +701,7 @@ class Memo:
     diagonal entry is a run resumed as far as it was asked), so clearing
     them changes no answer, only what must be recomputed:
 
-    parsed      body index -> Instructions, for phi
+    parsed      body index -> Instructions (parsed_body), for phi and forcing
     diagonal    index e -> entry of the diagonal run phi_e(e)
     tables      (oracle key, cap) -> complexity.HaltingTable
     evaluators  (budget, cap, depth) -> semimeasure.PrefixMassEvaluator
@@ -735,15 +735,20 @@ class PhiResult:
         return self.outcome.kind == "halted"
 
 
-def phi(e: int, x: int, oracle, budget: int, detect_cycles: bool = False) -> PhiResult:
-    """Run body e with R2 = x; on halting the value is the final R3."""
+def parsed_body(e: int) -> Instructions:
+    """The parsed body of index e, kept in MEMO.parsed."""
     if e < 0:
         raise ValueError("index must be nonnegative")
     instrs = MEMO.parsed.get(e)
     if instrs is None:
         instrs = MEMO.parsed[e] = parse_body(index_to_body(e))
+    return instrs
+
+
+def phi(e: int, x: int, oracle, budget: int, detect_cycles: bool = False) -> PhiResult:
+    """Run body e with R2 = x; on halting the value is the final R3."""
     st = MachineState(regs=[0, 0, x, 0])
-    outcome = _advance(instrs, oracle, budget, st, detect_cycles)
+    outcome = _advance(parsed_body(e), oracle, budget, st, detect_cycles)
     if outcome is None:
         outcome = BudgetExceeded(st.steps, frozenset(st.queried))
     value = st.regs[3] if outcome.kind == "halted" else None

@@ -221,15 +221,44 @@ def test_k_rejects_non_binary_sigma(tmp_path, capsys):
     ["--config", "{tmp}/missing.cfg", "k", "--sigma", "0"],
     ["--config", "{tmp}", "k", "--sigma", "0"],
     ["--config"],
+    *(["force", "--class", f"{{tmp}}/{name}", "--f", "halting-dnc", "--steps", "2",
+       "--budget", "100"]
+      for name in ("list.json", "float-depth.json", "string-forbid.json",
+                   "no-depth.json", "deep.json", "no-s.json")),
 ])
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "t.txt").write_text("1 2 3\n")
     (tmp_path / "negative.txt").write_text("-4 -3\n")
     (tmp_path / "zero-den.tsv").write_text("0\t1/0\n")
     (tmp_path / "sched.json").write_text('{"depth": 8, "stages": []}')
+    # schedule files of the wrong shape, and one past the depth bound
+    (tmp_path / "list.json").write_text("[1,2]")
+    (tmp_path / "float-depth.json").write_text('{"depth": 4.5, "stages": []}')
+    (tmp_path / "string-forbid.json").write_text(
+        '{"depth": 4, "stages": [{"s": 0, "forbid": "01"}]}')
+    (tmp_path / "no-depth.json").write_text('{"stages": []}')
+    (tmp_path / "deep.json").write_text('{"depth": 40, "stages": []}')
+    (tmp_path / "no-s.json").write_text('{"depth": 4, "stages": [{"forbid": ["0"]}]}')
     code = dispatch([a.format(tmp=tmp_path) for a in argv])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1,2]", "a schedule must be a JSON object"),
+    ('{"depth": 4.5, "stages": []}', "schedule depth must be a nonnegative int, got 4.5"),
+    ('{"depth": 4, "stages": [{"s": 0, "forbid": "01"}]}',
+     "a stage's forbid must be a list of strings, got '01'"),
+    ('{"stages": []}', "schedule depth must be a nonnegative int, got None"),
+    ('{"depth": 40, "stages": []}', "schedule depth 40 is above the bound 20"),
+], ids=["list", "float-depth", "string-forbid", "no-depth", "deep"])
+def test_bad_schedule_exits_2_naming_the_fault(tmp_path, capsys, text, message):
+    (tmp_path / "sched.json").write_text(text)
+    out = tmp_path / "force.json"
+    assert dispatch(["force", "--class", str(tmp_path / "sched.json"), "--f", "halting-dnc",
+                     "--steps", "2", "--budget", "100", "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [

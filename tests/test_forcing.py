@@ -1,8 +1,14 @@
 import json
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from depthlab import complexity, pi01forcing, toyvm
 from depthlab.pi01forcing import (
+    MAX_DEPTH,
     Dnc2Witness,
     ForcingError,
     Functional,
@@ -12,7 +18,18 @@ from depthlab.pi01forcing import (
     join_check,
     members_at_stage,
 )
-from depthlab.toyvm import ZERO, diagonal, index_to_body, phi
+from depthlab.toyvm import (
+    ZERO,
+    assemble,
+    body_index,
+    diagonal,
+    index_to_body,
+    phi,
+    strings_of_length,
+)
+
+from test_semimeasure import _ORACLE_LOOP_KINDS
+from test_toyvm import loop_bodies
 
 
 # ------------------------------------------------------------------ schedules
@@ -53,6 +70,65 @@ def test_schedule_json_roundtrip(tmp_path):
     doc = sch.to_json()
     again = PruningSchedule.from_json(json.loads(json.dumps(doc)))
     assert again.to_json() == doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "a schedule must be a JSON object"),
+    ({"depth": 4.5, "stages": []}, "depth must be a nonnegative int, got 4.5"),
+    ({"depth": -1, "stages": []}, "depth must be a nonnegative int, got -1"),
+    ({"depth": True, "stages": []}, "depth must be a nonnegative int, got True"),
+    ({"stages": []}, "depth must be a nonnegative int, got None"),
+    ({"depth": MAX_DEPTH + 1, "stages": []}, f"above the bound {MAX_DEPTH}"),
+    ({"depth": 4}, "stages must be a list of objects"),
+    ({"depth": 4, "stages": {"s": 0}}, "stages must be a list of objects"),
+    ({"depth": 4, "stages": [["0"]]}, "stages must be a list of objects"),
+    ({"depth": 4, "stages": [{"forbid": ["0"]}]}, "s must be an int, got None"),
+    ({"depth": 4, "stages": [{"s": "0", "forbid": ["0"]}]}, "s must be an int"),
+    ({"depth": 4, "stages": [{"s": 0, "forbid": "01"}]},
+     "forbid must be a list of strings, got '01'"),
+    ({"depth": 4, "stages": [{"s": 0, "forbid": [1]}]}, "forbid must be a list of strings"),
+    ({"depth": 4, "stages": [{"s": 0}]}, "forbid must be a list of strings, got None"),
+])
+def test_schedule_from_json_rejects_bad_documents(doc, message):
+    # rejected before any member is listed, so a huge depth costs nothing
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PruningSchedule.from_json(doc)
+
+
+def test_schedule_depth_bound_is_inclusive():
+    assert PruningSchedule.full_space(MAX_DEPTH).depth == MAX_DEPTH
+    assert PruningSchedule.full_space(0).depth == 0
+    with pytest.raises(ValueError, match="above the bound"):
+        PruningSchedule.full_space(MAX_DEPTH + 1)
+
+
+def reference_members(schedule, d, stage):
+    """Every d-bit string tested against every forbidden string."""
+    forbidden = schedule.forbidden_at(stage)
+    return [x for x in strings_of_length(d)
+            if not any(x.startswith(w) for w in forbidden if len(w) <= d)]
+
+
+def test_members_match_a_brute_force_scan():
+    rng = random.Random(5)
+    for _ in range(200):
+        depth = rng.randrange(0, 8)
+        stages = [(rng.randrange(4), {"".join(rng.choices("01", k=rng.randrange(depth + 1)))
+                                      for _ in range(rng.randrange(3))})
+                  for _ in range(rng.randrange(3))]
+        sch = PruningSchedule(stages, depth)
+        for d in range(depth + 1):
+            for stage in (0, 2, 5):
+                assert members_at_stage(sch, d, stage) == reference_members(sch, d, stage)
+
+
+def test_members_at_depth_zero_and_under_the_empty_string():
+    assert members_at_stage(PruningSchedule.full_space(3), 0, 0) == [""]
+    sch = PruningSchedule([(0, {"1"}), (4, {""})], 3)
+    assert members_at_stage(sch, 0, 0) == [""]
+    assert members_at_stage(sch, 2, 3) == ["00", "01"]
+    assert members_at_stage(sch, 0, 4) == []
+    assert members_at_stage(sch, 3, 4) == []
 
 
 # ------------------------------------------------------------------ dodging witnesses
@@ -187,6 +263,177 @@ def test_force_reports_unsettled_stages():
     fn = Functional.projection((5, 6))
     res = force(sch, Dnc2Witness.from_halting_table(4096), 2, 4096, functional=fn)
     assert res.inconclusive == [0, 1]
+
+
+# ------------------------------------------------------------------ branched values
+
+# functional bodies that make the branched reading do every kind of work
+HAND_BODIES = {
+    # indices 0, then 1 or 2 by the first answer; R3 is the second answer
+    "two-queries": assemble([
+        ("ORACLE",), ("JZ", 1, "zero"), ("INC", 0), ("INC", 0), ("ORACLE",),
+        ("JZ", 1, "done"), ("INC", 3), ("JMP", "done"),
+        "zero:", ("INC", 0), ("ORACLE",), ("JZ", 1, "done"), ("INC", 3), "done:"]),
+    # a loop over indices e, e+1, e+2 (past depth for large e); R3 counts
+    # the ones among them
+    "three-queries": assemble([
+        "copy:", ("JZ", 2, "start"), ("DEC", 2), ("INC", 0), ("JMP", "copy"),
+        "start:", ("INC", 2), ("INC", 2), ("INC", 2),
+        "lap:", ("JZ", 2, "end"), ("ORACLE",), ("JZ", 1, "skip"), ("INC", 3),
+        "skip:", ("INC", 0), ("DEC", 2), ("JMP", "lap"), "end:"]),
+    # answer 1 at index 0 asks index 6, past every depth used here
+    "past-depth": assemble([("ORACLE",), ("JZ", 1, "done")] + [("INC", 0)] * 6
+                           + [("ORACLE",), "done:"]),
+    # answer 1 spins with a growing control register until the budget ends;
+    # answer 0 counts R2 down, two laps more after answer 1 at index 1
+    "budget": assemble([
+        ("ORACLE",), ("JZ", 1, "count"), "spin:", ("INC", 0), ("JMP", "spin"),
+        "count:", ("INC", 0), ("ORACLE",), ("JZ", 1, "loop"), ("INC", 2), ("INC", 2),
+        "loop:", ("JZ", 2, "done"), ("DEC", 2), ("JMP", "loop"), "done:"]),
+    # answer 1 repeats its key at once; answer 0 halts with R3 = 1
+    "diverge": assemble([("ORACLE",), ("JZ", 1, "done"), "stay:", ("JMP", "stay"),
+                         "done:", ("INC", 3)]),
+    # answer 1 leaves R3 = 2
+    "r3-two": assemble([("ORACLE",), ("JZ", 1, "done"), ("INC", 3), ("INC", 3), "done:"]),
+    # value 2, value 3 or divergence by the answers at 0 and 1, so which
+    # error is raised depends on which member comes first
+    "mixed-errors": assemble([
+        ("ORACLE",), ("JZ", 1, "two"), ("INC", 0), ("ORACLE",), ("JZ", 1, "three"),
+        "stay:", ("JMP", "stay"), "three:", ("INC", 3), "two:", ("INC", 3), ("INC", 3)]),
+}
+
+
+def read_all(call):
+    """The list of values, or the text of the ForcingError raised."""
+    try:
+        return call()
+    except ForcingError as exc:
+        return str(exc)
+
+
+def branched_and_per_member(fn, inst, members, e, depth):
+    return (read_all(lambda: fn.values(inst, members, e, depth)),
+            read_all(lambda: [fn.apply(inst, x, e) for x in members]))
+
+
+def test_branched_values_match_per_member_runs_on_hand_bodies():
+    rng = random.Random(11)
+    seen = set()
+    for name, body in HAND_BODIES.items():
+        inst = body_index(body)
+        for budget in (3, 8, 15, 22, 40, 4096):
+            fn = Functional(0, budget, ())
+            for depth in (4, 5, 6):
+                everyone = list(strings_of_length(depth))
+                for e in range(7):
+                    subsets = [everyone] + [rng.sample(everyone, rng.randrange(1, 9))
+                                            for _ in range(4)]
+                    for members in subsets:
+                        got, want = branched_and_per_member(fn, inst, members, e, depth)
+                        assert got == want, (name, budget, depth, e, members)
+                        seen.add(want.split(" ")[1] if isinstance(want, str) else
+                                 "values" if len(set(want)) > 1 else "unanimous")
+    # every outcome occurs: a split class, a unanimous one, and both errors
+    # (diverged, budget and past-depth leaves all read "instance ... not total")
+    assert seen == {"values", "unanimous", "instance", "value"}
+
+
+def test_hand_bodies_reach_each_kind_of_leaf():
+    # the first member to fail decides which error text is raised
+    fn = Functional(0, 4096, ())
+    mixed = body_index(HAND_BODIES["mixed-errors"])
+    assert read_all(lambda: fn.values(mixed, ["0000", "1100"], 0, 4)) == \
+        "functional value 2 outside 0/1"
+    assert read_all(lambda: fn.values(mixed, ["1100", "0000"], 0, 4)) == \
+        f"functional instance {mixed} not total on a member"
+    assert read_all(lambda: fn.values(mixed, ["1000", "1100"], 0, 4)) == \
+        "functional value 3 outside 0/1"
+    # the budget body halts on answer 0 at index 0 after a number of steps
+    # that depends on the answer at index 1
+    counting = body_index(HAND_BODIES["budget"])
+    steps = {x: phi(counting, 1, toyvm.PrefixOracle(x), 4096).outcome.steps
+             for x in ("0000", "0100")}
+    assert steps["0100"] > steps["0000"]
+    tight = Functional(0, steps["0000"], ())
+    assert read_all(lambda: tight.values(counting, ["0000"], 1, 4)) == [0]
+    assert read_all(lambda: tight.values(counting, ["0000", "0100"], 1, 4)) == \
+        f"functional instance {counting} not total on a member"
+    assert read_all(lambda: fn.values(counting, ["0100", "1000"], 1, 4)) == \
+        f"functional instance {counting} not total on a member"
+
+
+# straight-line bodies of 1-4 blocks, each asking the index in R0 and
+# acting on the answer, so that runs split at several indices
+_QUERY_BLOCK = st.tuples(st.integers(0, 2), st.sampled_from(
+    [("INC", 3), ("DEC", 3), ("INC", 3), ("INC", 0), ("EMITR",)])).map(
+    lambda b: [("INC", 0)] * b[0] + [("ORACLE",), ("JZ", 1, 1), b[1]])
+query_bodies = st.lists(_QUERY_BLOCK, min_size=1, max_size=4).map(
+    lambda blocks: assemble([ins for block in blocks for ins in block]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(body=st.one_of(loop_bodies(counter=0, kinds=_ORACLE_LOOP_KINDS), query_bodies),
+       depth=st.integers(4, 6), e=st.integers(0, 6),
+       budget=st.sampled_from([5, 12, 30, 300]), data=st.data())
+def test_branched_values_match_per_member_runs_on_loops(body, depth, e, budget, data):
+    fn = Functional(0, budget, ())
+    inst = body_index(body)
+    everyone = list(strings_of_length(depth))
+    subset = data.draw(st.lists(st.sampled_from(everyone), unique=True, max_size=10))
+    for members in (everyone, subset):
+        got, want = branched_and_per_member(fn, inst, members, e, depth)
+        assert got == want
+
+
+def per_member_values(self, instance_index, members, input_value, depth):
+    """The reference reading: one plain run per member."""
+    return [self.apply(instance_index, x, input_value) for x in members]
+
+
+# parity of the oracle bits at the parameter q and at q + 1
+_XOR_ITEMS = [
+    "copy:", ("JZ", 1, "query"), ("DEC", 1), ("INC", 0), ("JMP", "copy"),
+    "query:", ("ORACLE",), ("JZ", 1, "second"), ("INC", 3),
+    "second:", ("INC", 0), ("ORACLE",), ("JZ", 1, "done"), ("JZ", 3, "one"),
+    ("DEC", 3), ("JMP", "done"), "one:", ("INC", 3), "done:",
+]
+
+
+@pytest.mark.parametrize("case", ["full-8", "pruned-10", "xor-9"])
+def test_force_matches_a_per_member_reference(monkeypatch, case):
+    if case == "full-8":
+        args = (PruningSchedule.full_space(8), Dnc2Witness.from_halting_table(4096), 3,
+                4096, Functional.projection((5, 6, 7)))
+    elif case == "pruned-10":
+        args = (PruningSchedule([(0, {"11"}), (2, {"100"})], 10), "1011", 4, 4096,
+                Functional.projection((6, 7, 8, 9)))
+    else:
+        args = (PruningSchedule([(0, {"0110", "111"}), (3, {"10"})], 9),
+                Dnc2Witness.from_halting_table(4096), 3, 4096,
+                Functional(body_index(assemble(_XOR_ITEMS)), 4096, (4, 5, 7)))
+    branched = force(*args[:4], functional=args[4]).to_json()
+    monkeypatch.setattr(Functional, "values", per_member_values)
+    assert force(*args[:4], functional=args[4]).to_json() == branched
+    # every step pruned the class, so the values decided something
+    assert len({step["members_before"] for step in branched["steps"]}) == len(branched["steps"])
+
+
+def test_force_runs_the_functional_per_branch_not_per_member(monkeypatch):
+    # the benchmark's force case: 5 steps at depth 12 and budget 4096 under
+    # the projection functional.  One run per member makes 10,922 machine
+    # runs; one run per oracle branch makes 70
+    advance, calls = toyvm._advance, []
+
+    def counted(*args):
+        calls.append(1)
+        return advance(*args)
+
+    for module in (toyvm, complexity, pi01forcing):
+        monkeypatch.setattr(module, "_advance", counted)
+    sch = PruningSchedule([(0, {"101"}), (1, {"110"})], 12)
+    res = force(sch, Dnc2Witness.from_halting_table(4096), 5, 4096)
+    assert res.steps[0].members_before == 3072
+    assert len(calls) < 500
 
 
 # ------------------------------------------------------------------ join check
