@@ -15,6 +15,7 @@ import json
 import random
 import sys
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import complexity, constructions, pi01forcing, randomness, semimeasure
@@ -260,14 +261,7 @@ def _cmd_join_check(args) -> int:
         _read_bits(args.F), _read_bits(args.X), _read_bits(args.Y),
         args.k, args.stage, args.cap)
     _emit_json(args, {
-        "xor_ok": rep.xor_ok,
-        "x_random_ok": rep.x_random_ok,
-        "y_random_ok": rep.y_random_ok,
-        "dnc_ok": rep.dnc_ok,
-        "dnc_counterexample": rep.dnc_counterexample,
-        "x_deficiency": rep.x_deficiency,
-        "y_deficiency": rep.y_deficiency,
-        "all_ok": rep.all_ok,
+        **asdict(rep), "all_ok": rep.all_ok,
         "config": _resolved(args, ("F", "X", "Y", "k", "stage", "cap")),
     })
     return EXIT_OK

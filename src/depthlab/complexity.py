@@ -52,12 +52,14 @@ from .toyvm import (
     OutOfTableError,
     Program,
     _advance,
+    assemble,
     bits_to_hex,
     check_bits,
     extend,
     index_to_body,
     oracle_key,
     output_string,
+    phi,
     program_length,
     rope_materialize,
     run,
@@ -228,32 +230,27 @@ class OracleBranches:
         self.asked = index
         raise OutOfTableError(f"unpinned index {index}")
 
-    def split(self, body_index: int) -> tuple:
-        """(answer, child pins) for each answer to the index the node with
-        this body index stopped at, or nothing when that index is too deep."""
+    def children(self, body_index: int, st: MachineState) -> list:
+        """The split rule: (pins, state) of each child of a run stopped, in
+        state st, at the index it asked.  A child resumes after the ORACLE
+        with R1 set to its answer and the index added to `queried` and to
+        its pins, on a MachineState.copy of st; `steps` already counts the
+        ORACLE step.  An index at or beyond depth has no children, and
+        goes to `too_deep`."""
         index, (mask, bits, order) = self.asked, self.pins
         if index >= self.depth:
             hit = (body_index, order, index)
             if self.too_deep is None or hit < self.too_deep:
                 self.too_deep = hit
-            return ()
+            return []
         bit = 1 << (self.depth - 1 - index)
-        return ((0, (mask | bit, bits, order + (0,))),
-                (1, (mask | bit, bits | bit, order + (1,))))
-
-    def children(self, body_index: int, st: MachineState) -> list:
-        """The split rule: (pins, state) of each child of a run stopped, in
-        state st, at the index it asked (none when that index is too deep,
-        see split).  A child resumes after the ORACLE with R1 set to its
-        answer and the index added to `queried`; `steps` already counts the
-        ORACLE step, and regs, queried and seen are the child's own copies."""
-        index, out = self.asked, []
-        for answer, pins in self.split(body_index):
-            regs = st.regs[:]
-            regs[1] = answer
-            out.append((pins, MachineState(
-                st.pc + 1, regs, st.steps, st.rope, st.output_length,
-                st.queried | {index}, set(st.seen))))
+        out = []
+        for answer in (0, 1):
+            child = st.copy()
+            child.pc += 1
+            child.regs[1] = answer
+            child.queried.add(index)
+            out.append(((mask | bit, bits | bit * answer, order + (answer,)), child))
         return out
 
 
@@ -276,9 +273,10 @@ class PrefixTrie:
       P.x whose tail x holds no complete next instruction halt there, and
       make one halt (the tail counts follow from the opcode widths).
       Every other body is P.I.y for exactly one next instruction I, so
-      one child per encoding of I that fits under the cap resumes from a
-      copy of the state; a child whose program counter is still past its
-      end traps again at once.
+      one child per INSTRUCTION_CODES entry that fits under the cap (the
+      one decoder, which toyvm.parse_body reads too) resumes from a copy
+      of the state; a child whose program counter is still past its end
+      traps again at once.
     * It stops at an ORACLE of an OracleBranches whose answer is not
       pinned.  An index below depth splits the node into two children on
       the same P, one per answer: each resumes at the next instruction
@@ -294,8 +292,10 @@ class PrefixTrie:
     Cycle keys project onto P's control registers.  That is sound for
     every extension, because between two equal keys the run executed only
     P's instructions, which read no other register, and asked no index
-    it had not pinned; a child whose control registers grow starts a
-    fresh key set, and a split child keeps a copy of its parent's."""
+    it had not pinned.  Every child state is a MachineState.copy, the one
+    copy rule: a next-instruction child whose control registers grow
+    starts a fresh key set, and every other child keeps a copy of its
+    parent's."""
 
     def __init__(self, cap: int):
         if cap < 2:
@@ -346,14 +346,11 @@ class PrefixTrie:
             yield (1 << p) - 1 + v, pins, outcome, tail_mass[p] if trapped else subtree_mass[p]
             if not trapped:
                 continue
-            regs, queried, seen = st.regs, st.queried, st.seen
             for code in fits[nmax - p]:
                 child = extend(instrs, code)
                 width = code[0]
-                stack.append((child, p + width, v << width | code[1], MachineState(
-                    st.pc, regs[:], st.steps, st.rope, st.output_length, set(queried),
-                    set(seen) if seen is not None and child.mask == instrs.mask else None),
-                    pins))
+                stack.append((child, p + width, v << width | code[1],
+                              st.copy(child.mask == instrs.mask), pins))
 
 
 class HaltingTable:
@@ -563,17 +560,14 @@ class Reduction:
 
     def bit(self, base_oracle, index: int) -> tuple[int, int]:
         """(bit, steps spent); raises ReductionDiverged on a miss."""
-        st = MachineState(regs=[0, 0, index, 0])
-        out = _advance(self.program.instructions(), base_oracle, self.budget, st, False)
-        if out is None or out.kind != "halted":
+        res = phi(self.program.index, index, base_oracle, self.budget)
+        if not res.halted:
             raise ReductionDiverged(f"reduction did not answer index {index}")
-        return st.regs[3] & 1, out.steps
+        return res.value & 1, res.outcome.steps
 
 
 def identity_reduction(budget: int = 4096) -> Reduction:
     """Pass-through: bit i of the simulated oracle is bit i of the base."""
-    from .toyvm import assemble
-
     body = assemble([
         "copy:",
         ("JZ", 2, "query"),

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexity import WRAPPER_BITS, Reduction, TimeBound, halting_table
+from .complexity import WRAPPER_BITS, Reduction, TimeBound, halting_table, k_stage
 from .randomness import StagedSupermartingale, space_lemma_length
 from .toyvm import PrefixOracle, bits_to_hex, check_bits, oracle_key, strings_of_length
 
@@ -233,7 +233,7 @@ def depth_profile(x_prefix: str, t: TimeBound, stage: int, oracle=None,
     complexity, both relative to the same oracle; the gap column is the
     desk-scale depth signal.  Above-cap values enter the gap as cap+1."""
     check_bits(x_prefix)
-    table = halting_table(oracle, cap)
+    halting_table(oracle, cap)  # a bad cap raises before any warning
     worst = max((t(n) for n in range(1, len(x_prefix) + 1)), default=0)
     if stage < worst:
         warnings.warn(
@@ -241,13 +241,9 @@ def depth_profile(x_prefix: str, t: TimeBound, stage: int, oracle=None,
             " gaps may come out negative", stacklevel=2)
     rows = []
     for n in range(1, len(x_prefix) + 1):
-        prefix = x_prefix[:n]
-        w_t = table.first(prefix, t(n))
-        w_s = table.first(prefix, stage)
-        k_t = None if w_t is None else len(w_t)
-        k_s = None if w_s is None else len(w_s)
-        gap = (k_t if k_t is not None else cap + 1) - (k_s if k_s is not None else cap + 1)
-        rows.append(ProfileRow(n, k_t, k_s, gap))
+        k_t = k_stage(x_prefix[:n], t(n), oracle, cap)
+        k_s = k_stage(x_prefix[:n], stage, oracle, cap)
+        rows.append(ProfileRow(n, k_t.value, k_s.value, k_t.clamped(cap) - k_s.clamped(cap)))
     return DepthProfile(x_prefix, tuple(rows), {
         "t": t.describe(), "stage": stage, "cap": cap,
         "oracle": list(map(str, oracle_key(oracle))),

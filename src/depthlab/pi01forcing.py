@@ -31,7 +31,7 @@ so every trace checks the branched values against independent runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 
 from .complexity import NO_PINS, OracleBranches
@@ -42,6 +42,7 @@ from .toyvm import (
     MachineState,
     PrefixOracle,
     _advance,
+    assemble,
     body_index,
     check_bits,
     compile_const,
@@ -226,8 +227,6 @@ _PROJECTION_ITEMS = [
 def projection_base_index() -> int:
     """Program reading the oracle bit whose index arrives in R1 (the
     parameter channel); the input in R2 is ignored."""
-    from .toyvm import assemble
-
     return body_index(assemble(_PROJECTION_ITEMS))
 
 
@@ -344,24 +343,7 @@ class ForcingResult:
             "b_prefix": self.b_prefix,
             "b_member": self.b_member,
             "inconclusive": self.inconclusive,
-            "steps": [
-                {
-                    "s": st.s, "sigma": st.sigma,
-                    "n_index": st.n_index,
-                    "n_disassembly": list(st.n_disassembly),
-                    "probe_empty_side": st.probe_empty_side,
-                    "dodge_bit": st.dodge_bit,
-                    "m_index": st.m_index,
-                    "m_disassembly": list(st.m_disassembly),
-                    "event_unanimous": st.event_unanimous,
-                    "functional_instance": st.functional_instance,
-                    "coding_bit": st.coding_bit,
-                    "members_before": st.members_before,
-                    "members_after": st.members_after,
-                    "settled": st.settled,
-                }
-                for st in self.steps
-            ],
+            "steps": [asdict(st) for st in self.steps],
         }
 
     def reconstruct(self, functional: Functional) -> list[dict]:
@@ -390,6 +372,11 @@ def _answer_base(i: int | None) -> int:
     if i is None:
         return body_index(DIVERGE_BODY)
     return compile_const(i)
+
+
+def _unanimous(values: list) -> int | None:
+    """The value every entry shares, or None when two entries differ."""
+    return values[0] if len(set(values)) == 1 else None
 
 
 def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
@@ -454,17 +441,14 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
         # program's own index on the surviving class?
         inst = functional.instance(s)
 
-        def event(e: int):
-            vals = set(functional.values(inst, survivors, e, depth))
-            return vals.pop() if len(vals) == 1 else None
-
         def transformer(e: int) -> int:
-            return smn(_answer_base(event(e)), 2 * s + 2)
+            vals = functional.values(inst, survivors, e, depth)
+            return smn(_answer_base(_unanimous(vals)), 2 * s + 2)
 
         m_index = fixed_point(transformer)
-        unanimous = event(m_index)
-        a_bit = coding_bit(s)
         values = functional.values(inst, survivors, m_index, depth)
+        unanimous = _unanimous(values)
+        a_bit = coding_bit(s)
         keep = [x for x, v in zip(survivors, values) if v == a_bit]
         if not keep:
             raise ForcingError(

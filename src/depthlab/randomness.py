@@ -25,10 +25,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from .complexity import TimeBound, halting_table
+from .complexity import TimeBound, halting_table, k_stage
 from .semimeasure import (m_stage, prefix_mass_evaluator, read_fraction_table,
                           relative_mass, write_fraction_table)
-from .toyvm import check_bits, strings_of_length
+from .toyvm import check_bits, index_to_body, strings_of_length
 
 
 class FairnessError(ValueError):
@@ -86,11 +86,6 @@ def _heap_strings(depth: int) -> list[str]:
     return [sigma for length in range(depth + 1) for sigma in strings_of_length(length)]
 
 
-def _sigma_at(index: int) -> str:
-    length = (index + 1).bit_length() - 1
-    return format(index + 1 - (1 << length), "b").zfill(length) if length else ""
-
-
 class MartingaleTable:
     """Exact nonnegative rationals on every string of length <= depth,
     validated against fairness on construction.
@@ -118,17 +113,17 @@ class MartingaleTable:
             den = lcm(*(v.denominator for v in rationals))
             nums = [v.numerator * (den // v.denominator) for v in rationals]
         elif len(nums) < size:
-            raise FairnessError(f"missing value at {_sigma_at(len(nums))!r}")
+            raise FairnessError(f"missing value at {index_to_body(len(nums))!r}")
         if den < 1:
             raise FairnessError(f"denominator {den} is not positive")
         self.nums = nums = nums[:size]
         self.den = den
         for i, v in enumerate(nums):
             if v < 0:
-                raise FairnessError(f"negative value at {_sigma_at(i)!r}")
+                raise FairnessError(f"negative value at {index_to_body(i)!r}")
         for i, (v, left, right) in enumerate(zip(nums, nums[1::2], nums[2::2])):
             if 2 * v != left + right:
-                raise FairnessError(f"unfair split at {_sigma_at(i)!r}")
+                raise FairnessError(f"unfair split at {index_to_body(i)!r}")
 
     @property
     def values(self) -> dict[str, Fraction]:
@@ -310,14 +305,9 @@ class DeficiencyRecord:
 
 def deficiency(sigma: str, stage: int, cap: int = 16, oracle=None) -> DeficiencyRecord:
     check_bits(sigma)
-    table = halting_table(oracle, cap)
-    omap = table.output_map(stage, len(sigma))
     best, arg = None, 0
     for n in range(len(sigma) + 1):
-        prefix = sigma[:n]
-        hit = omap.get(prefix)
-        kval = hit[0] if hit is not None else cap + 1
-        term = n - kval
+        term = n - k_stage(sigma[:n], stage, oracle, cap).clamped(cap)
         if best is None or term > best:
             best, arg = term, n
     return DeficiencyRecord(sigma, stage, best, arg, cap)

@@ -30,7 +30,10 @@ Opcode table (4-bit opcodes, big-endian bit order)
 
 Execution conventions
     * The body is parsed front to back into whole instructions; a truncated
-      trailing instruction is dropped.
+      trailing instruction is dropped.  INSTRUCTION_CODES is the one
+      decoder: parse_body and the prefix trie both read a body through it.
+    * The output's length is kept once, at its rope's root.
+      MachineState.copy builds every child state a walk resumes from.
     * The program counter indexes instructions.  Leaving the instruction
       range in any direction (falling off the end, a jump before the start
       or past the end, HALT, a reserved opcode) halts with the current
@@ -190,11 +193,6 @@ _MNEMONIC = {
 _NAME = {v: k for k, v in _MNEMONIC.items()}
 
 
-def _signed4(bits: str) -> int:
-    v = int(bits, 2)
-    return v - 16 if v >= 8 else v
-
-
 class Instructions(tuple):
     """A parsed body: a tuple of (opcode, register, offset) triples.
 
@@ -253,40 +251,31 @@ def extend(instrs: Instructions, code: tuple) -> Instructions:
     return _INSTRUCTIONS_BY_MASK[instrs.mask | code[3]](instrs + (code[2],))
 
 
-def parse_body(body: str) -> Instructions:
-    """Decode a body into (opcode, register, offset) triples.
+# the bits of each code -> (instruction, control-register mask), and the widths
+_DECODE = {format(value, "b").zfill(width): (instruction, mask)
+           for width, value, instruction, mask in INSTRUCTION_CODES}
+_WIDTHS = sorted({code[0] for code in INSTRUCTION_CODES})
 
-    Incomplete trailing bits are dropped; reserved opcodes are kept and
-    halt at execution time.
+
+def parse_body(body: str) -> Instructions:
+    """Decode a body into (opcode, register, offset) triples by reading
+    one INSTRUCTION_CODES entry after another; the codes are prefix-free,
+    so at most one width matches.  Incomplete trailing bits are dropped;
+    reserved opcodes are kept and halt at execution time.
     """
     out = []
     mask = 0  # bit r set when Rr is a control register
-    i, n = 0, len(body)
-    while i + 4 <= n:
-        op = int(body[i : i + 4], 2)
-        i += 4
-        if op in (OP_INC, OP_DEC):
-            if i + 2 > n:
+    i = 0
+    while True:
+        for width in _WIDTHS:
+            hit = _DECODE.get(body[i : i + width])
+            if hit is not None:
                 break
-            out.append((op, int(body[i : i + 2], 2), 0))
-            i += 2
-        elif op == OP_JZ:
-            if i + 6 > n:
-                break
-            reg = int(body[i : i + 2], 2)
-            out.append((op, reg, _signed4(body[i + 2 : i + 6])))
-            mask |= 1 << reg
-            i += 6
-        elif op == OP_JMP:
-            if i + 4 > n:
-                break
-            out.append((op, 0, _signed4(body[i : i + 4])))
-            i += 4
         else:
-            out.append((op, 0, 0))
-            if op == OP_ORACLE:
-                mask |= 1
-    return _INSTRUCTIONS_BY_MASK[mask](out)
+            return _INSTRUCTIONS_BY_MASK[mask](out)
+        out.append(hit[0])
+        mask |= hit[1]
+        i += width
 
 
 def assemble(items: list) -> str:
@@ -465,7 +454,7 @@ class HaltingOracle(Oracle):
         self.key = ("halting", stage)
 
     def answer(self, index: int) -> int:
-        return 1 if diagonal_halts(index, self.stage) else 0
+        return 1 if diagonal(index, self.stage)[0] else 0
 
 
 def parse_oracle(text: str | None):
@@ -538,7 +527,6 @@ def output_string(rope) -> str:
 class Halted:
     steps: int
     rope: tuple | None
-    output_length: int
     queried: frozenset = frozenset()
 
     kind = "halted"
@@ -546,6 +534,10 @@ class Halted:
     @property
     def output(self) -> str:
         return output_string(self.rope)
+
+    @property
+    def output_length(self) -> int:
+        return self.rope[0] if self.rope else 0
 
 
 @dataclass(frozen=True)
@@ -579,15 +571,23 @@ class Diverged:
 
 @dataclass
 class MachineState:
-    """Resumable snapshot of a run in progress."""
+    """Resumable snapshot of a run in progress; the output's length is
+    rope[0]."""
 
     pc: int = 0
     regs: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
     steps: int = 0
     rope: tuple | None = None
-    output_length: int = 0
     queried: set = field(default_factory=set)
     seen: set | None = None
+
+    def copy(self, keep_seen: bool = True) -> "MachineState":
+        """A state that resumes as this one does, with its own regs,
+        queried and seen; with keep_seen false it starts a fresh cycle-key
+        set instead.  Every child state of a walk is built here."""
+        seen = self.seen
+        return MachineState(self.pc, self.regs[:], self.steps, self.rope, set(self.queried),
+                            set(seen) if keep_seen and seen is not None else None)
 
 
 def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool):
@@ -602,24 +602,23 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
     r = st.regs
     steps = st.steps
     rope = st.rope
-    out_len = st.output_length
     queried = st.queried
     seen = st.seen
     project = instrs.project
     n = len(instrs)
     while True:
         if not 0 <= pc < n:
-            st.pc, st.steps, st.rope, st.output_length = pc, steps, rope, out_len
-            return Halted(steps, rope, out_len, frozenset(queried))
+            st.pc, st.steps, st.rope = pc, steps, rope
+            return Halted(steps, rope, frozenset(queried))
         if steps >= budget:
-            st.pc, st.steps, st.rope, st.output_length = pc, steps, rope, out_len
+            st.pc, st.steps, st.rope = pc, steps, rope
             return None
         if detect_cycles:
             key = (pc, project(r)) if project else pc
             if seen is None:
                 seen = st.seen = set()
             if key in seen:
-                st.pc, st.steps, st.rope, st.output_length = pc, steps, rope, out_len
+                st.pc, st.steps, st.rope = pc, steps, rope
                 return Diverged(steps, frozenset(queried))
             if len(seen) < 1 << 16:
                 seen.add(key)
@@ -627,18 +626,15 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
         steps += 1
         if op == OP_EMIT0:
             leaf = (1, 0, None, None)
-            rope = leaf if rope is None else (out_len + 1, None, rope, leaf)
-            out_len += 1
+            rope = leaf if rope is None else (rope[0] + 1, None, rope, leaf)
             pc += 1
         elif op == OP_EMIT1:
             leaf = (1, 1, None, None)
-            rope = leaf if rope is None else (out_len + 1, None, rope, leaf)
-            out_len += 1
+            rope = leaf if rope is None else (rope[0] + 1, None, rope, leaf)
             pc += 1
         elif op == OP_DOUBLE:
             if rope is not None:
-                rope = (out_len * 2, None, rope, rope)
-                out_len *= 2
+                rope = (rope[0] * 2, None, rope, rope)
             pc += 1
         elif op == OP_INC:
             r[a] += 1
@@ -653,24 +649,23 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
             pc = pc + 1 + d
         elif op == OP_ORACLE:
             if oracle is None:
-                st.pc, st.steps, st.rope, st.output_length = pc, steps, rope, out_len
+                st.pc, st.steps, st.rope = pc, steps, rope
                 return Aborted("oracle-query-without-oracle", steps, frozenset(queried))
             try:
                 bit = oracle.answer(r[0])
             except OutOfTableError:
-                st.pc, st.steps, st.rope, st.output_length = pc, steps, rope, out_len
+                st.pc, st.steps, st.rope = pc, steps, rope
                 return Aborted("out-of-table", steps, frozenset(queried))
             queried.add(r[0])
             r[1] = bit
             pc += 1
         elif op == OP_EMITR:
             leaf = (1, r[1] & 1, None, None)
-            rope = leaf if rope is None else (out_len + 1, None, rope, leaf)
-            out_len += 1
+            rope = leaf if rope is None else (rope[0] + 1, None, rope, leaf)
             pc += 1
         else:
-            st.pc, st.steps, st.rope, st.output_length = pc, steps, rope, out_len
-            return Halted(steps, rope, out_len, frozenset(queried))
+            st.pc, st.steps, st.rope = pc, steps, rope
+            return Halted(steps, rope, frozenset(queried))
 
 
 def run(program: Program, oracle, budget: int, r1: int = 0, r2: int = 0,
@@ -783,10 +778,6 @@ def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
     if ent["status"] == "halted" and ent["step"] <= stage:
         return True, ent["value"], ent["step"]
     return False, None, None
-
-
-def diagonal_halts(e: int, stage: int) -> bool:
-    return diagonal(e, stage)[0]
 
 
 # --------------------------------------------------------------------------

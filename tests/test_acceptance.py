@@ -9,8 +9,11 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from depthlab.cli import dispatch
 from depthlab.complexity import (
+    ReductionDiverged,
     TimeBound,
     WRAPPER_BITS,
     halting_table,
@@ -48,12 +51,17 @@ from depthlab.semimeasure import (
 )
 from depthlab.toyvm import (
     HaltingOracle,
+    PrefixOracle,
+    Program,
     ZERO,
+    assemble,
     compile_const,
     fixed_point,
     phi,
     programs_up_to,
+    run,
 )
+from test_constructions import _even_bit_reduction
 
 
 def all_strings(max_len):
@@ -231,23 +239,38 @@ def test_acceptance_markov_bound_5_strings():
 
 
 def test_acceptance_lifting_exhaustive_len6():
-    red = identity_reduction()
+    # A reads the even bits of y, and the reduction computes A(i) = y(2i)
+    # from B = y, so every K^A witness lifts to a B-program
+    red = _even_bit_reduction()
+    y = "00101101110001011010011101001011"
+    a_oracle, b_oracle = PrefixOracle(y[0::2]), PrefixOracle(y)
     t = TimeBound.poly(10, 1)
     cap = 16
     checked = 0
     for sigma in all_strings(6):
-        res_a = k_stage(sigma, t(len(sigma)), ZERO, cap)
-        res_b = k_stage(sigma, t(len(sigma)), ZERO, cap)
-        if not res_a.above_cap:
-            assert res_b.clamped(cap) <= res_a.clamped(cap) + WRAPPER_BITS
-            lifted, t_prime = lift_code(res_a.witness, red, t, ZERO, sigma)
-            assert len(lifted) == res_a.value + WRAPPER_BITS
-            out, _total = lifted.run_under(ZERO, t_prime(len(sigma)))
+        res = k_stage(sigma, t(len(sigma)), a_oracle, cap)
+        if not res.above_cap:
+            lifted, t_prime = lift_code(res.witness, red, t, b_oracle, sigma)
+            assert len(lifted) == res.value + WRAPPER_BITS
+            out, _total = lifted.run_under(b_oracle, t_prime(len(sigma)))
             assert out.kind == "halted" and out.output == sigma
             checked += 1
     assert checked > 0
-    report(f"code lifting: identity reduction, K^B <= K^A + {WRAPPER_BITS} and"
-           f" wrapped runs reproduce their targets ({checked} witnesses)")
+    # no witness that short asks the oracle, so also lift a program that
+    # reads A(0) A(1) A(2): through the reduction it reproduces its output
+    # under B, and through the identity it reads y(0) y(1) y(2) instead
+    reader = Program.encode(assemble([("ORACLE",), ("EMITR",), ("INC", 0)] * 2
+                                     + [("ORACLE",), ("EMITR",)]))
+    sigma = run(reader, a_oracle, t(3)).output
+    assert sigma == y[0:6:2] != y[0:3]
+    lifted, t_prime = lift_code(reader, red, t, b_oracle, sigma)
+    out, _total = lifted.run_under(b_oracle, t_prime(len(sigma)))
+    assert out.kind == "halted" and out.output == sigma
+    with pytest.raises(ReductionDiverged):
+        lift_code(reader, identity_reduction(), t, b_oracle, sigma)
+    report(f"code lifting: even-bit reduction, K^B <= K^A + {WRAPPER_BITS} and"
+           f" wrapped runs reproduce their targets ({checked} witnesses and one"
+           " oracle reader)")
 
 
 def test_acceptance_recursion_fixed_point():

@@ -225,6 +225,8 @@ def test_k_rejects_non_binary_sigma(tmp_path, capsys):
        "--budget", "100"]
       for name in ("list.json", "float-depth.json", "string-forbid.json",
                    "no-depth.json", "deep.json", "no-s.json")),
+    ["profile", "--in", "bits:0101", "--t", "table:{tmp}/negative.txt", "--stage", "100",
+     "--cap", "10"],
 ])
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "t.txt").write_text("1 2 3\n")

@@ -196,6 +196,13 @@ def test_profile_gap_nondecreasing_in_stage():
         assert b.gap >= a.gap
 
 
+def test_profile_gap_enters_above_cap_as_cap_plus_one():
+    # nothing prints within 0 steps, and EMIT0 (9 bits) prints "0" by stage 100
+    row, = depth_profile("0", TimeBound.poly(0, 0), 100, None, 12).rows
+    assert (row.k_time, row.k_stage, row.gap) == (None, 9, 12 + 1 - 9)
+    assert row.above_cap
+
+
 def test_profile_warns_on_small_stage():
     with pytest.warns(UserWarning):
         depth_profile("00", TimeBound.poly(100, 1), 5, None, 16)

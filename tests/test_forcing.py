@@ -421,7 +421,7 @@ def test_force_matches_a_per_member_reference(monkeypatch, case):
 def test_force_runs_the_functional_per_branch_not_per_member(monkeypatch):
     # the benchmark's force case: 5 steps at depth 12 and budget 4096 under
     # the projection functional.  One run per member makes 10,922 machine
-    # runs; one run per oracle branch makes 70
+    # runs; one run per oracle branch makes 55
     advance, calls = toyvm._advance, []
 
     def counted(*args):

@@ -240,7 +240,7 @@ def test_cylinder_scans_outputs_longer_than_64_bits(monkeypatch):
         out = advance(instrs, oracle, budget, st, detect_cycles)
         if out is not None and out.kind == "halted" and out.output in wide:
             r = wide[out.output]
-            out = Halted(out.steps, r, r[0], out.queried)
+            out = Halted(out.steps, r, out.queried)
         return out
 
     monkeypatch.setattr(complexity, "_advance", widened)
@@ -382,6 +382,13 @@ def test_deficiency_lower_bound():
     for sigma in all_strings(4):
         rec = deficiency(sigma, 1000, 16)
         assert rec.value >= -1
+
+
+def test_deficiency_enters_above_cap_as_cap_plus_one():
+    # at stage 0 only the empty output has halted, so every other prefix
+    # is above the cap and the last one scores n - (cap + 1)
+    rec = deficiency("0" * 20, 0, 12)
+    assert rec.value == 20 - 13 and rec.argmax == 20
 
 
 # ------------------------------------------------------------------ psi

@@ -227,18 +227,18 @@ def test_direct_enumeration_catches_overlapping_branches(monkeypatch):
     # Here the walk's answer-1 child leaves its index unpinned, so it also
     # matches the prefixes of its answer-0 sibling; at cap 15 ORACLE; EMITR
     # fits, so "1" depends on an answer
-    split = OracleBranches.split
+    children = OracleBranches.children
 
-    def overlapping(self, body_index):
+    def overlapping(self, body_index, st):
         pins = self.pins
-        return tuple((bit, pins if bit else child)
-                     for bit, child in split(self, body_index))
+        return [(pins if answer else child_pins, child)
+                for answer, (child_pins, child) in enumerate(children(self, body_index, st))]
 
     t = TimeBound.poly(10, 1)
     direct = oracle_average_direct("1", t, 15, 2)
     assert oracle_average("1", t, 15, 2) == direct
     MEMO.reset()
-    monkeypatch.setattr(OracleBranches, "split", overlapping)
+    monkeypatch.setattr(OracleBranches, "children", overlapping)
     assert oracle_average("1", t, 15, 2) > direct
 
 

@@ -160,6 +160,33 @@ def test_instruction_codes_decode_like_parse_body(prefix):
     assert all(not b.startswith(a) for a, b in zip(sorted(seen), sorted(seen)[1:]))
 
 
+_MNEMONICS = ("HALT", "EMIT0", "EMIT1", "DOUBLE", "INC", "DEC", "JZ", "JMP", "ORACLE", "EMITR")
+
+
+def test_instruction_codes_are_the_assembled_instructions():
+    # parse_body decodes through INSTRUCTION_CODES, so check the table
+    # against the assembler: each entry's bits, triple and control mask
+    got = {format(value, "b").zfill(width): (instruction, mask)
+           for width, value, instruction, mask in tv.INSTRUCTION_CODES}
+    want = {}
+    for op, name in enumerate(_MNEMONICS):
+        if name in ("INC", "DEC"):
+            items = [((name, r), (op, r, 0), 0) for r in range(4)]
+        elif name == "JZ":
+            items = [((name, r, d), (op, r, d), 1 << r) for r in range(4) for d in range(-8, 8)]
+        elif name == "JMP":
+            items = [((name, d), (op, 0, d), 0) for d in range(-8, 8)]
+        else:
+            items = [((name,), (op, 0, 0), int(name == "ORACLE"))]
+        for item, instruction, mask in items:
+            want[assemble([item])] = (instruction, mask)
+    # reserved 1010-1111: bare 4-bit opcodes, kept as they are
+    want.update({format(op, "04b"): ((op, 0, 0), 0) for op in range(10, 16)})
+    assert len(tv.INSTRUCTION_CODES) == len(got) == len(want) == 100
+    assert got == want
+    assert list(got) == sorted(got)
+
+
 # ------------------------------------------------------------------ cycle key
 
 @pytest.mark.parametrize("descriptor", ["none", "zero", "halting:1000", "bits:0101"])
