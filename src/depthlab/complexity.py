@@ -39,7 +39,6 @@ witness under any oracle and K^A <= K holds with constant zero.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,11 +55,12 @@ from .toyvm import (
     bits_to_hex,
     check_bits,
     extend,
-    index_to_body,
+    max_body_length,
     oracle_key,
     output_string,
     phi,
     program_length,
+    programs_up_to,
     rope_materialize,
     run,
 )
@@ -99,6 +99,8 @@ class TimeBound:
         vals = tuple(int(v) for v in values)
         if not vals:
             raise ValueError("empty table")
+        if min(vals) < 0:
+            raise ValueError(f"table time bound must be nonnegative, got {min(vals)}")
         if any(y < x for x, y in zip(vals, vals[1:])):
             raise ValueError("table time bound must be nondecreasing")
         return cls("table", table=vals)
@@ -164,31 +166,6 @@ def _fold(at: dict, steps: int, index: int, mass: int) -> None:
     else:
         entry[0] = min(entry[0], index)
         entry[1] += mass
-
-
-def _max_body_length(cap: int) -> int:
-    """The longest body whose program fits in cap bits."""
-    n = 0
-    while program_length(n + 1) <= cap:
-        n += 1
-    return n
-
-
-class Programs(Sequence):
-    """Every program of at most cap bits, in canonical order (shortest
-    first, then lexicographic), built on demand: item i is the program
-    whose body has index i."""
-
-    def __init__(self, cap: int):
-        self._len = (1 << (_max_body_length(cap) + 1)) - 1
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> Program:
-        if not 0 <= i < self._len:
-            raise IndexError("program index out of range")
-        return Program.encode(index_to_body(i))
 
 
 def _tail_counts() -> list:
@@ -300,7 +277,7 @@ class PrefixTrie:
     def __init__(self, cap: int):
         if cap < 2:
             raise ValueError("cap must be at least 2")
-        nmax = self.nmax = _max_body_length(cap)
+        nmax = self.nmax = max_body_length(cap)
         weight = [1 << (cap - program_length(n)) for n in range(nmax + 1)]
         tails = _tail_counts()
         # per prefix length p, in units of 2^-cap: the mass of the subtree,
@@ -378,7 +355,7 @@ class HaltingTable:
         self._trie = PrefixTrie(cap)
         self.oracle = oracle
         self.cap = cap
-        self.programs = Programs(cap)
+        self.programs = programs_up_to(cap)
         self._halts: dict = {}  # output -> {halt step: [least index, mass]}
         self._view: dict | None = {}  # output -> _running(...), lex order
         self._order: list = []  # the outputs of _view, sorted

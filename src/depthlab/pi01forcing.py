@@ -6,17 +6,21 @@ with a depth cap.  Membership at a stage is a finite, exact check for
 clopen (fully enumerated) schedules and a one-sided "not pruned so far"
 check otherwise.
 
-The forcing loop grows a string sigma one bit per step.  Each step first
+The forcing loop reads the input schedule once, at the stage budget,
+and then narrows that member list in place; it grows a string sigma one
+bit per step, and every member left extends sigma.  Each step first
 builds a probe program whose diagonal value names a provably empty
-branch below sigma; a diagonally non-computable bit source therefore
-always steers into a branch that survives.  It then builds, as a
-semantic fixed point, a second program whose behaviour reports whether
-the supplied total functional is unanimous on the surviving class at the
-program's own index; when it is not (the expected case), both functional
-values are realised inside the class and one extra coding bit is pressed
-into it.  The emitted string together with the final class member lets
-every consumed bit be read back by running the recorded functional
-instances, which is exactly the content the trace certifies.
+branch below sigma (a side of the next bit that no member takes); a
+diagonally non-computable bit source therefore always steers into a
+branch that survives.  It then builds, as a semantic fixed point, a
+second program whose behaviour reports whether the supplied total
+functional is unanimous on the surviving class at the program's own
+index; when it is not (the expected case), both functional values are
+realised inside the class and one extra coding bit is pressed into it:
+the members that give the other value are dropped.  The emitted string
+together with the final class member lets every consumed bit be read
+back by running the recorded functional instances, which is exactly the
+content the trace certifies.
 
 The loop reads a functional instance on the whole surviving class at
 once (Functional.values): one run that branches on each oracle answer
@@ -102,9 +106,6 @@ class PruningSchedule:
     def settled_at(self, stage: int) -> bool:
         """True when no pruning can arrive after this stage."""
         return stage >= self.last_stage()
-
-    def extended(self, stage: int, forbid) -> "PruningSchedule":
-        return PruningSchedule(self.stages + [(stage, frozenset(forbid))], self.depth)
 
     def to_json(self) -> dict:
         return {
@@ -336,7 +337,6 @@ class ForcingResult:
     b_member: str
     steps: list[ForcingStep] = field(default_factory=list)
     inconclusive: list[int] = field(default_factory=list)
-    schedule: PruningSchedule | None = None
 
     def to_json(self) -> dict:
         return {
@@ -387,6 +387,13 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
     the coding bits (bit s of step s is its value at s), or a plain bit
     string whose bit s is the coding bit of step s, with the dodge bits
     coming from the canonical halting-table witness at the stage budget.
+
+    The class is the input schedule's members at the stage budget, listed
+    once and narrowed in place: each step keeps the members on the dodge
+    bit's side, then those whose functional value is the coding bit.  The
+    result's b_member is the first member left.  `inconclusive` lists
+    every step when the input schedule has a stage past the stage budget
+    (a later pruning could still empty the class), and no step otherwise.
     """
     depth = schedule.depth
     if isinstance(f, Dnc2Witness):
@@ -410,32 +417,23 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
     if steps > depth:
         raise ForcingError("more steps than the depth cap")
 
-    work = schedule
+    members = members_at_stage(schedule, depth, stage_budget)
+    if not members:
+        raise ForcingError("class empty")
+    settled = schedule.settled_at(stage_budget)
     sigma = ""
-    next_stage = schedule.last_stage() + 1
-    result = ForcingResult("", "")
+    result = ForcingResult("", "", inconclusive=[] if settled else list(range(steps)))
     for s in range(steps):
-        settled = work.settled_at(stage_budget)
-        if not settled:
-            result.inconclusive.append(s)
-        members = members_at_stage(work, depth, stage_budget)
-        if not members:
-            raise ForcingError(f"class empty at step {s}")
-        # probe: the first side below sigma that is provably empty
-        empty_side = None
-        for i in (0, 1):
-            if not any(x.startswith(sigma + str(i)) for x in members):
-                empty_side = i
-                break
+        # every member extends sigma; probe: the first side no member takes
+        sides = {x[s] for x in members}
+        empty_side = next((i for i in (0, 1) if str(i) not in sides), None)
         n_index = smn(_answer_base(empty_side), 2 * s + 1)
         bit = dodge.value(n_index)
         sigma_next = sigma + str(bit)
-        survivors = [x for x in members if x.startswith(sigma_next)]
+        survivors = [x for x in members if x[s] == str(bit)]
         if not survivors:
             raise ForcingError(
                 f"step {s}: the bit source walked into the pruned side")
-        work = work.extended(next_stage, {sigma + str(1 - bit)})
-        next_stage += 1
 
         # fixed point: does the functional answer unanimously at the
         # program's own index on the surviving class?
@@ -454,10 +452,6 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
             raise ForcingError(
                 f"step {s}: coding bit {a_bit} unrealisable; the functional"
                 f" is unanimous on the other value")
-        forbid = {x for x, v in zip(survivors, values) if v != a_bit}
-        if forbid:
-            work = work.extended(next_stage, forbid)
-            next_stage += 1
         result.steps.append(ForcingStep(
             s=s, sigma=sigma_next,
             n_index=n_index,
@@ -474,13 +468,10 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
             settled=settled,
         ))
         sigma = sigma_next
+        members = keep
 
-    final_members = members_at_stage(work, depth, stage_budget)
-    if not final_members:
-        raise ForcingError("final class empty")
     result.b_prefix = sigma
-    result.b_member = final_members[0]
-    result.schedule = work
+    result.b_member = members[0]
     return result
 
 

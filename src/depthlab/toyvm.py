@@ -67,6 +67,7 @@ Program indices
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -386,16 +387,34 @@ def program_length(body_len: int) -> int:
     return len(gamma_encode(body_len + 1)) + body_len
 
 
-def programs_up_to(cap: int) -> list[Program]:
-    """All well-formed programs of at most cap bits, shortest first then
-    lexicographic (the canonical witness search order)."""
-    out = []
-    n = 0
-    while program_length(n) <= cap:
-        header = gamma_encode(n + 1)
-        out.extend(Program(header + body, body) for body in strings_of_length(n))
+def max_body_length(cap: int) -> int:
+    """The longest body whose program fits in cap bits; -1 when none does."""
+    n = -1
+    while program_length(n + 1) <= cap:
         n += 1
-    return out
+    return n
+
+
+class Programs(Sequence):
+    """Every program of at most cap bits, shortest first then lexicographic
+    (the canonical witness search order), built on demand: item i is the
+    program whose body has index i."""
+
+    def __init__(self, cap: int):
+        self._len = (1 << (max_body_length(cap) + 1)) - 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Program:
+        if not 0 <= i < self._len:
+            raise IndexError("program index out of range")
+        return Program.encode(index_to_body(i))
+
+
+def programs_up_to(cap: int) -> Programs:
+    """All well-formed programs of at most cap bits, in canonical order."""
+    return Programs(cap)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from depthlab.pi01forcing import (
     PruningSchedule,
     force,
     join_check,
-    members_at_stage,
 )
 from depthlab.randomness import (
     count_cheap_extensions,
@@ -62,6 +61,7 @@ from depthlab.toyvm import (
     run,
 )
 from test_constructions import _even_bit_reduction
+from test_forcing import assert_member_carries_every_bit
 
 
 def all_strings(max_len):
@@ -171,18 +171,22 @@ def test_acceptance_semimeasure_conversion_20_frozen():
     report("semimeasure-to-stage conversion: 20 frozen tables, exact domination")
 
 
-def test_acceptance_builder_8_rounds():
-    t0 = time.time()
-    oracle = HaltingOracle(10 ** 4)
-    cfg = BuilderConfig(
-        rounds=8,
-        martingale=default_builder_martingale(oracle, 18),
+def builder_config(rounds, stage, cap):
+    """The builder under the halting oracle at the stage, T = poly:2,2."""
+    oracle = HaltingOracle(stage)
+    return BuilderConfig(
+        rounds=rounds,
+        martingale=default_builder_martingale(oracle, cap),
         oracle=oracle,
         dominating=TimeBound.poly(2, 2),
-        cap=18,
-        mart_stage=10 ** 4,
+        cap=cap,
+        mart_stage=stage,
     )
-    trace = build_deep_random(cfg)
+
+
+def test_acceptance_builder_8_rounds():
+    t0 = time.time()
+    trace = build_deep_random(builder_config(8, 10 ** 4, 18))
     assert trace.check_martingale_budget()
     assert trace.check_length_recurrence()
     unflagged = sum(1 for r in trace.rounds if not r.flagged)
@@ -190,6 +194,29 @@ def test_acceptance_builder_8_rounds():
     assert [len(r.sigma) for r in trace.rounds] == [3, 8, 15, 24, 34, 46, 59, 74]
     report(f"builder: 8 rounds in {time.time() - t0:.1f}s, budget and length"
            f" checks exact, {unflagged}/8 rounds unflagged")
+
+
+@pytest.mark.parametrize("rounds,stage,cap", [(8, 10 ** 4, 18), (3, 1000, 16)],
+                         ids=["gate", "golden"])
+def test_acceptance_builder_rounds_are_vacuous_at_these_caps(rounds, stage, cap):
+    """No round of the gate's or the golden's build can reject a candidate.
+
+    Round r rejects a candidate whose K is at most r - 1.  A nonempty output
+    needs a program of at least 9 bits, 5 header bits and one 4-bit EMIT, so
+    rounds r <= 9 cannot reject.  The least K over nonempty outputs of the
+    builder's own table, read at the last round's budget and length (the
+    largest of any round), exceeds rounds - 1: no non-vacuous round exists
+    at these caps, and the complexity filter is never exercised."""
+    cfg = builder_config(rounds, stage, cap)
+    trace = build_deep_random(cfg)
+    final = len(trace.rounds[-1].sigma)
+    omap = halting_table(cfg.oracle, cap).output_map(cfg.dominating(final), final)
+    least = min(k for sigma, (k, _p) in omap.items() if sigma)
+    assert least == 9
+    assert least > rounds - 1
+    assert all(r.k_rejected == 0 and not r.flagged for r in trace.rounds)
+    report(f"builder: least K over nonempty outputs is {least} at cap {cap}, above"
+           f" the {rounds - 1} of round {rounds}; every round is vacuous")
 
 
 def test_acceptance_oracle_average_identity_10_strings():
@@ -294,12 +321,7 @@ def test_acceptance_forcing_3_schedules():
         witness = Dnc2Witness.from_halting_table(budget)
         res = force(schedule, witness, steps, budget, functional=fn)
         assert res.inconclusive == []
-        transcript = res.reconstruct(fn)
-        assert all(t["match"] for t in transcript)
-        final = res.schedule
-        assert res.b_member in members_at_stage(final, final.depth, budget)
-        for st in res.steps:
-            assert res.b_member.startswith(st.sigma)
+        assert_member_carries_every_bit(res, schedule, budget, fn)
     report("forcing: 3 clopen schedules, every consumed bit reconstructed from"
            " the emitted member, member survives every stage")
 

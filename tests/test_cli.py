@@ -145,6 +145,19 @@ def test_force_subcommand_and_reconstruction(tmp_path):
     assert all(step["match"] for step in doc["reconstruction"])
 
 
+def test_force_on_a_schedule_settled_at_the_budget_is_conclusive(tmp_path):
+    # only the input's stages decide the exit code: none lies past --budget
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"depth": 6, "stages": [{"s": 100, "forbid": []}]}))
+    code, text = run_cli(tmp_path, "force", "--class", str(sched), "--f", "bits:101",
+                         "--steps", "3", "--budget", "100", "--query-schedule", "3,4,5")
+    doc = json.loads(text)
+    assert code == EXIT_OK
+    assert doc["inconclusive"] == []
+    assert [step["members_after"] for step in doc["steps"]] == [16, 4, 1]
+    assert all(step["match"] for step in doc["reconstruction"])
+
+
 def test_join_check_subcommand(tmp_path):
     code, text = run_cli(tmp_path, "join-check", "--F", "bits:" + "1" * 16,
                          "--X", "bits:" + "0" * 16, "--Y", "bits:" + "1" * 16,
@@ -260,6 +273,20 @@ def test_bad_schedule_exits_2_naming_the_fault(tmp_path, capsys, text, message):
     assert dispatch(["force", "--class", str(tmp_path / "sched.json"), "--f", "halting-dnc",
                      "--steps", "2", "--budget", "100", "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["k", "--sigma", "0", "--t", "table:{tmp}/neg.txt"],
+    ["profile", "--in", "bits:0101", "--t", "table:{tmp}/neg.txt", "--stage", "100",
+     "--cap", "12"],
+], ids=["k", "profile"])
+def test_negative_time_bound_table_exits_2_naming_the_table(tmp_path, capsys, argv):
+    # the fault is in the --t file, not in a valid --stage
+    (tmp_path / "neg.txt").write_text("-1 -1 5\n")
+    out = tmp_path / "artifact"
+    assert dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: table time bound must be nonnegative, got -1\n"
     assert not out.exists()
 
 

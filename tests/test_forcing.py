@@ -201,13 +201,22 @@ def test_force_idempotent():
     assert a.to_json() == b.to_json()
 
 
+def assert_member_carries_every_bit(res, schedule, budget, fn):
+    """The emitted member is in the input class at the budget, extends
+    every step's sigma, and gives back each step's dodge and coding bit:
+    its functional instance, run on the member at the fixed-point index,
+    reads the coding bit."""
+    assert res.b_member in members_at_stage(schedule, schedule.depth, budget)
+    for st in res.steps:
+        assert res.b_member.startswith(st.sigma)
+        assert fn.apply(st.functional_instance, res.b_member, st.m_index) == st.coding_bit
+    assert all(row["match"] for row in res.reconstruct(fn))
+
+
 def test_force_member_at_every_stage():
     sch, witness, fn, budget = full_space_instance()
     res = force(sch, witness, 3, budget, functional=fn)
-    final = res.schedule
-    assert res.b_member in members_at_stage(final, final.depth, budget)
-    for st in res.steps:
-        assert res.b_member.startswith(st.sigma[: st.s + 1])
+    assert_member_carries_every_bit(res, sch, budget, fn)
 
 
 def test_force_probe_and_event_programs_are_self_describing():
@@ -258,11 +267,27 @@ def test_force_empty_class_rejected():
 
 
 def test_force_reports_unsettled_stages():
-    # pruning arriving after the stage budget leaves emptiness unsettled
+    # pruning arriving after the stage budget leaves emptiness unsettled,
+    # and the class force narrows is the one read at the budget
     sch = PruningSchedule([(0, {"11"}), (10 ** 6, {"10"})], 8)
     fn = Functional.projection((5, 6))
     res = force(sch, Dnc2Witness.from_halting_table(4096), 2, 4096, functional=fn)
     assert res.inconclusive == [0, 1]
+    # 192 members; the dodge bit keeps the 128 below "0" and each later
+    # dodge or coding bit halves the class
+    assert [st.members_after for st in res.steps] == [64, 16]
+    assert_member_carries_every_bit(res, sch, 4096, fn)
+
+
+def test_force_sees_its_own_prunings_past_the_budget():
+    # a schedule whose last stage is the budget: it is settled, and the
+    # dodge and coding bits narrow the class at every step
+    sch = PruningSchedule([(100, set())], 6)
+    fn = Functional.projection((3, 4, 5))
+    res = force(sch, "101", 3, 100, functional=fn)
+    assert res.inconclusive == []
+    assert [st.members_after for st in res.steps] == [16, 4, 1]
+    assert_member_carries_every_bit(res, sch, 100, fn)
 
 
 # ------------------------------------------------------------------ branched values
