@@ -16,9 +16,10 @@ from depthlab.randomness import (
 
 # A martingale doubles its stake on the branch it bets on and zeroes the
 # other, or splits anywhere in between; fairness 2 d(s) = d(s0) + d(s1)
-# holds exactly in every table this module accepts.
-d = MartingaleTable.from_splits(
-    3, lambda s: Fraction(1) if set(s) <= {"0"} else Fraction(1, 2))
+# holds exactly in every table this module accepts.  A split (p, q) bets
+# p/q of the stake on the 0-child; splits are listed in heap order, at
+# "", "0", "1", "00", "01", "10", "11".
+d = MartingaleTable.from_splits(3, [(1, 1), (1, 1), (1, 2), (1, 1), (1, 2), (1, 2), (1, 2)])
 print("all-in on zeros: d(000) =", d.value("000"), " d(001) =", d.value("001"))
 
 # However aggressively it bets, a martingale cannot be ahead everywhere:

@@ -27,6 +27,7 @@ from .toyvm import (
     check_bits,
     compile_const,
     fixed_point,
+    index_to_body,
     int_to_bin,
     parse_oracle,
     phi,
@@ -135,14 +136,16 @@ def _cmd_space_lemma(args) -> int:
     if args.mode == "exhaustive":
         for fam_depth, splits in ((3, randomness.DYADIC_SPLITS),
                                   (2, tuple(Fraction(i, 4) for i in range(5)))):
+            # the sigma with at least l table levels below them, in heap order
+            above = (1 << max(fam_depth + 1 - l, 0)) - 1
             for table in randomness.dyadic_family(fam_depth, splits):
-                for slen in range(max(fam_depth + 1, l + 1) - l):
-                    for sigma in strings_of_length(slen):
-                        if len(sigma) + l > table.depth or table.value(sigma) == 0:
-                            continue
-                        tested += 1
-                        if randomness.count_cheap_extensions(table, sigma, delta, l) < args.k:
-                            violations += 1
+                for i, value in enumerate(table.nums[:above]):
+                    if not value:
+                        continue
+                    tested += 1
+                    sigma = index_to_body(i)
+                    if randomness.count_cheap_extensions(table, sigma, delta, l) < args.k:
+                        violations += 1
     else:
         rng = random.Random(args.seed)
         depth = max(args.depth, l)

@@ -450,16 +450,29 @@ class HaltingTable:
 
     def cylinder_numerator(self, prefix: str, budget: int) -> int:
         """Halting mass within budget on the outputs extending prefix, in
-        units of 2^-cap."""
+        units of 2^-cap: the l = 0 read of cylinder_numerators."""
+        return self.cylinder_numerators(prefix, 0, budget).get(0, 0)
+
+    def cylinder_numerators(self, prefix: str, l: int, budget: int) -> dict:
+        """{int(tau, 2): halting mass within budget on the outputs extending
+        prefix + tau} over the tau of l bits, in units of 2^-cap, nonzero
+        masses only.  One pass over the outputs extending prefix: an
+        output shorter than prefix + tau extends no such cylinder."""
+        check_bits(prefix)
         self.ensure(budget)
         view = self._read_view()
         order = self._order
-        total = 0
+        start, end = len(prefix), len(prefix) + l
+        masses: dict = {}
         # the outputs extending prefix sort between prefix and prefix + "2"
         for sigma in order[bisect_left(order, prefix):bisect_left(order, prefix + "2")]:
+            if len(sigma) < end:
+                continue
             hit = _within(view[sigma], budget)
-            total += 0 if hit is None else hit[1]
-        return total
+            if hit is not None:
+                tau = int(sigma[start:end] or "0", 2)
+                masses[tau] = masses.get(tau, 0) + hit[1]
+        return masses
 
 
 def halting_table(oracle, cap: int) -> HaltingTable:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .complexity import WRAPPER_BITS, Reduction, TimeBound, halting_table, k_stage
 from .randomness import StagedSupermartingale, space_lemma_length
-from .toyvm import PrefixOracle, bits_to_hex, check_bits, oracle_key, strings_of_length
+from .toyvm import PrefixOracle, bits_to_hex, check_bits, oracle_key
 
 
 class BuilderError(Exception):
@@ -54,7 +54,9 @@ class BuilderConfig:
 class BuilderRound:
     """One round of the builder.  `k_rejected` counts the cheap candidates
     the complexity filter rejected before the chosen one (every candidate
-    on a flagged round); 0 means the filter rejected nothing."""
+    on a flagged round); 0 means the filter rejected nothing.
+    `price_rejected` counts the candidates the price filter rejected, and
+    a round is `vacuous` when neither filter rejected any."""
 
     n: int
     sigma: str
@@ -65,6 +67,14 @@ class BuilderRound:
     k_value: int | None
     flagged: bool
     k_rejected: int
+
+    @property
+    def price_rejected(self) -> int:
+        return (1 << self.extension_length) - self.ext_count
+
+    @property
+    def vacuous(self) -> bool:
+        return self.price_rejected == 0 and self.k_rejected == 0
 
 
 @dataclass
@@ -116,6 +126,8 @@ class BuilderTrace:
                     "d_den": r.d_value.denominator,
                     "flagged": r.flagged,
                     "k_rejected": r.k_rejected,
+                    "price_rejected": r.price_rejected,
+                    "vacuous": r.vacuous,
                 }
                 for r in self.rounds
             ],
@@ -139,28 +151,29 @@ def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
         "mart_stage": cfg.mart_stage,
     })
     trace.d_lambda = d("", cfg.mart_stage)
-    price = d.numerator
     sigma = ""
     for r in range(1, cfg.rounds + 1):
         delta = 1 + Fraction(1, r * r)
         k = 1 << r
         l = space_lemma_length(delta, k)
         # d(sigma tau) < delta d(sigma), cross-multiplied over d's scale
-        bound = delta.numerator * price(sigma, cfg.mart_stage)
+        bound = delta.numerator * d.numerator(sigma, cfg.mart_stage)
         den = delta.denominator
         budget = cfg.dominating(len(sigma) + l)
         omap = table.output_map(budget, len(sigma) + l)
         # one pass, in lex order, through both filters: count the cheap
         # extensions, take the first one the complexity filter passes, and
-        # remember the least-compressible rejected one (first on ties)
+        # remember the least-compressible rejected one (first on ties); a
+        # tau string is built only for the candidates the filter reads
         ext_count = rejected = 0
         chosen = fallback = None
         best_k = -1
-        for tau in strings_of_length(l):
-            if price(sigma + tau, cfg.mart_stage) * den >= bound:
+        for v, price in enumerate(d.extensions(sigma, l, cfg.mart_stage)):
+            if price * den >= bound:
                 continue
             ext_count += 1
             if chosen is None:
+                tau = format(v, "b").zfill(l)
                 hit = omap.get(sigma + tau)
                 if hit is None or hit[0] > r - 1:
                     chosen = tau

@@ -15,6 +15,12 @@ cross-multiplication, so no Fraction is built while tables are checked,
 extensions counted or the builder's candidates priced.  Fractions appear
 only where a value leaves the layer: MartingaleTable.value and .values,
 and calling a StagedSupermartingale.
+
+A builder round prices all 2^l extensions of its string in one lazy pass
+(StagedSupermartingale.extensions): each table's part is a slice of its
+heap order, indexed by toyvm.body_index, and the machine's part is the
+sparse map of cylinder masses that HaltingTable.cylinder_numerators
+reads in one walk of the outputs extending the string.
 """
 
 from __future__ import annotations
@@ -23,12 +29,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Iterable
 
 from .complexity import TimeBound, halting_table, k_stage
 from .semimeasure import (m_stage, prefix_mass_evaluator, read_fraction_table,
                           relative_mass, write_fraction_table)
-from .toyvm import check_bits, index_to_body, strings_of_length
+from .toyvm import body_index, check_bits, index_to_body, strings_of_length
 
 
 class FairnessError(ValueError):
@@ -75,25 +81,15 @@ def space_lemma_length(delta, k: int) -> int:
 # martingale tables
 
 
-def heap_index(sigma: str) -> int:
-    """Position of sigma in length-lex order, 2^|sigma| - 1 + int(sigma, 2);
-    the children of index i sit at 2i + 1 and 2i + 2."""
-    return (1 << len(sigma)) - 1 + (int(sigma, 2) if sigma else 0)
-
-
-def _heap_strings(depth: int) -> list[str]:
-    """Every string of length <= depth, in heap order."""
-    return [sigma for length in range(depth + 1) for sigma in strings_of_length(length)]
-
-
 class MartingaleTable:
     """Exact nonnegative rationals on every string of length <= depth,
     validated against fairness on construction.
 
     The table is the list `nums` of integer numerators over the one
-    shared denominator `den`, in heap order (see `heap_index`), so
-    fairness is the integer identity 2 n[i] = n[2i+1] + n[2i+2] and the
-    extensions of sigma of one length are a contiguous slice.  Build it
+    shared denominator `den`, in heap order: sigma at
+    toyvm.body_index(sigma), the children of index i at 2i + 1 and
+    2i + 2.  So fairness is the integer identity 2 n[i] = n[2i+1] +
+    n[2i+2], and the extensions of sigma of one length are a slice.  Build it
     from a dict of rationals, or pass `nums` and `den`; both are checked
     the same way.  `value` and `values` return Fractions."""
 
@@ -103,7 +99,7 @@ class MartingaleTable:
         size = (2 << depth) - 1
         if values is not None:
             rationals = []
-            for sigma in _heap_strings(depth):
+            for sigma in map(index_to_body, range(size)):
                 if sigma not in values:
                     raise FairnessError(f"missing value at {sigma!r}")
                 v = Fraction(values[sigma])
@@ -128,13 +124,12 @@ class MartingaleTable:
     @property
     def values(self) -> dict[str, Fraction]:
         den = self.den
-        return {sigma: Fraction(v, den)
-                for sigma, v in zip(_heap_strings(self.depth), self.nums)}
+        return {index_to_body(i): Fraction(v, den) for i, v in enumerate(self.nums)}
 
     def value(self, sigma: str) -> Fraction:
         """Table value, extended constantly below the table's leaves."""
         check_bits(sigma)
-        return Fraction(self.nums[heap_index(sigma[: self.depth])], self.den)
+        return Fraction(self.nums[body_index(sigma[: self.depth])], self.den)
 
     @classmethod
     def constant(cls, depth: int, c: Fraction = Fraction(1)) -> "MartingaleTable":
@@ -142,17 +137,19 @@ class MartingaleTable:
         return cls(depth, nums=[num] * ((2 << depth) - 1), den=den)
 
     @classmethod
-    def from_splits(cls, depth: int, split) -> "MartingaleTable":
-        """Build from a split rule: split(sigma) is the fraction of 2 d(sigma)
-        bet on the 0-child, so d(sigma 0) = 2 a d(sigma).  With q the lcm
-        of the splits' denominators, the values are integers over
-        q^depth, the root being q^depth itself."""
-        splits = []
-        for sigma in _heap_strings(depth - 1):
-            p, q = _ratio(split(sigma))
-            if not 0 <= p <= q:
-                raise FairnessError(f"split {Fraction(p, q)} out of range at {sigma!r}")
-            splits.append((p, q))
+    def from_splits(cls, depth: int, splits) -> "MartingaleTable":
+        """Build from the splits of the internal nodes, a sequence of
+        integer pairs in heap order: (p, q) at sigma bets the fraction p/q
+        of 2 d(sigma) on the 0-child, so d(sigma 0) = 2 (p/q) d(sigma).
+        With grain the lcm of the q's, the values are integers over
+        grain^depth, the root being grain^depth itself."""
+        count = (1 << depth) - 1
+        if len(splits) != count:
+            raise FairnessError(
+                f"{len(splits)} splits for depth {depth}, which has {count} internal nodes")
+        for i, (p, q) in enumerate(splits):
+            if q < 1 or not 0 <= p <= q:
+                raise FairnessError(f"split {p}/{q} out of range at {index_to_body(i)!r}")
         grain = lcm(*(q for _p, q in splits))
         nums = [grain ** depth]
         for i, (p, q) in enumerate(splits):
@@ -181,9 +178,9 @@ def count_cheap_extensions(d: MartingaleTable, sigma: str, delta, l: int) -> int
     check_bits(sigma)
     if len(sigma) + l > d.depth:
         raise ValueError("extension runs past the table depth")
-    first = heap_index(sigma + "0" * l)
+    first = body_index(sigma + "0" * l)
     # for an integer v, v * den < num * n(sigma) is v < ceil(num n(sigma) / den)
-    bound = -(-num * d.nums[heap_index(sigma)] // den)
+    bound = -(-num * d.nums[body_index(sigma)] // den)
     return sum(map(bound.__gt__, d.nums[first: first + (1 << l)]))
 
 
@@ -194,23 +191,25 @@ DYADIC_SPLITS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 def dyadic_family(depth: int, splits=DYADIC_SPLITS):
     """Every martingale of the given depth whose per-node splits come from
-    the grid; normalised to 1 at the root.  Exhaustive over the grid."""
-    internal = [sigma for length in range(depth) for sigma in strings_of_length(length)]
-    n = len(internal)
-    total = len(splits) ** n
-    for code in range(total):
-        c = code
-        assign = {}
-        for node in internal:
-            assign[node] = splits[c % len(splits)]
-            c //= len(splits)
-        yield MartingaleTable.from_splits(depth, lambda s: assign[s])
+    the grid; normalised to 1 at the root.  Exhaustive over the grid: the
+    base-len(grid) digits of the code, least significant first, are the
+    splits in heap order."""
+    grid = [_ratio(a) for a in splits]
+    base, internal = len(grid), (1 << depth) - 1
+    for code in range(base ** internal):
+        assign = []
+        for _ in range(internal):
+            code, digit = divmod(code, base)
+            assign.append(grid[digit])
+        yield MartingaleTable.from_splits(depth, assign)
 
 
 def random_table(depth: int, rng: random.Random, grain: int = 8) -> MartingaleTable:
-    grid = [Fraction(i, grain) for i in range(grain + 1)]
-    splits = {sigma: grid[rng.randint(0, grain)] for sigma in _heap_strings(depth - 1)}
-    return MartingaleTable.from_splits(depth, splits.__getitem__)
+    """Splits drawn uniformly from the multiples of 1/grain, one
+    rng.randint per internal node in heap order."""
+    grid = [_ratio(Fraction(i, grain)) for i in range(grain + 1)]
+    return MartingaleTable.from_splits(
+        depth, [grid[rng.randint(0, grain)] for _ in range((1 << depth) - 1)])
 
 
 # --------------------------------------------------------------------------
@@ -222,27 +221,41 @@ class StagedSupermartingale:
     """(sigma, stage) -> rational, monotone in stage, with
     2 d_s(sigma) >= d_s(sigma 0) + d_s(sigma 1).
 
-    `numerator(sigma, stage)` is the exact integer value times `scale`;
-    calling the object gives the Fraction."""
+    `extensions(sigma, l, stage)` yields the exact integer values times
+    `scale` of sigma tau for the 2^l strings tau of l bits, in lex order
+    of tau.  `numerator(sigma, stage)` is its l = 0 value, and calling
+    the object gives the Fraction."""
 
-    numerator: Callable[[str, int], int]
+    extensions: Callable[[str, int, int], Iterable[int]]
     scale: int
     description: str
 
+    def numerator(self, sigma: str, stage: int) -> int:
+        return next(iter(self.extensions(sigma, 0, stage)))
+
     def __call__(self, sigma: str, stage: int) -> Fraction:
         return Fraction(self.numerator(sigma, stage), self.scale)
+
+
+def _machine_part(cylinders, sigma: str, l: int, stage: int, weight: int = 1) -> dict:
+    """{int(tau, 2): weight 2^|sigma tau| times the cylinder mass of sigma
+    tau} over the tau of l bits with positive mass."""
+    shift = len(sigma) + l
+    return {tau: weight * mass << shift
+            for tau, mass in cylinders(sigma, l, stage).items()}
 
 
 def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
     """Cylinder-mass supermartingale from the machine semimeasure:
     d_s(sigma) = 2^|sigma| * sum of halting mass on outputs extending sigma,
     over the scale 2^cap."""
-    cylinder = halting_table(oracle, cap).cylinder_numerator
+    cylinders = halting_table(oracle, cap).cylinder_numerators
 
-    def numerator(sigma: str, stage: int) -> int:
-        return cylinder(sigma, stage) << len(sigma)
+    def extensions(sigma: str, l: int, stage: int):
+        part = _machine_part(cylinders, sigma, l, stage)
+        return (part.get(tau, 0) for tau in range(1 << l))
 
-    return StagedSupermartingale(numerator, 1 << cap, f"machine-cylinder/cap{cap}")
+    return StagedSupermartingale(extensions, 1 << cap, f"machine-cylinder/cap{cap}")
 
 
 def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSupermartingale:
@@ -250,8 +263,13 @@ def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSuperma
     cylinder supermartingale; the builder default.  Table i enters with
     weight 2^-(i+1) over its root value, the machine part with
     2^-(len(tables)+1); the scale is the lcm of the machine part's
-    2^(cap+len(tables)+1) and each 2^(i+1) root numerator."""
-    machine = machine_supermartingale(oracle, cap)
+    2^(cap+len(tables)+1) and each 2^(i+1) root numerator.
+
+    Over the extensions of sigma, a depth-d table's part is a heap slice
+    of at most 2^(d - |sigma|) values, each constant on a block of
+    2^(|sigma| + l - d) consecutive tau.  The tables are summed once per
+    block and the sparse machine part added as the prices are yielded."""
+    cylinders = halting_table(oracle, cap).cylinder_numerators
     tail_shift = cap + len(tables) + 1
     scale = 1 << tail_shift
     for i, tab in enumerate(tables):
@@ -259,17 +277,27 @@ def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSuperma
             scale = lcm(scale, tab.nums[0] << (i + 1))
     terms = [(tab.nums, tab.depth, scale // (tab.nums[0] << (i + 1)))
              for i, tab in enumerate(tables) if tab.nums[0]]
+    deepest = max((depth for _nums, depth, _factor in terms), default=0)
     tail = scale >> tail_shift
-    machine_numerator = machine.numerator
 
-    def numerator(sigma: str, stage: int) -> int:
-        total = tail * machine_numerator(sigma, stage)
+    def extensions(sigma: str, l: int, stage: int):
+        n = len(sigma)
+        # the bits of tau that some table reads; the rest only pick a
+        # candidate within a block
+        reads = min(max(deepest - n, 0), l)
+        blocks = [0] * (1 << reads)
         for nums, depth, factor in terms:
-            total += factor * nums[heap_index(sigma[:depth])]
-        return total
+            first = body_index((sigma + "0" * l)[:depth])
+            spread = reads - min(max(depth - n, 0), l)
+            for j in range(1 << reads):
+                blocks[j] += factor * nums[first + (j >> spread)]
+        machine = _machine_part(cylinders, sigma, l, stage, tail)
+        block = l - reads
+        for tau in range(1 << l):
+            yield blocks[tau >> block] + machine.get(tau, 0)
 
     names = ",".join(f"t{i}" for i in range(len(tables)))
-    return StagedSupermartingale(numerator, scale, f"mixture({names})+machine/cap{cap}")
+    return StagedSupermartingale(extensions, scale, f"mixture({names})+machine/cap{cap}")
 
 
 def default_builder_martingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
@@ -279,9 +307,10 @@ def default_builder_martingale(oracle=None, cap: int = 16) -> StagedSupermarting
     depth = 8
     tables = [
         MartingaleTable.constant(depth),
-        MartingaleTable.from_splits(depth, lambda s: Fraction(3, 4)),
-        MartingaleTable.from_splits(
-            depth, lambda s: Fraction(3, 4) if len(s) % 2 == 0 else Fraction(1, 4)),
+        MartingaleTable.from_splits(depth, [(3, 4)] * ((1 << depth) - 1)),
+        MartingaleTable.from_splits(depth, [((3, 4), (1, 4))[length % 2]
+                                            for length in range(depth)
+                                            for _node in range(1 << length)]),
     ]
     return mixture_supermartingale(tables, oracle, cap)
 

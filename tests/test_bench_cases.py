@@ -4,12 +4,15 @@ bench/cases.py imports names from depthlab, reads attributes of its
 modules and hands argv lists to the command line.  Building every
 workload at seed 0 and parsing each case's argv here makes a renamed
 function or a removed flag fail the test suite, not only a benchmark
-run.  Nothing is spawned and no file is written: the cases' input files
-are only named, and the module is loaded without a bytecode cache.
+run.  The betting workload's commands also run here, in process, and
+their values are compared with expected.json.  Nothing is spawned and no
+file is written: the cases' input files are only named, and the module is
+loaded without a bytecode cache.
 """
 
 import ast
 import importlib.util
+import json
 import sys
 import types
 from pathlib import Path
@@ -20,6 +23,7 @@ from depthlab import cli
 from depthlab.semimeasure import PrefixMassEvaluator
 
 CASES_PATH = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
+EXPECTED_PATH = CASES_PATH.with_name("expected.json")
 
 
 def _load_cases():
@@ -66,3 +70,16 @@ def test_depthlab_attributes_the_cases_read_exist():
             value = getattr(value, attr)
     # read off the evaluator that semimeasure.prefix_mass_evaluator returns
     assert callable(PrefixMassEvaluator.mass)
+
+
+@pytest.mark.parametrize("case", cases.make_workload("bet", cases.DEFAULT_SEED, "work").cases,
+                         ids=lambda case: case.name)
+def test_bet_values_match_expected(case, capsys):
+    """The betting workload's seed-0 commands, run in this process, give
+    the values recorded in expected.json and pass the case's own check, so
+    a drift in the betting layer fails the suite, not only a bench run."""
+    expected = json.loads(EXPECTED_PATH.read_text(encoding="ascii"))["bet"][case.name]
+    assert cli.dispatch(case.argv) == 0
+    out = capsys.readouterr().out
+    assert cases.values_of(case.argv[0], out) == expected
+    assert case.check(out) == []

@@ -35,6 +35,7 @@ from depthlab.toyvm import (
     parse_oracle,
     program_length,
     run,
+    strings_of_length,
 )
 from depthlab.semimeasure import PrefixMassEvaluator, m_stage
 from reference_runs import (
@@ -166,6 +167,7 @@ INDEX_ORACLES = ["none", "zero", "halting:1000", "bits:0101"]
 INDEX_BUDGETS = (0, 1, 2, 3, 4, 5, 10 ** 4)
 MAX_LENS = (0, 1, 2, 3, 4, 100)
 TARGETS = list(all_strings(5))
+CYLINDER_LENGTHS = (1, 3)
 
 
 def table_reads(table, budget):
@@ -182,6 +184,8 @@ def table_reads(table, budget):
         "first": [None if p is None else p.bits for p in witnesses],
         "mass": [table.mass_numerator(sigma, budget) for sigma in TARGETS],
         "cylinder": [table.cylinder_numerator(sigma, budget) for sigma in TARGETS],
+        "cylinders": [table.cylinder_numerators(sigma, l, budget)
+                      for sigma in TARGETS for l in CYLINDER_LENGTHS],
     }
 
 
@@ -200,6 +204,10 @@ def reference_reads(runs, cap, budget):
         "mass": [masses.get(sigma, 0) * (1 << cap) for sigma in TARGETS],
         "cylinder": [sum(mass for out, mass in masses.items() if out.startswith(sigma))
                      * (1 << cap) for sigma in TARGETS],
+        "cylinders": [{v: m for v, m in enumerate(
+                           sum(mass for out, mass in masses.items() if out.startswith(sigma + tau))
+                           * (1 << cap) for tau in strings_of_length(l)) if m}
+                      for sigma in TARGETS for l in CYLINDER_LENGTHS],
     }
 
 

@@ -21,10 +21,9 @@ from depthlab.randomness import (
     MartingaleTable,
     StagedSupermartingale,
     default_builder_martingale,
-    heap_index,
     space_lemma_length,
 )
-from depthlab.toyvm import HaltingOracle, Program, assemble
+from depthlab.toyvm import HaltingOracle, Program, assemble, body_index
 
 
 def small_builder(rounds=4, cap=16, stage=1000):
@@ -99,7 +98,7 @@ def test_builder_trace_json_schema():
     assert set(doc["checks"]) == {"claim2", "claim3"}
     for row in doc["rounds"]:
         assert set(row) == {"n", "sigma_hex", "ext_count", "d_num", "d_den", "flagged",
-                            "k_rejected"}
+                            "k_rejected", "price_rejected", "vacuous"}
 
 
 def fraction_priced(cfg, sigma, r):
@@ -125,15 +124,22 @@ def test_builder_prices_and_filter_match_fraction_reference():
                   if omap.get(prev + tau) is None or omap[prev + tau][0] > r.n - 1]
         assert not r.flagged and r.chosen == passed[0]
         assert r.k_rejected == cheap.index(passed[0])
+        assert r.price_rejected == (1 << r.extension_length) - len(cheap)
+        assert r.vacuous == (len(cheap) == 1 << r.extension_length and cheap[0] == passed[0])
         prev = r.sigma
 
 
 def test_builder_price_bound_is_strict():
-    splits = {"": Fraction(1, 2), "0": 1, "1": Fraction(1, 4), "00": Fraction(1, 2),
-              "01": Fraction(1, 2), "10": 0, "11": Fraction(1, 3)}
-    tab = MartingaleTable.from_splits(3, splits.__getitem__)
-    mart = StagedSupermartingale(lambda s, _stage: tab.nums[heap_index(s[:3])],
-                                 tab.den, "table")
+    # splits at "", "0", "1", "00", "01", "10", "11" (heap order)
+    tab = MartingaleTable.from_splits(
+        3, [(1, 2), (1, 1), (1, 4), (1, 2), (1, 2), (0, 1), (1, 3)])
+
+    def extensions(sigma, l, _stage):
+        # the table alone: sigma's extensions are one slice of its heap order
+        first = body_index(sigma + "0" * l)
+        return tab.nums[first:first + (1 << l)]
+
+    mart = StagedSupermartingale(extensions, tab.den, "table")
     cfg = BuilderConfig(rounds=1, martingale=mart, oracle=None,
                         dominating=TimeBound.poly(2, 2), cap=12, mart_stage=0)
     values = [tab.value(format(v, "b").zfill(3)) for v in range(8)]
@@ -141,6 +147,7 @@ def test_builder_price_bound_is_strict():
     assert values.count(Fraction(2)) == 3
     r = build_deep_random(cfg).rounds[0]
     assert r.ext_count == len(fraction_priced(cfg, "", 1)) == 5
+    assert r.price_rejected == 3 and not r.vacuous
 
 
 def test_builder_flags_a_round_whose_candidates_all_compress(monkeypatch):
@@ -163,6 +170,7 @@ def test_builder_flags_a_round_whose_candidates_all_compress(monkeypatch):
         cheap = fraction_priced(cfg, prev, r.n)
         best = max(k_of(prev + tau) for tau in cheap)
         assert r.flagged and r.k_rejected == r.ext_count == len(cheap)
+        assert not r.vacuous
         assert r.chosen == next(tau for tau in cheap if k_of(prev + tau) == best)
         prev = r.sigma
     assert trace.rounds[1].chosen.endswith("1")

@@ -43,6 +43,14 @@ def all_strings(max_len):
             yield format(v, "b").zfill(n) if n else ""
 
 
+def heap_splits(depth, rule):
+    """The (p, q) pairs of rule(sigma) over the internal nodes of a
+    depth-level table, in heap order, as MartingaleTable.from_splits
+    takes them."""
+    return [(Fraction(a).numerator, Fraction(a).denominator)
+            for a in map(rule, all_strings(depth - 1))]
+
+
 # ------------------------------------------------------------------ lengths
 
 def test_exact_ceil_log2():
@@ -110,8 +118,7 @@ def test_constant_table_all_extensions_cheap():
 
 
 def test_doubling_along_zeros():
-    d = MartingaleTable.from_splits(
-        2, lambda s: Fraction(1) if set(s) <= {"0"} else Fraction(1, 2))
+    d = MartingaleTable.from_splits(2, [(1, 1), (1, 1), (1, 2)])
     assert d.value("00") == 4 and d.value("01") == 0
     count = count_cheap_extensions(d, "", 2, 2)
     assert count == 3
@@ -137,9 +144,15 @@ def test_negative_value_and_out_of_range_split_rejected():
     with pytest.raises(FairnessError, match="negative value at ''"):
         MartingaleTable.constant(2, Fraction(-1, 3))
     with pytest.raises(FairnessError, match="split 3/2 out of range at '0'"):
-        MartingaleTable.from_splits(2, lambda s: Fraction(3, 2) if s == "0" else 0)
+        MartingaleTable.from_splits(2, [(0, 1), (3, 2), (0, 1)])
     with pytest.raises(FairnessError, match="split -1/3 out of range at ''"):
-        MartingaleTable.from_splits(1, lambda s: Fraction(-1, 3))
+        MartingaleTable.from_splits(1, [(-1, 3)])
+    with pytest.raises(FairnessError, match="split 0/0 out of range at '1'"):
+        MartingaleTable.from_splits(2, [(1, 2), (1, 2), (0, 0)])
+    with pytest.raises(FairnessError, match="2 splits for depth 2, which has 3"):
+        MartingaleTable.from_splits(2, [(1, 2), (1, 2)])
+    with pytest.raises(FairnessError, match="1 splits for depth 0, which has 0"):
+        MartingaleTable.from_splits(0, [(1, 2)])
 
 
 def test_integer_constructor_checks_like_the_dict_one():
@@ -174,7 +187,7 @@ def split_tables(rng, count, depth):
     for _ in range(count):
         grid = rng.sample(NON_DYADIC, rng.randint(1, len(NON_DYADIC)))
         assign = {sigma: rng.choice(grid) for sigma in all_strings(depth - 1)}
-        yield (MartingaleTable.from_splits(depth, assign.__getitem__),
+        yield (MartingaleTable.from_splits(depth, heap_splits(depth, assign.__getitem__)),
                fraction_from_splits(depth, assign.__getitem__),
                assign)
 
@@ -267,15 +280,19 @@ def test_cylinder_scans_outputs_longer_than_64_bits(monkeypatch):
         assert table.total_mass(stage) == reference_total_mass(runs, stage)
 
 
+MIXTURE_TABLES = (
+    MartingaleTable.constant(8),
+    MartingaleTable.from_splits(8, [(3, 4)] * 255),
+    MartingaleTable.constant(3, Fraction(0)),
+    MartingaleTable.from_splits(
+        3, heap_splits(3, lambda s: (Fraction(1, 3), Fraction(2, 5))[len(s) % 2])),
+    MartingaleTable.constant(4, Fraction(7, 3)),
+)
+
+
 def test_mixture_numerator_matches_fraction_reference():
     cap = 16
-    tables = [
-        MartingaleTable.constant(8),
-        MartingaleTable.from_splits(8, lambda s: Fraction(3, 4)),
-        MartingaleTable.constant(3, Fraction(0)),
-        MartingaleTable.from_splits(3, lambda s: (Fraction(1, 3), Fraction(2, 5))[len(s) % 2]),
-        MartingaleTable.constant(4, Fraction(7, 3)),
-    ]
+    tables = MIXTURE_TABLES
     d = mixture_supermartingale(tables, None, cap)
     machine = machine_supermartingale(None, cap)
     runs = halting_runs(None, cap)
@@ -292,8 +309,59 @@ def test_mixture_numerator_matches_fraction_reference():
             assert machine(sigma, stage) == cylinder
 
 
+EXTENSION_TABLES = MIXTURE_TABLES + (random_table(6, random.Random(5)),)
+
+
+def extension_sigmas(runs, rng):
+    """Every prefix of an indexed output, and two random strings of each
+    length up to 12: the lengths cross every table depth above."""
+    sigmas = {out[:n] for *_x, out in runs for n in range(len(out) + 1)}
+    sigmas |= {"".join(rng.choice("01") for _ in range(n)) for n in range(13) for _ in range(2)}
+    return sorted(sigmas, key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize("oracle", [None, HaltingOracle(1000)], ids=["none", "halting"])
+def test_extensions_match_per_candidate_reference(oracle):
+    """extensions(sigma, l, stage) prices all 2^l candidates in one pass;
+    each price must equal the one built for that candidate alone, from
+    halting runs and the tables' Fraction values."""
+    cap = 16
+    mixture = mixture_supermartingale(EXTENSION_TABLES, oracle, cap)
+    machine = machine_supermartingale(oracle, cap)
+    runs = halting_runs(oracle, cap)
+    longest = max(len(out) for *_x, out in runs)
+    tail = Fraction(1, 1 << (len(EXTENSION_TABLES) + 1))
+    weights = [(Fraction(1, 1 << (i + 1)) / tab.value(""), tab)
+               for i, tab in enumerate(EXTENSION_TABLES) if tab.value("")]
+
+    def cylinder(x, stage):
+        # an output shorter than x extends no cylinder of x
+        return reference_cylinder(runs, x, stage) if len(x) <= longest else 0
+
+    for sigma in extension_sigmas(runs, random.Random(13)):
+        for l in range(7):
+            candidates = [sigma + tau for tau in strings_of_length(l)]
+            tables = [sum(w * tab.value(x) for w, tab in weights) for x in candidates]
+            for stage in (0, 1, 5, 10 ** 4):
+                cylinders = [cylinder(x, stage) for x in candidates]
+                want = [t + tail * c for t, c in zip(tables, cylinders)]
+                got = [Fraction(v, mixture.scale)
+                       for v in mixture.extensions(sigma, l, stage)]
+                assert got == want, (sigma, l, stage)
+                got = [Fraction(v, machine.scale)
+                       for v in machine.extensions(sigma, l, stage)]
+                assert got == cylinders, (sigma, l, stage)
+
+
+def test_extensions_reject_a_string_that_is_not_binary():
+    for d in (machine_supermartingale(None, 12), default_builder_martingale(None, 12)):
+        for sigma in ("2", "0x"):
+            with pytest.raises(ValueError, match="not a 0/1 string"):
+                d(sigma, 100)
+
+
 def test_table_file_roundtrip(tmp_path):
-    d = MartingaleTable.from_splits(3, lambda s: Fraction(1, 4))
+    d = MartingaleTable.from_splits(3, [(1, 4)] * 7)
     path = tmp_path / "mart.tsv"
     d.to_file(path)
     again = MartingaleTable.from_file(path)
@@ -338,9 +406,7 @@ def test_counting_guarantee_property(code, delta, k):
     for _ in range(7):
         splits.append(DYADIC_SPLITS[c % 3])
         c //= 3
-    nodes = [s for s in all_strings(2)]
-    assign = dict(zip(nodes, splits))
-    table = MartingaleTable.from_splits(3, lambda s: assign[s])
+    table = MartingaleTable.from_splits(3, [(a.numerator, a.denominator) for a in splits])
     l = space_lemma_length(delta, k)
     if l <= 3:
         assert count_cheap_extensions(table, "", delta, l) >= k
