@@ -297,8 +297,10 @@ class PrefixTrie:
 
     def walk(self, stack: list, oracle, budget: int, live: list | None = None):
         """Run the nodes on stack and all their descendants to budget,
-        popping them; yield (least program index, pins, Halted, mass
-        numerator) for each halt, in no fixed order."""
+        popping them; yield (least program index, pins, halted
+        MachineState, mass numerator) for each halt, in no fixed order.
+        The state is the walk's own: read it before the next item, as a
+        trapped node's children are copied from it."""
         nmax, fits = self.nmax, self.fits
         subtree_mass, tail_mass = self.subtree_mass, self.tail_mass
         branching = isinstance(oracle, OracleBranches)
@@ -307,20 +309,17 @@ class PrefixTrie:
             instrs, p, v, st, pins = node
             if branching:
                 oracle.pins = pins
-            outcome = _advance(instrs, oracle, budget, st, True)
-            if outcome is None:
-                if live is not None:
-                    live.append(node)
-                continue
-            kind = outcome.kind
-            if kind == "aborted" and branching:
-                for child_pins, child in oracle.children((1 << p) - 1 + v, st):
-                    stack.append((instrs, p, v, child, child_pins))
-                continue
+            kind = _advance(instrs, oracle, budget, st, True)
             if kind != "halted":
+                if kind is None:
+                    if live is not None:
+                        live.append(node)
+                elif kind == "aborted" and branching:
+                    for child_pins, child in oracle.children((1 << p) - 1 + v, st):
+                        stack.append((instrs, p, v, child, child_pins))
                 continue
             trapped = st.pc >= len(instrs)
-            yield (1 << p) - 1 + v, pins, outcome, tail_mass[p] if trapped else subtree_mass[p]
+            yield (1 << p) - 1 + v, pins, st, tail_mass[p] if trapped else subtree_mass[p]
             if not trapped:
                 continue
             for code in fits[nmax - p]:
@@ -391,11 +390,9 @@ class HaltingTable:
         halts, pending, live = self._halts, self._live, []
         self._live = None
         added = False
-        for index, _pins, outcome, mass in self._trie.walk(pending, self.oracle,
-                                                           budget, live):
+        for index, _pins, st, mass in self._trie.walk(pending, self.oracle, budget, live):
             added = True
-            _fold(halts.setdefault(output_string(outcome.rope), {}),
-                  outcome.steps, index, mass)
+            _fold(halts.setdefault(output_string(st.rope), {}), st.steps, index, mass)
         self._live = live
         if added:
             self._view = None

@@ -257,8 +257,7 @@ class Functional:
         return smn(self.base_index, self.query_schedule[step])
 
     def apply(self, instance_index: int, member: str, input_value: int) -> int:
-        res = phi(instance_index, input_value, PrefixOracle(member), self.budget,
-                  detect_cycles=True)
+        res = phi(instance_index, input_value, PrefixOracle(member), self.budget)
         if not res.halted:
             raise ForcingError(
                 f"functional instance {instance_index} not total on a member")
@@ -287,14 +286,13 @@ class Functional:
         while stack:
             pins, st = stack.pop()
             answers.pins = pins
-            outcome = _advance(instrs, answers, self.budget, st, True)
-            if outcome is not None and outcome.kind == "aborted":
+            kind = _advance(instrs, answers, self.budget, st, True)
+            if kind == "aborted":
                 children = answers.children(instance_index, st)
                 if children:
                     stack.extend(children)
                     continue
-            halted = outcome is not None and outcome.kind == "halted"
-            leaves.setdefault(pins[0], {})[pins[1]] = st.regs[3] if halted else None
+            leaves.setdefault(pins[0], {})[pins[1]] = st.regs[3] if kind == "halted" else None
         out = []
         for x in members:
             y = int(x, 2)
@@ -328,7 +326,6 @@ class ForcingStep:
     coding_bit: int
     members_before: int
     members_after: int
-    settled: bool
 
 
 @dataclass
@@ -420,9 +417,9 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
     members = members_at_stage(schedule, depth, stage_budget)
     if not members:
         raise ForcingError("class empty")
-    settled = schedule.settled_at(stage_budget)
     sigma = ""
-    result = ForcingResult("", "", inconclusive=[] if settled else list(range(steps)))
+    result = ForcingResult("", "", inconclusive=(
+        [] if schedule.settled_at(stage_budget) else list(range(steps))))
     for s in range(steps):
         # every member extends sigma; probe: the first side no member takes
         sides = {x[s] for x in members}
@@ -465,7 +462,6 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
             coding_bit=a_bit,
             members_before=len(members),
             members_after=len(keep),
-            settled=settled,
         ))
         sigma = sigma_next
         members = keep

@@ -110,9 +110,11 @@ class MartingaleTable:
             nums = [v.numerator * (den // v.denominator) for v in rationals]
         elif len(nums) < size:
             raise FairnessError(f"missing value at {index_to_body(len(nums))!r}")
+        elif len(nums) > size:
+            raise FairnessError(f"{len(nums)} values for depth {depth}, which has {size}")
         if den < 1:
             raise FairnessError(f"denominator {den} is not positive")
-        self.nums = nums = nums[:size]
+        self.nums = nums
         self.den = den
         for i, v in enumerate(nums):
             if v < 0:

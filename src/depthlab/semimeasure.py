@@ -242,8 +242,8 @@ def oracle_leaves(program: Program, budget: int, depth: int) -> tuple[OracleLeaf
     def explore(assign: dict):
         probe = _ProbeOracle(assign, depth)
         st = MachineState()
-        out = _advance(instrs, probe, budget, st, True)
-        if out is not None and out.kind == "aborted":
+        kind = _advance(instrs, probe, budget, st, True)
+        if kind == "aborted":
             if probe.too_deep is not None:
                 raise DepthViolation(
                     f"program {program.bits} queries index {probe.too_deep}")
@@ -252,7 +252,7 @@ def oracle_leaves(program: Program, budget: int, depth: int) -> tuple[OracleLeaf
                 for bit in (0, 1):
                     explore({**assign, idx: bit})
                 return
-        halted = out is not None and out.kind == "halted"
+        halted = kind == "halted"
         leaves.append(OracleLeaf(
             tuple(sorted(assign.items())),
             halted,
@@ -290,9 +290,9 @@ class PrefixMassEvaluator:
         answers = OracleBranches(depth)
         self.cap = cap
         self.halts: dict[str, dict[tuple[int, int], int]] = {}
-        for _index, (mask, bits, _order), outcome, mass in trie.walk(
+        for _index, (mask, bits, _order), st, mass in trie.walk(
                 trie.root(), answers, budget):
-            entries = self.halts.setdefault(output_string(outcome.rope), {})
+            entries = self.halts.setdefault(output_string(st.rope), {})
             entries[mask, bits] = entries.get((mask, bits), 0) + mass
         if answers.too_deep is not None:
             index, _order, query = answers.too_deep

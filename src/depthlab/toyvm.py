@@ -41,6 +41,11 @@ Execution conventions
       cost exactly 1 step each, ORACLE included.
     * A run is a pure function of (program, oracle, budget).  If it halts
       within the budget, it halts identically under every larger budget.
+    * A run's facts live in its MachineState: program counter, steps,
+      output rope, registers and the oracle indices asked.  _advance
+      returns only how the run stopped ("halted", "aborted", "diverged",
+      or None when the budget ran out); run and phi wrap that and the
+      state into one Outcome.
 
 Cycle detection
     A run asked to look for cycles keys each step by the program counter
@@ -52,10 +57,11 @@ Cycle detection
     program counter.  So the key's next value is a function of its current
     value, and once a key repeats the run repeats the same cycle forever:
     it never halts, never aborts and asks no oracle index it has not asked
-    already.  Such a run is reported as Diverged.  A loop that only grows
+    already.  Such a run stops as "diverged".  A loop that only grows
     an untested register, such as INC R1; JMP -2, is caught on its first
     lap.  A loop whose tested register keeps growing never repeats a key
-    and runs to the budget.
+    and runs to the budget.  phi, the diagonal and every walk always look
+    for cycles; run does when asked, and is the reference without them.
 
 Program indices
     Bodies are ranked in length-lexicographic order: the empty body is 0,
@@ -539,59 +545,14 @@ def output_string(rope) -> str:
 
 
 # --------------------------------------------------------------------------
-# run outcomes
-
-
-@dataclass(frozen=True)
-class Halted:
-    steps: int
-    rope: tuple | None
-    queried: frozenset = frozenset()
-
-    kind = "halted"
-
-    @property
-    def output(self) -> str:
-        return output_string(self.rope)
-
-    @property
-    def output_length(self) -> int:
-        return self.rope[0] if self.rope else 0
-
-
-@dataclass(frozen=True)
-class BudgetExceeded:
-    steps: int
-    queried: frozenset = frozenset()
-
-    kind = "budget"
-
-
-@dataclass(frozen=True)
-class Aborted:
-    reason: str
-    steps: int
-    queried: frozenset = frozenset()
-
-    kind = "aborted"
-
-
-@dataclass(frozen=True)
-class Diverged:
-    """Provable non-termination: the program counter and the control
-    registers (see the module docstring) took the same values twice.  Only
-    produced when a run is asked to look for cycles."""
-
-    steps: int
-    queried: frozenset = frozenset()
-
-    kind = "diverged"
+# runs
 
 
 @dataclass
 class MachineState:
-    """Resumable snapshot of a run in progress; the output's length is
-    rope[0]."""
+    """Resumable snapshot of a run in progress, and the record of a run
+    that stopped: pc, steps, rope, regs and queried are its facts either
+    way.  The output's length is rope[0]."""
 
     pc: int = 0
     regs: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
@@ -610,12 +571,14 @@ class MachineState:
 
 
 def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool):
-    """Run until halt/abort/divergence or until steps reach budget.
+    """Run until halt/abort/divergence or until steps reach budget, and
+    write pc, steps and rope back to st.
 
-    Returns an outcome, or None when the budget ran out with the state
-    still live (st then holds the resume point).  With detect_cycles the
-    keys seen so far are kept in st.seen, projected onto the control
-    registers of instrs (see the module docstring).
+    Returns how the run stopped: "halted", "aborted", "diverged", or None
+    when the budget ran out with the state still live (st then holds the
+    resume point).  An abort leaves pc on the ORACLE it could not answer.
+    With detect_cycles the keys seen so far are kept in st.seen, projected
+    onto the control registers of instrs (see the module docstring).
     """
     pc = st.pc
     r = st.regs
@@ -625,20 +588,18 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
     seen = st.seen
     project = instrs.project
     n = len(instrs)
-    while True:
-        if not 0 <= pc < n:
-            st.pc, st.steps, st.rope = pc, steps, rope
-            return Halted(steps, rope, frozenset(queried))
+    kind = "halted"  # leaving the instruction range, or a reserved opcode
+    while 0 <= pc < n:
         if steps >= budget:
-            st.pc, st.steps, st.rope = pc, steps, rope
-            return None
+            kind = None
+            break
         if detect_cycles:
             key = (pc, project(r)) if project else pc
             if seen is None:
                 seen = st.seen = set()
             if key in seen:
-                st.pc, st.steps, st.rope = pc, steps, rope
-                return Diverged(steps, frozenset(queried))
+                kind = "diverged"
+                break
             if len(seen) < 1 << 16:
                 seen.add(key)
         op, a, d = instrs[pc]
@@ -668,13 +629,13 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
             pc = pc + 1 + d
         elif op == OP_ORACLE:
             if oracle is None:
-                st.pc, st.steps, st.rope = pc, steps, rope
-                return Aborted("oracle-query-without-oracle", steps, frozenset(queried))
+                kind = "aborted"
+                break
             try:
                 bit = oracle.answer(r[0])
             except OutOfTableError:
-                st.pc, st.steps, st.rope = pc, steps, rope
-                return Aborted("out-of-table", steps, frozenset(queried))
+                kind = "aborted"
+                break
             queried.add(r[0])
             r[1] = bit
             pc += 1
@@ -683,21 +644,52 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
             rope = leaf if rope is None else (rope[0] + 1, None, rope, leaf)
             pc += 1
         else:
-            st.pc, st.steps, st.rope = pc, steps, rope
-            return Halted(steps, rope, frozenset(queried))
+            break
+    st.pc, st.steps, st.rope = pc, steps, rope
+    return kind
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """How a finished call to run or phi stopped, and what it left.
+
+    kind is "halted", "budget", "aborted" or "diverged" (a repeated cycle
+    key, see the module docstring); reason names an abort's cause and is
+    None otherwise."""
+
+    kind: str
+    steps: int
+    rope: tuple | None
+    queried: frozenset
+    reason: str | None
+
+    @property
+    def output(self) -> str:
+        return output_string(self.rope)
+
+    @property
+    def output_length(self) -> int:
+        return self.rope[0] if self.rope else 0
+
+
+def _outcome(kind: str | None, oracle, st: MachineState) -> Outcome:
+    """The Outcome of a run that _advance left in st, stopping as kind."""
+    reason = None
+    if kind == "aborted":
+        reason = "oracle-query-without-oracle" if oracle is None else "out-of-table"
+    return Outcome(kind or "budget", st.steps, st.rope, frozenset(st.queried), reason)
 
 
 def run(program: Program, oracle, budget: int, r1: int = 0, r2: int = 0,
-        detect_cycles: bool = False):
-    """Execute a program: Halted(output, steps), BudgetExceeded(budget) or
-    Aborted(reason).  Deterministic in (program, oracle, budget)."""
+        detect_cycles: bool = False) -> Outcome:
+    """Execute a program to an Outcome.  Deterministic in (program,
+    oracle, budget); detect_cycles only turns some "budget" outcomes into
+    "diverged" ones."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     st = MachineState(regs=[0, r1, r2, 0])
-    outcome = _advance(program.instructions(), oracle, budget, st, detect_cycles)
-    if outcome is None:
-        return BudgetExceeded(st.steps, frozenset(st.queried))
-    return outcome
+    return _outcome(_advance(program.instructions(), oracle, budget, st, detect_cycles),
+                    oracle, st)
 
 
 def run_body(body: str, oracle, budget: int, **kw):
@@ -741,7 +733,7 @@ MEMO = Memo()
 
 @dataclass(frozen=True)
 class PhiResult:
-    outcome: object
+    outcome: Outcome
     value: int | None
 
     @property
@@ -759,14 +751,12 @@ def parsed_body(e: int) -> Instructions:
     return instrs
 
 
-def phi(e: int, x: int, oracle, budget: int, detect_cycles: bool = False) -> PhiResult:
-    """Run body e with R2 = x; on halting the value is the final R3."""
+def phi(e: int, x: int, oracle, budget: int) -> PhiResult:
+    """Run body e with R2 = x, looking for cycles; on halting the value is
+    the final R3."""
     st = MachineState(regs=[0, 0, x, 0])
-    outcome = _advance(parsed_body(e), oracle, budget, st, detect_cycles)
-    if outcome is None:
-        outcome = BudgetExceeded(st.steps, frozenset(st.queried))
-    value = st.regs[3] if outcome.kind == "halted" else None
-    return PhiResult(outcome, value)
+    kind = _advance(parsed_body(e), oracle, budget, st, True)
+    return PhiResult(_outcome(kind, oracle, st), st.regs[3] if kind == "halted" else None)
 
 
 def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
@@ -783,14 +773,14 @@ def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
             "budget": -1,  # not yet run, so even stage 0 runs it
         }
     if ent["status"] == "running" and ent["budget"] < stage:
-        outcome = _advance(ent["instrs"], ZERO, stage, ent["state"], True)
+        kind = _advance(ent["instrs"], ZERO, stage, ent["state"], True)
         ent["budget"] = stage
-        if outcome is not None:
+        if kind is not None:
             state = ent.pop("state")
             del ent["instrs"]
-            if outcome.kind == "halted":
+            if kind == "halted":
                 ent["status"] = "halted"
-                ent["step"] = outcome.steps
+                ent["step"] = state.steps
                 ent["value"] = state.regs[3]
             else:
                 ent["status"] = "diverged"
@@ -857,10 +847,9 @@ FIXED_POINT_ROUNDS = 32
 def _behaviour(e: int):
     sig = []
     for x in FIXED_POINT_PROBES:
-        res = phi(e, x, ZERO, FIXED_POINT_BUDGET, detect_cycles=True)
-        out = res.outcome
-        if out.kind == "halted":
-            sig.append(("halt", res.value, output_string(out.rope)))
+        res = phi(e, x, ZERO, FIXED_POINT_BUDGET)
+        if res.halted:
+            sig.append(("halt", res.value, res.outcome.output))
         else:
             sig.append(("nohalt",))
     return tuple(sig)

@@ -5,9 +5,10 @@ modules and hands argv lists to the command line.  Building every
 workload at seed 0 and parsing each case's argv here makes a renamed
 function or a removed flag fail the test suite, not only a benchmark
 run.  The betting workload's commands also run here, in process, and
-their values are compared with expected.json.  Nothing is spawned and no
-file is written: the cases' input files are only named, and the module is
-loaded without a bytecode cache.
+their values are compared with expected.json.  The reference the checks
+read runs at a small cap against the enumeration table.  Nothing is
+spawned and no file is written: the cases' input files are only named,
+and the module is loaded without a bytecode cache.
 """
 
 import ast
@@ -15,12 +16,15 @@ import importlib.util
 import json
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from depthlab import cli
+from depthlab.complexity import halting_table
 from depthlab.semimeasure import PrefixMassEvaluator
+from depthlab.toyvm import parse_oracle
 
 CASES_PATH = Path(__file__).resolve().parents[1] / "bench" / "cases.py"
 EXPECTED_PATH = CASES_PATH.with_name("expected.json")
@@ -83,3 +87,27 @@ def test_bet_values_match_expected(case, capsys):
     out = capsys.readouterr().out
     assert cases.values_of(case.argv[0], out) == expected
     assert case.check(out) == []
+
+
+@pytest.mark.parametrize("oracle", ["none", "zero", "halting:1000"])
+def test_reference_runs_agree_with_the_table_at_a_small_cap(oracle, monkeypatch, capsys):
+    """cases.Reference, the benchmark's independent path through toyvm.run,
+    read at a small REF_CAP against the enumeration table and through the
+    enumerate workload's k check, so a change to what run returns fails
+    the suite, not only a bench run."""
+    cap, stage = 16, 10 ** 4
+    monkeypatch.setattr(cases, "REF_CAP", cap)
+    ref = cases.Reference(oracle, stage)
+    table = halting_table(parse_oracle(oracle), cap)
+    found = 0
+    for sigma in cases.strings_up_to(4):
+        for budget in (0, 3, 20, stage):
+            assert ref.witness(sigma, budget) == table.first(sigma, budget), (sigma, budget)
+            assert ref.mass(sigma, budget) == Fraction(
+                table.mass_numerator(sigma, budget), 1 << cap), (sigma, budget)
+        found += ref.witness(sigma, stage) is not None
+        argv = ["k", "--sigma", sigma, "--stage", str(stage), "--cap", str(cap),
+                "--oracle", oracle]
+        assert cli.dispatch(argv) == 0
+        assert cases.check_k(sigma, ref, cap)(capsys.readouterr().out) == [], sigma
+    assert found >= 5  # not vacuous: some targets have a witness at this cap

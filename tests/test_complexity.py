@@ -302,7 +302,8 @@ _WIDTH = {instruction: width for width, _bits, instruction, _mask in INSTRUCTION
 def resumed_walk(body, oracle, budgets, x=0):
     """Walk the whole instructions of body as the one node of a PrefixTrie
     whose cap leaves no room for a child, resuming its live list at each
-    budget in turn; yield (budget, halts so far, steps of the live nodes)."""
+    budget in turn; yield (budget, (index, steps, rope) of the halts so
+    far, steps of the live nodes)."""
     instrs = parse_body(body)
     whole = body[:sum(_WIDTH[i] for i in instrs)]
     trie = PrefixTrie(program_length(len(whole)))
@@ -311,7 +312,7 @@ def resumed_walk(body, oracle, budgets, x=0):
     halts = []
     for budget in budgets:
         stack, live = live, []
-        halts += [(i, outcome) for i, _pins, outcome, _mass
+        halts += [(i, st.steps, st.rope) for i, _pins, st, _mass
                   in trie.walk(stack, oracle, budget, live)]
         yield budget, halts, [st.steps for _i, _p, _v, st, _pins in live]
 
@@ -325,7 +326,7 @@ def test_resumed_trie_walk_matches_one_shot_runs_on_loops(descriptor, body, x):
     for budget, halts, live in resumed_walk(body, oracle, (3, 7, 12, 20, 2000), x):
         want = run(Program.encode(whole), oracle, budget, r2=x, detect_cycles=True)
         if want.kind == "halted":
-            assert halts == [(body_index(whole), want)] and live == [], budget
+            assert halts == [(body_index(whole), want.steps, want.rope)] and live == [], budget
         else:
             assert halts == [], budget
             assert live == ([budget] if want.kind == "budget" else []), budget
@@ -336,7 +337,7 @@ def test_resumed_trie_walk_halts_at_exactly_its_step_count():
     assert halted.steps == 17 and halted.output == "111"
     assert [(budget, list(halts), live) for budget, halts, live
             in resumed_walk(COUNTED_LOOP, None, (16, 17))] == [
-        (16, [], [16]), (17, [(body_index(COUNTED_LOOP), halted)], [])]
+        (16, [], [16]), (17, [(body_index(COUNTED_LOOP), halted.steps, halted.rope)], [])]
 
 
 def test_kraft_sum_at_most_one():

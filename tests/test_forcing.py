@@ -190,7 +190,7 @@ def test_force_clopen_first_branch_forced():
     assert st.probe_empty_side == 0
     assert res.b_prefix == "1"
     # the probe program really returns the empty side when run diagonally
-    probe = phi(st.n_index, st.n_index, ZERO, 4096, detect_cycles=True)
+    probe = phi(st.n_index, st.n_index, ZERO, 4096)
     assert probe.halted and probe.value == 0
 
 
@@ -227,12 +227,12 @@ def test_force_probe_and_event_programs_are_self_describing():
 
         n_body = index_to_body(st.n_index)
         assert tuple(st.n_disassembly) == tuple(disassemble(n_body))
-        diag = phi(st.n_index, st.n_index, ZERO, budget, detect_cycles=True)
+        diag = phi(st.n_index, st.n_index, ZERO, budget)
         if st.probe_empty_side is None:
             assert not diag.halted
         else:
             assert diag.halted and diag.value == st.probe_empty_side
-        m_diag = phi(st.m_index, st.m_index, ZERO, budget, detect_cycles=True)
+        m_diag = phi(st.m_index, st.m_index, ZERO, budget)
         if st.event_unanimous is None:
             assert not m_diag.halted
         else:

@@ -27,7 +27,7 @@ from depthlab.randomness import (
     space_lemma_length,
 )
 from depthlab.semimeasure import m_stage, oracle_average
-from depthlab.toyvm import Halted, HaltingOracle, rope_materialize, strings_of_length
+from depthlab.toyvm import HaltingOracle, rope_materialize, strings_of_length
 from reference_runs import (
     halting_runs,
     reference_cylinder,
@@ -162,6 +162,8 @@ def test_integer_constructor_checks_like_the_dict_one():
         MartingaleTable(2, nums=[4, 4, 4, 4, 4, 3, 4], den=3)
     with pytest.raises(FairnessError, match="negative value at '00'"):
         MartingaleTable(2, nums=[0, 0, 0, -1, 1, 0, 0], den=1)
+    with pytest.raises(FairnessError, match="5 values for depth 1, which has 3"):
+        MartingaleTable(1, nums=[1, 1, 1, 5, 7], den=1)
     d = MartingaleTable(1, nums=[3, 1, 5], den=6)
     assert d.values == {"": Fraction(1, 2), "0": Fraction(1, 6), "1": Fraction(5, 6)}
 
@@ -247,16 +249,16 @@ def test_cylinder_scans_outputs_longer_than_64_bits(monkeypatch):
     wide = {"": rope, "0": cat(leaf(1), rope), "1": cat(leaf(0), rope),
             "10": cat(leaf(1), cat(rope, rope))}
     assert sorted(r[0] for r in wide.values()) == [64, 65, 65, 129]
-    advance = complexity._advance
+    # the table keys each halt by complexity.output_string(rope), so the
+    # widening goes there; the walk's states, which trapped children copy,
+    # keep their own ropes
+    narrow = complexity.output_string
 
-    def widened(instrs, oracle, budget, st, detect_cycles):
-        out = advance(instrs, oracle, budget, st, detect_cycles)
-        if out is not None and out.kind == "halted" and out.output in wide:
-            r = wide[out.output]
-            out = Halted(out.steps, r, out.queried)
-        return out
+    def widened(rope):
+        out = narrow(rope)
+        return rope_materialize(wide[out], 1 << 10) if out in wide else out
 
-    monkeypatch.setattr(complexity, "_advance", widened)
+    monkeypatch.setattr(complexity, "output_string", widened)
     runs = [(i, p, steps, rope_materialize(wide[out], 1 << 10) if out in wide else out)
             for i, p, steps, out in halting_runs(None, 16)]
     assert {len(out) for *_x, out in runs} >= {64, 65, 129}

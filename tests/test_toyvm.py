@@ -144,6 +144,32 @@ def test_reserved_opcode_halts():
     assert out.kind == "halted" and out.output == "" and out.steps == 1
 
 
+STOPS = {
+    # name: (items, oracle, detect_cycles, kind, steps, output, reason, queried)
+    "halted": ([("EMIT1",), ("HALT",)], None, False, "halted", 2, "1", None, ()),
+    "budget": ([("EMIT0",), ("JMP", -1)], None, False, "budget", 100, "0", None, ()),
+    "diverged": ([("EMIT0",), ("JMP", -1)], None, True, "diverged", 2, "0", None, ()),
+    "no-oracle": ([("EMIT1",), ("ORACLE",)], None, True, "aborted", 2, "1",
+                  "oracle-query-without-oracle", ()),
+    "out-of-table": ([("ORACLE",), ("EMITR",), ("INC", 0), ("INC", 0), ("ORACLE",)],
+                     PrefixOracle("01"), True, "aborted", 5, "0", "out-of-table", (0,)),
+}
+
+
+@pytest.mark.parametrize("name", STOPS)
+def test_run_reports_how_it_stopped(name):
+    items, oracle, cycles, kind, steps, output, reason, queried = STOPS[name]
+    out = run_body(assemble(items), oracle, 100, detect_cycles=cycles)
+    assert (out.kind, out.steps, out.output, out.output_length, out.reason, out.queried) == (
+        kind, steps, output, len(output), reason, frozenset(queried))
+
+
+def test_phi_reports_a_busy_loop_as_diverged():
+    res = phi(body_index(DIVERGE_BODY), 0, ZERO, 10 ** 6)
+    assert res.outcome.kind == "diverged" and res.outcome.steps == 1
+    assert not res.halted and res.value is None
+
+
 @pytest.mark.parametrize("prefix", ["", assemble([("JZ", 2, 1), ("INC", 1)])])
 def test_instruction_codes_decode_like_parse_body(prefix):
     base = tv.parse_body(prefix)
@@ -343,8 +369,8 @@ def test_phi_halting_answers_never_flip():
     # two-budget comparison over the first 2^10 diagonal runs
     lo, hi = 10 ** 3, 10 ** 4
     for e in range(1 << 10):
-        first = phi(e, e, ZERO, lo, detect_cycles=True)
-        second = phi(e, e, ZERO, hi, detect_cycles=True)
+        first = phi(e, e, ZERO, lo)
+        second = phi(e, e, ZERO, hi)
         if first.halted:
             assert second.halted
             assert second.value == first.value
@@ -355,7 +381,7 @@ def test_diagonal_matches_phi_and_is_monotone():
     for e in (0, 1, 5, 81, 382, 1000):
         for stage in (0, 1, 2000):
             halts, value, step = diagonal(e, stage)
-            direct = phi(e, e, ZERO, stage, detect_cycles=True)
+            direct = phi(e, e, ZERO, stage)
             assert halts == direct.halted
             if halts:
                 assert value == direct.value and step <= stage
