@@ -7,59 +7,7 @@ staged semimeasures (:mod:`.semimeasure`), martingales and randomness
 probes (:mod:`.randomness`), finite-extension and depth-profile
 constructions (:mod:`.constructions`) and pruning-schedule forcing
 (:mod:`.pi01forcing`).  ``depthlab`` on the command line fronts the lot.
-"""
 
-from .toyvm import (  # noqa: F401
-    Program,
-    PrefixOracle,
-    ZeroOracle,
-    ZERO,
-    HaltingOracle,
-    run,
-    run_body,
-    phi,
-    smn,
-    fixed_point,
-    body_index,
-    index_to_body,
-    programs_up_to,
-)
-from .complexity import (  # noqa: F401
-    TimeBound,
-    k_stage,
-    k_time_bounded,
-    lift_code,
-    lowk_gap,
-    halting_table,
-)
-from .semimeasure import (  # noqa: F401
-    ComputableSemimeasure,
-    m_stage,
-    m_time_bounded,
-    coding_gap,
-    semimeasure_to_timebound,
-    oracle_average,
-)
-from .randomness import (  # noqa: F401
-    MartingaleTable,
-    space_lemma_length,
-    count_cheap_extensions,
-    deficiency,
-    psi,
-    measure_cheap_oracles,
-)
-from .constructions import (  # noqa: F401
-    BuilderConfig,
-    build_deep_random,
-    depth_profile,
-    symdiff,
-    sgl_compare,
-)
-from .pi01forcing import (  # noqa: F401
-    PruningSchedule,
-    Dnc2Witness,
-    members_at_stage,
-    is_dnc2,
-    force,
-    join_check,
-)
+The package root re-exports nothing: import names from the submodules,
+so that importing one loads only it and what it depends on.
+"""

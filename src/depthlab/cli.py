@@ -6,24 +6,22 @@ that embeds the resolved parameters, so a result file is always
 self-describing.  Fixed seed and config give byte-identical bytes out.
 
 Exit codes: 0 success, 2 validation error, 3 budget-inconclusive.
+
+A command loads only the modules it runs: each handler imports the
+measuring modules (and the standard library beyond argparse and sys)
+in its own body, so a `k` run starts with just toyvm and complexity.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-import warnings
-from dataclasses import asdict
-from fractions import Fraction
 
-from . import complexity, constructions, pi01forcing, randomness, semimeasure
+from . import complexity
 from .complexity import TimeBound, k_stage, k_time_bounded
-from .semimeasure import parse_fraction
 from .toyvm import (
     ZERO,
-    MachineError,
+    DepthlabError,
     check_bits,
     compile_const,
     fixed_point,
@@ -41,7 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _frac_str(x: Fraction) -> str:
+def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -54,6 +52,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
+    import json
+
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -96,6 +96,8 @@ def _cmd_k(args) -> int:
 
 
 def _cmd_m(args) -> int:
+    from . import semimeasure
+
     oracle = parse_oracle(args.oracle)
     if args.t:
         t = TimeBound.parse(args.t)
@@ -112,11 +114,13 @@ def _cmd_m(args) -> int:
 
 
 def _cmd_convert_timebound(args) -> int:
+    from . import semimeasure
+
     m = semimeasure.ComputableSemimeasure.from_file(args.table)
     oracle = parse_oracle(args.oracle)
     try:
         stage = semimeasure.semimeasure_to_timebound(
-            m, parse_fraction(args.c), args.n, oracle, args.cap, args.ceiling)
+            m, semimeasure.parse_fraction(args.c), args.n, oracle, args.cap, args.ceiling)
     except complexity.NoStageWithinBudget as exc:
         _emit_json(args, {"error": "no-stage-within-budget", "detail": str(exc),
                           "config": _resolved(args, ("table", "c", "n", "cap", "ceiling"))})
@@ -129,7 +133,13 @@ def _cmd_convert_timebound(args) -> int:
 
 
 def _cmd_space_lemma(args) -> int:
-    _require_nonnegative(args, "--n")
+    import random
+    from fractions import Fraction
+
+    from . import randomness
+    from .semimeasure import parse_fraction
+
+    _require_nonnegative(args, "--n", "--depth")
     delta = parse_fraction(args.delta)
     l = randomness.space_lemma_length(delta, args.k)
     tested = violations = 0
@@ -164,6 +174,9 @@ def _cmd_space_lemma(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    from . import randomness
+    from .semimeasure import parse_fraction
+
     _require_nonnegative(args, "--len-cap")
     res = randomness.psi(
         _read_bits(args.a_prefix), TimeBound.parse(args.t),
@@ -178,6 +191,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_avg(args) -> int:
+    from . import semimeasure
+
     _require_nonnegative(args, "--depth", "--mc")
     t = TimeBound.parse(args.t)
     exact = semimeasure.oracle_average(args.sigma, t, args.cap, args.depth)
@@ -196,6 +211,9 @@ def _cmd_avg(args) -> int:
 
 
 def _cmd_measure_cheap(args) -> int:
+    from . import randomness
+    from .semimeasure import parse_fraction
+
     _require_nonnegative(args, "--depth")
     mu = randomness.measure_cheap_oracles(
         _read_bits(args.x), args.n, parse_fraction(args.k),
@@ -208,6 +226,10 @@ def _cmd_measure_cheap(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    import warnings
+
+    from . import constructions
+
     _require_nonnegative(args, "--stage")
     bits = _read_bits(args.infile)
     with warnings.catch_warnings(record=True) as notices:
@@ -222,6 +244,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_build_deep(args) -> int:
+    from . import constructions, randomness
+
     _require_nonnegative(args, "--mart-stage")
     oracle = parse_oracle(args.oracle)
     cfg = constructions.BuilderConfig(
@@ -238,6 +262,8 @@ def _cmd_build_deep(args) -> int:
 
 
 def _cmd_force(args) -> int:
+    from . import pi01forcing
+
     schedule = pi01forcing.PruningSchedule.from_file(args.schedule)
     if args.f == "halting-dnc":
         source = pi01forcing.Dnc2Witness.from_halting_table(args.budget)
@@ -259,6 +285,10 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_join_check(args) -> int:
+    from dataclasses import asdict
+
+    from . import pi01forcing
+
     _require_nonnegative(args, "--stage")
     rep = pi01forcing.join_check(
         _read_bits(args.F), _read_bits(args.X), _read_bits(args.Y),
@@ -322,6 +352,11 @@ def selftest(seed: int = 7) -> dict:
     """Deterministic aggregate of the package invariants, sized to run in
     well under a minute; the acceptance suite in tests/ runs the full
     versions."""
+    import random
+    from fractions import Fraction
+
+    from . import pi01forcing, randomness, semimeasure
+
     rng = random.Random(seed)
     report: dict = {"seed": seed}
 
@@ -557,10 +592,7 @@ def dispatch(argv: list[str]) -> int:
             argv = head + tail[:1] + _config_argv(argv[i + 1]) + tail[1:]
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (ValueError, KeyError, OSError, MachineError,
-            complexity.ReductionDiverged, constructions.BuilderError,
-            constructions.ReductionMismatch, pi01forcing.ForcingError,
-            randomness.FairnessError, semimeasure.DepthViolation) as exc:
+    except (ValueError, KeyError, OSError, DepthlabError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except complexity.NoStageWithinBudget as exc:

@@ -45,6 +45,7 @@ from fractions import Fraction
 from .toyvm import (
     INSTRUCTION_CODES,
     MEMO,
+    DepthlabError,
     Instructions,
     MachineError,
     MachineState,
@@ -70,7 +71,7 @@ class NoStageWithinBudget(Exception):
     """A stage search ran past its configured ceiling."""
 
 
-class ReductionDiverged(Exception):
+class ReductionDiverged(DepthlabError):
     """An oracle reduction failed to answer a needed index in budget."""
 
 

@@ -25,14 +25,14 @@ from fractions import Fraction
 
 from .complexity import WRAPPER_BITS, Reduction, TimeBound, halting_table, k_stage
 from .randomness import StagedSupermartingale, space_lemma_length
-from .toyvm import PrefixOracle, bits_to_hex, check_bits, oracle_key
+from .toyvm import DepthlabError, PrefixOracle, bits_to_hex, check_bits, oracle_key
 
 
-class BuilderError(Exception):
+class BuilderError(DepthlabError):
     """An internal invariant of the builder failed (empty extension set)."""
 
 
-class ReductionMismatch(Exception):
+class ReductionMismatch(DepthlabError):
     """A claimed reduction does not compute the source from the target."""
 
 

@@ -43,6 +43,7 @@ from .constructions import symdiff
 from .randomness import deficiency
 from .toyvm import (
     DIVERGE_BODY,
+    DepthlabError,
     MachineState,
     PrefixOracle,
     _advance,
@@ -60,7 +61,7 @@ from .toyvm import (
 )
 
 
-class ForcingError(Exception):
+class ForcingError(DepthlabError):
     """A precondition or internal invariant of the forcing loop failed."""
 
 

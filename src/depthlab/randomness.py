@@ -26,10 +26,10 @@ reads in one walk of the outputs extending the string.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable
 
 from .complexity import TimeBound, halting_table, k_stage
 from .semimeasure import (m_stage, prefix_mass_evaluator, read_fraction_table,

@@ -32,6 +32,7 @@ from .complexity import (
 )
 from .toyvm import (
     MEMO,
+    DepthlabError,
     MachineState,
     OutOfTableError,
     Program,
@@ -45,7 +46,7 @@ from .toyvm import (
 )
 
 
-class DepthViolation(Exception):
+class DepthViolation(DepthlabError):
     """Some reachable oracle query lies at or beyond the sampling depth."""
 
 

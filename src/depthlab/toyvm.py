@@ -78,7 +78,13 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 
-class MachineError(Exception):
+class DepthlabError(Exception):
+    """Base class of the package's failures that a command reports as
+    exit 2.  complexity.NoStageWithinBudget, an inconclusive search that
+    exits 3, does not derive from it."""
+
+
+class MachineError(DepthlabError):
     """Base class for machine-level failures."""
 
 

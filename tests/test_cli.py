@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,9 +18,14 @@ from depthlab.cli import (
     dispatch,
     solovay_probe,
 )
-from depthlab.complexity import ReductionDiverged, TimeBound
-from depthlab.constructions import BuilderError, depth_profile
-from depthlab.toyvm import FixedPointError, MachineError
+from depthlab.complexity import NoStageWithinBudget, ReductionDiverged, TimeBound
+from depthlab.constructions import BuilderError, ReductionMismatch, depth_profile
+from depthlab.pi01forcing import ForcingError
+from depthlab.randomness import FairnessError
+from depthlab.semimeasure import DepthViolation
+from depthlab.toyvm import DecodeError, FixedPointError, MachineError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(tmp_path, *argv):
@@ -308,8 +317,11 @@ def test_negative_time_bound_table_exits_2_naming_the_table(tmp_path, capsys, ar
       "--k", "1", "--stage", "-1", "--cap", "8"], "--stage"),
     (["build-deep", "--rounds", "1", "--T", "poly:2,2", "--cap", "8",
       "--mart-stage", "-5"], "--mart-stage"),
+    (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--depth", "-3"],
+     "--depth"),
 ], ids=["avg-mc", "solovay-range", "space-lemma-n", "avg-depth", "measure-cheap-depth",
-        "psi-len-cap", "profile-stage", "join-check-stage", "build-deep-mart-stage"])
+        "psi-len-cap", "profile-stage", "join-check-stage", "build-deep-mart-stage",
+        "space-lemma-depth"])
 def test_negative_count_exits_2_without_an_artifact(tmp_path, capsys, argv, flag):
     out = tmp_path / "artifact.json"
     assert dispatch(argv + ["--out", str(out)]) == EXIT_VALIDATION
@@ -344,15 +356,28 @@ def test_cap_below_two_exits_2_without_an_artifact(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("exc", [MachineError("m"), FixedPointError("f"),
-                                 BuilderError("b"), ReductionDiverged("r")])
-def test_machine_and_builder_failures_exit_2(monkeypatch, capsys, exc):
+def _k_stage_raises(monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr(cli, "k_stage", fail)
-    assert dispatch(["k", "--sigma", "0", "--cap", "10"]) == EXIT_VALIDATION
+    return dispatch(["k", "--sigma", "0", "--cap", "10"])
+
+
+@pytest.mark.parametrize("exc", [MachineError("m"), FixedPointError("f"),
+                                 BuilderError("b"), ReductionDiverged("r"),
+                                 DecodeError("d"), ReductionMismatch("rm"),
+                                 ForcingError("fo"), FairnessError("fa"),
+                                 DepthViolation("dv")])
+def test_machine_and_builder_failures_exit_2(monkeypatch, capsys, exc):
+    assert _k_stage_raises(monkeypatch, exc) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_a_stage_search_past_its_ceiling_exits_3(monkeypatch, capsys):
+    exc = NoStageWithinBudget("no stage up to 10")
+    assert _k_stage_raises(monkeypatch, exc) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == f"inconclusive: {exc}\n"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -376,6 +401,62 @@ def test_selftest_reproducible(tmp_path):
     assert dispatch(["selftest", "--seed", "7", "--out", str(a)]) == EXIT_OK
     assert dispatch(["selftest", "--seed", "7", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------------------------------ import sets
+
+# Runs argv through dispatch, unless it is empty, and prints the loaded
+# depthlab modules.  It needs a fresh interpreter: this process already
+# holds every module, so it cannot see which ones a command loads.
+LOADED = """import sys
+from depthlab.cli import dispatch
+code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "depthlab"))
+sys.exit(code)
+"""
+BASE = ("depthlab", "depthlab.cli", "depthlab.toyvm", "depthlab.complexity")
+# what importing randomness, constructions or pi01forcing loads beyond BASE
+RANDOMNESS = ("semimeasure", "randomness")
+CONSTRUCTIONS = RANDOMNESS + ("constructions",)
+FORCING = CONSTRUCTIONS + ("pi01forcing",)
+
+
+@pytest.mark.parametrize("argv,extra", [
+    ([], ()),
+    (["k", "--sigma", "0", "--stage", "10", "--cap", "8"], ()),
+    (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], ("semimeasure",)),
+    (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "16", "--n", "1",
+      "--cap", "14"], ("semimeasure",)),
+    (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "5"], RANDOMNESS),
+    (["psi", "--a-prefix", "bits:00", "--t", "poly:5,1", "--tprime", "poly:5,1",
+      "--len-cap", "1", "--stage", "100", "--cap", "8"], RANDOMNESS),
+    (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--depth", "2"],
+     ("semimeasure",)),
+    (["measure-cheap", "--x", "bits:0000", "--n", "1", "--k", "1", "--t", "poly:10,1",
+      "--stage", "10", "--depth", "2", "--cap", "8"], RANDOMNESS),
+    (["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "100", "--cap", "8"],
+     CONSTRUCTIONS),
+    (["build-deep", "--rounds", "1", "--oracle", "none", "--T", "poly:2,2", "--cap", "8",
+      "--mart-stage", "100"], CONSTRUCTIONS),
+    (["force", "--class", "{tmp}/sched.json", "--f", "bits:0101", "--steps", "1",
+      "--budget", "100"], FORCING),
+    (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
+      "--k", "1", "--stage", "10", "--cap", "8"], FORCING),
+    (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], ()),
+    (["selftest", "--seed", "7"], FORCING),
+], ids=["import", "k", "m", "convert-timebound", "space-lemma", "psi", "avg",
+        "measure-cheap", "profile", "build-deep", "force", "join-check", "solovay",
+        "selftest"])
+def test_a_command_loads_only_its_own_modules(tmp_path, argv, extra):
+    (tmp_path / "m.tsv").write_text("\t1/4\n0\t1/8\n")
+    (tmp_path / "sched.json").write_text('{"depth": 3, "stages": []}')
+    if argv:
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "artifact")]
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert sorted(proc.stdout.split()) == sorted(BASE + tuple(f"depthlab.{m}" for m in extra))
 
 
 # ------------------------------------------------------------------ solovay probe
