@@ -285,8 +285,6 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_join_check(args) -> int:
-    from dataclasses import asdict
-
     from . import pi01forcing
 
     _require_nonnegative(args, "--stage")
@@ -294,7 +292,7 @@ def _cmd_join_check(args) -> int:
         _read_bits(args.F), _read_bits(args.X), _read_bits(args.Y),
         args.k, args.stage, args.cap)
     _emit_json(args, {
-        **asdict(rep), "all_ok": rep.all_ok,
+        **rep._asdict(), "all_ok": rep.all_ok,
         "config": _resolved(args, ("F", "X", "Y", "k", "stage", "cap")),
     })
     return EXIT_OK

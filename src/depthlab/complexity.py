@@ -39,8 +39,8 @@ witness under any oracle and K^A <= K holds with constant zero.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .toyvm import (
     INSTRUCTION_CODES,
@@ -79,8 +79,7 @@ class ReductionDiverged(DepthlabError):
 # time bounds
 
 
-@dataclass(frozen=True)
-class TimeBound:
+class TimeBound(NamedTuple):
     """Total nondecreasing step budget, either a*(n+1)**b or an explicit
     nondecreasing table extended by its final value."""
 
@@ -485,8 +484,7 @@ def halting_table(oracle, cap: int) -> HaltingTable:
 # complexity queries
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(NamedTuple):
     """Shortest-program length for a target, or above-cap when the search
     space is exhausted; the witness is lex-least among the shortest."""
 
@@ -538,8 +536,7 @@ def result_csv_row(sigma: str, descriptor: str, result: ComplexityResult) -> str
 # code lifting between oracles
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """A machine program computing oracle bits: bit i is phi-value mod 2 of
     the program run with R2 = i against the base oracle."""
 
@@ -596,8 +593,7 @@ class TranslatedOracle:
         return bit
 
 
-@dataclass(frozen=True)
-class LiftedCode:
+class LiftedCode(NamedTuple):
     """A program re-targeted from oracle A to oracle B through a reduction.
 
     Execution is the base program against the translated oracle; declared
@@ -608,6 +604,8 @@ class LiftedCode:
     reduction: Reduction
 
     def __len__(self) -> int:
+        """The declared length; as with Program, _make and _replace do
+        not work on a LiftedCode."""
         return len(self.base) + WRAPPER_BITS
 
     def run_under(self, b_oracle, budget: int):

@@ -20,8 +20,8 @@ artifact certifies.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexity import WRAPPER_BITS, Reduction, TimeBound, halting_table, k_stage
 from .randomness import StagedSupermartingale, space_lemma_length
@@ -36,8 +36,10 @@ class ReductionMismatch(DepthlabError):
     """A claimed reduction does not compute the source from the target."""
 
 
-@dataclass(frozen=True)
-class BuilderConfig:
+class BuilderConfig(NamedTuple):
+    """The builder's settings; build_deep_random checks that there is at
+    least one round."""
+
     rounds: int
     martingale: StagedSupermartingale
     oracle: object
@@ -45,13 +47,8 @@ class BuilderConfig:
     cap: int = 18
     mart_stage: int = 10 ** 4
 
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("at least one round")
 
-
-@dataclass(frozen=True)
-class BuilderRound:
+class BuilderRound(NamedTuple):
     """One round of the builder.  `k_rejected` counts the cheap candidates
     the complexity filter rejected before the chosen one (every candidate
     on a flagged round); 0 means the filter rejected nothing.
@@ -77,11 +74,13 @@ class BuilderRound:
         return self.price_rejected == 0 and self.k_rejected == 0
 
 
-@dataclass
 class BuilderTrace:
-    config_summary: dict
-    rounds: list[BuilderRound] = field(default_factory=list)
-    d_lambda: Fraction = Fraction(0)
+    __slots__ = ("config_summary", "rounds", "d_lambda")
+
+    def __init__(self, config_summary: dict, d_lambda: Fraction):
+        self.config_summary = config_summary
+        self.rounds: list[BuilderRound] = []
+        self.d_lambda = d_lambda
 
     @property
     def sigma(self) -> str:
@@ -140,6 +139,8 @@ class BuilderTrace:
 
 def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
     """Run the finite-extension construction and return its full trace."""
+    if cfg.rounds < 1:
+        raise ValueError("at least one round")
     d = cfg.martingale
     table = halting_table(cfg.oracle, cfg.cap)
     trace = BuilderTrace({
@@ -149,8 +150,7 @@ def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
         "dominating": cfg.dominating.describe(),
         "cap": cfg.cap,
         "mart_stage": cfg.mart_stage,
-    })
-    trace.d_lambda = d("", cfg.mart_stage)
+    }, d("", cfg.mart_stage))
     sigma = ""
     for r in range(1, cfg.rounds + 1):
         delta = 1 + Fraction(1, r * r)
@@ -211,8 +211,7 @@ def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
 # depth profiles
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     n: int
     k_time: int | None
     k_stage: int | None
@@ -223,8 +222,7 @@ class ProfileRow:
         return self.k_time is None or self.k_stage is None
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(NamedTuple):
     sigma: str
     rows: tuple
     params: dict
@@ -264,20 +262,10 @@ def depth_profile(x_prefix: str, t: TimeBound, stage: int, oracle=None,
 
 
 # --------------------------------------------------------------------------
-# symmetric difference and the slow-growth comparison
+# the slow-growth comparison
 
 
-def symdiff(a_prefix: str, x_prefix: str) -> str:
-    """Bitwise exclusive or of equal-length prefixes."""
-    check_bits(a_prefix)
-    check_bits(x_prefix)
-    if len(a_prefix) != len(x_prefix):
-        raise ValueError("length mismatch")
-    return "".join("1" if a != b else "0" for a, b in zip(a_prefix, x_prefix))
-
-
-@dataclass(frozen=True)
-class SglReport:
+class SglReport(NamedTuple):
     """`overhead` is the measured constant: the least C >= 0 with
     gap_Y(n) >= gap_X(n) - C on the shared range.  `holds_with_overhead`
     says whether that inequality holds with the a-priori constant C =

@@ -35,12 +35,10 @@ so every trace checks the branched values against independent runs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 from .complexity import NO_PINS, OracleBranches
-from .constructions import symdiff
-from .randomness import deficiency
 from .toyvm import (
     DIVERGE_BODY,
     DepthlabError,
@@ -232,8 +230,7 @@ def projection_base_index() -> int:
     return body_index(assemble(_PROJECTION_ITEMS))
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """A total machine functional, one parameterised instance per step.
 
     The step-s instance is the base program with the step's query index
@@ -312,8 +309,7 @@ class Functional:
 # the forcing loop
 
 
-@dataclass(frozen=True)
-class ForcingStep:
+class ForcingStep(NamedTuple):
     s: int
     sigma: str
     n_index: int
@@ -329,19 +325,21 @@ class ForcingStep:
     members_after: int
 
 
-@dataclass
 class ForcingResult:
-    b_prefix: str
-    b_member: str
-    steps: list[ForcingStep] = field(default_factory=list)
-    inconclusive: list[int] = field(default_factory=list)
+    __slots__ = ("b_prefix", "b_member", "steps", "inconclusive")
+
+    def __init__(self, b_prefix: str, b_member: str, inconclusive: list[int]):
+        self.b_prefix = b_prefix
+        self.b_member = b_member
+        self.steps: list[ForcingStep] = []
+        self.inconclusive = inconclusive
 
     def to_json(self) -> dict:
         return {
             "b_prefix": self.b_prefix,
             "b_member": self.b_member,
             "inconclusive": self.inconclusive,
-            "steps": [asdict(st) for st in self.steps],
+            "steps": [st._asdict() for st in self.steps],
         }
 
     def reconstruct(self, functional: Functional) -> list[dict]:
@@ -476,8 +474,16 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
 # xor-join verification
 
 
-@dataclass(frozen=True)
-class JoinReport:
+def symdiff(a_prefix: str, x_prefix: str) -> str:
+    """Bitwise exclusive or of equal-length prefixes."""
+    check_bits(a_prefix)
+    check_bits(x_prefix)
+    if len(a_prefix) != len(x_prefix):
+        raise ValueError("length mismatch")
+    return "".join("1" if a != b else "0" for a, b in zip(a_prefix, x_prefix))
+
+
+class JoinReport(NamedTuple):
     xor_ok: bool
     x_random_ok: bool
     y_random_ok: bool
@@ -496,6 +502,8 @@ def join_check(f_prefix: str, x_prefix: str, y_prefix: str, k: int,
     """Three clauses: the prefix is the exact xor of the two others, both
     of those look k-random at the stage (deficiency at most k), and the
     prefix's bits form a valid dodging witness on its listed indices."""
+    from .randomness import deficiency
+
     if not len(f_prefix) == len(x_prefix) == len(y_prefix):
         raise ValueError("length mismatch")
     xor_ok = f_prefix == symdiff(x_prefix, y_prefix)

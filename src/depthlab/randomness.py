@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .complexity import TimeBound, halting_table, k_stage
 from .semimeasure import (m_stage, prefix_mass_evaluator, read_fraction_table,
@@ -209,7 +209,7 @@ def dyadic_family(depth: int, splits=DYADIC_SPLITS):
 def random_table(depth: int, rng: random.Random, grain: int = 8) -> MartingaleTable:
     """Splits drawn uniformly from the multiples of 1/grain, one
     rng.randint per internal node in heap order."""
-    grid = [_ratio(Fraction(i, grain)) for i in range(grain + 1)]
+    grid = [(i // gcd(i, grain), grain // gcd(i, grain)) for i in range(grain + 1)]
     return MartingaleTable.from_splits(
         depth, [grid[rng.randint(0, grain)] for _ in range((1 << depth) - 1)])
 
@@ -218,8 +218,7 @@ def random_table(depth: int, rng: random.Random, grain: int = 8) -> MartingaleTa
 # staged supermartingale for the builder
 
 
-@dataclass(frozen=True)
-class StagedSupermartingale:
+class StagedSupermartingale(NamedTuple):
     """(sigma, stage) -> rational, monotone in stage, with
     2 d_s(sigma) >= d_s(sigma 0) + d_s(sigma 1).
 
@@ -321,8 +320,7 @@ def default_builder_martingale(oracle=None, cap: int = 16) -> StagedSupermarting
 # randomness deficiency
 
 
-@dataclass(frozen=True)
-class DeficiencyRecord:
+class DeficiencyRecord(NamedTuple):
     """max over n <= |sigma| of n - K_s(prefix of length n); above-cap
     complexities enter as cap + 1, so the value is an upper bound on the
     same quantity under the (unknowable) true stage-s complexities."""
@@ -348,8 +346,7 @@ def deficiency(sigma: str, stage: int, cap: int = 16, oracle=None) -> Deficiency
 # the depth-vs-oracle integral test
 
 
-@dataclass(frozen=True)
-class PsiResult:
+class PsiResult(NamedTuple):
     value: Fraction
     dropped_terms: int
     params: dict

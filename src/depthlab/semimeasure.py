@@ -19,8 +19,8 @@ unpinned oracle answer is a branch point.  It sums integers in units of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexity import (
     NoStageWithinBudget,
@@ -123,8 +123,7 @@ class ComputableSemimeasure:
 # coding gap
 
 
-@dataclass(frozen=True)
-class CodingGap:
+class CodingGap(NamedTuple):
     """How much heavier the semimeasure is than the single best witness.
 
     factor = m_s(sigma) * 2^K_s(sigma) exactly; the gap in bits is its
@@ -217,8 +216,7 @@ class _ProbeOracle:
         return bit
 
 
-@dataclass(frozen=True)
-class OracleLeaf:
+class OracleLeaf(NamedTuple):
     """One reachable answer pattern: the pinned bits and the run outcome."""
 
     assign: tuple

@@ -74,8 +74,8 @@ Program indices
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 
 class DepthlabError(Exception):
@@ -363,8 +363,7 @@ def jumps_confined(body: str) -> bool:
 # programs
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """A self-delimiting machine program: gamma header plus raw body."""
 
     bits: str
@@ -389,6 +388,8 @@ class Program:
         return body_index(self.body)
 
     def __len__(self) -> int:
+        """The length in bits.  It hides the tuple's length, which the
+        tuple helpers _make and _replace check, so neither works here."""
         return len(self.bits)
 
     def instructions(self) -> Instructions:
@@ -554,18 +555,22 @@ def output_string(rope) -> str:
 # runs
 
 
-@dataclass
 class MachineState:
     """Resumable snapshot of a run in progress, and the record of a run
     that stopped: pc, steps, rope, regs and queried are its facts either
     way.  The output's length is rope[0]."""
 
-    pc: int = 0
-    regs: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    steps: int = 0
-    rope: tuple | None = None
-    queried: set = field(default_factory=set)
-    seen: set | None = None
+    __slots__ = ("pc", "regs", "steps", "rope", "queried", "seen")
+
+    def __init__(self, pc: int = 0, regs: list[int] | None = None, steps: int = 0,
+                 rope: tuple | None = None, queried: set | None = None,
+                 seen: set | None = None):
+        self.pc = pc
+        self.regs = [0, 0, 0, 0] if regs is None else regs
+        self.steps = steps
+        self.rope = rope
+        self.queried = set() if queried is None else queried
+        self.seen = seen
 
     def copy(self, keep_seen: bool = True) -> "MachineState":
         """A state that resumes as this one does, with its own regs,
@@ -655,8 +660,7 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
     return kind
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """How a finished call to run or phi stopped, and what it left.
 
     kind is "halted", "budget", "aborted" or "diverged" (a repeated cycle
@@ -737,8 +741,7 @@ MEMO = Memo()
 # the program enumeration phi
 
 
-@dataclass(frozen=True)
-class PhiResult:
+class PhiResult(NamedTuple):
     outcome: Outcome
     value: int | None
 

@@ -142,6 +142,14 @@ def test_build_deep_subcommand(tmp_path):
     assert len(doc["rounds"]) == 2
 
 
+def test_build_deep_without_a_round_exits_2(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert dispatch(["build-deep", "--rounds", "0", "--oracle", "none", "--T", "poly:2,2",
+                     "--cap", "8", "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: at least one round\n"
+    assert not out.exists()
+
+
 def test_force_subcommand_and_reconstruction(tmp_path):
     sched = tmp_path / "sched.json"
     sched.write_text(json.dumps({"depth": 8, "stages": [{"s": 0, "forbid": ["0"]}]}))
@@ -406,19 +414,22 @@ def test_selftest_reproducible(tmp_path):
 # ------------------------------------------------------------------ import sets
 
 # Runs argv through dispatch, unless it is empty, and prints the loaded
-# depthlab modules.  It needs a fresh interpreter: this process already
+# depthlab modules on one line and, on the next, which of the two costly
+# standard modules no command needs (dataclasses and the inspect it
+# imports) got loaded.  It needs a fresh interpreter: this process already
 # holds every module, so it cannot see which ones a command loads.
 LOADED = """import sys
 from depthlab.cli import dispatch
 code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "depthlab"))
+print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 sys.exit(code)
 """
 BASE = ("depthlab", "depthlab.cli", "depthlab.toyvm", "depthlab.complexity")
 # what importing randomness, constructions or pi01forcing loads beyond BASE
 RANDOMNESS = ("semimeasure", "randomness")
 CONSTRUCTIONS = RANDOMNESS + ("constructions",)
-FORCING = CONSTRUCTIONS + ("pi01forcing",)
+FORCING = ("pi01forcing",)
 
 
 @pytest.mark.parametrize("argv,extra", [
@@ -441,9 +452,9 @@ FORCING = CONSTRUCTIONS + ("pi01forcing",)
     (["force", "--class", "{tmp}/sched.json", "--f", "bits:0101", "--steps", "1",
       "--budget", "100"], FORCING),
     (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
-      "--k", "1", "--stage", "10", "--cap", "8"], FORCING),
+      "--k", "1", "--stage", "10", "--cap", "8"], FORCING + RANDOMNESS),
     (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], ()),
-    (["selftest", "--seed", "7"], FORCING),
+    (["selftest", "--seed", "7"], FORCING + RANDOMNESS),
 ], ids=["import", "k", "m", "convert-timebound", "space-lemma", "psi", "avg",
         "measure-cheap", "profile", "build-deep", "force", "join-check", "solovay",
         "selftest"])
@@ -456,7 +467,9 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, extra):
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert sorted(proc.stdout.split()) == sorted(BASE + tuple(f"depthlab.{m}" for m in extra))
+    depthlab_modules, costly = proc.stdout.split("\n")[:2]
+    assert sorted(depthlab_modules.split()) == sorted(BASE + tuple(f"depthlab.{m}" for m in extra))
+    assert costly.split() == []
 
 
 # ------------------------------------------------------------------ solovay probe

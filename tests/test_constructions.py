@@ -15,7 +15,6 @@ from depthlab.constructions import (
     build_deep_random,
     depth_profile,
     sgl_compare,
-    symdiff,
 )
 from depthlab.randomness import (
     MartingaleTable,
@@ -23,6 +22,7 @@ from depthlab.randomness import (
     default_builder_martingale,
     space_lemma_length,
 )
+from depthlab.pi01forcing import symdiff
 from depthlab.toyvm import HaltingOracle, Program, assemble, body_index
 
 
@@ -148,6 +148,11 @@ def test_builder_price_bound_is_strict():
     r = build_deep_random(cfg).rounds[0]
     assert r.ext_count == len(fraction_priced(cfg, "", 1)) == 5
     assert r.price_rejected == 3 and not r.vacuous
+
+
+def test_builder_needs_at_least_one_round():
+    with pytest.raises(ValueError, match="at least one round"):
+        build_deep_random(small_builder(rounds=0))
 
 
 def test_builder_flags_a_round_whose_candidates_all_compress(monkeypatch):

@@ -389,6 +389,19 @@ def test_dyadic_family_guarantee_exhaustive():
                     assert count_cheap_extensions(table, sigma, delta, l) >= k
 
 
+@pytest.mark.parametrize("depth,seed", [(6, 5)] + [(1, seed) for seed in range(8)])
+def test_random_table_draws_reduced_splits_from_the_grid(depth, seed):
+    # one randint per internal node in heap order, each split i/8 in
+    # lowest terms, so the shared denominator is the lcm of the drawn ones:
+    # a one-node table drawn at an even i has a denominator below 8
+    grid = [(f.numerator, f.denominator) for f in (Fraction(i, 8) for i in range(9))]
+    rng = random.Random(seed)
+    want = MartingaleTable.from_splits(
+        depth, [grid[rng.randint(0, 8)] for _ in range((1 << depth) - 1)])
+    got = random_table(depth, random.Random(seed))
+    assert (got.nums, got.den) == (want.nums, want.den)
+
+
 def test_random_tables_guarantee_sampled():
     rng = random.Random(7)
     grid = ((Fraction(3, 2), 4), (Fraction(2), 4), (Fraction(3), 8))
