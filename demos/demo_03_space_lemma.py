@@ -4,13 +4,12 @@
 Run with: python3 demos/demo_03_space_lemma.py
 """
 
-import random
 from fractions import Fraction
 
 from depthlab.randomness import (
     MartingaleTable,
     count_cheap_extensions,
-    random_table,
+    random_tables,
     space_lemma_length,
 )
 
@@ -33,10 +32,8 @@ for delta, k in ((Fraction(2), 2), (Fraction(3, 2), 4), (Fraction(3), 8)):
 
 # The bound survives adversarial randomness: sweep seeded random tables
 # and count violations (there are none; the counting argument is exact).
-rng = random.Random(7)
 violations = 0
-for _ in range(2000):
-    table = random_table(6, rng)
+for table in random_tables(6, 2000, seed=7):
     for delta, k in ((Fraction(2), 2), (Fraction(2), 4), (Fraction(3), 8)):
         l = space_lemma_length(delta, k)
         if count_cheap_extensions(table, "", delta, l) < k:

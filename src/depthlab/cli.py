@@ -25,7 +25,6 @@ from .toyvm import (
     check_bits,
     compile_const,
     fixed_point,
-    index_to_body,
     int_to_bin,
     parse_oracle,
     phi,
@@ -133,7 +132,6 @@ def _cmd_convert_timebound(args) -> int:
 
 
 def _cmd_space_lemma(args) -> int:
-    import random
     from fractions import Fraction
 
     from . import randomness
@@ -142,28 +140,19 @@ def _cmd_space_lemma(args) -> int:
     _require_nonnegative(args, "--n", "--depth")
     delta = parse_fraction(args.delta)
     l = randomness.space_lemma_length(delta, args.k)
-    tested = violations = 0
     if args.mode == "exhaustive":
+        tested = violations = 0
         for fam_depth, splits in ((3, randomness.DYADIC_SPLITS),
                                   (2, tuple(Fraction(i, 4) for i in range(5)))):
             # the sigma with at least l table levels below them, in heap order
             above = (1 << max(fam_depth + 1 - l, 0)) - 1
-            for table in randomness.dyadic_family(fam_depth, splits):
-                for i, value in enumerate(table.nums[:above]):
-                    if not value:
-                        continue
-                    tested += 1
-                    sigma = index_to_body(i)
-                    if randomness.count_cheap_extensions(table, sigma, delta, l) < args.k:
-                        violations += 1
+            family = randomness.dyadic_family(fam_depth, splits)
+            counts = randomness.space_lemma_sweep(family, delta, l, args.k, above)
+            tested += counts[0]
+            violations += counts[1]
     else:
-        rng = random.Random(args.seed)
-        depth = max(args.depth, l)
-        for _ in range(args.n):
-            table = randomness.random_table(depth, rng)
-            tested += 1
-            if randomness.count_cheap_extensions(table, "", delta, l) < args.k:
-                violations += 1
+        tables = randomness.random_tables(max(args.depth, l), args.n, args.seed)
+        tested, violations = randomness.space_lemma_sweep(tables, delta, l, args.k)
     _emit_json(args, {
         "violations": violations,
         "tested": tested,
@@ -350,12 +339,10 @@ def selftest(seed: int = 7) -> dict:
     """Deterministic aggregate of the package invariants, sized to run in
     well under a minute; the acceptance suite in tests/ runs the full
     versions."""
-    import random
     from fractions import Fraction
 
     from . import pi01forcing, randomness, semimeasure
 
-    rng = random.Random(seed)
     report: dict = {"seed": seed}
 
     programs = programs_up_to(14)
@@ -388,13 +375,12 @@ def selftest(seed: int = 7) -> dict:
                     mono = False
     report["stage_monotonicity"] = mono
 
+    tables = list(randomness.random_tables(5, 500, seed))
     violations = 0
-    for _ in range(500):
-        tab = randomness.random_table(5, rng)
-        for delta, k in ((Fraction(2), 2), (Fraction(3), 4)):
-            l = randomness.space_lemma_length(delta, k)
-            if l <= 5 and randomness.count_cheap_extensions(tab, "", delta, l) < k:
-                violations += 1
+    for delta, k in ((Fraction(2), 2), (Fraction(3), 4)):
+        l = randomness.space_lemma_length(delta, k)
+        if l <= 5:
+            violations += randomness.space_lemma_sweep(tables, delta, l, k)[1]
     report["extension_count_sample"] = {"tables": 500, "violations": violations}
 
     t = TimeBound.poly(10, 1)
@@ -446,37 +432,23 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="depthlab",
-        description="desk-scale complexity, semimeasure and forcing experiments",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--config", help="key=value file; flags override it")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--out", help="write the artifact here instead of stdout")
-        return p
-
-    p = add("k", _cmd_k, help="shortest-program length of a string")
+def _k_arguments(p) -> None:
     p.add_argument("--sigma", required=True)
     p.add_argument("--t", help="time bound poly:a,b or table:<path>")
     p.add_argument("--stage", type=int, default=0, help="absolute budget if no --t")
     p.add_argument("--cap", type=int, default=16)
     p.add_argument("--oracle", default="none")
 
-    p = add("m", _cmd_m, help="staged semimeasure mass of a string")
+
+def _m_arguments(p) -> None:
     p.add_argument("--sigma", required=True)
     p.add_argument("--t")
     p.add_argument("--stage", type=int, default=0)
     p.add_argument("--cap", type=int, default=16)
     p.add_argument("--oracle", default="none")
 
-    p = add("convert-timebound", _cmd_convert_timebound,
-            help="stage at which the machine semimeasure dominates a table")
+
+def _convert_timebound_arguments(p) -> None:
     p.add_argument("--table", required=True, help="semimeasure table file")
     p.add_argument("--c", required=True, help="domination constant, num/den")
     p.add_argument("--n", type=int, required=True)
@@ -484,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", type=int, default=10 ** 5)
     p.add_argument("--oracle", default="none")
 
-    p = add("space-lemma", _cmd_space_lemma, help="cheap-extension counting sweep")
+
+def _space_lemma_arguments(p) -> None:
     p.add_argument("--delta", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
@@ -492,7 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, default=6)
 
-    p = add("psi", _cmd_psi, help="truncated oracle integral test")
+
+def _psi_arguments(p) -> None:
     p.add_argument("--a-prefix", dest="a_prefix", required=True,
                    help="bits:... or a file of 0/1 characters")
     p.add_argument("--t", required=True)
@@ -502,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, default=10 ** 4)
     p.add_argument("--cap", type=int, default=14)
 
-    p = add("avg", _cmd_avg, help="exact oracle average of the relative mass")
+
+def _avg_arguments(p) -> None:
     p.add_argument("--sigma", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--cap", type=int, default=14)
@@ -510,8 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", type=int, default=0, help="Monte-Carlo sample count")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("measure-cheap", _cmd_measure_cheap,
-            help="measure of oracle prefixes compressing a fixed prefix")
+
+def _measure_cheap_arguments(p) -> None:
     p.add_argument("--x", required=True, help="bits:... or file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", required=True)
@@ -520,21 +495,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--cap", type=int, default=14)
 
-    p = add("profile", _cmd_profile, help="per-prefix depth profile CSV")
+
+def _profile_arguments(p) -> None:
     p.add_argument("--in", dest="infile", required=True, help="bits:... or file")
     p.add_argument("--t", required=True)
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--oracle", default="none")
     p.add_argument("--cap", type=int, default=18)
 
-    p = add("build-deep", _cmd_build_deep, help="finite-extension builder")
+
+def _build_deep_arguments(p) -> None:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--oracle", default="halting:10000")
     p.add_argument("--T", required=True, help="dominating time bound")
     p.add_argument("--cap", type=int, default=18)
     p.add_argument("--mart-stage", dest="mart_stage", type=int, default=10 ** 4)
 
-    p = add("force", _cmd_force, help="schedule forcing loop")
+
+def _force_arguments(p) -> None:
     p.add_argument("--class", dest="schedule", required=True, help="schedule JSON file")
     p.add_argument("--f", required=True, help="halting-dnc, bits:... or file")
     p.add_argument("--steps", type=int, required=True)
@@ -544,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional-budget", dest="functional_budget",
                    type=int, default=4096)
 
-    p = add("join-check", _cmd_join_check, help="xor-join randomness report")
+
+def _join_check_arguments(p) -> None:
     p.add_argument("--F", required=True, help="bits:... or file")
     p.add_argument("--X", required=True)
     p.add_argument("--Y", required=True)
@@ -552,17 +531,74 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, default=10 ** 4)
     p.add_argument("--cap", type=int, default=18)
 
-    p = add("solovay", _cmd_solovay, help="tightness of the time-bounded bound on integer codes")
+
+def _solovay_arguments(p) -> None:
     p.add_argument("--t", required=True)
     p.add_argument("--range", type=int, default=256)
     p.add_argument("--c", type=int, default=8)
     p.add_argument("--stage", type=int, default=10 ** 5)
     p.add_argument("--cap", type=int, default=16)
 
-    p = add("selftest", _cmd_selftest, help="deterministic invariant suite")
+
+def _selftest_arguments(p) -> None:
     p.add_argument("--seed", type=int, default=7)
 
+
+# name -> (handler, help line, arguments), in the order --help lists them
+COMMANDS = {
+    "k": (_cmd_k, "shortest-program length of a string", _k_arguments),
+    "m": (_cmd_m, "staged semimeasure mass of a string", _m_arguments),
+    "convert-timebound": (_cmd_convert_timebound,
+                          "stage at which the machine semimeasure dominates a table",
+                          _convert_timebound_arguments),
+    "space-lemma": (_cmd_space_lemma, "cheap-extension counting sweep",
+                    _space_lemma_arguments),
+    "psi": (_cmd_psi, "truncated oracle integral test", _psi_arguments),
+    "avg": (_cmd_avg, "exact oracle average of the relative mass", _avg_arguments),
+    "measure-cheap": (_cmd_measure_cheap,
+                      "measure of oracle prefixes compressing a fixed prefix",
+                      _measure_cheap_arguments),
+    "profile": (_cmd_profile, "per-prefix depth profile CSV", _profile_arguments),
+    "build-deep": (_cmd_build_deep, "finite-extension builder", _build_deep_arguments),
+    "force": (_cmd_force, "schedule forcing loop", _force_arguments),
+    "join-check": (_cmd_join_check, "xor-join randomness report", _join_check_arguments),
+    "solovay": (_cmd_solovay, "tightness of the time-bounded bound on integer codes",
+                _solovay_arguments),
+    "selftest": (_cmd_selftest, "deterministic invariant suite", _selftest_arguments),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  The
+    one-command parser names all of them in its usage line, so an error
+    it reports prints what the full parser's would."""
+    parser = argparse.ArgumentParser(
+        prog="depthlab",
+        description="desk-scale complexity, semimeasure and forcing experiments",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--config", help="key=value file; flags override it")
+    # a metavar would also rename `command` in the missing-command error,
+    # which only the full parser can report
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        handler, help_line, arguments = COMMANDS[name]
+        p = sub.add_parser(name, allow_abbrev=False, help=help_line)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", help="write the artifact here instead of stdout")
+        arguments(p)
     return parser
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The subcommand argv names as its first token past a leading
+    --config pair, or None when that token is not a subcommand."""
+    first = argv[2:3] if argv[:1] == ["--config"] else argv[:1]
+    return first[0] if first and first[0] in COMMANDS else None
 
 
 def _config_argv(path: str) -> list[str]:
@@ -588,7 +624,7 @@ def dispatch(argv: list[str]) -> int:
                 raise ValueError("--config needs a file")
             head, tail = argv[: i + 2], argv[i + 2 :]
             argv = head + tail[:1] + _config_argv(argv[i + 1]) + tail[1:]
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(_named_command(argv)).parse_args(argv)
         return args.handler(args)
     except (ValueError, KeyError, OSError, DepthlabError) as exc:
         sys.stderr.write(f"error: {exc}\n")

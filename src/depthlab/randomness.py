@@ -21,13 +21,20 @@ A builder round prices all 2^l extensions of its string in one lazy pass
 heap order, indexed by toyvm.body_index, and the machine's part is the
 sparse map of cylinder masses that HaltingTable.cylinder_numerators
 reads in one walk of the outputs extending the string.
+
+space_lemma_sweep checks the counting bound over a stream of tables in
+one pass, a heap slice and one integer bound per tested node.  Its
+sampled tables come from random_tables, which reads the stream of
+rng.randint(0, 8) draws in bulk, chunks of Mersenne Twister words at a
+time: a seed gives the same tables that one randint per split would.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -173,6 +180,16 @@ class MartingaleTable:
         write_fraction_table(path, self.values)
 
 
+def _count_cheap(nums: list[int], i: int, num: int, den: int, l: int) -> int:
+    """How many of heap node i's extensions l levels down have a value
+    below num/den times its own: they are the 2^l entries from
+    (i + 1) 2^l - 1 on."""
+    first = ((i + 1) << l) - 1
+    # for an integer v, v * den < num * n[i] is v < ceil(num n[i] / den)
+    bound = -(-num * nums[i] // den)
+    return sum(map(bound.__gt__, nums[first: first + (1 << l)]))
+
+
 def count_cheap_extensions(d: MartingaleTable, sigma: str, delta, l: int) -> int:
     """Exact count of tau of length l with d(sigma tau) < delta d(sigma),
     in integers over the table's slice of sigma's extensions."""
@@ -180,10 +197,28 @@ def count_cheap_extensions(d: MartingaleTable, sigma: str, delta, l: int) -> int
     check_bits(sigma)
     if len(sigma) + l > d.depth:
         raise ValueError("extension runs past the table depth")
-    first = body_index(sigma + "0" * l)
-    # for an integer v, v * den < num * n(sigma) is v < ceil(num n(sigma) / den)
-    bound = -(-num * d.nums[body_index(sigma)] // den)
-    return sum(map(bound.__gt__, d.nums[first: first + (1 << l)]))
+    return _count_cheap(d.nums, body_index(sigma), num, den, l)
+
+
+def space_lemma_sweep(tables: Iterable[MartingaleTable], delta, l: int, k: int,
+                      above: int = 1) -> tuple[int, int]:
+    """(tested, violations) of the counting bound over the first `above`
+    heap nodes of each table: a node with a positive value is tested, and
+    it violates the bound when fewer than k of its 2^l extensions l
+    levels down are cheap.  The default tests the root alone."""
+    num, den = _ratio(delta)
+    tested = violations = 0
+    for table in tables:
+        # heap nodes below 2^(depth + 1 - l) - 1 have l levels under them
+        if above > (1 << max(table.depth + 1 - l, 0)) - 1:
+            raise ValueError("extension runs past the table depth")
+        nums = table.nums
+        for i in range(above):
+            if nums[i]:
+                tested += 1
+                if _count_cheap(nums, i, num, den, l) < k:
+                    violations += 1
+    return tested, violations
 
 
 # families used by the counting sweeps
@@ -194,24 +229,42 @@ DYADIC_SPLITS = (Fraction(0), Fraction(1, 2), Fraction(1))
 def dyadic_family(depth: int, splits=DYADIC_SPLITS):
     """Every martingale of the given depth whose per-node splits come from
     the grid; normalised to 1 at the root.  Exhaustive over the grid: the
-    base-len(grid) digits of the code, least significant first, are the
-    splits in heap order."""
+    splits in heap order count through it like the digits of a
+    base-len(grid) counter, least significant first."""
     grid = [_ratio(a) for a in splits]
-    base, internal = len(grid), (1 << depth) - 1
-    for code in range(base ** internal):
-        assign = []
-        for _ in range(internal):
-            code, digit = divmod(code, base)
-            assign.append(grid[digit])
-        yield MartingaleTable.from_splits(depth, assign)
+    for assign in product(grid, repeat=(1 << depth) - 1):
+        yield MartingaleTable.from_splits(depth, assign[::-1])
 
 
-def random_table(depth: int, rng: random.Random, grain: int = 8) -> MartingaleTable:
-    """Splits drawn uniformly from the multiples of 1/grain, one
-    rng.randint per internal node in heap order."""
-    grid = [(i // gcd(i, grain), grain // gcd(i, grain)) for i in range(grain + 1)]
-    return MartingaleTable.from_splits(
-        depth, [grid[rng.randint(0, grain)] for _ in range((1 << depth) - 1)])
+# random_tables reads the stream of rng.randint(0, 8) in bulk.  For a
+# range of 9, CPython's randint takes the top 4 bits of one 32-bit
+# Mersenne Twister word and draws again while they exceed 8, and
+# getrandbits(32 w) packs w such words, the first least significant.  So
+# byte 4j + 3 of its little-endian bytes is the top byte of word j, and
+# translating those bytes to their top nibble, deleting the nibbles above
+# 8, leaves the accepted draws in order.
+_CHUNK_WORDS = 4096
+_TOP_NIBBLE = bytes(b >> 4 for b in range(256))
+_ABOVE_EIGHT = bytes(range(9 << 4, 256))
+_EIGHTHS = [(i // gcd(i, 8), 8 // gcd(i, 8)) for i in range(9)]
+
+
+def random_tables(depth: int, n: int, seed) -> Iterator[MartingaleTable]:
+    """n tables with splits drawn uniformly from the multiples of 1/8, in
+    lowest terms: one rng.randint(0, 8) per internal node in heap order,
+    table after table, from one random.Random(seed).  The draws are read
+    in chunks of _CHUNK_WORDS words and the tables built lazily."""
+    rng = random.Random(seed)
+    size = (1 << depth) - 1
+    draws, pos = b"", 0
+    for _ in range(n):
+        while len(draws) - pos < size:
+            chunk = rng.getrandbits(32 * _CHUNK_WORDS).to_bytes(4 * _CHUNK_WORDS, "little")
+            draws = draws[pos:] + chunk[3::4].translate(_TOP_NIBBLE, _ABOVE_EIGHT)
+            pos = 0
+        splits = [_EIGHTHS[i] for i in draws[pos: pos + size]]
+        pos += size
+        yield MartingaleTable.from_splits(depth, splits)
 
 
 # --------------------------------------------------------------------------

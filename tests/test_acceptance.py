@@ -37,7 +37,7 @@ from depthlab.randomness import (
     psi_average,
     psi_domination_constant,
     measure_cheap_oracles,
-    random_table,
+    random_tables,
     space_lemma_length,
 )
 from depthlab.semimeasure import (
@@ -130,9 +130,7 @@ def test_acceptance_space_lemma_grid():
             tested += 1
             if count_cheap_extensions(table, "", delta, l) < k:
                 violations += 1
-    rng = random.Random(7)
-    for _ in range(10 ** 4):
-        table = random_table(6, rng)
+    for table in random_tables(6, 10 ** 4, 7):
         for delta, k in grid:
             l = space_lemma_length(delta, k)
             if l > 6:

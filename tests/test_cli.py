@@ -411,6 +411,68 @@ def test_selftest_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("delta", ["2", "3", "4", "5"])
+def test_space_lemma_exhaustive_tests_every_node_above_the_last_two_levels(tmp_path, delta):
+    # l = 2 for each: the 2187 dyadic depth-3 tables offer their root and
+    # two children, the 125 quarter-grid depth-2 tables their root, each
+    # when its value is positive
+    code, text = run_cli(tmp_path, "space-lemma", "--delta", delta, "--k", "1")
+    doc = json.loads(text)
+    assert code == EXIT_OK
+    assert (doc["extension_length"], doc["tested"], doc["violations"]) == (2, 5228, 0)
+
+
+# ------------------------------------------------------------------ parser
+
+PARSER_ARGVS = {
+    "help": ["--help"],
+    "unknown-command": ["nosuch"],
+    "no-arguments": [],
+    "command-help": ["k", "--help"],
+    "command-missing-flag": ["k"],
+    "command-extra-argument": ["k", "--sigma", "0", "extra"],
+    "config-run": ["--config", "CFG", "k", "--sigma", "0"],
+    "config-after-command": ["k", "--sigma", "0", "--config", "CFG"],
+}
+
+
+def _dispatch_captured(capsys, argv):
+    try:
+        code = dispatch(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS.values(), ids=PARSER_ARGVS.keys())
+def test_one_command_parser_prints_what_the_full_parser_prints(
+        monkeypatch, capsys, tmp_path, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cap=12\nstage=100\n")
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    got = _dispatch_captured(capsys, argv)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda _command=None: full())
+    assert _dispatch_captured(capsys, argv) == got
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["k", "--sigma", "0"], "k"),
+    (["--config", "run.cfg", "selftest"], "selftest"),
+    (["--config", "k"], None),
+    (["--config=run.cfg", "k"], None),
+    (["-h", "k"], None),
+    (["nosuch"], None),
+    ([], None),
+])
+def test_only_a_leading_command_gets_a_one_command_parser(argv, command):
+    assert cli._named_command(argv) == command
+    parser = cli._build_parser(command)
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    assert list(subparsers.choices) == ([command] if command else list(cli.COMMANDS))
+
+
 # ------------------------------------------------------------------ import sets
 
 # Runs argv through dispatch, unless it is empty, and prints the loaded

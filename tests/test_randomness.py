@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab import complexity
+from depthlab import complexity, randomness
 from depthlab.complexity import TimeBound, halting_table
 from depthlab.randomness import (
     DYADIC_SPLITS,
@@ -23,11 +23,12 @@ from depthlab.randomness import (
     psi,
     psi_average,
     psi_domination_constant,
-    random_table,
+    random_tables,
     space_lemma_length,
+    space_lemma_sweep,
 )
 from depthlab.semimeasure import m_stage, oracle_average
-from depthlab.toyvm import HaltingOracle, rope_materialize, strings_of_length
+from depthlab.toyvm import HaltingOracle, index_to_body, rope_materialize, strings_of_length
 from reference_runs import (
     halting_runs,
     reference_cylinder,
@@ -210,7 +211,7 @@ def test_count_cheap_extensions_matches_fraction_reference():
     deltas = (Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(3, 2), Fraction(5, 3),
               Fraction(2), Fraction(3), 4)
     pairs = list(split_tables(rng, 30, 4))
-    pairs += [(t, t.values, None) for t in (random_table(4, rng) for _ in range(30))]
+    pairs += [(t, t.values, None) for t in random_tables(4, 30, 12)]
     for table, ref, _assign in pairs:
         for sigma in all_strings(4):
             for l in range(4 - len(sigma) + 1):
@@ -311,7 +312,7 @@ def test_mixture_numerator_matches_fraction_reference():
             assert machine(sigma, stage) == cylinder
 
 
-EXTENSION_TABLES = MIXTURE_TABLES + (random_table(6, random.Random(5)),)
+EXTENSION_TABLES = MIXTURE_TABLES + tuple(random_tables(6, 1, 5))
 
 
 def extension_sigmas(runs, rng):
@@ -389,27 +390,84 @@ def test_dyadic_family_guarantee_exhaustive():
                     assert count_cheap_extensions(table, sigma, delta, l) >= k
 
 
-@pytest.mark.parametrize("depth,seed", [(6, 5)] + [(1, seed) for seed in range(8)])
-def test_random_table_draws_reduced_splits_from_the_grid(depth, seed):
-    # one randint per internal node in heap order, each split i/8 in
-    # lowest terms, so the shared denominator is the lcm of the drawn ones:
-    # a one-node table drawn at an even i has a denominator below 8
+def randint_tables(depth, n, seed):
+    """The reference draw: one rng.randint(0, 8) per internal node in heap
+    order, each split i/8 in lowest terms, n tables from one generator."""
     grid = [(f.numerator, f.denominator) for f in (Fraction(i, 8) for i in range(9))]
     rng = random.Random(seed)
-    want = MartingaleTable.from_splits(
+    return [MartingaleTable.from_splits(
         depth, [grid[rng.randint(0, 8)] for _ in range((1 << depth) - 1)])
-    got = random_table(depth, random.Random(seed))
-    assert (got.nums, got.den) == (want.nums, want.den)
+        for _ in range(n)]
+
+
+def table_keys(tables):
+    return [(t.depth, t.nums, t.den) for t in tables]
+
+
+@pytest.mark.parametrize("depth,seed", [(d, s) for d in (0, 1, 3, 6) for s in range(20)])
+def test_random_table_draws_reduced_splits_from_the_grid(depth, seed):
+    # five tables from one stream; the shared denominator is the lcm of the
+    # drawn ones: a one-node table drawn at an even i has a denominator below 8
+    got = random_tables(depth, 5, seed)
+    assert table_keys(got) == table_keys(randint_tables(depth, 5, seed))
+
+
+@pytest.mark.parametrize("depth,n", [(6, randomness._CHUNK_WORDS // 63 + 2), (12, 3)])
+def test_random_tables_read_past_one_chunk(depth, n):
+    # a chunk of w words gives at most w draws
+    assert n * ((1 << depth) - 1) > randomness._CHUNK_WORDS
+    got = random_tables(depth, n, 3)
+    assert table_keys(got) == table_keys(randint_tables(depth, n, 3))
+
+
+def test_no_random_tables_for_n_zero():
+    assert list(random_tables(6, 0, 1)) == []
 
 
 def test_random_tables_guarantee_sampled():
-    rng = random.Random(7)
     grid = ((Fraction(3, 2), 4), (Fraction(2), 4), (Fraction(3), 8))
-    for _ in range(1000):
-        table = random_table(6, rng)
+    for table in random_tables(6, 1000, 7):
         for delta, k in grid:
             l = space_lemma_length(delta, k)
             assert count_cheap_extensions(table, "", delta, l) >= k
+
+
+# the (delta, k) pairs the space-lemma benchmark cases offer, over the two
+# families the exhaustive mode sweeps
+OFFERED = ((2, 2), (Fraction(3, 2), 1), (2, 3), (3, 3), (2, 1), (3, 1), (4, 1), (5, 1))
+FAMILIES = ((3, DYADIC_SPLITS), (2, tuple(Fraction(i, 4) for i in range(5))))
+
+
+@pytest.mark.parametrize("fam_depth,splits", FAMILIES, ids=["dyadic", "quarters"])
+@pytest.mark.parametrize("delta,k", OFFERED)
+def test_sweep_agrees_with_per_node_counts(fam_depth, splits, delta, k):
+    l = space_lemma_length(delta, k)
+    assert l <= 3
+    above = (1 << max(fam_depth + 1 - l, 0)) - 1
+    tables = list(dyadic_family(fam_depth, splits))
+    counts = [count_cheap_extensions(table, index_to_body(i), delta, l)
+              for table in tables for i in range(above) if table.nums[i]]
+    # every threshold up to one past the 2^l extensions, so the whole
+    # distribution of counts must agree, not only the count of violations
+    for threshold in range(1, (1 << l) + 2):
+        want = (len(counts), sum(c < threshold for c in counts))
+        assert space_lemma_sweep(tables, delta, l, threshold, above) == want, threshold
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_sweep_reports_every_node_when_k_exceeds_the_extensions(l):
+    tables = list(random_tables(6, 50, 4))
+    assert space_lemma_sweep(tables, 2, l, (1 << l) + 1) == (50, 50)
+
+
+def test_sweep_rejects_nodes_without_l_levels_below():
+    tables = [MartingaleTable.constant(3)]
+    assert space_lemma_sweep(tables, 2, 2, 1, 3) == (3, 0)
+    with pytest.raises(ValueError, match="past the table depth"):
+        space_lemma_sweep(tables, 2, 2, 1, 4)
+    with pytest.raises(ValueError, match="past the table depth"):
+        space_lemma_sweep(tables, 2, 4, 1)
+    assert space_lemma_sweep([], 2, 2, 1) == (0, 0)
 
 
 @settings(max_examples=60, deadline=None)
