@@ -115,6 +115,7 @@ def _cmd_m(args) -> int:
 def _cmd_convert_timebound(args) -> int:
     from . import semimeasure
 
+    _require_nonnegative(args, "--n", "--ceiling")
     m = semimeasure.ComputableSemimeasure.from_file(args.table)
     oracle = parse_oracle(args.oracle)
     try:
@@ -253,6 +254,7 @@ def _cmd_build_deep(args) -> int:
 def _cmd_force(args) -> int:
     from . import pi01forcing
 
+    _require_nonnegative(args, "--steps", "--budget", "--functional-budget")
     schedule = pi01forcing.PruningSchedule.from_file(args.schedule)
     if args.f == "halting-dnc":
         source = pi01forcing.Dnc2Witness.from_halting_table(args.budget)
@@ -594,10 +596,22 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _leading_config(argv: list[str]) -> tuple[str | None, list[str]]:
+    """The file a leading `--config FILE` or `--config=FILE` names (None
+    without one) and the argv past it; argparse rejects one after the command."""
+    if argv[:1] == ["--config"]:
+        if len(argv) == 1:
+            raise ValueError("--config needs a file")
+        return argv[1], argv[2:]
+    if argv and argv[0].startswith("--config="):
+        return argv[0][len("--config="):], argv[1:]
+    return None, argv
+
+
 def _named_command(argv: list[str]) -> str | None:
     """The subcommand argv names as its first token past a leading
-    --config pair, or None when that token is not a subcommand."""
-    first = argv[2:3] if argv[:1] == ["--config"] else argv[:1]
+    --config, or None when that token is not a subcommand."""
+    first = _leading_config(argv)[1][:1]
     return first[0] if first and first[0] in COMMANDS else None
 
 
@@ -618,13 +632,10 @@ def dispatch(argv: list[str]) -> int:
     subcommand; returns the exit status.  Bad input exits 2 with an
     `error:` line on stderr, argparse's own errors included."""
     try:
-        if "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 == len(argv):
-                raise ValueError("--config needs a file")
-            head, tail = argv[: i + 2], argv[i + 2 :]
-            argv = head + tail[:1] + _config_argv(argv[i + 1]) + tail[1:]
-        args = _build_parser(_named_command(argv)).parse_args(argv)
+        path, rest = _leading_config(argv)
+        if path is not None:
+            rest = rest[:1] + _config_argv(path) + rest[1:]
+        args = _build_parser(_named_command(argv)).parse_args(rest)
         return args.handler(args)
     except (ValueError, KeyError, OSError, DepthlabError) as exc:
         sys.stderr.write(f"error: {exc}\n")

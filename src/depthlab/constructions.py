@@ -1,4 +1,4 @@
-"""Finite-extension builder, depth profiles and reduction comparisons.
+"""Finite-extension builder and depth profiles.
 
 The builder grows a binary string round by round.  At round r it takes
 delta_r = 1 + 1/r^2, looks at all extensions of length
@@ -23,17 +23,13 @@ import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexity import WRAPPER_BITS, Reduction, TimeBound, halting_table, k_stage
+from .complexity import TimeBound, halting_table, k_stage
 from .randomness import StagedSupermartingale, space_lemma_length
-from .toyvm import DepthlabError, PrefixOracle, bits_to_hex, check_bits, oracle_key
+from .toyvm import DepthlabError, bits_to_hex, check_bits, oracle_key
 
 
 class BuilderError(DepthlabError):
     """An internal invariant of the builder failed (empty extension set)."""
-
-
-class ReductionMismatch(DepthlabError):
-    """A claimed reduction does not compute the source from the target."""
 
 
 class BuilderConfig(NamedTuple):
@@ -227,9 +223,6 @@ class DepthProfile(NamedTuple):
     rows: tuple
     params: dict
 
-    def gaps(self):
-        return [r.gap for r in self.rows]
-
     def csv_lines(self):
         yield "n,k_time,k_stage,gap,above_cap"
         for r in self.rows:
@@ -259,43 +252,3 @@ def depth_profile(x_prefix: str, t: TimeBound, stage: int, oracle=None,
         "t": t.describe(), "stage": stage, "cap": cap,
         "oracle": list(map(str, oracle_key(oracle))),
     })
-
-
-# --------------------------------------------------------------------------
-# the slow-growth comparison
-
-
-class SglReport(NamedTuple):
-    """`overhead` is the measured constant: the least C >= 0 with
-    gap_Y(n) >= gap_X(n) - C on the shared range.  `holds_with_overhead`
-    says whether that inequality holds with the a-priori constant C =
-    |reduction program| + WRAPPER_BITS, the size of the code that turns a
-    Y-program into an X-program."""
-
-    profile_x: DepthProfile
-    profile_y: DepthProfile
-    overhead: int
-    holds_with_overhead: bool
-    reduction_steps: int
-
-
-def sgl_compare(x_prefix: str, y_prefix: str, reduction: Reduction,
-                t: TimeBound, stage: int, oracle=None, cap: int = 18) -> SglReport:
-    """Validate that the reduction computes X from Y within its declared
-    budget, then emit both depth profiles, the measured overhead and
-    whether the gaps respect the a-priori one (see SglReport)."""
-    base = PrefixOracle(y_prefix)
-    spent = 0
-    for i, want in enumerate(x_prefix):
-        bit, steps = reduction.bit(base, i)
-        spent = max(spent, steps)
-        if bit != (1 if want == "1" else 0):
-            raise ReductionMismatch(f"reduction disagrees with X at {i}")
-    px = depth_profile(x_prefix, t, stage, oracle, cap)
-    py = depth_profile(y_prefix, t, stage, oracle, cap)
-    shared = min(len(px.rows), len(py.rows))
-    overhead = max((px.rows[i].gap - py.rows[i].gap for i in range(shared)),
-                   default=0)
-    overhead = max(overhead, 0)
-    holds = overhead <= len(reduction.program) + WRAPPER_BITS
-    return SglReport(px, py, overhead, holds, spent)

@@ -39,8 +39,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .complexity import TimeBound, halting_table, k_stage
-from .semimeasure import (m_stage, prefix_mass_evaluator, read_fraction_table,
-                          relative_mass, write_fraction_table)
+from .semimeasure import m_stage, prefix_mass_evaluator, relative_mass
 from .toyvm import body_index, check_bits, index_to_body, strings_of_length
 
 
@@ -62,14 +61,6 @@ def _ceil_log2(num: int, den: int) -> int:
     # 2^(m-1) < num/den < 2^(m+1), so the answer is m or m + 1
     fits = num <= den << m if m >= 0 else num << -m <= den
     return m if fits else m + 1
-
-
-def exact_ceil_log2(x: Fraction) -> int:
-    """Smallest integer m with x <= 2^m, exactly."""
-    num, den = _ratio(x)
-    if num <= 0:
-        raise ValueError("log of a nonpositive rational")
-    return _ceil_log2(num, den)
 
 
 def space_lemma_length(delta, k: int) -> int:
@@ -96,26 +87,13 @@ class MartingaleTable:
     shared denominator `den`, in heap order: sigma at
     toyvm.body_index(sigma), the children of index i at 2i + 1 and
     2i + 2.  So fairness is the integer identity 2 n[i] = n[2i+1] +
-    n[2i+2], and the extensions of sigma of one length are a slice.  Build it
-    from a dict of rationals, or pass `nums` and `den`; both are checked
-    the same way.  `value` and `values` return Fractions."""
+    n[2i+2], and the extensions of sigma of one length are a slice.
+    `value` and `values` return Fractions."""
 
-    def __init__(self, depth: int, values: dict | None = None, *,
-                 nums: list[int] | None = None, den: int = 1):
+    def __init__(self, depth: int, *, nums: list[int], den: int = 1):
         self.depth = depth
         size = (2 << depth) - 1
-        if values is not None:
-            rationals = []
-            for sigma in map(index_to_body, range(size)):
-                if sigma not in values:
-                    raise FairnessError(f"missing value at {sigma!r}")
-                v = Fraction(values[sigma])
-                if v < 0:
-                    raise FairnessError(f"negative value at {sigma!r}")
-                rationals.append(v)
-            den = lcm(*(v.denominator for v in rationals))
-            nums = [v.numerator * (den // v.denominator) for v in rationals]
-        elif len(nums) < size:
+        if len(nums) < size:
             raise FairnessError(f"missing value at {index_to_body(len(nums))!r}")
         elif len(nums) > size:
             raise FairnessError(f"{len(nums)} values for depth {depth}, which has {size}")
@@ -170,14 +148,6 @@ class MartingaleTable:
             nums.append(w * p)
             nums.append(w * (grain - p))
         return cls(depth, nums=nums, den=grain ** depth)
-
-    @classmethod
-    def from_file(cls, path) -> "MartingaleTable":
-        vals = read_fraction_table(path)
-        return cls(max(map(len, vals), default=0), vals)
-
-    def to_file(self, path) -> None:
-        write_fraction_table(path, self.values)
 
 
 def _count_cheap(nums: list[int], i: int, num: int, den: int, l: int) -> int:

@@ -90,13 +90,6 @@ def read_fraction_table(path) -> dict[str, Fraction]:
     return table
 
 
-def write_fraction_table(path, table: dict) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for sigma in sorted(table, key=lambda s: (len(s), s)):
-            v = table[sigma]
-            fh.write(f"{sigma}\t{v.numerator}/{v.denominator}\n")
-
-
 class ComputableSemimeasure:
     """Finite table sigma -> rational with default 0 and mass at most 1."""
 
@@ -114,9 +107,6 @@ class ComputableSemimeasure:
     @classmethod
     def from_file(cls, path) -> "ComputableSemimeasure":
         return cls(read_fraction_table(path), description=str(path))
-
-    def to_file(self, path) -> None:
-        write_fraction_table(path, self.table)
 
 
 # --------------------------------------------------------------------------
@@ -222,10 +212,6 @@ class OracleLeaf(NamedTuple):
     assign: tuple
     halted: bool
     output: str | None
-
-    @property
-    def pinned(self) -> int:
-        return len(self.assign)
 
     def consistent(self, prefix: str) -> bool:
         return all(prefix[i] == ("1" if b else "0") for i, b in self.assign)

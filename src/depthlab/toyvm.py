@@ -46,6 +46,8 @@ Execution conventions
       returns only how the run stopped ("halted", "aborted", "diverged",
       or None when the budget ran out); run and phi wrap that and the
       state into one Outcome.
+    * An oracle is any object with a hashable `key` and an answer(index)
+      that returns 0 or 1, or raises OutOfTableError to abort the run.
 
 Cycle detection
     A run asked to look for cycles keys each step by the program counter
@@ -434,16 +436,7 @@ def programs_up_to(cap: int) -> Programs:
 # oracles
 
 
-class Oracle:
-    """A total 0/1 answer source for ORACLE queries."""
-
-    key: tuple
-
-    def answer(self, index: int) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class PrefixOracle(Oracle):
+class PrefixOracle:
     """File- or string-backed finite bit table; queries beyond it abort."""
 
     def __init__(self, bits: str):
@@ -462,7 +455,7 @@ class PrefixOracle(Oracle):
             return cls(fh.readline().strip())
 
 
-class ZeroOracle(Oracle):
+class ZeroOracle:
     """The all-zero rule."""
 
     def __init__(self):
@@ -475,7 +468,7 @@ class ZeroOracle(Oracle):
 ZERO = ZeroOracle()
 
 
-class HaltingOracle(Oracle):
+class HaltingOracle:
     """Stage-bounded diagonal halting oracle: bit e is 1 iff phi_e(e) halts
     within `stage` steps (diagonal runs use the all-zero oracle)."""
 
@@ -676,10 +669,6 @@ class Outcome(NamedTuple):
     @property
     def output(self) -> str:
         return output_string(self.rope)
-
-    @property
-    def output_length(self) -> int:
-        return self.rope[0] if self.rope else 0
 
 
 def _outcome(kind: str | None, oracle, st: MachineState) -> Outcome:

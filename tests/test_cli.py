@@ -19,7 +19,7 @@ from depthlab.cli import (
     solovay_probe,
 )
 from depthlab.complexity import NoStageWithinBudget, ReductionDiverged, TimeBound
-from depthlab.constructions import BuilderError, ReductionMismatch, depth_profile
+from depthlab.constructions import BuilderError, depth_profile
 from depthlab.pi01forcing import ForcingError
 from depthlab.randomness import FairnessError
 from depthlab.semimeasure import DepthViolation
@@ -327,11 +327,24 @@ def test_negative_time_bound_table_exits_2_naming_the_table(tmp_path, capsys, ar
       "--mart-stage", "-5"], "--mart-stage"),
     (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--depth", "-3"],
      "--depth"),
+    (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "-1",
+      "--budget", "100"], "--steps"),
+    (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "2",
+      "--budget", "-5"], "--budget"),
+    (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "2",
+      "--budget", "100", "--functional-budget", "-1"], "--functional-budget"),
+    (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "9/2", "--n", "-1"], "--n"),
+    (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "9/2", "--n", "2",
+      "--ceiling", "-4"], "--ceiling"),
 ], ids=["avg-mc", "solovay-range", "space-lemma-n", "avg-depth", "measure-cheap-depth",
         "psi-len-cap", "profile-stage", "join-check-stage", "build-deep-mart-stage",
-        "space-lemma-depth"])
+        "space-lemma-depth", "force-steps", "force-budget", "force-functional-budget",
+        "convert-timebound-n", "convert-timebound-ceiling"])
 def test_negative_count_exits_2_without_an_artifact(tmp_path, capsys, argv, flag):
+    (tmp_path / "sched.json").write_text('{"depth": 4, "stages": []}')
+    (tmp_path / "m.tsv").write_text("\t1/4\n01\t1/8\n")
     out = tmp_path / "artifact.json"
+    argv = [a.format(tmp=tmp_path) for a in argv]
     assert dispatch(argv + ["--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "nonnegative" in err
@@ -374,9 +387,8 @@ def _k_stage_raises(monkeypatch, exc):
 
 @pytest.mark.parametrize("exc", [MachineError("m"), FixedPointError("f"),
                                  BuilderError("b"), ReductionDiverged("r"),
-                                 DecodeError("d"), ReductionMismatch("rm"),
-                                 ForcingError("fo"), FairnessError("fa"),
-                                 DepthViolation("dv")])
+                                 DecodeError("d"), ForcingError("fo"),
+                                 FairnessError("fa"), DepthViolation("dv")])
 def test_machine_and_builder_failures_exit_2(monkeypatch, capsys, exc):
     assert _k_stage_raises(monkeypatch, exc) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {exc}\n"
@@ -401,6 +413,26 @@ def test_config_file_defaults_and_flag_override(tmp_path):
                      "--out", str(out2)])
     assert code == EXIT_OK
     assert json.loads(out2.read_text())["config"]["cap"] == 12
+
+
+def test_config_equals_file_is_read(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("cap=12\n")
+    out = tmp_path / "a.json"
+    code = dispatch([f"--config={cfg}", "m", "--sigma", "01", "--stage", "100",
+                     "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["config"]["cap"] == 12
+
+
+def test_config_after_the_command_is_an_unrecognized_argument(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("cap=12\n")
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["m", "--config", str(cfg), "--sigma", "01", "--stage", "100"])
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: --config {cfg}\n" in err
 
 
 def test_selftest_reproducible(tmp_path):
@@ -433,6 +465,7 @@ PARSER_ARGVS = {
     "command-extra-argument": ["k", "--sigma", "0", "extra"],
     "config-run": ["--config", "CFG", "k", "--sigma", "0"],
     "config-after-command": ["k", "--sigma", "0", "--config", "CFG"],
+    "config-equals-run": ["--config=CFG", "k", "--sigma", "0"],
 }
 
 
@@ -450,7 +483,7 @@ def test_one_command_parser_prints_what_the_full_parser_prints(
         monkeypatch, capsys, tmp_path, argv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cap=12\nstage=100\n")
-    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    argv = [a.replace("CFG", str(cfg)) for a in argv]
     got = _dispatch_captured(capsys, argv)
     full = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda _command=None: full())
@@ -461,7 +494,7 @@ def test_one_command_parser_prints_what_the_full_parser_prints(
     (["k", "--sigma", "0"], "k"),
     (["--config", "run.cfg", "selftest"], "selftest"),
     (["--config", "k"], None),
-    (["--config=run.cfg", "k"], None),
+    (["--config=run.cfg", "k"], "k"),
     (["-h", "k"], None),
     (["nosuch"], None),
     ([], None),

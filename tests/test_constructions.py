@@ -6,16 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import constructions
-from depthlab.complexity import WRAPPER_BITS, TimeBound, identity_reduction, Reduction
-from depthlab.constructions import (
-    BuilderConfig,
-    DepthProfile,
-    ProfileRow,
-    ReductionMismatch,
-    build_deep_random,
-    depth_profile,
-    sgl_compare,
-)
+from depthlab.complexity import Reduction, TimeBound
+from depthlab.constructions import BuilderConfig, build_deep_random, depth_profile
 from depthlab.randomness import (
     MartingaleTable,
     StagedSupermartingale,
@@ -261,15 +253,7 @@ def test_symdiff_involution(a, b):
     assert symdiff(symdiff(x, y), x) == y
 
 
-# ------------------------------------------------------------------ slow growth
-
-def test_sgl_identity_reduction():
-    rep = sgl_compare("0101", "0101", identity_reduction(), TimeBound.poly(5, 1),
-                      2000, None, 16)
-    assert rep.overhead == 0
-    assert rep.holds_with_overhead
-    assert rep.profile_x.rows == rep.profile_y.rows
-
+# ------------------------------------------------------------------ reductions
 
 def _even_bit_reduction() -> Reduction:
     # X(i) = Y(2i): double the requested index before querying
@@ -287,53 +271,3 @@ def _even_bit_reduction() -> Reduction:
         "done:",
     ])
     return Reduction(Program.encode(body), 4096)
-
-
-def test_sgl_even_bit_reduction_samples():
-    red = _even_bit_reduction()
-    samples = [
-        "01101001100101101001011001101001",
-        "00000000111111110000000011111111",
-        "01010101010101010101010101010101",
-        "11011000110110001101100011011000",
-    ]
-    t = TimeBound.poly(3, 1)
-    for y in samples:
-        x = y[0::2]
-        rep = sgl_compare(x, y, red, t, 2000, None, 18)
-        assert rep.holds_with_overhead
-        assert rep.overhead >= 0
-        shared = min(len(rep.profile_x.rows), len(rep.profile_y.rows))
-        for i in range(shared):
-            assert rep.profile_y.rows[i].gap >= rep.profile_x.rows[i].gap - rep.overhead
-
-
-def test_sgl_reduction_mismatch_rejected():
-    red = _even_bit_reduction()
-    with pytest.raises(ReductionMismatch):
-        sgl_compare("1111", "00000000", red, TimeBound.poly(3, 1), 1000, None, 16)
-
-
-@pytest.mark.parametrize("excess", [0, 1])
-def test_sgl_flag_checks_the_a_priori_constant(monkeypatch, excess):
-    # crafted profiles: X is deeper than Y by the reduction's size plus the
-    # wrapper, then by one bit more, at n = 2
-    red = identity_reduction()
-    limit = len(red.program) + WRAPPER_BITS
-
-    def profile(gaps):
-        return DepthProfile("", tuple(ProfileRow(n, None, None, g)
-                                      for n, g in enumerate(gaps, 1)), {})
-
-    profiles = iter([profile([0, limit + excess, 0]), profile([0, 0, 0])])
-    monkeypatch.setattr(constructions, "depth_profile",
-                        lambda *args, **kwargs: next(profiles))
-    rep = sgl_compare("0101", "0101", red, TimeBound.poly(5, 1), 2000, None, 12)
-    assert rep.overhead == limit + excess
-    assert rep.holds_with_overhead is (excess == 0)
-
-
-def test_sgl_computable_source_vacuous():
-    rep = sgl_compare("0000", "01000100", _even_bit_reduction(),
-                      TimeBound.poly(3, 1), 2000, None, 18)
-    assert rep.holds_with_overhead

@@ -19,7 +19,6 @@ from depthlab.constructions import (
     BuilderRound,
     DepthProfile,
     ProfileRow,
-    SglReport,
 )
 from depthlab.pi01forcing import ForcingStep, Functional, JoinReport
 from depthlab.randomness import (
@@ -62,13 +61,12 @@ RECORDS = {
     BuilderRound: lambda: BuilderRound(1, "011", 3, 5, "011", Fraction(3, 2), None, False, 2),
     ProfileRow: lambda: ProfileRow(1, 2, 2, 0),
     DepthProfile: _profile,
-    SglReport: lambda: SglReport(_profile(), _profile(), 0, True, 12),
     Functional: lambda: Functional.projection([4, 5]),
     ForcingStep: lambda: ForcingStep(0, "1", 7, ("INC R1",), None, 1, 9, ("HALT",), None,
                                      11, 0, 8, 4),
     JoinReport: lambda: JoinReport(True, True, False, True, None, 1, 5),
 }
-UNHASHABLE = {PsiResult, DepthProfile, SglReport}
+UNHASHABLE = {PsiResult, DepthProfile}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
