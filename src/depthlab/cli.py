@@ -260,11 +260,13 @@ def _cmd_force(args) -> int:
         source = pi01forcing.Dnc2Witness.from_halting_table(args.budget)
     else:
         source = _read_bits(args.f)
-    functional = pi01forcing.Functional.projection(
-        tuple(int(q) for q in args.query_schedule.split(","))
-        if args.query_schedule else
-        tuple(args.steps + s for s in range(args.steps)),
-        args.functional_budget)
+    queries = tuple(args.steps + s for s in range(args.steps))
+    if args.query_schedule:
+        try:
+            queries = tuple(map(int, args.query_schedule.split(",")))
+        except ValueError:
+            raise ValueError(f"bad --query-schedule {args.query_schedule!r}") from None
+    functional = pi01forcing.Functional.projection(queries, args.functional_budget)
     result = pi01forcing.force(schedule, source, args.steps, args.budget,
                                functional=functional)
     payload = result.to_json()
@@ -409,9 +411,7 @@ def selftest(seed: int = 7) -> dict:
         "reconstructs": bool(all(t["match"] for t in res.reconstruct(fn))),
     }
 
-    sm = smn(2, 3)
-    report["smn_smoke"] = bool(
-        phi(sm, 0, ZERO, 100).outcome.kind == "halted")
+    report["smn_smoke"] = phi(smn(2, 3), 0, ZERO, 100).halted
     report["all_ok"] = bool(
         report["prefix_free_cap14"]["prefix_pairs"] == 0
         and report["mass_cap14_stage2000"]["both_at_most_one"]
@@ -598,14 +598,17 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _leading_config(argv: list[str]) -> tuple[str | None, list[str]]:
     """The file a leading `--config FILE` or `--config=FILE` names (None
-    without one) and the argv past it; argparse rejects one after the command."""
-    if argv[:1] == ["--config"]:
-        if len(argv) == 1:
-            raise ValueError("--config needs a file")
-        return argv[1], argv[2:]
+    without one) and the argv past it; argparse rejects one after the
+    command, and a second one before it is an error here."""
     if argv and argv[0].startswith("--config="):
-        return argv[0][len("--config="):], argv[1:]
-    return None, argv
+        argv = ["--config", argv[0][len("--config="):], *argv[1:]]
+    if argv[:1] != ["--config"]:
+        return None, argv
+    if len(argv) == 1:
+        raise ValueError("--config needs a file")
+    if _leading_config(argv[2:])[0] is not None:
+        raise ValueError("--config given twice before the command")
+    return argv[1], argv[2:]
 
 
 def _named_command(argv: list[str]) -> str | None:

@@ -109,8 +109,11 @@ class TimeBound(NamedTuple):
     def parse(cls, text: str) -> "TimeBound":
         kind, _, arg = text.partition(":")
         if kind == "poly":
-            a, b = arg.split(",")
-            return cls.poly(int(a), int(b))
+            try:
+                a, b = map(int, arg.split(","))
+            except ValueError:
+                raise ValueError(f"time bound {text!r} is not poly:A,B") from None
+            return cls.poly(a, b)
         if kind == "table":
             with open(arg, "r", encoding="ascii") as fh:
                 return cls.from_table(int(tok) for tok in fh.read().split())
@@ -548,7 +551,7 @@ class Reduction(NamedTuple):
         res = phi(self.program.index, index, base_oracle, self.budget)
         if not res.halted:
             raise ReductionDiverged(f"reduction did not answer index {index}")
-        return res.value & 1, res.outcome.steps
+        return res.value & 1, res.steps
 
 
 def identity_reduction(budget: int = 4096) -> Reduction:

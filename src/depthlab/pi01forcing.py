@@ -12,8 +12,8 @@ bit per step, and every member left extends sigma.  Each step first
 builds a probe program whose diagonal value names a provably empty
 branch below sigma (a side of the next bit that no member takes); a
 diagonally non-computable bit source therefore always steers into a
-branch that survives.  It then builds, as a semantic fixed point, a
-second program whose behaviour reports whether the supplied total
+branch that survives.  It then builds, as an exact fixed point of the
+step's transformer, a second program that reports whether the total
 functional is unanimous on the surviving class at the program's own
 index; when it is not (the expected case), both functional values are
 realised inside the class and one extra coding bit is pressed into it:

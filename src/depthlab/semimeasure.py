@@ -73,10 +73,13 @@ def m_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> Frac
 def parse_fraction(text: str) -> Fraction:
     """An exact rational from "num/den" or "num"."""
     num, _, den = text.partition("/")
-    den = int(den) if den else 1
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a fraction num/den") from None
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), den)
+    return Fraction(num, den)
 
 
 def read_fraction_table(path) -> dict[str, Fraction]:

@@ -103,7 +103,7 @@ class EscapingJumpError(MachineError):
 
 
 class FixedPointError(MachineError):
-    """No semantic fixed point was found within the search bounds."""
+    """A transformer moved the one candidate fixed_point tries."""
 
 
 # --------------------------------------------------------------------------
@@ -657,18 +657,23 @@ class Outcome(NamedTuple):
     """How a finished call to run or phi stopped, and what it left.
 
     kind is "halted", "budget", "aborted" or "diverged" (a repeated cycle
-    key, see the module docstring); reason names an abort's cause and is
-    None otherwise."""
+    key, see the module docstring); reason names an abort's cause, value
+    the final R3 of a halted run (phi's value); each is None otherwise."""
 
     kind: str
     steps: int
     rope: tuple | None
     queried: frozenset
     reason: str | None
+    value: int | None
 
     @property
     def output(self) -> str:
         return output_string(self.rope)
+
+    @property
+    def halted(self) -> bool:
+        return self.kind == "halted"
 
 
 def _outcome(kind: str | None, oracle, st: MachineState) -> Outcome:
@@ -676,7 +681,8 @@ def _outcome(kind: str | None, oracle, st: MachineState) -> Outcome:
     reason = None
     if kind == "aborted":
         reason = "oracle-query-without-oracle" if oracle is None else "out-of-table"
-    return Outcome(kind or "budget", st.steps, st.rope, frozenset(st.queried), reason)
+    return Outcome(kind or "budget", st.steps, st.rope, frozenset(st.queried), reason,
+                   st.regs[3] if kind == "halted" else None)
 
 
 def run(program: Program, oracle, budget: int, r1: int = 0, r2: int = 0,
@@ -730,15 +736,6 @@ MEMO = Memo()
 # the program enumeration phi
 
 
-class PhiResult(NamedTuple):
-    outcome: Outcome
-    value: int | None
-
-    @property
-    def halted(self) -> bool:
-        return self.outcome.kind == "halted"
-
-
 def parsed_body(e: int) -> Instructions:
     """The parsed body of index e, kept in MEMO.parsed."""
     if e < 0:
@@ -749,12 +746,11 @@ def parsed_body(e: int) -> Instructions:
     return instrs
 
 
-def phi(e: int, x: int, oracle, budget: int) -> PhiResult:
+def phi(e: int, x: int, oracle, budget: int) -> Outcome:
     """Run body e with R2 = x, looking for cycles; on halting the value is
     the final R3."""
     st = MachineState(regs=[0, 0, x, 0])
-    kind = _advance(parsed_body(e), oracle, budget, st, True)
-    return PhiResult(_outcome(kind, oracle, st), st.regs[3] if kind == "halted" else None)
+    return _outcome(_advance(parsed_body(e), oracle, budget, st, True), oracle, st)
 
 
 def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
@@ -788,7 +784,7 @@ def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
 
 
 # --------------------------------------------------------------------------
-# s-m-n and the semantic fixed point
+# s-m-n and the exact fixed point
 
 _INC_R1 = "010001"  # INC R1
 
@@ -807,76 +803,22 @@ def smn(e: int, y: int) -> int:
 
 
 def compile_const(value: int) -> int:
-    """Index of a program whose phi-value is the given constant.
-
-    Zero is the empty body; small constants are unary INC R3 runs; larger
-    ones are built most-significant-bit first with a doubling loop
-    (R3 doubles through R0), costing O(log value) instructions.
-    """
+    """Index of (INC R3)^value, a program whose phi-value is the given
+    constant; zero is the empty body."""
     if value < 0:
         raise ValueError("value must be nonnegative")
-    if value <= 8:
-        return body_index("010011" * value)
-    items: list = []
-    first = True
-    for ch in format(value, "b"):
-        if not first:
-            # R0 <- R3; R3 <- 2*R0  (R3 is zero after the transfer loop)
-            items += [
-                ("JZ", 3, +3), ("DEC", 3), ("INC", 0), ("JMP", -4),
-                ("JZ", 0, +4), ("DEC", 0), ("INC", 3), ("INC", 3), ("JMP", -5),
-            ]
-        if ch == "1":
-            items.append(("INC", 3))
-        first = False
-    return body_index(assemble(items))
+    return body_index("010011" * value)
 
 
 DIVERGE_BODY = "01111111"  # JMP -1: a one-instruction busy loop
 
 
-# fixed_point compares two indices on these inputs x, each run at this
-# step budget, and gives up after this many candidates
-FIXED_POINT_PROBES = (0, 1, 7)
-FIXED_POINT_BUDGET = 4096
-FIXED_POINT_ROUNDS = 32
-
-
-def _behaviour(e: int):
-    sig = []
-    for x in FIXED_POINT_PROBES:
-        res = phi(e, x, ZERO, FIXED_POINT_BUDGET)
-        if res.halted:
-            sig.append(("halt", res.value, res.outcome.output))
-        else:
-            sig.append(("nohalt",))
-    return tuple(sig)
-
-
 def fixed_point(transformer) -> int:
-    """An index e* with phi_e* and phi_transformer(e*) agreeing on the
-    probe battery (inputs x in FIXED_POINT_PROBES, at FIXED_POINT_BUDGET
-    steps, whole outputs compared).
-
-    The search chases the transformer from index 0 (so the returned index
-    is normally one the transformer itself built), then falls back to a
-    seed set of canonical behaviours; for the transformer families used
-    in this package (identity, constant compilers, event-compiled
-    answers) it terminates in a round or two.
-    """
-    tried = set()
-    candidates = [transformer(0), 0, body_index("010011"),
-                  body_index(DIVERGE_BODY)]
-    rounds = 0
-    while candidates and rounds < FIXED_POINT_ROUNDS:
-        e = candidates.pop(0)
-        rounds += 1
-        if e in tried:
-            continue
-        tried.add(e)
-        te = transformer(e)
-        if te == e or _behaviour(e) == _behaviour(te):
-            return e
-        if te not in tried:
-            candidates.insert(0, te)
-    raise FixedPointError("no semantic fixed point within the search bounds")
+    """e = transformer(0) when transformer(e) == e, so that phi_e and
+    phi_transformer(e) are one program; FixedPointError otherwise.  Every
+    transformer here fixes it: identity, constants, and the forcing
+    step's answer compiler, whose projection ignores the index."""
+    e = transformer(0)
+    if transformer(e) != e:
+        raise FixedPointError(f"transformer moves its candidate {e}")
+    return e

@@ -257,6 +257,11 @@ def test_k_rejects_non_binary_sigma(tmp_path, capsys):
                    "no-depth.json", "deep.json", "no-s.json")),
     ["profile", "--in", "bits:0101", "--t", "table:{tmp}/negative.txt", "--stage", "100",
      "--cap", "10"],
+    # one config file may precede the command; a second is an error in either order
+    ["--config", "{tmp}/empty.cfg", "--config={tmp}/c.cfg", "m", "--sigma", "01",
+     "--stage", "100"],
+    ["--config", "{tmp}/c.cfg", "--config={tmp}/empty.cfg", "m", "--sigma", "01",
+     "--stage", "100"],
 ])
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "t.txt").write_text("1 2 3\n")
@@ -271,9 +276,28 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "no-depth.json").write_text('{"stages": []}')
     (tmp_path / "deep.json").write_text('{"depth": 40, "stages": []}')
     (tmp_path / "no-s.json").write_text('{"depth": 4, "stages": [{"forbid": ["0"]}]}')
+    (tmp_path / "empty.cfg").write_text("")
+    (tmp_path / "c.cfg").write_text("cap=12\n")
     code = dispatch([a.format(tmp=tmp_path) for a in argv])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["k", "--sigma", "0", "--t", "poly:1"], "time bound 'poly:1' is not poly:A,B"),
+    (["k", "--sigma", "0", "--t", "poly:a,b"], "time bound 'poly:a,b' is not poly:A,B"),
+    (["space-lemma", "--delta", "abc", "--k", "2"], "'abc' is not a fraction num/den"),
+    (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "2",
+      "--budget", "100", "--query-schedule", "1,x"],
+     "bad --query-schedule '1,x'"),
+], ids=["poly-one-value", "poly-letters", "fraction-letters", "query-schedule-letter"])
+def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, message):
+    (tmp_path / "sched.json").write_text('{"depth": 8, "stages": []}')
+    out = tmp_path / "artifact"
+    code = dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,message", [
@@ -402,7 +426,7 @@ def test_a_stage_search_past_its_ceiling_exits_3(monkeypatch, capsys):
 
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("cap=14\nstage=100\n")
+    cfg.write_text("# defaults for m\ncap=14\n\nstage=100\n")
     out1 = tmp_path / "a.json"
     code = dispatch(["--config", str(cfg), "m", "--sigma", "",
                      "--out", str(out1)])

@@ -142,6 +142,28 @@ def test_builder_price_bound_is_strict():
     assert r.price_rejected == 3 and not r.vacuous
 
 
+def test_length_recurrence_check_catches_a_tampered_trace():
+    trace = build_deep_random(small_builder(rounds=2))
+    assert trace.check_length_recurrence()
+    last = trace.rounds[-1]
+    for tampered in (last._replace(sigma=last.sigma + "0"),
+                     last._replace(extension_length=last.extension_length + 1)):
+        trace.rounds[-1] = tampered
+        assert not trace.check_length_recurrence()
+        assert trace.to_json()["checks"]["claim3"] is False
+
+
+def test_builder_rejects_a_martingale_that_prices_every_extension_too_high():
+    # d = 1 at every string, 2 on every extension: none is under 2 d(lambda)
+    def extensions(sigma, l, _stage):
+        return [2 if l else 1] * (1 << l)
+
+    cfg = BuilderConfig(rounds=1, martingale=StagedSupermartingale(extensions, 1, "flat"),
+                        oracle=None, dominating=TimeBound.poly(2, 2), cap=12, mart_stage=0)
+    with pytest.raises(constructions.BuilderError, match="no extension priced under 2"):
+        build_deep_random(cfg)
+
+
 def test_builder_needs_at_least_one_round():
     with pytest.raises(ValueError, match="at least one round"):
         build_deep_random(small_builder(rounds=0))

@@ -239,6 +239,21 @@ def test_force_probe_and_event_programs_are_self_describing():
             assert m_diag.halted and m_diag.value == st.event_unanimous
 
 
+def test_force_event_index_is_an_exact_fixed_point(monkeypatch):
+    # each step's transformer maps the recorded event index to itself
+    found = []
+
+    def recording(transformer):
+        e = toyvm.fixed_point(transformer)
+        found.append((e, transformer(e)))
+        return e
+
+    monkeypatch.setattr(pi01forcing, "fixed_point", recording)
+    sch, witness, fn, budget = full_space_instance()
+    res = force(sch, witness, 3, budget, functional=fn)
+    assert found == [(st.m_index, st.m_index) for st in res.steps]
+
+
 def test_force_prefix_coding_variant():
     # coding bits come from a plain prefix, dodge bits from the canonical
     # witness: the recorded coding bits are exactly the prefix bits
@@ -258,6 +273,35 @@ def test_force_rejects_bad_query_schedule():
     fn = Functional.projection((9,))
     with pytest.raises(ForcingError):
         force(PruningSchedule.full_space(8), "1", 1, 4096, functional=fn)
+
+
+def test_force_rejects_more_steps_than_the_depth_cap():
+    fn = Functional.projection((0, 1, 1))
+    with pytest.raises(ForcingError, match="more steps than the depth cap"):
+        force(PruningSchedule.full_space(2), "101", 3, 4096, functional=fn)
+
+
+def test_force_rejects_a_bit_source_that_walks_into_the_pruned_side():
+    # no member starts with 0, so the probe names side 0 and a bit source
+    # that agrees with the probe's diagonal value leaves no survivor
+    sch, fn = PruningSchedule([(0, {"0"})], 8), Functional.projection((4,))
+    probe = force(sch, Dnc2Witness.from_halting_table(4096), 1, 4096,
+                  functional=fn).steps[0].n_index
+    with pytest.raises(ForcingError, match="walked into the pruned side"):
+        force(sch, Dnc2Witness.frozen(4096, {probe: 0}), 1, 4096, functional=fn)
+
+
+def test_force_rejects_a_coding_bit_the_class_cannot_give():
+    # the functional reads bit 0, which the dodge bit has already fixed on
+    # every survivor, so exactly one coding bit is realisable
+    fn, failed = Functional.projection((0,)), []
+    for bit in "01":
+        try:
+            force(PruningSchedule.full_space(4), bit, 1, 4096, functional=fn)
+        except ForcingError as exc:
+            assert "unrealisable" in str(exc)
+            failed.append(bit)
+    assert len(failed) == 1
 
 
 def test_force_empty_class_rejected():
@@ -376,7 +420,7 @@ def test_hand_bodies_reach_each_kind_of_leaf():
     # the budget body halts on answer 0 at index 0 after a number of steps
     # that depends on the answer at index 1
     counting = body_index(HAND_BODIES["budget"])
-    steps = {x: phi(counting, 1, toyvm.PrefixOracle(x), 4096).outcome.steps
+    steps = {x: phi(counting, 1, toyvm.PrefixOracle(x), 4096).steps
              for x in ("0000", "0100")}
     assert steps["0100"] > steps["0000"]
     tight = Functional(0, steps["0000"], ())

@@ -28,7 +28,7 @@ from depthlab.randomness import (
     deficiency,
 )
 from depthlab.semimeasure import CodingGap, OracleLeaf, coding_gap
-from depthlab.toyvm import ZERO, Outcome, PhiResult, Program, gamma_encode, phi, run
+from depthlab.toyvm import Outcome, Program, gamma_encode, run
 
 
 def _extensions(sigma, l, stage):
@@ -45,7 +45,6 @@ def _profile():
 RECORDS = {
     Program: lambda: Program.decode(gamma_encode(5) + "0110"),
     Outcome: lambda: run(Program.encode("0001"), None, 10),
-    PhiResult: lambda: phi(0, 3, ZERO, 10),
     TimeBound: lambda: TimeBound.parse("poly:3,2"),
     ComplexityResult: lambda: ComplexityResult(5, Program.encode("0110")),
     Reduction: identity_reduction,

@@ -6,6 +6,7 @@ from depthlab import toyvm as tv
 from depthlab.toyvm import (
     DIVERGE_BODY,
     EscapingJumpError,
+    FixedPointError,
     HaltingOracle,
     PrefixOracle,
     Program,
@@ -166,7 +167,7 @@ def test_run_reports_how_it_stopped(name):
 
 def test_phi_reports_a_busy_loop_as_diverged():
     res = phi(body_index(DIVERGE_BODY), 0, ZERO, 10 ** 6)
-    assert res.outcome.kind == "diverged" and res.outcome.steps == 1
+    assert res.kind == "diverged" and res.steps == 1
     assert not res.halted and res.value is None
 
 
@@ -365,6 +366,25 @@ def test_phi_inc_r3():
     assert phi(body_index("010011"), 123, ZERO, 10).value == 1
 
 
+PHI_STOPS = {
+    "halted": ([("INC", 3), ("INC", 3), ("INC", 3), ("HALT",)], ZERO, "halted", 3),
+    "diverged": ([("INC", 3), ("JMP", -1)], ZERO, "diverged", None),
+    "aborted": ([("INC", 3), ("ORACLE",)], None, "aborted", None),
+    "budget": ([("INC", 3), "top:", ("INC", 1), ("JZ", 1, "top"), ("JMP", "top")], ZERO,
+               "budget", None),
+}
+
+
+@pytest.mark.parametrize("name", PHI_STOPS)
+def test_phi_value_is_r3_on_halting_only(name):
+    # R3 is 1 or more on every stop; only a halt reports it
+    items, oracle, kind, value = PHI_STOPS[name]
+    body = assemble(items)
+    res = phi(body_index(body), 0, oracle, 100)
+    assert (res.kind, res.halted, res.value) == (kind, kind == "halted", value)
+    assert res == run_body(body, oracle, 100, detect_cycles=True)
+
+
 def test_phi_halting_answers_never_flip():
     # two-budget comparison over the first 2^10 diagonal runs
     lo, hi = 10 ** 3, 10 ** 4
@@ -423,9 +443,9 @@ def test_smn_semantics_random_triples():
         if direct.kind != "halted":
             continue
         assert via.halted
-        assert via.outcome.output == direct.output
+        assert via.output == direct.output
         # prologue adds exactly y steps: the linear overhead contract
-        assert via.outcome.steps == direct.steps + y
+        assert via.steps == direct.steps + y
         checked += 1
 
 
@@ -438,13 +458,12 @@ def test_smn_rejects_escaping_jumps():
 # ------------------------------------------------------------------ fixed points
 
 def test_fixed_point_identity():
-    e = fixed_point(lambda x: x)
-    for x in (0, 1, 2, 3, 9):
-        assert phi(e, x, ZERO, 1000).outcome == phi(e, x, ZERO, 1000).outcome
+    assert fixed_point(lambda x: x) == 0
 
 
 def test_fixed_point_emit_own_index():
     e_star = fixed_point(compile_const)
+    assert compile_const(e_star) == e_star
     for x in (0, 1, 7):
         assert phi(e_star, x, ZERO, 10 ** 5).value == e_star
 
@@ -452,9 +471,19 @@ def test_fixed_point_emit_own_index():
 def test_fixed_point_constant_transformer():
     target = compile_const(5)
     e = fixed_point(lambda x: target)
+    assert e == target
     assert phi(e, 0, ZERO, 10 ** 4).value == 5
+
+
+def test_fixed_point_rejects_a_transformer_that_moves_its_candidate():
+    # bodies "0" and "1" (indices 1 and 2) both parse to the empty body, so
+    # index 1 behaves like its image 2; that is not transformer(e) == e
+    with pytest.raises(FixedPointError):
+        fixed_point(lambda x: x + 1)
 
 
 def test_compile_const_values():
     for v in (0, 1, 2, 8, 9, 100, 2551):
-        assert phi(compile_const(v), 0, ZERO, 10 ** 6).value == v
+        e = compile_const(v)
+        assert index_to_body(e) == "010011" * v
+        assert phi(e, 0, ZERO, 10 ** 6).value == v
