@@ -442,14 +442,6 @@ def _k_arguments(p) -> None:
     p.add_argument("--oracle", default="none")
 
 
-def _m_arguments(p) -> None:
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--t")
-    p.add_argument("--stage", type=int, default=0)
-    p.add_argument("--cap", type=int, default=16)
-    p.add_argument("--oracle", default="none")
-
-
 def _convert_timebound_arguments(p) -> None:
     p.add_argument("--table", required=True, help="semimeasure table file")
     p.add_argument("--c", required=True, help="domination constant, num/den")
@@ -549,7 +541,7 @@ def _selftest_arguments(p) -> None:
 # name -> (handler, help line, arguments), in the order --help lists them
 COMMANDS = {
     "k": (_cmd_k, "shortest-program length of a string", _k_arguments),
-    "m": (_cmd_m, "staged semimeasure mass of a string", _m_arguments),
+    "m": (_cmd_m, "staged semimeasure mass of a string", _k_arguments),
     "convert-timebound": (_cmd_convert_timebound,
                           "stage at which the machine semimeasure dominates a table",
                           _convert_timebound_arguments),

@@ -24,12 +24,12 @@ prefix is sound for all its extensions.
 As runs halt, the table folds them into one index by output: per
 halting step, the least program index and the summed mass.  Every read
 at a budget -- K_s, m_s, the output map, the cylinder sums of the
-machine martingale, the first-crossing search -- is a bisect into
-one output's step-sorted running totals, so no read rescans the
-programs or keeps a cache per (budget, length).  Witnesses are the
-lexicographically least among the shortest: a program's index is its
-rank in canonical order, and each step keeps the least index folded
-into it.
+machine martingale, the first-crossing search -- scans the halt steps
+of the outputs it reads (a handful each at the caps in use), so no read
+rescans the programs or keeps a cache per (budget, length).  Witnesses
+are the lexicographically least among the shortest: a program's index
+is its rank in canonical order, and each step keeps the least index
+folded into it.
 
 The unrelativised complexity runs with no oracle at all: a program that
 executes ORACLE then aborts, so every oracle-free witness is verbatim a
@@ -38,7 +38,6 @@ witness under any oracle and K^A <= K holds with constant zero.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -59,6 +58,7 @@ from .toyvm import (
     max_body_length,
     oracle_key,
     output_string,
+    parse_int,
     phi,
     program_length,
     programs_up_to,
@@ -116,7 +116,8 @@ class TimeBound(NamedTuple):
             return cls.poly(a, b)
         if kind == "table":
             with open(arg, "r", encoding="ascii") as fh:
-                return cls.from_table(int(tok) for tok in fh.read().split())
+                tokens = fh.read().split()
+            return cls.from_table(parse_int(tok, f"time bound {text!r}") for tok in tokens)
         raise ValueError(f"unknown time bound {text!r}")
 
     def __call__(self, n: int) -> int:
@@ -134,41 +135,16 @@ class TimeBound(NamedTuple):
 # the shared enumeration core
 
 
-_NO_HALTS = ((), (), ())
-
-
-def _running(at: dict) -> tuple:
-    """(halt steps ascending, running least program index, running mass
-    numerator) of one output's {halt step: [least index, mass]}."""
-    steps = sorted(at)
-    least, mass = [], []
-    lo, total = float("inf"), 0
-    for s in steps:
-        i, m = at[s]
-        lo = min(lo, i)
-        total += m
-        least.append(lo)
-        mass.append(total)
-    return steps, least, mass
-
-
-def _within(record: tuple, budget: int):
-    """(least program index, mass numerator) of a _running record at
-    budget, or None when nothing halts within it."""
-    steps, least, mass = record
-    j = bisect_right(steps, budget)
-    return (least[j - 1], mass[j - 1]) if j else None
-
-
-def _fold(at: dict, steps: int, index: int, mass: int) -> None:
-    """Add mass halting at steps, with least program index index, to one
-    output's {halt step: [least index, mass]}."""
-    entry = at.get(steps)
-    if entry is None:
-        at[steps] = [index, mass]
-    else:
-        entry[0] = min(entry[0], index)
-        entry[1] += mass
+def _within(at: dict, budget: int):
+    """(least program index, mass numerator) of the halts within budget in
+    one output's {halt step: [least index, mass]}, or None."""
+    least, total = None, 0
+    for s, (i, m) in at.items():
+        if s <= budget:
+            total += m
+            if least is None or i < least:
+                least = i
+    return None if least is None else (least, total)
 
 
 def _tail_counts() -> list:
@@ -349,9 +325,8 @@ class HaltingTable:
     Each halt is keyed by its whole output (toyvm.output_string), so a
     halt on more than toyvm.OUTPUT_LIMIT bits stops the walk with
     MachineError, and the table refuses any later `ensure`.  Every read
-    goes through a per-output view sorted by step with a running least
-    index and running mass, so a budget is one bisect_right; the view is
-    rebuilt only after an `ensure` adds halts."""
+    at a budget scans the steps of the outputs it reads in place: the
+    least index and summed mass of the steps within the budget."""
 
     def __init__(self, oracle, cap: int):
         self._trie = PrefixTrie(cap)
@@ -359,8 +334,6 @@ class HaltingTable:
         self.cap = cap
         self.programs = programs_up_to(cap)
         self._halts: dict = {}  # output -> {halt step: [least index, mass]}
-        self._view: dict | None = {}  # output -> _running(...), lex order
-        self._order: list = []  # the outputs of _view, sorted
         # trie nodes waiting on a larger budget; the root is the empty body;
         # None after a walk that raised, whose nodes are lost
         self._live: list | None = PrefixTrie.root()
@@ -392,43 +365,30 @@ class HaltingTable:
             raise MachineError("an earlier walk of this table stopped part-way")
         halts, pending, live = self._halts, self._live, []
         self._live = None
-        added = False
         for index, _pins, st, mass in self._trie.walk(pending, self.oracle, budget, live):
-            added = True
-            _fold(halts.setdefault(output_string(st.rope), {}), st.steps, index, mass)
+            at = halts.setdefault(output_string(st.rope), {})
+            entry = at.setdefault(st.steps, [index, 0])
+            entry[0] = min(entry[0], index)
+            entry[1] += mass
         self._live = live
-        if added:
-            self._view = None
         self._budget = budget
 
-    def _read_view(self) -> dict:
-        view = self._view
-        if view is None:
-            self._order = sorted(self._halts)
-            view = self._view = {sigma: _running(self._halts[sigma])
-                                 for sigma in self._order}
-        return view
-
-    def halts_on(self, sigma: str) -> tuple:
-        """(halt steps ascending, running least program index, running
-        mass numerator) of the halts on sigma resolved so far; call
-        ensure() first.  Does not advance any program."""
-        return self._read_view().get(sigma, _NO_HALTS)
-
-    def _at(self, sigma: str, budget: int):
-        """(least program index, mass numerator) of the halts on sigma
-        within budget, or None."""
-        self.ensure(budget)
-        return _within(self.halts_on(sigma), budget)
+    def halts_on(self, sigma: str) -> dict:
+        """{halt step: [least program index, mass numerator]} of the halts
+        on sigma resolved so far, the table's own record, to be read and
+        not changed; call ensure() first.  Does not advance any program."""
+        return self._halts.get(sigma, {})
 
     def first(self, sigma: str, budget: int) -> Program | None:
         """The canonically first program halting on sigma within budget."""
-        hit = self._at(sigma, budget)
+        self.ensure(budget)
+        hit = _within(self.halts_on(sigma), budget)
         return None if hit is None else self.programs[hit[0]]
 
     def mass_numerator(self, sigma: str, budget: int) -> int:
         """Halting mass on sigma within budget, in units of 2^-cap."""
-        hit = self._at(sigma, budget)
+        self.ensure(budget)
+        hit = _within(self.halts_on(sigma), budget)
         return 0 if hit is None else hit[1]
 
     def output_map(self, budget: int, max_len: int) -> dict:
@@ -437,8 +397,8 @@ class HaltingTable:
         in canonical order of the witnesses."""
         self.ensure(budget)
         found = []
-        for sigma, record in self._read_view().items():
-            hit = _within(record, budget) if len(sigma) <= max_len else None
+        for sigma, at in self._halts.items():
+            hit = _within(at, budget) if len(sigma) <= max_len else None
             if hit is not None:
                 found.append((hit[0], sigma))
         found.sort()
@@ -456,19 +416,16 @@ class HaltingTable:
     def cylinder_numerators(self, prefix: str, l: int, budget: int) -> dict:
         """{int(tau, 2): halting mass within budget on the outputs extending
         prefix + tau} over the tau of l bits, in units of 2^-cap, nonzero
-        masses only.  One pass over the outputs extending prefix: an
-        output shorter than prefix + tau extends no such cylinder."""
+        masses only.  One pass over the outputs: an output shorter than
+        prefix + tau extends no such cylinder."""
         check_bits(prefix)
         self.ensure(budget)
-        view = self._read_view()
-        order = self._order
         start, end = len(prefix), len(prefix) + l
         masses: dict = {}
-        # the outputs extending prefix sort between prefix and prefix + "2"
-        for sigma in order[bisect_left(order, prefix):bisect_left(order, prefix + "2")]:
-            if len(sigma) < end:
+        for sigma, at in self._halts.items():
+            if len(sigma) < end or not sigma.startswith(prefix):
                 continue
-            hit = _within(view[sigma], budget)
+            hit = _within(at, budget)
             if hit is not None:
                 tau = int(sigma[start:end] or "0", 2)
                 masses[tau] = masses.get(tau, 0) + hit[1]

@@ -134,7 +134,11 @@ class PruningSchedule:
     @classmethod
     def from_file(cls, path) -> "PruningSchedule":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"schedule {str(path)!r} is not JSON: {exc}") from None
+        return cls.from_json(data)
 
     @classmethod
     def full_space(cls, depth: int) -> "PruningSchedule":
@@ -432,15 +436,17 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
                 f"step {s}: the bit source walked into the pruned side")
 
         # fixed point: does the functional answer unanimously at the
-        # program's own index on the surviving class?
+        # program's own index on the surviving class?  The values at the
+        # fixed point are the transformer's reading there
         inst = functional.instance(s)
+        readings: dict[int, list[int]] = {}
 
         def transformer(e: int) -> int:
-            vals = functional.values(inst, survivors, e, depth)
+            vals = readings[e] = functional.values(inst, survivors, e, depth)
             return smn(_answer_base(_unanimous(vals)), 2 * s + 2)
 
         m_index = fixed_point(transformer)
-        values = functional.values(inst, survivors, m_index, depth)
+        values = readings[m_index]
         unanimous = _unanimous(values)
         a_bit = coding_bit(s)
         keep = [x for x, v in zip(survivors, values) if v == a_bit]

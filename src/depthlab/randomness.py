@@ -20,7 +20,7 @@ A builder round prices all 2^l extensions of its string in one lazy pass
 (StagedSupermartingale.extensions): each table's part is a slice of its
 heap order, indexed by toyvm.body_index, and the machine's part is the
 sparse map of cylinder masses that HaltingTable.cylinder_numerators
-reads in one walk of the outputs extending the string.
+reads in one pass over the table's outputs.
 
 space_lemma_sweep checks the counting bound over a stream of tables in
 one pass, a heap slice and one integer bound per tested node.  Its

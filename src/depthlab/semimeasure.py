@@ -85,10 +85,13 @@ def parse_fraction(text: str) -> Fraction:
 def read_fraction_table(path) -> dict[str, Fraction]:
     table = {}
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line.strip():
-                sigma, _, frac = line.partition("\t")
+                sigma, tab, frac = line.partition("\t")
+                if not tab:
+                    raise ValueError(f"fraction table {str(path)!r}, line {n}:"
+                                     f" {line!r} is not sigma<TAB>num/den")
                 table[sigma] = parse_fraction(frac)
     return table
 
@@ -166,13 +169,16 @@ def semimeasure_to_timebound(m: ComputableSemimeasure, c: Fraction, n: int,
         # m(sigma) < c * mass / 2^cap, cross-multiplied
         lhs = (v.numerator * c.denominator) << cap
         rhs = c.numerator * v.denominator
-        steps, _least, mass = table.halts_on(sigma)
-        crossed = next((s for s, num in zip(steps, mass)
-                        if s <= stage_ceiling and lhs < rhs * num), None)
-        if crossed is None:
+        at = table.halts_on(sigma)
+        num = 0
+        for s in sorted(at):
+            num += at[s][1]
+            if s <= stage_ceiling and lhs < rhs * num:
+                break
+        else:
             raise NoStageWithinBudget(
                 f"no stage <= {stage_ceiling} dominates {sigma!r} at c={c}")
-        best = max(best, crossed)
+        best = max(best, s)
     return best
 
 

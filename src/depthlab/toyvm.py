@@ -482,6 +482,15 @@ class HaltingOracle:
         return 1 if diagonal(index, self.stage)[0] else 0
 
 
+def parse_int(token: str, source: str) -> int:
+    """int(token); a ValueError that quotes the token and the source it
+    was read from otherwise."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{source}: {token!r} is not an integer") from None
+
+
 def parse_oracle(text: str | None):
     """Oracle descriptors used by the command line and config files:
     "none", "zero", "halting:S", "prefix:<path>", "bits:0101..."."""
@@ -491,7 +500,7 @@ def parse_oracle(text: str | None):
         return ZERO
     kind, _, arg = text.partition(":")
     if kind == "halting":
-        return HaltingOracle(int(arg))
+        return HaltingOracle(parse_int(arg, f"oracle {text!r}"))
     if kind == "prefix":
         return PrefixOracle.from_file(arg)
     if kind == "bits":
@@ -708,12 +717,13 @@ def run_body(body: str, oracle, budget: int, **kw):
 class Memo:
     """Every result kept from one call to the next, in one place.
 
-    Each field maps a key to what the pinned machine computes for it (a
-    diagonal entry is a run resumed as far as it was asked), so clearing
-    them changes no answer, only what must be recomputed:
+    Each field maps a key to what the pinned machine computes for it, so
+    clearing them changes no answer, only what must be recomputed:
 
-    parsed      body index -> Instructions (parsed_body), for phi and forcing
-    diagonal    index e -> entry of the diagonal run phi_e(e)
+    parsed      body index -> Instructions (parsed_body), for phi, the
+                diagonal and forcing
+    diagonal    index e -> (stage, Outcome) of the diagonal run phi_e(e)
+                at the largest stage asked
     tables      (oracle key, cap) -> complexity.HaltingTable
     evaluators  (budget, cap, depth) -> semimeasure.PrefixMassEvaluator
     """
@@ -755,31 +765,16 @@ def phi(e: int, x: int, oracle, budget: int) -> Outcome:
 
 def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
     """(halts within stage, value, halting step) for phi_e(e) under the
-    zero oracle.  The run is resumed from MEMO.diagonal[e]; a running
-    entry holds its parsed body and MachineState, and drops both when the
-    run resolves."""
+    zero oracle.  MEMO.diagonal[e] keeps (stage, phi(e, e, ZERO, stage))
+    of the largest stage asked; a run cut off by its budget is run again
+    from the start when a larger stage is asked, and any other Outcome
+    answers every stage."""
     ent = MEMO.diagonal.get(e)
-    if ent is None:
-        ent = MEMO.diagonal[e] = {
-            "status": "running",
-            "state": MachineState(regs=[0, 0, e, 0]),
-            "instrs": parse_body(index_to_body(e)),
-            "budget": -1,  # not yet run, so even stage 0 runs it
-        }
-    if ent["status"] == "running" and ent["budget"] < stage:
-        kind = _advance(ent["instrs"], ZERO, stage, ent["state"], True)
-        ent["budget"] = stage
-        if kind is not None:
-            state = ent.pop("state")
-            del ent["instrs"]
-            if kind == "halted":
-                ent["status"] = "halted"
-                ent["step"] = state.steps
-                ent["value"] = state.regs[3]
-            else:
-                ent["status"] = "diverged"
-    if ent["status"] == "halted" and ent["step"] <= stage:
-        return True, ent["value"], ent["step"]
+    if ent is None or ent[0] < stage and ent[1].kind == "budget":
+        ent = MEMO.diagonal[e] = (stage, phi(e, e, ZERO, stage))
+    out = ent[1]
+    if out.halted and out.steps <= stage:
+        return True, out.value, out.steps
     return False, None, None
 
 

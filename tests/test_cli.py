@@ -290,13 +290,22 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "2",
       "--budget", "100", "--query-schedule", "1,x"],
      "bad --query-schedule '1,x'"),
-], ids=["poly-one-value", "poly-letters", "fraction-letters", "query-schedule-letter"])
+    (["k", "--sigma", "0", "--t", "table:{tmp}/t.txt"],
+     "time bound 'table:{tmp}/t.txt': 'x' is not an integer"),
+    (["k", "--sigma", "0", "--stage", "10", "--oracle", "halting:x"],
+     "oracle 'halting:x': 'x' is not an integer"),
+    (["convert-timebound", "--table", "{tmp}/semi.tsv", "--c", "2", "--n", "1"],
+     "fraction table '{tmp}/semi.tsv', line 2: '1 1/4' is not sigma<TAB>num/den"),
+], ids=["poly-one-value", "poly-letters", "fraction-letters", "query-schedule-letter",
+        "table-letter", "halting-letter", "fraction-table-no-tab"])
 def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, message):
     (tmp_path / "sched.json").write_text('{"depth": 8, "stages": []}')
+    (tmp_path / "t.txt").write_text("1 x\n")
+    (tmp_path / "semi.tsv").write_text("0\t1/4\n1 1/4\n")
     out = tmp_path / "artifact"
     code = dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
     assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
     assert not out.exists()
 
 
@@ -307,13 +316,14 @@ def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, messa
      "a stage's forbid must be a list of strings, got '01'"),
     ('{"stages": []}', "schedule depth must be a nonnegative int, got None"),
     ('{"depth": 40, "stages": []}', "schedule depth 40 is above the bound 20"),
-], ids=["list", "float-depth", "string-forbid", "no-depth", "deep"])
+    ("1 2", "schedule '{tmp}/sched.json' is not JSON: Extra data: line 1 column 3 (char 2)"),
+], ids=["list", "float-depth", "string-forbid", "no-depth", "deep", "not-json"])
 def test_bad_schedule_exits_2_naming_the_fault(tmp_path, capsys, text, message):
     (tmp_path / "sched.json").write_text(text)
     out = tmp_path / "force.json"
     assert dispatch(["force", "--class", str(tmp_path / "sched.json"), "--f", "halting-dnc",
                      "--steps", "2", "--budget", "100", "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
     assert not out.exists()
 
 

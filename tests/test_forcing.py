@@ -505,6 +505,22 @@ def test_force_runs_the_functional_per_branch_not_per_member(monkeypatch):
     assert len(calls) < 500
 
 
+def test_force_reads_the_functional_once_per_index(monkeypatch):
+    # the benchmark's force case: fixed_point reads the transformer at 0
+    # and at the event index, and the event index's values come from that
+    # reading, so each of the 5 steps reads the functional twice
+    values, inputs = Functional.values, []
+
+    def counted(self, instance_index, members, input_value, depth):
+        inputs.append(input_value)
+        return values(self, instance_index, members, input_value, depth)
+
+    monkeypatch.setattr(Functional, "values", counted)
+    sch = PruningSchedule([(0, {"101"}), (1, {"110"})], 12)
+    res = force(sch, Dnc2Witness.from_halting_table(4096), 5, 4096)
+    assert inputs == [e for st in res.steps for e in (0, st.m_index)]
+
+
 # ------------------------------------------------------------------ join check
 
 def test_join_check_equal_sets():

@@ -50,8 +50,11 @@ def test_answers_do_not_depend_on_memo_state_or_order():
 
 
 def test_only_phi_fills_the_parse_memo():
-    answers(QUERIES)
-    assert not MEMO.parsed
-    phi(5, 0, ZERO, 10)
+    # table, evaluator and k reads walk the trie and parse no body
+    answers(("k", "avg"))
+    assert MEMO.tables and MEMO.evaluators and not MEMO.parsed
+    # the diagonal runs through phi, which parses its body once
+    diagonal(5, 10)
+    diagonal(5, 1000)
     phi(5, 1, ZERO, 10)
     assert list(MEMO.parsed) == [5]

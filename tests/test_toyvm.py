@@ -328,15 +328,20 @@ def test_counted_loop_halts_with_exact_steps():
 
 
 def test_resolved_diagonal_entries_release_run_state():
+    # an entry is (stage, phi's Outcome) and keeps no MachineState
     for e in (0, body_index(DIVERGE_BODY), body_index(assemble([("INC", 1), ("JMP", -2)]))):
         diagonal(e, 100)
-        ent = tv.MEMO.diagonal[e]
-        assert ent["status"] in ("halted", "diverged")
-        assert "state" not in ent and "instrs" not in ent
-    e = body_index(assemble(["top:", ("INC", 1), ("JZ", 1, "top"), ("JMP", "top")]))
+        stage, out = tv.MEMO.diagonal[e]
+        assert stage == 100 and out == phi(e, e, ZERO, 100)
+        assert out.kind in ("halted", "diverged")
+        assert not any(isinstance(field, tv.MachineState) for field in out)
+    # a run cut off at stage 100 is run again at 2000, where it halts
+    e = body_index(assemble([("INC", 0)] * 150))
     assert diagonal(e, 100) == (False, None, None)
-    live = tv.MEMO.diagonal[e]
-    assert live["status"] == "running" and live["state"].steps == 100
+    assert tv.MEMO.diagonal[e] == (100, phi(e, e, ZERO, 100))
+    assert tv.MEMO.diagonal[e][1].kind == "budget"
+    assert diagonal(e, 2000) == (True, 0, 150)
+    assert tv.MEMO.diagonal[e] == (2000, phi(e, e, ZERO, 2000))
 
 
 def test_assemble_disassemble():
