@@ -22,13 +22,14 @@ from .complexity import TimeBound, k_stage, k_time_bounded
 from .toyvm import (
     ZERO,
     DepthlabError,
-    check_bits,
     compile_const,
     fixed_point,
     int_to_bin,
     parse_oracle,
     phi,
     programs_up_to,
+    read_bits,
+    read_input,
     smn,
     strings_of_length,
 )
@@ -54,14 +55,6 @@ def _emit_json(args, payload: dict) -> None:
     import json
 
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _read_bits(text: str) -> str:
-    """Bits from "bits:0101" or from a one-line file of 0/1 characters."""
-    if text.startswith("bits:"):
-        return check_bits(text[5:])
-    with open(text, "r", encoding="ascii") as fh:
-        return check_bits(fh.readline().strip())
 
 
 def _resolved(args, keys) -> dict:
@@ -169,7 +162,7 @@ def _cmd_psi(args) -> int:
 
     _require_nonnegative(args, "--len-cap")
     res = randomness.psi(
-        _read_bits(args.a_prefix), TimeBound.parse(args.t),
+        read_bits(args.a_prefix), TimeBound.parse(args.t),
         TimeBound.parse(args.tprime), parse_fraction(args.c),
         args.len_cap, args.stage, args.cap)
     _emit_json(args, {
@@ -206,7 +199,7 @@ def _cmd_measure_cheap(args) -> int:
 
     _require_nonnegative(args, "--depth")
     mu = randomness.measure_cheap_oracles(
-        _read_bits(args.x), args.n, parse_fraction(args.k),
+        read_bits(args.x), args.n, parse_fraction(args.k),
         TimeBound.parse(args.t), args.stage, args.depth, args.cap)
     _emit_json(args, {
         "measure": _frac_str(mu),
@@ -221,7 +214,7 @@ def _cmd_profile(args) -> int:
     from . import constructions
 
     _require_nonnegative(args, "--stage")
-    bits = _read_bits(args.infile)
+    bits = read_bits(args.infile)
     with warnings.catch_warnings(record=True) as notices:
         warnings.simplefilter("always")
         prof = constructions.depth_profile(
@@ -259,7 +252,7 @@ def _cmd_force(args) -> int:
     if args.f == "halting-dnc":
         source = pi01forcing.Dnc2Witness.from_halting_table(args.budget)
     else:
-        source = _read_bits(args.f)
+        source = read_bits(args.f)
     queries = tuple(args.steps + s for s in range(args.steps))
     if args.query_schedule:
         try:
@@ -282,7 +275,7 @@ def _cmd_join_check(args) -> int:
 
     _require_nonnegative(args, "--stage")
     rep = pi01forcing.join_check(
-        _read_bits(args.F), _read_bits(args.X), _read_bits(args.Y),
+        read_bits(args.F), read_bits(args.X), read_bits(args.Y),
         args.k, args.stage, args.cap)
     _emit_json(args, {
         **rep._asdict(), "all_ok": rep.all_ok,
@@ -610,15 +603,16 @@ def _named_command(argv: list[str]) -> str | None:
     return first[0] if first and first[0] in COMMANDS else None
 
 
-def _config_argv(path: str) -> list[str]:
+def _config_flags(lines) -> list[str]:
     out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out.append(f"--{key.strip()}={value.strip()}")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq or not key.strip():
+            raise ValueError(f"{line!r} is not key=value")
+        out.append(f"--{key.strip()}={value.strip()}")
     return out
 
 
@@ -629,7 +623,7 @@ def dispatch(argv: list[str]) -> int:
     try:
         path, rest = _leading_config(argv)
         if path is not None:
-            rest = rest[:1] + _config_argv(path) + rest[1:]
+            rest = rest[:1] + read_input(path, "config file", _config_flags) + rest[1:]
         args = _build_parser(_named_command(argv)).parse_args(rest)
         return args.handler(args)
     except (ValueError, KeyError, OSError, DepthlabError) as exc:

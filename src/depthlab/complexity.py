@@ -62,6 +62,7 @@ from .toyvm import (
     phi,
     program_length,
     programs_up_to,
+    read_input,
     rope_materialize,
     run,
 )
@@ -115,9 +116,8 @@ class TimeBound(NamedTuple):
                 raise ValueError(f"time bound {text!r} is not poly:A,B") from None
             return cls.poly(a, b)
         if kind == "table":
-            with open(arg, "r", encoding="ascii") as fh:
-                tokens = fh.read().split()
-            return cls.from_table(parse_int(tok, f"time bound {text!r}") for tok in tokens)
+            return read_input(arg, "time bound table", lambda lines: cls.from_table(
+                parse_int(tok) for line in lines for tok in line.split()))
         raise ValueError(f"unknown time bound {text!r}")
 
     def __call__(self, n: int) -> int:

@@ -55,6 +55,7 @@ from .toyvm import (
     index_to_body,
     parsed_body,
     phi,
+    read_input,
     smn,
 )
 
@@ -133,12 +134,8 @@ class PruningSchedule:
 
     @classmethod
     def from_file(cls, path) -> "PruningSchedule":
-        with open(path, "r", encoding="ascii") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"schedule {str(path)!r} is not JSON: {exc}") from None
-        return cls.from_json(data)
+        return read_input(path, "schedule",
+                          lambda lines: cls.from_json(json.loads("\n".join(lines))))
 
     @classmethod
     def full_space(cls, depth: int) -> "PruningSchedule":

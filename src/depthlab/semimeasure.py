@@ -42,6 +42,7 @@ from .toyvm import (
     output_string,
     parse_body,
     programs_up_to,
+    read_input,
     strings_of_length,
 )
 
@@ -82,37 +83,32 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def read_fraction_table(path) -> dict[str, Fraction]:
-    table = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line.strip():
-                sigma, tab, frac = line.partition("\t")
-                if not tab:
-                    raise ValueError(f"fraction table {str(path)!r}, line {n}:"
-                                     f" {line!r} is not sigma<TAB>num/den")
-                table[sigma] = parse_fraction(frac)
-    return table
-
-
 class ComputableSemimeasure:
     """Finite table sigma -> rational with default 0 and mass at most 1."""
 
-    def __init__(self, table: dict[str, Fraction], description: str = "table"):
+    def __init__(self, table: dict[str, Fraction]):
         self.table = {check_bits(k): Fraction(v) for k, v in table.items()}
         if any(v < 0 for v in self.table.values()):
             raise ValueError("semimeasure values must be nonnegative")
         if sum(self.table.values(), Fraction(0)) > 1:
             raise ValueError("semimeasure mass exceeds 1")
-        self.description = description
 
     def __call__(self, sigma: str) -> Fraction:
         return self.table.get(sigma, Fraction(0))
 
     @classmethod
     def from_file(cls, path) -> "ComputableSemimeasure":
-        return cls(read_fraction_table(path), description=str(path))
+        def parse(lines):
+            table = {}
+            for line in lines:
+                if line.strip():
+                    sigma, tab, frac = line.partition("\t")
+                    if not tab:
+                        raise ValueError(f"{line!r} is not sigma<TAB>num/den")
+                    table[check_bits(sigma)] = parse_fraction(frac)
+            return cls(table)
+
+        return read_input(path, "fraction table", parse)
 
 
 # --------------------------------------------------------------------------

@@ -159,6 +159,49 @@ def strings_of_length(n: int):
 
 
 # --------------------------------------------------------------------------
+# input files
+
+
+def read_input(path, what: str, parse):
+    """parse(lines) over the file at path, read one ASCII line at a time
+    with its line ending cut off.  A fault in opening, decoding or parsing
+    becomes one ValueError "<what> '<path>', line <n>: <fault>" naming the
+    line being read when it arose; a fault found after the last line (an
+    empty table, say) concerns the whole file and names no line."""
+    at = 0
+
+    def lines(fh):
+        nonlocal at
+        for at, raw in enumerate(fh, 1):
+            yield raw.decode("ascii").rstrip("\r\n")
+        at = 0
+
+    try:
+        with open(path, "rb") as fh:
+            return parse(lines(fh))
+    except (OSError, ValueError) as exc:
+        fault = (exc.strerror or exc) if isinstance(exc, OSError) else exc
+        where = f", line {at}" if at else ""
+        raise ValueError(f"{what} {str(path)!r}{where}: {fault}") from None
+
+
+def _one_bit_line(lines) -> str:
+    nonblank = (line.strip() for line in lines if line.strip())
+    bits = check_bits(next(nonblank, ""))
+    if next(nonblank, None) is not None:
+        raise ValueError("a second nonblank line")
+    return bits
+
+
+def read_bits(text: str) -> str:
+    """Bits from "bits:0101" or from a file whose one nonblank line holds
+    the 0/1 characters."""
+    if text.startswith("bits:"):
+        return check_bits(text[5:])
+    return read_input(text, "bit file", _one_bit_line)
+
+
+# --------------------------------------------------------------------------
 # Elias-gamma header
 
 
@@ -437,7 +480,7 @@ def programs_up_to(cap: int) -> Programs:
 
 
 class PrefixOracle:
-    """File- or string-backed finite bit table; queries beyond it abort."""
+    """Finite bit table; queries beyond it abort."""
 
     def __init__(self, bits: str):
         check_bits(bits)
@@ -448,11 +491,6 @@ class PrefixOracle:
         if 0 <= index < len(self.bits):
             return self.bits[index] == "1" and 1 or 0
         raise OutOfTableError(f"query at {index} beyond table of {len(self.bits)}")
-
-    @classmethod
-    def from_file(cls, path) -> "PrefixOracle":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls(fh.readline().strip())
 
 
 class ZeroOracle:
@@ -482,13 +520,12 @@ class HaltingOracle:
         return 1 if diagonal(index, self.stage)[0] else 0
 
 
-def parse_int(token: str, source: str) -> int:
-    """int(token); a ValueError that quotes the token and the source it
-    was read from otherwise."""
+def parse_int(token: str) -> int:
+    """int(token); a ValueError that quotes the token otherwise."""
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"{source}: {token!r} is not an integer") from None
+        raise ValueError(f"{token!r} is not an integer") from None
 
 
 def parse_oracle(text: str | None):
@@ -500,9 +537,13 @@ def parse_oracle(text: str | None):
         return ZERO
     kind, _, arg = text.partition(":")
     if kind == "halting":
-        return HaltingOracle(parse_int(arg, f"oracle {text!r}"))
+        try:
+            stage = parse_int(arg)
+        except ValueError as exc:
+            raise ValueError(f"oracle {text!r}: {exc}") from None
+        return HaltingOracle(stage)
     if kind == "prefix":
-        return PrefixOracle.from_file(arg)
+        return PrefixOracle(read_bits(arg))
     if kind == "bits":
         return PrefixOracle(arg)
     raise ValueError(f"unknown oracle descriptor {text!r}")

@@ -150,7 +150,7 @@ def test_acceptance_semimeasure_conversion_20_frozen():
         tab = {}
         for sigma in all_strings(2):
             tab[sigma] = Fraction(rng.randrange(0, 8), 64)
-        frozen.append(ComputableSemimeasure(tab, description=f"frozen-{i}"))
+        frozen.append(ComputableSemimeasure(tab))
     for i, m in enumerate(frozen):
         n = (i % 3)
         # pick the constant per the caller contract: strictly above the

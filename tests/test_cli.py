@@ -291,7 +291,7 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
       "--budget", "100", "--query-schedule", "1,x"],
      "bad --query-schedule '1,x'"),
     (["k", "--sigma", "0", "--t", "table:{tmp}/t.txt"],
-     "time bound 'table:{tmp}/t.txt': 'x' is not an integer"),
+     "time bound table '{tmp}/t.txt', line 1: 'x' is not an integer"),
     (["k", "--sigma", "0", "--stage", "10", "--oracle", "halting:x"],
      "oracle 'halting:x': 'x' is not an integer"),
     (["convert-timebound", "--table", "{tmp}/semi.tsv", "--c", "2", "--n", "1"],
@@ -316,14 +316,14 @@ def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, messa
      "a stage's forbid must be a list of strings, got '01'"),
     ('{"stages": []}', "schedule depth must be a nonnegative int, got None"),
     ('{"depth": 40, "stages": []}', "schedule depth 40 is above the bound 20"),
-    ("1 2", "schedule '{tmp}/sched.json' is not JSON: Extra data: line 1 column 3 (char 2)"),
+    ("1 2", "Extra data: line 1 column 3 (char 2)"),
 ], ids=["list", "float-depth", "string-forbid", "no-depth", "deep", "not-json"])
 def test_bad_schedule_exits_2_naming_the_fault(tmp_path, capsys, text, message):
     (tmp_path / "sched.json").write_text(text)
     out = tmp_path / "force.json"
     assert dispatch(["force", "--class", str(tmp_path / "sched.json"), "--f", "halting-dnc",
                      "--steps", "2", "--budget", "100", "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert capsys.readouterr().err == f"error: schedule '{tmp_path}/sched.json': {message}\n"
     assert not out.exists()
 
 
@@ -337,7 +337,73 @@ def test_negative_time_bound_table_exits_2_naming_the_table(tmp_path, capsys, ar
     (tmp_path / "neg.txt").write_text("-1 -1 5\n")
     out = tmp_path / "artifact"
     assert dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: table time bound must be nonnegative, got -1\n"
+    assert capsys.readouterr().err == (f"error: time bound table '{tmp_path}/neg.txt':"
+                                       " table time bound must be nonnegative, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["verbose", "=3", " = 3"])
+def test_a_config_line_without_a_key_exits_2_naming_the_line(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# defaults\ncap=10\n{line}\n")
+    assert dispatch(["--config", str(cfg), "k", "--sigma", "0", "--stage", "10"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: config file '{cfg}', line 3: {line.strip()!r} is not key=value\n")
+
+
+# each input format -> (a good first line, a bad token for line 2)
+INPUT_LINES = {
+    "bits": ("", "01x1"),
+    "table": ("1 2", "3 x"),
+    "fractions": ("0\t1/4", "1\tx"),
+    "schedule": ('{"depth": 4,', ' "stages": x}'),
+    "config": ("cap=10", "verbose"),
+}
+JOIN = ["join-check", "--k", "1", "--stage", "10", "--cap", "8"]
+FILE_FLAGS = {
+    "oracle-prefix": ("bits", ["k", "--sigma", "0", "--stage", "10", "--oracle",
+                               "prefix:{file}"]),
+    "t-table": ("table", ["k", "--sigma", "0", "--t", "table:{file}"]),
+    "table": ("fractions", ["convert-timebound", "--table", "{file}", "--c", "2",
+                            "--n", "1"]),
+    "class": ("schedule", ["force", "--class", "{file}", "--f", "halting-dnc",
+                           "--steps", "2", "--budget", "100"]),
+    "f": ("bits", ["force", "--class", "{tmp}/sched.json", "--f", "{file}",
+                   "--steps", "2", "--budget", "100"]),
+    "in": ("bits", ["profile", "--in", "{file}", "--t", "poly:5,1", "--stage", "100",
+                    "--cap", "8"]),
+    "x": ("bits", ["measure-cheap", "--x", "{file}", "--n", "1", "--k", "1",
+                   "--t", "poly:10,1", "--stage", "10", "--depth", "2", "--cap", "8"]),
+    "a-prefix": ("bits", ["psi", "--a-prefix", "{file}", "--t", "poly:5,1",
+                          "--tprime", "poly:5,1", "--cap", "8"]),
+    "F": ("bits", JOIN + ["--F", "{file}", "--X", "bits:0011", "--Y", "bits:0110"]),
+    "X": ("bits", JOIN + ["--F", "bits:0101", "--X", "{file}", "--Y", "bits:0110"]),
+    "Y": ("bits", JOIN + ["--F", "bits:0101", "--X", "bits:0011", "--Y", "{file}"]),
+    "config": ("config", ["--config", "{file}", "k", "--sigma", "0", "--stage", "10"]),
+}
+
+
+@pytest.mark.parametrize("fault", ["not-ascii", "line-2", "directory", "missing"])
+@pytest.mark.parametrize("flag", FILE_FLAGS)
+def test_a_bad_input_file_exits_2_naming_the_file(tmp_path, capsys, flag, fault):
+    fmt, argv = FILE_FLAGS[flag]
+    first, bad = INPUT_LINES[fmt]
+    (tmp_path / "sched.json").write_text('{"depth": 8, "stages": []}')
+    path = tmp_path / "input"
+    if fault == "not-ascii":
+        path.write_bytes(f"{first}\n".encode() + b"\xff\n")
+    elif fault == "line-2":
+        path.write_text(f"{first}\n{bad}\n")
+    elif fault == "directory":
+        path.mkdir()
+    out = tmp_path / "artifact"
+    code = dispatch([a.format(tmp=tmp_path, file=path) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"'{path}'" in err
+    if fault in ("not-ascii", "line-2"):
+        assert "line 2" in err
     assert not out.exists()
 
 
@@ -634,6 +700,10 @@ def fuzz_dir(tmp_path_factory):
     }
     for name, text in files.items():
         (d / name).write_text(text)
+    # faults the file reader reports: a non-ASCII byte, a directory, a second bit line
+    (d / "nonascii.txt").write_bytes(b"01\xff\n")
+    (d / "dir").mkdir()
+    (d / "two.txt").write_text("01\n11\n")
     return d
 
 
@@ -652,14 +722,17 @@ def _flag(name, values):
 def _argv(d):
     f = str(d)
     missing = f + "/missing"
+    bad_files = [f + "/nonascii.txt", f + "/dir", f + "/two.txt"]
     sigma = _mostly(["", "0", "1", "01", "0110"], ["2", "x1"])
     bitsrc = _mostly(["bits:", "bits:0", "bits:0110", "bits:01100110", f + "/bits.txt"],
-                     ["bits:12", missing])
+                     ["bits:12", missing, *bad_files])
     tb = _mostly(["poly:1,1", "poly:10,1", "poly:2,2", "poly:0,0", f"table:{f}/t.txt"],
-                 ["poly:-1,1", "poly:x", "poly:1", "table:" + missing, "bogus"])
+                 ["poly:-1,1", "poly:x", "poly:1", "table:" + missing, "bogus",
+                  *("table:" + b for b in bad_files)])
     oracle = _mostly(["none", "zero", "halting:0", "halting:50", "bits:0101", "bits:",
                       f"prefix:{f}/bits.txt"],
-                     ["halting:-1", "halting:x", "prefix:" + missing, "bogus"])
+                     ["halting:-1", "halting:x", "prefix:" + missing, "bogus",
+                      *("prefix:" + b for b in bad_files)])
     frac = _mostly(["2", "3/2", "5/4", "16"], ["1", "0", "-1", "1/0", "x"])
     cap = _mostly(range(2, 13), [-1, 0, 1])
     stage = _mostly([0, 3, 100, 1000], [-1])
@@ -671,7 +744,8 @@ def _argv(d):
               ("--oracle", oracle)],
         "convert-timebound": [
             ("--table", _mostly([f + "/semi.tsv"],
-                                [f + "/zero-den.tsv", f + "/heavy.tsv", missing])),
+                                [f + "/zero-den.tsv", f + "/heavy.tsv", missing,
+                                 *bad_files])),
             ("--c", frac), ("--n", st.integers(-1, 3)), ("--cap", cap),
             ("--ceiling", stage), ("--oracle", oracle)],
         "space-lemma": [("--delta", frac), ("--k", small),
@@ -691,7 +765,8 @@ def _argv(d):
         "build-deep": [("--rounds", st.integers(-1, 3)),
                        ("--oracle", oracle), ("--T", tb), ("--cap", cap),
                        ("--mart-stage", stage)],
-        "force": [("--class", _mostly([f + "/sched.json", f + "/late.json"], [missing])),
+        "force": [("--class", _mostly([f + "/sched.json", f + "/late.json"],
+                                      [missing, *bad_files])),
                   ("--f", _mostly(["halting-dnc", "bits:1011"], ["bits:1", "bits:2"])),
                   ("--steps", small), ("--budget", stage),
                   ("--query-schedule", _mostly(["", "5,6", "4,5,6"], ["5", "9,9", "-1", "x"])),
@@ -707,7 +782,8 @@ def _argv(d):
         return flags.map(lambda parts: [name] + [tok for part in parts for tok in part])
 
     config = _mostly([[]], [["--config", f + "/run.cfg"], ["--config", f + "/junk.cfg"],
-                            ["--config", missing], ["--config"]])
+                            ["--config", missing], ["--config"],
+                            *(["--config", b] for b in bad_files)])
     junk = _mostly([[]], [["--no-such-flag"], ["extra"]])
     body = st.sampled_from(sorted(commands)).flatmap(command)
     return st.tuples(config, body, junk).map(lambda t: t[0] + t[1] + t[2])

@@ -22,6 +22,7 @@ from depthlab.toyvm import (
     parse_oracle,
     phi,
     programs_up_to,
+    read_bits,
     run,
     run_body,
     smn,
@@ -212,6 +213,19 @@ def test_instruction_codes_are_the_assembled_instructions():
     assert len(tv.INSTRUCTION_CODES) == len(got) == len(want) == 100
     assert got == want
     assert list(got) == sorted(got)
+
+
+# ------------------------------------------------------------------ bit files
+
+def test_a_bit_file_is_its_one_nonblank_line(tmp_path):
+    path = tmp_path / "bits.txt"
+    path.write_text("\n0110\r\n\n")
+    assert read_bits(str(path)) == "0110"
+    assert parse_oracle(f"prefix:{path}").bits == "0110"
+    path.write_text("01\n11\n")
+    with pytest.raises(ValueError) as err:
+        read_bits(str(path))
+    assert str(err.value) == f"bit file '{path}', line 2: a second nonblank line"
 
 
 # ------------------------------------------------------------------ cycle key
