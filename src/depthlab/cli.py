@@ -25,6 +25,7 @@ from .toyvm import (
     compile_const,
     fixed_point,
     int_to_bin,
+    parse_fraction,
     parse_oracle,
     phi,
     programs_up_to,
@@ -113,7 +114,7 @@ def _cmd_convert_timebound(args) -> int:
     oracle = parse_oracle(args.oracle)
     try:
         stage = semimeasure.semimeasure_to_timebound(
-            m, semimeasure.parse_fraction(args.c), args.n, oracle, args.cap, args.ceiling)
+            m, parse_fraction(args.c), args.n, oracle, args.cap, args.ceiling)
     except complexity.NoStageWithinBudget as exc:
         _emit_json(args, {"error": "no-stage-within-budget", "detail": str(exc),
                           "config": _resolved(args, ("table", "c", "n", "cap", "ceiling"))})
@@ -129,7 +130,6 @@ def _cmd_space_lemma(args) -> int:
     from fractions import Fraction
 
     from . import randomness
-    from .semimeasure import parse_fraction
 
     _require_nonnegative(args, "--n", "--depth")
     delta = parse_fraction(args.delta)
@@ -145,8 +145,8 @@ def _cmd_space_lemma(args) -> int:
             tested += counts[0]
             violations += counts[1]
     else:
-        tables = randomness.random_tables(max(args.depth, l), args.n, args.seed)
-        tested, violations = randomness.space_lemma_sweep(tables, delta, l, args.k)
+        tested, violations = randomness.space_lemma_sample(
+            max(args.depth, l), args.n, args.seed, delta, l, args.k)
     _emit_json(args, {
         "violations": violations,
         "tested": tested,
@@ -158,7 +158,6 @@ def _cmd_space_lemma(args) -> int:
 
 def _cmd_psi(args) -> int:
     from . import randomness
-    from .semimeasure import parse_fraction
 
     _require_nonnegative(args, "--len-cap")
     res = randomness.psi(
@@ -195,7 +194,6 @@ def _cmd_avg(args) -> int:
 
 def _cmd_measure_cheap(args) -> int:
     from . import randomness
-    from .semimeasure import parse_fraction
 
     _require_nonnegative(args, "--depth")
     mu = randomness.measure_cheap_oracles(
@@ -604,15 +602,19 @@ def _named_command(argv: list[str]) -> str | None:
 
 
 def _config_flags(lines) -> list[str]:
-    out = []
+    out, keys = [], set()
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, eq, value = line.partition("=")
-        if not eq or not key.strip():
+        key = key.strip()
+        if not eq or not key:
             raise ValueError(f"{line!r} is not key=value")
-        out.append(f"--{key.strip()}={value.strip()}")
+        if key in keys:
+            raise ValueError(f"key {key!r} given twice")
+        keys.add(key)
+        out.append(f"--{key}={value.strip()}")
     return out
 
 

@@ -24,9 +24,19 @@ reads in one pass over the table's outputs.
 
 space_lemma_sweep checks the counting bound over a stream of tables in
 one pass, a heap slice and one integer bound per tested node.  Its
-sampled tables come from random_tables, which reads the stream of
+sampled tables come from random_split_rows, which reads the stream of
 rng.randint(0, 8) draws in bulk, chunks of Mersenne Twister words at a
 time: a seed gives the same tables that one randint per split would.
+space_lemma_sample consumes every split of each row but builds only the
+levels 0..l the sweep reads, since the ratio of a level-l value to the
+root value does not depend on the table's grain.
+
+A table built by from_splits is fair and nonnegative by construction,
+so only its split ranges are checked; the constructor checks fairness
+and negativity of a table given as numerators.  This module imports
+semimeasure only inside the functions that read it (psi, the psi
+domination constant and measure_cheap_oracles), so the betting commands
+do not load it.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .complexity import TimeBound, halting_table, k_stage
-from .semimeasure import m_stage, prefix_mass_evaluator, relative_mass
 from .toyvm import body_index, check_bits, index_to_body, strings_of_length
 
 
@@ -81,7 +90,9 @@ def space_lemma_length(delta, k: int) -> int:
 
 class MartingaleTable:
     """Exact nonnegative rationals on every string of length <= depth,
-    validated against fairness on construction.
+    validated against fairness on construction from `nums`; a table
+    from_splits builds is fair and nonnegative as built, and is not
+    checked again.
 
     The table is the list `nums` of integer numerators over the one
     shared denominator `den`, in heap order: sigma at
@@ -147,7 +158,11 @@ class MartingaleTable:
             w = 2 * (nums[i] // grain)
             nums.append(w * p)
             nums.append(w * (grain - p))
-        return cls(depth, nums=nums, den=grain ** depth)
+        # 2 n[i] = w p + w (grain - p) with 0 <= p <= grain: the table is
+        # fair and nonnegative as built, so __init__'s checks are skipped
+        table = cls.__new__(cls)
+        table.depth, table.nums, table.den = depth, nums, grain ** depth
+        return table
 
 
 def _count_cheap(nums: list[int], i: int, num: int, den: int, l: int) -> int:
@@ -219,11 +234,11 @@ _ABOVE_EIGHT = bytes(range(9 << 4, 256))
 _EIGHTHS = [(i // gcd(i, 8), 8 // gcd(i, 8)) for i in range(9)]
 
 
-def random_tables(depth: int, n: int, seed) -> Iterator[MartingaleTable]:
-    """n tables with splits drawn uniformly from the multiples of 1/8, in
-    lowest terms: one rng.randint(0, 8) per internal node in heap order,
-    table after table, from one random.Random(seed).  The draws are read
-    in chunks of _CHUNK_WORDS words and the tables built lazily."""
+def random_split_rows(depth: int, n: int, seed) -> Iterator[bytes]:
+    """n rows of 2^depth - 1 draws of rng.randint(0, 8), one per internal
+    node in heap order, row after row, from one random.Random(seed); draw
+    i stands for the split i/8.  The draws are read in chunks of
+    _CHUNK_WORDS words."""
     rng = random.Random(seed)
     size = (1 << depth) - 1
     draws, pos = b"", 0
@@ -232,9 +247,30 @@ def random_tables(depth: int, n: int, seed) -> Iterator[MartingaleTable]:
             chunk = rng.getrandbits(32 * _CHUNK_WORDS).to_bytes(4 * _CHUNK_WORDS, "little")
             draws = draws[pos:] + chunk[3::4].translate(_TOP_NIBBLE, _ABOVE_EIGHT)
             pos = 0
-        splits = [_EIGHTHS[i] for i in draws[pos: pos + size]]
+        yield draws[pos: pos + size]
         pos += size
-        yield MartingaleTable.from_splits(depth, splits)
+
+
+def random_tables(depth: int, n: int, seed) -> Iterator[MartingaleTable]:
+    """n tables with splits drawn uniformly from the multiples of 1/8, in
+    lowest terms, one row of random_split_rows each, built lazily."""
+    for row in random_split_rows(depth, n, seed):
+        yield MartingaleTable.from_splits(depth, [_EIGHTHS[i] for i in row])
+
+
+def space_lemma_sample(depth: int, n: int, seed, delta, l: int, k: int) -> tuple[int, int]:
+    """space_lemma_sweep at the root of random_tables(depth, n, seed), for
+    l <= depth, building each table's levels 0..l only, from the first
+    2^l - 1 splits of its row.  The sweep compares level-l values with
+    the root value, and their ratio is the product of the splits between
+    them, whatever the table's grain, so the counts are those of the full
+    tables."""
+    if l > depth:
+        raise ValueError("extension runs past the table depth")
+    head = (1 << l) - 1
+    tables = (MartingaleTable.from_splits(l, [_EIGHTHS[i] for i in row[:head]])
+              for row in random_split_rows(depth, n, seed))
+    return space_lemma_sweep(tables, delta, l, k)
 
 
 # --------------------------------------------------------------------------
@@ -324,19 +360,22 @@ def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSuperma
     return StagedSupermartingale(extensions, scale, f"mixture({names})+machine/cap{cap}")
 
 
-def default_builder_martingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
-    """Constant, zeros-favouring and alternation-favouring tables plus the
-    machine part; positive everywhere, so extension counting never
-    degenerates."""
+def _builder_tables() -> list[MartingaleTable]:
+    """Constant, zeros-favouring and alternation-favouring depth-8 tables."""
     depth = 8
-    tables = [
+    return [
         MartingaleTable.constant(depth),
         MartingaleTable.from_splits(depth, [(3, 4)] * ((1 << depth) - 1)),
         MartingaleTable.from_splits(depth, [((3, 4), (1, 4))[length % 2]
                                             for length in range(depth)
                                             for _node in range(1 << length)]),
     ]
-    return mixture_supermartingale(tables, oracle, cap)
+
+
+def default_builder_martingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
+    """The _builder_tables plus the machine part; positive everywhere, so
+    extension counting never degenerates."""
+    return mixture_supermartingale(_builder_tables(), oracle, cap)
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +421,8 @@ def psi(a_prefix: str, t: TimeBound, t_prime: TimeBound, c: Fraction,
     under the oracle prefix A.  Terms whose time-t' mass is 0 are dropped
     and counted: at finite stage they carry the divergence signal, and
     dropping them keeps the truncation finite and monotone."""
+    from .semimeasure import m_stage, relative_mass
+
     check_bits(a_prefix)
     c = Fraction(c)
     if c <= 0:
@@ -410,7 +451,7 @@ def psi_domination_constant(t: TimeBound, t_prime: TimeBound, len_cap: int,
     """Smallest exact c with avg_A m^{A,t}(sigma) <= c m^{t'}(sigma) over
     all sigma of length <= len_cap with positive t'-mass; the measured
     stand-in for the abstract domination constant."""
-    from .semimeasure import oracle_average
+    from .semimeasure import m_stage, oracle_average
 
     best = Fraction(0)
     for sigma_len in range(len_cap + 1):
@@ -440,6 +481,8 @@ def measure_cheap_oracles(x_prefix: str, n: int, k, t: TimeBound, stage: int,
                           depth: int, cap: int = 16) -> Fraction:
     """Exact measure of depth-bit oracle prefixes Y with
     m^{Y,stage}(X|n) >= k * m^t(X|n), by enumeration of all prefixes."""
+    from .semimeasure import m_stage, prefix_mass_evaluator
+
     check_bits(x_prefix)
     if not 0 <= n <= len(x_prefix):
         raise ValueError("n must lie between 0 and the prefix length")

@@ -41,6 +41,7 @@ from .toyvm import (
     index_to_body,
     output_string,
     parse_body,
+    parse_fraction,
     programs_up_to,
     read_input,
     strings_of_length,
@@ -71,18 +72,6 @@ def m_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> Frac
 # exact fraction tables on disk: one `sigma<TAB>num/den` line per string
 
 
-def parse_fraction(text: str) -> Fraction:
-    """An exact rational from "num/den" or "num"."""
-    num, _, den = text.partition("/")
-    try:
-        num, den = int(num), int(den or 1)
-    except ValueError:
-        raise ValueError(f"{text!r} is not a fraction num/den") from None
-    if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
-
-
 class ComputableSemimeasure:
     """Finite table sigma -> rational with default 0 and mass at most 1."""
 
@@ -105,7 +94,9 @@ class ComputableSemimeasure:
                     sigma, tab, frac = line.partition("\t")
                     if not tab:
                         raise ValueError(f"{line!r} is not sigma<TAB>num/den")
-                    table[check_bits(sigma)] = parse_fraction(frac)
+                    if check_bits(sigma) in table:
+                        raise ValueError(f"sigma {sigma!r} given twice")
+                    table[sigma] = parse_fraction(frac)
             return cls(table)
 
         return read_input(path, "fraction table", parse)

@@ -76,6 +76,7 @@ Program indices
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -526,6 +527,18 @@ def parse_int(token: str) -> int:
         return int(token)
     except ValueError:
         raise ValueError(f"{token!r} is not an integer") from None
+
+
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational from "num/den" or "num"."""
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a fraction num/den") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def parse_oracle(text: str | None):

@@ -296,12 +296,19 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
      "oracle 'halting:x': 'x' is not an integer"),
     (["convert-timebound", "--table", "{tmp}/semi.tsv", "--c", "2", "--n", "1"],
      "fraction table '{tmp}/semi.tsv', line 2: '1 1/4' is not sigma<TAB>num/den"),
+    (["convert-timebound", "--table", "{tmp}/twice.tsv", "--c", "2", "--n", "1"],
+     "fraction table '{tmp}/twice.tsv', line 3: sigma '0' given twice"),
+    (["--config", "{tmp}/twice.cfg", "k", "--sigma", "0", "--stage", "10"],
+     "config file '{tmp}/twice.cfg', line 3: key 'cap' given twice"),
 ], ids=["poly-one-value", "poly-letters", "fraction-letters", "query-schedule-letter",
-        "table-letter", "halting-letter", "fraction-table-no-tab"])
+        "table-letter", "halting-letter", "fraction-table-no-tab",
+        "fraction-table-repeated-sigma", "config-repeated-key"])
 def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, message):
     (tmp_path / "sched.json").write_text('{"depth": 8, "stages": []}')
     (tmp_path / "t.txt").write_text("1 x\n")
     (tmp_path / "semi.tsv").write_text("0\t1/4\n1 1/4\n")
+    (tmp_path / "twice.tsv").write_text("0\t1/4\n1\t1/8\n0\t1/8\n")
+    (tmp_path / "twice.cfg").write_text("cap=12\n# a later value\ncap=14\n")
     out = tmp_path / "artifact"
     code = dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
     assert code == EXIT_VALIDATION
@@ -621,25 +628,27 @@ print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 sys.exit(code)
 """
 BASE = ("depthlab", "depthlab.cli", "depthlab.toyvm", "depthlab.complexity")
-# what importing randomness, constructions or pi01forcing loads beyond BASE
-RANDOMNESS = ("semimeasure", "randomness")
+# what importing randomness, constructions or pi01forcing loads beyond
+# BASE; randomness imports semimeasure only in the functions that read it
+RANDOMNESS = ("randomness",)
 CONSTRUCTIONS = RANDOMNESS + ("constructions",)
 FORCING = ("pi01forcing",)
+SEMIMEASURE = ("semimeasure",)
 
 
 @pytest.mark.parametrize("argv,extra", [
     ([], ()),
     (["k", "--sigma", "0", "--stage", "10", "--cap", "8"], ()),
-    (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], ("semimeasure",)),
+    (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], SEMIMEASURE),
     (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "16", "--n", "1",
-      "--cap", "14"], ("semimeasure",)),
+      "--cap", "14"], SEMIMEASURE),
     (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "5"], RANDOMNESS),
     (["psi", "--a-prefix", "bits:00", "--t", "poly:5,1", "--tprime", "poly:5,1",
-      "--len-cap", "1", "--stage", "100", "--cap", "8"], RANDOMNESS),
+      "--len-cap", "1", "--stage", "100", "--cap", "8"], RANDOMNESS + SEMIMEASURE),
     (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--depth", "2"],
-     ("semimeasure",)),
+     SEMIMEASURE),
     (["measure-cheap", "--x", "bits:0000", "--n", "1", "--k", "1", "--t", "poly:10,1",
-      "--stage", "10", "--depth", "2", "--cap", "8"], RANDOMNESS),
+      "--stage", "10", "--depth", "2", "--cap", "8"], RANDOMNESS + SEMIMEASURE),
     (["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "100", "--cap", "8"],
      CONSTRUCTIONS),
     (["build-deep", "--rounds", "1", "--oracle", "none", "--T", "poly:2,2", "--cap", "8",
@@ -649,7 +658,7 @@ FORCING = ("pi01forcing",)
     (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
       "--k", "1", "--stage", "10", "--cap", "8"], FORCING + RANDOMNESS),
     (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], ()),
-    (["selftest", "--seed", "7"], FORCING + RANDOMNESS),
+    (["selftest", "--seed", "7"], FORCING + RANDOMNESS + SEMIMEASURE),
 ], ids=["import", "k", "m", "convert-timebound", "space-lemma", "psi", "avg",
         "measure-cheap", "profile", "build-deep", "force", "join-check", "solovay",
         "selftest"])

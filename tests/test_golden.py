@@ -14,6 +14,11 @@ CASES = [
     ("m.json", ["m", "--sigma", "", "--stage", "100", "--cap", "14"]),
     ("space-lemma.json", ["space-lemma", "--delta", "2", "--k", "2",
                           "--mode", "sample", "--n", "200", "--seed", "7"]),
+    ("space-lemma-depth9.json", ["space-lemma", "--delta", "2", "--k", "2",
+                                 "--mode", "sample", "--n", "300", "--seed", "11",
+                                 "--depth", "9"]),
+    ("space-lemma-exhaustive.json", ["space-lemma", "--delta", "3", "--k", "1",
+                                     "--mode", "exhaustive"]),
     ("psi.json", ["psi", "--a-prefix", "bits:0000", "--t", "poly:5,1",
                   "--tprime", "poly:5,1", "--c", "1", "--len-cap", "2",
                   "--stage", "100", "--cap", "12"]),
@@ -28,6 +33,7 @@ CASES = [
     ("force.json", ["force", "--class", str(GOLDEN / "sched.json"),
                     "--f", "halting-dnc", "--steps", "2", "--budget", "4096",
                     "--query-schedule", "5,6"]),
+    ("selftest.json", ["selftest", "--seed", "7"]),
 ]
 
 

@@ -24,6 +24,7 @@ from depthlab.randomness import (
     psi_domination_constant,
     random_tables,
     space_lemma_length,
+    space_lemma_sample,
     space_lemma_sweep,
 )
 from depthlab.semimeasure import m_stage, oracle_average
@@ -429,6 +430,64 @@ def test_sweep_agrees_with_per_node_counts(fam_depth, splits, delta, k):
     for threshold in range(1, (1 << l) + 2):
         want = (len(counts), sum(c < threshold for c in counts))
         assert space_lemma_sweep(tables, delta, l, threshold, above) == want, threshold
+
+
+# from_splits does not run the constructor's fairness and negativity
+# checks: its tables are fair and nonnegative as built.  Every family it
+# builds here goes back through the validating constructor, so a
+# from_splits that built an unfair or negative table fails this test.
+FROM_SPLITS_FAMILIES = {
+    "random": lambda: [table for depth in range(1, 7) for seed in range(4)
+                       for table in random_tables(depth, 10, seed)],
+    "dyadic-halves": lambda: list(dyadic_family(*FAMILIES[0])),
+    "dyadic-quarters": lambda: list(dyadic_family(*FAMILIES[1])),
+    "builder": randomness._builder_tables,
+}
+
+
+@pytest.mark.parametrize("family", FROM_SPLITS_FAMILIES)
+def test_from_splits_tables_pass_the_validating_constructor(family):
+    tables = FROM_SPLITS_FAMILIES[family]()
+    assert tables
+    for table in tables:
+        checked = MartingaleTable(table.depth, nums=list(table.nums), den=table.den)
+        assert checked.values == table.values
+
+
+# (--depth, l, delta, k, n, seed) as the sample command takes them: its
+# tables have depth max(--depth, l).  The rows put --depth below l, at l
+# and above it; the stream of the depth-6 and depth-9 rows crosses a
+# chunk; and an l below space_lemma_length(delta, k) makes violations, so
+# the two counts can disagree.
+SAMPLE_GRID = [
+    (1, 2, Fraction(2), 4, 300, 0),
+    (3, 3, Fraction(2), 6, 300, 1),
+    (6, 3, Fraction(2), 2, 100, 2),
+    (6, 2, Fraction(3, 2), 3, 100, 5),
+    (9, 3, Fraction(2), 7, 20, 3),
+    (2, 3, Fraction(3), 7, 200, 4),
+]
+
+
+@pytest.mark.parametrize("depth,l,delta,k,n,seed", SAMPLE_GRID)
+def test_partial_sample_build_counts_like_the_full_tables(depth, l, delta, k, n, seed):
+    depth = max(depth, l)
+    full = space_lemma_sweep(random_tables(depth, n, seed), delta, l, k)
+    assert space_lemma_sample(depth, n, seed, delta, l, k) == full
+    if l < space_lemma_length(delta, k):
+        assert 0 < full[1] < full[0]
+
+
+def test_sample_grid_crosses_a_chunk_and_straddles_the_bound():
+    assert any(n * ((1 << max(depth, l)) - 1) > randomness._CHUNK_WORDS
+               for depth, l, _delta, _k, n, _seed in SAMPLE_GRID)
+    lengths = [(l, space_lemma_length(delta, k)) for _d, l, delta, k, _n, _s in SAMPLE_GRID]
+    assert any(l < bound for l, bound in lengths) and any(l == bound for l, bound in lengths)
+
+
+def test_sample_rejects_an_extension_past_the_table_depth():
+    with pytest.raises(ValueError, match="past the table depth"):
+        space_lemma_sample(2, 5, 0, 2, 3, 1)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
