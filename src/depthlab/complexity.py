@@ -189,10 +189,10 @@ class OracleBranches:
     def children(self, body_index: int, st: MachineState) -> list:
         """The split rule: (pins, state) of each child of a run stopped, in
         state st, at the index it asked.  A child resumes after the ORACLE
-        with R1 set to its answer and the index added to `queried` and to
-        its pins, on a MachineState.copy of st; `steps` already counts the
-        ORACLE step.  An index at or beyond depth has no children, and
-        goes to `too_deep`."""
+        with R1 set to its answer and the index added to its pins, on a
+        MachineState.copy of st; `steps` already counts the ORACLE step.
+        An index at or beyond depth has no children, and goes to
+        `too_deep`."""
         index, (mask, bits, order) = self.asked, self.pins
         if index >= self.depth:
             hit = (body_index, order, index)
@@ -205,7 +205,6 @@ class OracleBranches:
             child = st.copy()
             child.pc += 1
             child.regs[1] = answer
-            child.queried.add(index)
             out.append(((mask | bit, bits | bit * answer, order + (answer,)), child))
         return out
 
@@ -236,22 +235,19 @@ class PrefixTrie:
     * It stops at an ORACLE of an OracleBranches whose answer is not
       pinned.  An index below depth splits the node into two children on
       the same P, one per answer: each resumes at the next instruction
-      with R1 set to its answer and the index added to `queried` and to
-      its pins; `steps` already counts the ORACLE step.  An index at or
-      beyond depth drops the node and is recorded by the oracle.  A real
-      oracle never leaves an answer unpinned, so under one this never
-      happens.  OracleBranches.children builds the two children; it is
-      the one split rule, which pi01forcing.Functional.values shares.
+      with R1 set to its answer and the index added to its pins; `steps`
+      already counts the ORACLE step.  An index at or beyond depth drops
+      the node and is recorded by the oracle.  A real oracle never leaves
+      an answer unpinned, so under one this never happens.
+      OracleBranches.children builds the two children; it is the one
+      split rule, which pi01forcing.Functional.values shares.
     * It reaches the budget: the node goes to `live` for a later walk
       at a larger budget, or is dropped when there is none.
 
     Cycle keys project onto P's control registers.  That is sound for
     every extension, because between two equal keys the run executed only
     P's instructions, which read no other register, and asked no index
-    it had not pinned.  Every child state is a MachineState.copy, the one
-    copy rule: a next-instruction child whose control registers grow
-    starts a fresh key set, and every other child keeps a copy of its
-    parent's."""
+    it had not pinned."""
 
     def __init__(self, cap: int):
         if cap < 2:
@@ -304,8 +300,7 @@ class PrefixTrie:
             for code in fits[nmax - p]:
                 child = extend(instrs, code)
                 width = code[0]
-                stack.append((child, p + width, v << width | code[1],
-                              st.copy(child.mask == instrs.mask), pins))
+                stack.append((child, p + width, v << width | code[1], st.copy(), pins))
 
 
 class HaltingTable:

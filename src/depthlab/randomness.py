@@ -234,13 +234,22 @@ _ABOVE_EIGHT = bytes(range(9 << 4, 256))
 _EIGHTHS = [(i // gcd(i, 8), 8 // gcd(i, 8)) for i in range(9)]
 
 
+MAX_TABLE_DEPTH = 20
+"""The deepest sampled table: each of its rows holds 2^depth - 1 draws."""
+
+
 def random_split_rows(depth: int, n: int, seed) -> Iterator[bytes]:
     """n rows of 2^depth - 1 draws of rng.randint(0, 8), one per internal
     node in heap order, row after row, from one random.Random(seed); draw
     i stands for the split i/8.  The draws are read in chunks of
-    _CHUNK_WORDS words."""
-    rng = random.Random(seed)
-    size = (1 << depth) - 1
+    _CHUNK_WORDS words.  A depth above MAX_TABLE_DEPTH raises ValueError
+    at the call."""
+    if depth > MAX_TABLE_DEPTH:
+        raise ValueError(f"table depth {depth} is above the bound {MAX_TABLE_DEPTH}")
+    return _split_rows(random.Random(seed), (1 << depth) - 1, n)
+
+
+def _split_rows(rng: random.Random, size: int, n: int) -> Iterator[bytes]:
     draws, pos = b"", 0
     for _ in range(n):
         while len(draws) - pos < size:

@@ -172,7 +172,7 @@ def semimeasure_to_timebound(m: ComputableSemimeasure, c: Fraction, n: int,
 # --------------------------------------------------------------------------
 # exact averaging over oracle prefixes
 #
-# Outcomes depend only on queried bits, so a program's runs form a finite
+# Outcomes depend only on the bits asked, so a program's runs form a finite
 # branching tree over its oracle answers; a leaf that pins q bits stands
 # for a 2^-q slice of the prefix space, and a program's leaves partition
 # it.  PrefixMassEvaluator grows these trees for every program at once:

@@ -42,10 +42,9 @@ Execution conventions
     * A run is a pure function of (program, oracle, budget).  If it halts
       within the budget, it halts identically under every larger budget.
     * A run's facts live in its MachineState: program counter, steps,
-      output rope, registers and the oracle indices asked.  _advance
-      returns only how the run stopped ("halted", "aborted", "diverged",
-      or None when the budget ran out); run and phi wrap that and the
-      state into one Outcome.
+      output rope and registers.  _advance returns only how the run
+      stopped ("halted", "aborted", "diverged", or None when the budget
+      ran out); run and phi wrap that and the state into one Outcome.
     * An oracle is any object with a hashable `key` and an answer(index)
       that returns 0 or 1, or raises OutOfTableError to abort the run.
 
@@ -64,6 +63,10 @@ Cycle detection
     lap.  A loop whose tested register keeps growing never repeats a key
     and runs to the budget.  phi, the diagonal and every walk always look
     for cycles; run does when asked, and is the reference without them.
+    A state copied to resume a walk's child starts with no keys: a cycle
+    that repeats forever still repeats a key within one more lap, so a
+    fresh set changes only when divergence is found, never whether a run
+    halts.
 
 Program indices
     Bodies are ranked in length-lexicographic order: the empty body is 0,
@@ -96,7 +99,7 @@ class DecodeError(MachineError):
 
 
 class OutOfTableError(MachineError):
-    """A prefix-table oracle was queried beyond its table."""
+    """A prefix-table oracle was asked beyond its table."""
 
 
 class EscapingJumpError(MachineError):
@@ -613,28 +616,23 @@ def output_string(rope) -> str:
 
 class MachineState:
     """Resumable snapshot of a run in progress, and the record of a run
-    that stopped: pc, steps, rope, regs and queried are its facts either
-    way.  The output's length is rope[0]."""
+    that stopped: pc, steps, rope and regs are its facts either way.  The
+    output's length is rope[0]; seen holds the cycle keys met so far."""
 
-    __slots__ = ("pc", "regs", "steps", "rope", "queried", "seen")
+    __slots__ = ("pc", "regs", "steps", "rope", "seen")
 
     def __init__(self, pc: int = 0, regs: list[int] | None = None, steps: int = 0,
-                 rope: tuple | None = None, queried: set | None = None,
-                 seen: set | None = None):
+                 rope: tuple | None = None):
         self.pc = pc
         self.regs = [0, 0, 0, 0] if regs is None else regs
         self.steps = steps
         self.rope = rope
-        self.queried = set() if queried is None else queried
-        self.seen = seen
+        self.seen = None
 
-    def copy(self, keep_seen: bool = True) -> "MachineState":
-        """A state that resumes as this one does, with its own regs,
-        queried and seen; with keep_seen false it starts a fresh cycle-key
-        set instead.  Every child state of a walk is built here."""
-        seen = self.seen
-        return MachineState(self.pc, self.regs[:], self.steps, self.rope, set(self.queried),
-                            set(seen) if keep_seen and seen is not None else None)
+    def copy(self) -> "MachineState":
+        """A state that resumes as this one does, with its own regs and a
+        fresh cycle-key set.  Every child state of a walk is built here."""
+        return MachineState(self.pc, self.regs[:], self.steps, self.rope)
 
 
 def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool):
@@ -651,7 +649,6 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
     r = st.regs
     steps = st.steps
     rope = st.rope
-    queried = st.queried
     seen = st.seen
     project = instrs.project
     n = len(instrs)
@@ -703,7 +700,6 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
             except OutOfTableError:
                 kind = "aborted"
                 break
-            queried.add(r[0])
             r[1] = bit
             pc += 1
         elif op == OP_EMITR:
@@ -720,14 +716,12 @@ class Outcome(NamedTuple):
     """How a finished call to run or phi stopped, and what it left.
 
     kind is "halted", "budget", "aborted" or "diverged" (a repeated cycle
-    key, see the module docstring); reason names an abort's cause, value
-    the final R3 of a halted run (phi's value); each is None otherwise."""
+    key, see the module docstring); value is the final R3 of a halted run
+    (phi's value), None otherwise."""
 
     kind: str
     steps: int
     rope: tuple | None
-    queried: frozenset
-    reason: str | None
     value: int | None
 
     @property
@@ -739,12 +733,9 @@ class Outcome(NamedTuple):
         return self.kind == "halted"
 
 
-def _outcome(kind: str | None, oracle, st: MachineState) -> Outcome:
+def _outcome(kind: str | None, st: MachineState) -> Outcome:
     """The Outcome of a run that _advance left in st, stopping as kind."""
-    reason = None
-    if kind == "aborted":
-        reason = "oracle-query-without-oracle" if oracle is None else "out-of-table"
-    return Outcome(kind or "budget", st.steps, st.rope, frozenset(st.queried), reason,
+    return Outcome(kind or "budget", st.steps, st.rope,
                    st.regs[3] if kind == "halted" else None)
 
 
@@ -756,8 +747,7 @@ def run(program: Program, oracle, budget: int, r1: int = 0, r2: int = 0,
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     st = MachineState(regs=[0, r1, r2, 0])
-    return _outcome(_advance(program.instructions(), oracle, budget, st, detect_cycles),
-                    oracle, st)
+    return _outcome(_advance(program.instructions(), oracle, budget, st, detect_cycles), st)
 
 
 def run_body(body: str, oracle, budget: int, **kw):
@@ -814,7 +804,7 @@ def phi(e: int, x: int, oracle, budget: int) -> Outcome:
     """Run body e with R2 = x, looking for cycles; on halting the value is
     the final R3."""
     st = MachineState(regs=[0, 0, x, 0])
-    return _outcome(_advance(parsed_body(e), oracle, budget, st, True), oracle, st)
+    return _outcome(_advance(parsed_body(e), oracle, budget, st, True), st)
 
 
 def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:

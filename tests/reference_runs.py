@@ -1,12 +1,37 @@
 """Reference halting data for the table tests, computed one program at a
 time with toyvm.run: it reads no HaltingTable, so the table's index is
-checked against runs it did not make."""
+checked against runs it did not make.  recorded_run also reports the
+oracle indices a run was answered, which the machine does not keep."""
 
 from fractions import Fraction
 
 from depthlab.toyvm import programs_up_to, run
 
 REFERENCE_BUDGET = 10 ** 4
+
+
+class RecordingOracle:
+    """Forwards answer to a real oracle and keeps in `asked` every index
+    that oracle answered; an index whose answer raised is not kept."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.key = oracle.key
+        self.asked: set = set()
+
+    def answer(self, index: int) -> int:
+        bit = self.oracle.answer(index)
+        self.asked.add(index)
+        return bit
+
+
+def recorded_run(program, oracle, budget: int, **kw):
+    """(run(program, oracle, budget, **kw), frozenset of the oracle indices
+    it was answered); a run under no oracle is answered none."""
+    if oracle is None:
+        return run(program, None, budget, **kw), frozenset()
+    recorder = RecordingOracle(oracle)
+    return run(program, recorder, budget, **kw), frozenset(recorder.asked)
 
 
 def halting_runs(oracle, cap: int, budget: int = REFERENCE_BUDGET) -> list:

@@ -458,6 +458,21 @@ def test_negative_count_exits_2_without_an_artifact(tmp_path, capsys, argv, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra,depth", [
+    (["--depth", "40"], 40),
+    (["--depth", "40", "--n", "0"], 40),
+    (["--k", "524288"], 21),  # extension length 21 above the default depth 6
+], ids=["depth-40", "depth-40-no-tables", "extension-21"])
+def test_sample_table_depth_above_the_bound_exits_2_without_an_artifact(
+        tmp_path, capsys, extra, depth):
+    out = tmp_path / "artifact.json"
+    argv = ["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "1"]
+    assert dispatch(argv + extra + ["--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: table depth {depth} is above the bound 20\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["m", "--sigma", "0", "--stage", "10", "--cap", "-3"],
     ["m", "--sigma", "0", "--stage", "10", "--cap", "1"],

@@ -40,6 +40,7 @@ from depthlab.toyvm import (
 from depthlab.semimeasure import PrefixMassEvaluator, m_stage
 from reference_runs import (
     halting_runs,
+    recorded_run,
     reference_mass_map,
     reference_output_map,
     reference_total_mass,
@@ -411,7 +412,7 @@ def test_lift_zero_rule_roundtrip():
 
 def test_lift_measured_budget_bound():
     # a reduction answering index i in O(i) steps keeps the measured total
-    # under t(n) * c * (max queried index + 1)
+    # under t(n) * c * (max asked index + 1)
     red = identity_reduction()
     t = TimeBound.poly(10, 1)
     c = red.budget  # crude per-query ceiling; the measured bound is tighter
@@ -419,12 +420,12 @@ def test_lift_measured_budget_bound():
     for _i, p, _step, output in halting_runs(PrefixOracle("0101"), 16, t(4)):
         if len(output) > 4:
             continue
-        out = run(p, PrefixOracle("0101"), t(4))
-        if not out.queried:
+        out, asked = recorded_run(p, PrefixOracle("0101"), t(4))
+        if not asked:
             continue
         sigma = out.output
         lifted, t_prime = lift_code(p, red, t, PrefixOracle("0101"), sigma)
-        max_idx = max(out.queried)
+        max_idx = max(asked)
         assert t_prime(len(sigma)) <= t(len(sigma)) * c * (max_idx + 1)
         checked += 1
         if checked >= 10:

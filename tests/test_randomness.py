@@ -22,6 +22,7 @@ from depthlab.randomness import (
     psi,
     psi_average,
     psi_domination_constant,
+    random_split_rows,
     random_tables,
     space_lemma_length,
     space_lemma_sample,
@@ -483,6 +484,13 @@ def test_sample_grid_crosses_a_chunk_and_straddles_the_bound():
                for depth, l, _delta, _k, n, _seed in SAMPLE_GRID)
     lengths = [(l, space_lemma_length(delta, k)) for _d, l, delta, k, _n, _s in SAMPLE_GRID]
     assert any(l < bound for l, bound in lengths) and any(l == bound for l, bound in lengths)
+
+
+def test_split_rows_are_bounded_in_depth_at_the_call():
+    (row,) = random_split_rows(randomness.MAX_TABLE_DEPTH, 1, 0)
+    assert len(row) == (1 << 20) - 1 and max(row) == 8
+    with pytest.raises(ValueError, match="table depth 21 is above the bound 20"):
+        random_split_rows(21, 0, 0)
 
 
 def test_sample_rejects_an_extension_past_the_table_depth():

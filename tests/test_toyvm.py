@@ -28,6 +28,7 @@ from depthlab.toyvm import (
     smn,
     strings_of_length,
 )
+from reference_runs import recorded_run
 
 bodies = st.text(alphabet="01", max_size=16)
 
@@ -107,24 +108,28 @@ def test_budget_monotonicity_exhaustive_small():
 
 
 def test_oracle_locality_bit_flips():
+    # cap 18 is the least at which a program both reads and emits an
+    # oracle bit, so that flipping a bit it asked can change its run
     table = "0101"
-    for p in programs_up_to(14):
-        base = run(p, PrefixOracle(table), 40)
-        queried = base.queried
+    changed = 0
+    for p in programs_up_to(18):
+        base, asked = recorded_run(p, PrefixOracle(table), 40)
         for i in range(len(table)):
-            if i in queried:
-                continue
             flipped = table[:i] + ("1" if table[i] == "0" else "0") + table[i + 1:]
             other = run(p, PrefixOracle(flipped), 40)
+            if i in asked:
+                changed += other != base
+                continue
             assert other.kind == base.kind
             if base.kind == "halted":
                 assert other.output == base.output and other.steps == base.steps
+    assert changed
 
 
 def test_out_of_table_aborts():
     body = assemble([("INC", 0), ("INC", 0), ("ORACLE",)])
     out = run_body(body, PrefixOracle("01"), 20)
-    assert out.kind == "aborted" and out.reason == "out-of-table"
+    assert out.kind == "aborted"
 
 
 def test_oracle_none_aborts_on_query():
@@ -147,23 +152,22 @@ def test_reserved_opcode_halts():
 
 
 STOPS = {
-    # name: (items, oracle, detect_cycles, kind, steps, output, reason, queried)
-    "halted": ([("EMIT1",), ("HALT",)], None, False, "halted", 2, "1", None, ()),
-    "budget": ([("EMIT0",), ("JMP", -1)], None, False, "budget", 100, "0", None, ()),
-    "diverged": ([("EMIT0",), ("JMP", -1)], None, True, "diverged", 2, "0", None, ()),
-    "no-oracle": ([("EMIT1",), ("ORACLE",)], None, True, "aborted", 2, "1",
-                  "oracle-query-without-oracle", ()),
+    # name: (items, oracle, detect_cycles, kind, steps, output, asked)
+    "halted": ([("EMIT1",), ("HALT",)], None, False, "halted", 2, "1", ()),
+    "budget": ([("EMIT0",), ("JMP", -1)], None, False, "budget", 100, "0", ()),
+    "diverged": ([("EMIT0",), ("JMP", -1)], None, True, "diverged", 2, "0", ()),
+    "no-oracle": ([("EMIT1",), ("ORACLE",)], None, True, "aborted", 2, "1", ()),
     "out-of-table": ([("ORACLE",), ("EMITR",), ("INC", 0), ("INC", 0), ("ORACLE",)],
-                     PrefixOracle("01"), True, "aborted", 5, "0", "out-of-table", (0,)),
+                     PrefixOracle("01"), True, "aborted", 5, "0", (0,)),
 }
 
 
 @pytest.mark.parametrize("name", STOPS)
 def test_run_reports_how_it_stopped(name):
-    items, oracle, cycles, kind, steps, output, reason, queried = STOPS[name]
-    out = run_body(assemble(items), oracle, 100, detect_cycles=cycles)
-    assert (out.kind, out.steps, out.output, out.reason, out.queried) == (
-        kind, steps, output, reason, frozenset(queried))
+    items, oracle, cycles, kind, steps, output, asked = STOPS[name]
+    out, got = recorded_run(Program.encode(assemble(items)), oracle, 100,
+                            detect_cycles=cycles)
+    assert (out.kind, out.steps, out.output, got) == (kind, steps, output, frozenset(asked))
 
 
 def test_phi_reports_a_busy_loop_as_diverged():
@@ -234,11 +238,11 @@ def test_a_bit_file_is_its_one_nonblank_line(tmp_path):
 def test_cycle_detection_agrees_with_plain_runs(descriptor):
     oracle = parse_oracle(descriptor)
     for p in programs_up_to(20):
-        checked = run(p, oracle, 2000, detect_cycles=True)
-        plain = run(p, oracle, 2000)
+        checked, checked_asked = recorded_run(p, oracle, 2000, detect_cycles=True)
+        plain, plain_asked = recorded_run(p, oracle, 2000)
         if checked.kind == "diverged":
             assert plain.kind == "budget", p.bits
-            assert checked.queried == plain.queried, p.bits
+            assert checked_asked == plain_asked, p.bits
             continue
         assert checked == plain, p.bits
 
@@ -286,11 +290,12 @@ def loop_bodies(draw, counter=None, kinds=_LOOP_KINDS):
 @given(body=loop_bodies(), x=st.integers(0, 6))
 def test_cycle_detection_agrees_with_plain_runs_on_loops(descriptor, body, x):
     oracle = parse_oracle(descriptor)
-    checked = run_body(body, oracle, 2000, r2=x, detect_cycles=True)
-    plain = run_body(body, oracle, 2000, r2=x)
+    p = Program.encode(body)
+    checked, checked_asked = recorded_run(p, oracle, 2000, r2=x, detect_cycles=True)
+    plain, plain_asked = recorded_run(p, oracle, 2000, r2=x)
     if checked.kind == "diverged":
         assert plain.kind == "budget"
-        assert checked.queried == plain.queried
+        assert checked_asked == plain_asked
     else:
         assert checked == plain
 
@@ -319,9 +324,9 @@ def test_growing_untested_register_diverges_on_first_lap(reg):
 def test_oracle_loop_aborts_rather_than_diverging():
     body = assemble([("INC", 0), ("ORACLE",), ("JMP", -3)])
     assert tv.parse_body(body).key_regs == (0,)
-    out = run_body(body, parse_oracle("bits:0101"), 10 ** 6, detect_cycles=True)
-    assert out.kind == "aborted" and out.reason == "out-of-table"
-    assert out.queried == frozenset({1, 2, 3})
+    out, asked = recorded_run(Program.encode(body), parse_oracle("bits:0101"), 10 ** 6,
+                              detect_cycles=True)
+    assert out.kind == "aborted" and asked == frozenset({1, 2, 3})
 
 
 def test_loop_testing_growing_register_is_not_flagged():
