@@ -140,8 +140,7 @@ def _cmd_space_lemma(args) -> int:
                                   (2, tuple(Fraction(i, 4) for i in range(5)))):
             # the sigma with at least l table levels below them, in heap order
             above = (1 << max(fam_depth + 1 - l, 0)) - 1
-            family = randomness.dyadic_family(fam_depth, splits)
-            counts = randomness.space_lemma_sweep(family, delta, l, args.k, above)
+            counts = randomness.space_lemma_grid(fam_depth, splits, delta, l, args.k, above)
             tested += counts[0]
             violations += counts[1]
     else:
@@ -296,15 +295,25 @@ def solovay_probe(t: TimeBound, n_range: int, c: int, stage: int,
     if n_range < 0:
         raise ValueError(f"range must be nonnegative, got {n_range}")
     tight, violations, undecided = [], [], []
+    if n_range:
+        table = complexity.halting_table(None, cap)
+        if stage < 0:
+            raise ValueError("stage must be nonnegative")
+        # one output map at the stage, and one per code length at t(length)
+        staged = table.output_map(stage, len(int_to_bin(n_range - 1)))
+    timed: dict = {}
     for n in range(n_range):
         sigma = int_to_bin(n)
-        kt = k_time_bounded(sigma, t, None, cap)
-        ks = k_stage(sigma, stage, None, cap)
-        if kt.above_cap and ks.above_cap:
+        omap = timed.get(len(sigma))
+        if omap is None:
+            omap = timed[len(sigma)] = table.output_map(t(len(sigma)), len(sigma))
+        kt = omap.get(sigma)
+        ks = staged.get(sigma)
+        if kt is None and ks is None:
             undecided.append(n)
             continue
-        kt_v = kt.clamped(cap)
-        ks_v = ks.clamped(cap)
+        kt_v = cap + 1 if kt is None else kt[0]
+        ks_v = cap + 1 if ks is None else ks[0]
         if ks_v > kt_v:
             violations.append(n)
         if kt_v <= ks_v + c:

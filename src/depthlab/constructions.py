@@ -157,26 +157,29 @@ def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
         den = delta.denominator
         budget = cfg.dominating(len(sigma) + l)
         omap = table.output_map(budget, len(sigma) + l)
-        # one pass, in lex order, through both filters: count the cheap
-        # extensions, take the first one the complexity filter passes, and
-        # remember the least-compressible rejected one (first on ties); a
-        # tau string is built only for the candidates the filter reads
-        ext_count = rejected = 0
+        # one pass over the price runs, in lex order, through both filters:
+        # count the cheap extensions, take the first one the complexity
+        # filter passes, and remember the least-compressible rejected one
+        # (first on ties); tau strings are built only inside cheap runs,
+        # up to the chosen one
+        ext_count = rejected = start = 0
         chosen = fallback = None
         best_k = -1
-        for v, price in enumerate(d.extensions(sigma, l, cfg.mart_stage)):
-            if price * den >= bound:
-                continue
-            ext_count += 1
-            if chosen is None:
-                tau = format(v, "b").zfill(l)
-                hit = omap.get(sigma + tau)
-                if hit is None or hit[0] > r - 1:
-                    chosen = tau
-                else:
-                    rejected += 1
-                    if hit[0] > best_k:
-                        fallback, best_k = tau, hit[0]
+        for count, price in d.extensions(sigma, l, cfg.mart_stage):
+            if price * den < bound:
+                ext_count += count
+                v = start
+                while chosen is None and v < start + count:
+                    tau = format(v, "b").zfill(l)
+                    hit = omap.get(sigma + tau)
+                    if hit is None or hit[0] > r - 1:
+                        chosen = tau
+                    else:
+                        rejected += 1
+                        if hit[0] > best_k:
+                            fallback, best_k = tau, hit[0]
+                    v += 1
+            start += count
         if not ext_count:
             raise BuilderError(
                 f"round {r}: no extension priced under {delta} x current;"

@@ -16,20 +16,28 @@ extensions counted or the builder's candidates priced.  Fractions appear
 only where a value leaves the layer: MartingaleTable.value and .values,
 and calling a StagedSupermartingale.
 
-A builder round prices all 2^l extensions of its string in one lazy pass
-(StagedSupermartingale.extensions): each table's part is a slice of its
-heap order, indexed by toyvm.body_index, and the machine's part is the
-sparse map of cylinder masses that HaltingTable.cylinder_numerators
-reads in one pass over the table's outputs.
+A builder round reads the prices of the 2^l extensions of its string as
+runs of equal price (StagedSupermartingale.extensions), not one by one:
+each table's part is constant on blocks of 2^(l - reads) consecutive
+extensions, where reads is how many bits of tau the deepest table still
+sees, and the machine's part is the sparse map of cylinder masses that
+HaltingTable.cylinder_numerators reads in one pass over the table's
+outputs.  So a round costs the blocks and the outputs it reads, not 2^l.
 
 space_lemma_sweep checks the counting bound over a stream of tables in
-one pass, a heap slice and one integer bound per tested node.  Its
-sampled tables come from random_split_rows, which reads the stream of
-rng.randint(0, 8) draws in bulk, chunks of Mersenne Twister words at a
-time: a seed gives the same tables that one randint per split would.
-space_lemma_sample consumes every split of each row but builds only the
-levels 0..l the sweep reads, since the ratio of a level-l value to the
-root value does not depend on the table's grain.
+one pass, a heap slice and one integer bound per tested node.  The
+space-lemma command gives the sweep's counts without building a table.
+Its exhaustive mode, space_lemma_grid, counts the family of every table
+whose splits come from a grid per tested node: whether a node is
+positive reads only the splits on its root path, and its cheap count
+only the 2^l - 1 splits of its l-level subtree, so each node weighs one
+distribution of subtree counts by the assignments of the other splits.
+Its sample mode, space_lemma_sample, reads the rng.randint(0, 8) draws
+of random_split_rows, chunks of Mersenne Twister words at a time (a seed
+gives the draws that one randint per split would), and compares each
+row's 2^l leaf products of its first 2^l - 1 draws with delta 4^l: the
+ratio of a level-l value to the root value is that product over 4^l,
+whatever the table's grain.
 
 A table built by from_splits is fair and nonnegative by construction,
 so only its split ranges are checked; the constructor checks fairness
@@ -206,19 +214,62 @@ def space_lemma_sweep(tables: Iterable[MartingaleTable], delta, l: int, k: int,
     return tested, violations
 
 
-# families used by the counting sweeps
-
 DYADIC_SPLITS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
-def dyadic_family(depth: int, splits=DYADIC_SPLITS):
-    """Every martingale of the given depth whose per-node splits come from
-    the grid; normalised to 1 at the root.  Exhaustive over the grid: the
-    splits in heap order count through it like the digits of a
-    base-len(grid) counter, least significant first."""
+def _leaf_products(factors, l: int) -> list[int]:
+    """The 2^l products, in lex order of the leaves, of the factors on the
+    paths of an l-level tree: factors holds one (0-child, 1-child) pair
+    per internal node, in heap order."""
+    prods = [1]
+    for level in range(l):
+        first = (1 << level) - 1
+        prods = [p * f for p, pair in zip(prods, factors[first: 2 * first + 1])
+                 for f in pair]
+    return prods
+
+
+def space_lemma_grid(depth: int, splits, delta, l: int, k: int,
+                     above: int = 1) -> tuple[int, int]:
+    """space_lemma_sweep over every table of the given depth whose splits
+    (rationals in [0, 1]) come from the grid `splits`, without building one.
+
+    Split a at a node makes its children 2a and 2(1 - a) times its value,
+    so heap node i is positive when no split on its root path is 0 toward
+    it, and its cheap extensions read only the 2^l - 1 splits of its
+    l-level subtree.  So one count of the subtree assignments with fewer
+    than k cheap leaves serves every node, weighed by the positive
+    assignments of the node's root path times every assignment of the
+    other splits."""
+    if above > (1 << max(depth + 1 - l, 0)) - 1:
+        raise ValueError("extension runs past the table depth")
+    if not above:
+        return 0, 0
+    num, den = _ratio(delta)
     grid = [_ratio(a) for a in splits]
-    for assign in product(grid, repeat=(1 << depth) - 1):
-        yield MartingaleTable.from_splits(depth, assign[::-1])
+    grain = lcm(*(q for _p, q in grid))
+    # the children's values over their node's, in units of 1/grain
+    pairs = [(2 * p * (grain // q), 2 * (q - p) * (grain // q)) for p, q in grid]
+    # a leaf is cheap when its product over grain^l is below delta
+    bound = -(-num * grain ** l // den)
+    subtree = (1 << l) - 1
+    short = sum(sum(map(bound.__gt__, _leaf_products(assign, l))) < k
+                for assign in product(pairs, repeat=subtree))
+    size = len(grid)
+    # how many splits keep a 1-child positive, and how many a 0-child
+    toward = (sum(1 for _z, one in pairs if one), sum(1 for zero, _o in pairs if zero))
+    tested = violations = 0
+    for i in range(above):
+        # the 0-child of a node is odd in heap order, the 1-child even
+        positive, path = 1, 0
+        while i:
+            positive *= toward[i & 1]
+            i = (i - 1) >> 1
+            path += 1
+        free = (1 << depth) - 1 - path - subtree
+        tested += positive * size ** (free + subtree)
+        violations += positive * short * size ** free
+    return tested, violations
 
 
 # random_tables reads the stream of rng.randint(0, 8) in bulk.  For a
@@ -232,6 +283,7 @@ _CHUNK_WORDS = 4096
 _TOP_NIBBLE = bytes(b >> 4 for b in range(256))
 _ABOVE_EIGHT = bytes(range(9 << 4, 256))
 _EIGHTHS = [(i // gcd(i, 8), 8 // gcd(i, 8)) for i in range(9)]
+_FACTORS = [(i, 8 - i) for i in range(9)]
 
 
 MAX_TABLE_DEPTH = 20
@@ -269,17 +321,23 @@ def random_tables(depth: int, n: int, seed) -> Iterator[MartingaleTable]:
 
 def space_lemma_sample(depth: int, n: int, seed, delta, l: int, k: int) -> tuple[int, int]:
     """space_lemma_sweep at the root of random_tables(depth, n, seed), for
-    l <= depth, building each table's levels 0..l only, from the first
-    2^l - 1 splits of its row.  The sweep compares level-l values with
-    the root value, and their ratio is the product of the splits between
-    them, whatever the table's grain, so the counts are those of the full
-    tables."""
+    l <= depth, building no table.  Draw i splits a node's value into i/4
+    and (8 - i)/4 times it, so a level-l value is the root's times the
+    product of l factors (i or 8 - i) over 4^l, whatever the table's
+    grain: a row's cheap count reads the 2^l leaf products of its first
+    2^l - 1 draws.  Every root is positive, so every row is tested."""
     if l > depth:
         raise ValueError("extension runs past the table depth")
+    num, den = _ratio(delta)
+    # a leaf is cheap when its product is below delta 4^l
+    bound = -(-(num << 2 * l) // den)
     head = (1 << l) - 1
-    tables = (MartingaleTable.from_splits(l, [_EIGHTHS[i] for i in row[:head]])
-              for row in random_split_rows(depth, n, seed))
-    return space_lemma_sweep(tables, delta, l, k)
+    tested = violations = 0
+    for row in random_split_rows(depth, n, seed):
+        factors = list(map(_FACTORS.__getitem__, row[:head]))
+        tested += 1
+        violations += sum(map(bound.__gt__, _leaf_products(factors, l))) < k
+    return tested, violations
 
 
 # --------------------------------------------------------------------------
@@ -291,16 +349,17 @@ class StagedSupermartingale(NamedTuple):
     2 d_s(sigma) >= d_s(sigma 0) + d_s(sigma 1).
 
     `extensions(sigma, l, stage)` yields the exact integer values times
-    `scale` of sigma tau for the 2^l strings tau of l bits, in lex order
-    of tau.  `numerator(sigma, stage)` is its l = 0 value, and calling
-    the object gives the Fraction."""
+    `scale` of sigma tau over the 2^l strings tau of l bits as
+    (count, price) runs: the next count strings tau, in lex order, each
+    priced `price`.  `numerator(sigma, stage)` is the price of its one
+    l = 0 run, and calling the object gives the Fraction."""
 
-    extensions: Callable[[str, int, int], Iterable[int]]
+    extensions: Callable[[str, int, int], Iterable[tuple[int, int]]]
     scale: int
     description: str
 
     def numerator(self, sigma: str, stage: int) -> int:
-        return next(iter(self.extensions(sigma, 0, stage)))
+        return next(iter(self.extensions(sigma, 0, stage)))[1]
 
     def __call__(self, sigma: str, stage: int) -> Fraction:
         return Fraction(self.numerator(sigma, stage), self.scale)
@@ -314,6 +373,26 @@ def _machine_part(cylinders, sigma: str, l: int, stage: int, weight: int = 1) ->
             for tau, mass in cylinders(sigma, l, stage).items()}
 
 
+def _runs(blocks: list[int], width: int, sparse: dict) -> Iterator[tuple[int, int]]:
+    """(count, price) runs, in lex order of tau, of the prices
+    blocks[tau >> width] + sparse.get(tau, 0): each block of 2^width
+    consecutive tau is one run, cut around the tau that sparse holds."""
+    marks = sorted(sparse.items())
+    m = 0
+    for j, base in enumerate(blocks):
+        start = j << width
+        end = start + (1 << width)
+        while m < len(marks) and marks[m][0] < end:
+            tau, extra = marks[m]
+            if tau > start:
+                yield tau - start, base
+            yield 1, base + extra
+            start = tau + 1
+            m += 1
+        if end > start:
+            yield end - start, base
+
+
 def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
     """Cylinder-mass supermartingale from the machine semimeasure:
     d_s(sigma) = 2^|sigma| * sum of halting mass on outputs extending sigma,
@@ -321,8 +400,7 @@ def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale
     cylinders = halting_table(oracle, cap).cylinder_numerators
 
     def extensions(sigma: str, l: int, stage: int):
-        part = _machine_part(cylinders, sigma, l, stage)
-        return (part.get(tau, 0) for tau in range(1 << l))
+        return _runs([0], l, _machine_part(cylinders, sigma, l, stage))
 
     return StagedSupermartingale(extensions, 1 << cap, f"machine-cylinder/cap{cap}")
 
@@ -337,7 +415,8 @@ def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSuperma
     Over the extensions of sigma, a depth-d table's part is a heap slice
     of at most 2^(d - |sigma|) values, each constant on a block of
     2^(|sigma| + l - d) consecutive tau.  The tables are summed once per
-    block and the sparse machine part added as the prices are yielded."""
+    block of the deepest table, and each block is one run, cut around the
+    tau the sparse machine part holds."""
     cylinders = halting_table(oracle, cap).cylinder_numerators
     tail_shift = cap + len(tables) + 1
     scale = 1 << tail_shift
@@ -361,9 +440,7 @@ def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSuperma
             for j in range(1 << reads):
                 blocks[j] += factor * nums[first + (j >> spread)]
         machine = _machine_part(cylinders, sigma, l, stage, tail)
-        block = l - reads
-        for tau in range(1 << l):
-            yield blocks[tau >> block] + machine.get(tau, 0)
+        return _runs(blocks, l - reads, machine)
 
     names = ",".join(f"t{i}" for i in range(len(tables)))
     return StagedSupermartingale(extensions, scale, f"mixture({names})+machine/cap{cap}")

@@ -340,11 +340,16 @@ def monte_carlo_average(sigma: str, t: TimeBound, cap: int = 16, depth: int = 6,
         raise ValueError(f"need at least one sample, got {samples}")
     rng = random.Random(seed)
     ev = prefix_mass_evaluator(t(len(sigma)), cap, depth)
-    total = squares = 0
+    # each distinct prefix drawn is evaluated once, weighted by its draws
+    draws: dict = {}
     for _ in range(samples):
-        v = ev.numerator(sigma, rng.getrandbits(depth))
-        total += v
-        squares += v * v
+        y = rng.getrandbits(depth)
+        draws[y] = draws.get(y, 0) + 1
+    total = squares = 0
+    for y, times in draws.items():
+        v = ev.numerator(sigma, y)
+        total += times * v
+        squares += times * v * v
     mean = Fraction(total, samples << cap)
     # sum (v - mean)^2 = (n sum v^2 - (sum v)^2) / n, which is 0 for one sample
     var = Fraction(samples * squares - total * total,

@@ -32,7 +32,6 @@ from depthlab.pi01forcing import (
 from depthlab.randomness import (
     count_cheap_extensions,
     default_builder_martingale,
-    dyadic_family,
     psi,
     psi_average,
     psi_domination_constant,
@@ -60,6 +59,7 @@ from depthlab.toyvm import (
     programs_up_to,
     run,
 )
+from reference_tables import dyadic_family
 from test_constructions import _even_bit_reduction
 from test_forcing import assert_member_carries_every_bit
 

@@ -18,12 +18,18 @@ from depthlab.cli import (
     dispatch,
     solovay_probe,
 )
-from depthlab.complexity import NoStageWithinBudget, ReductionDiverged, TimeBound
+from depthlab.complexity import (
+    NoStageWithinBudget,
+    ReductionDiverged,
+    TimeBound,
+    k_stage,
+    k_time_bounded,
+)
 from depthlab.constructions import BuilderError, depth_profile
 from depthlab.pi01forcing import ForcingError
 from depthlab.randomness import FairnessError
 from depthlab.semimeasure import DepthViolation
-from depthlab.toyvm import DecodeError, FixedPointError, MachineError
+from depthlab.toyvm import DecodeError, FixedPointError, MachineError, int_to_bin
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,6 +146,16 @@ def test_build_deep_subcommand(tmp_path):
     assert code == EXIT_OK
     assert doc["checks"] == {"claim2": True, "claim3": True}
     assert len(doc["rounds"]) == 2
+
+
+def test_build_deep_sixteen_rounds_pass_both_checks(tmp_path):
+    # round 16 extends by 25 bits: 2^25 candidates, priced as runs
+    code, text = run_cli(tmp_path, "build-deep", "--rounds", "16", "--T", "poly:2,2")
+    doc = json.loads(text)
+    assert code == EXIT_OK
+    assert doc["checks"] == {"claim2": True, "claim3": True}
+    assert len(doc["rounds"]) == 16
+    assert doc["rounds"][-1]["ext_count"] + doc["rounds"][-1]["price_rejected"] == 1 << 25
 
 
 def test_build_deep_without_a_round_exits_2(tmp_path, capsys):
@@ -576,6 +592,19 @@ def test_space_lemma_exhaustive_tests_every_node_above_the_last_two_levels(tmp_p
     assert (doc["extension_length"], doc["tested"], doc["violations"]) == (2, 5228, 0)
 
 
+def test_space_lemma_exhaustive_without_a_node_to_test_exits_at_once(tmp_path):
+    # l = 7: no node of either family has 7 levels below it, so nothing is
+    # tested, and no 7-level subtree's assignments are enumerated
+    out = tmp_path / "artifact.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "depthlab.cli", "space-lemma", "--delta", "9/8", "--k", "7",
+         "--mode", "exhaustive", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    doc = json.loads(out.read_text())
+    assert (doc["extension_length"], doc["tested"], doc["violations"]) == (7, 0, 0)
+
+
 # ------------------------------------------------------------------ parser
 
 PARSER_ARGVS = {
@@ -692,6 +721,46 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, extra):
 
 
 # ------------------------------------------------------------------ solovay probe
+
+def per_code_solovay(t, n_range, c, stage, cap):
+    """The probe's lists from one time-bounded and one stage query per
+    code: the reference for the per-length output maps."""
+    tight, violations, undecided = [], [], []
+    for n in range(n_range):
+        sigma = int_to_bin(n)
+        kt = k_time_bounded(sigma, t, None, cap)
+        ks = k_stage(sigma, stage, None, cap)
+        if kt.above_cap and ks.above_cap:
+            undecided.append(n)
+            continue
+        if ks.clamped(cap) > kt.clamped(cap):
+            violations.append(n)
+        if kt.clamped(cap) <= ks.clamped(cap) + c:
+            tight.append(n)
+    return tight, violations, undecided
+
+
+@pytest.mark.parametrize("cap", [16, 20])
+def test_solovay_probe_matches_per_code_queries(cap):
+    seen = set()
+    for t in (TimeBound.poly(0, 0), TimeBound.poly(1, 1), TimeBound.poly(3, 1),
+              TimeBound.poly(4, 2)):
+        for stage in (0, 5, 30, 10 ** 4):
+            for c in (0, 3):
+                report = solovay_probe(t, 40, c, stage, cap)
+                want = per_code_solovay(t, 40, c, stage, cap)
+                assert (report["tight"], report["violations"], report["undecided"]) == want
+                seen.add(tuple(map(len, want)))
+    # the settings reach tight, violating and undecided codes
+    assert len(seen) > 3 and all(any(row[i] for row in seen) for i in range(3))
+
+
+def test_solovay_probe_rejects_a_negative_stage_when_it_reads_one():
+    t = TimeBound.poly(1, 1)
+    with pytest.raises(ValueError, match="stage must be nonnegative"):
+        solovay_probe(t, 4, 8, -1, 12)
+    assert solovay_probe(t, 0, 8, -1, 12)["undecided"] == []
+
 
 def test_solovay_probe_no_structural_violations():
     t = TimeBound.poly(4, 2)

@@ -12,17 +12,21 @@ from depthlab.randomness import (
     MartingaleTable,
     StagedSupermartingale,
     default_builder_martingale,
+    mixture_supermartingale,
     space_lemma_length,
 )
 from depthlab.pi01forcing import symdiff
-from depthlab.toyvm import HaltingOracle, Program, assemble, body_index
+from depthlab.toyvm import Program, assemble, body_index, parse_oracle
 
 
-def small_builder(rounds=4, cap=16, stage=1000):
-    oracle = HaltingOracle(stage)
+def small_builder(rounds=4, cap=16, stage=1000, oracle=None, tables=None):
+    """A builder under the oracle an --oracle text names, halting:<stage>
+    by default, over the default builder mixture or over `tables`."""
+    oracle = parse_oracle(oracle or f"halting:{stage}")
     return BuilderConfig(
         rounds=rounds,
-        martingale=default_builder_martingale(oracle, cap),
+        martingale=(default_builder_martingale(oracle, cap) if tables is None
+                    else mixture_supermartingale(tables, oracle, cap)),
         oracle=oracle,
         dominating=TimeBound.poly(2, 2),
         cap=cap,
@@ -103,8 +107,33 @@ def fraction_priced(cfg, sigma, r):
             if d(sigma + format(v, "b").zfill(l), stage) < bound]
 
 
+FRACTION_BUILDS = {
+    "cap16-halting:1000": {},
+    "cap12-none": {"cap": 12, "oracle": "none", "stage": 10 ** 4},
+    "cap12-halting:10000": {"cap": 12, "oracle": "halting:10000", "stage": 10 ** 4},
+    "cap18-none": {"cap": 18, "oracle": "none", "stage": 10 ** 4},
+    "cap18-halting:10000": {"cap": 18, "oracle": "halting:10000", "stage": 10 ** 4},
+    # at cap 20 the machine prints every 3-bit string, and under a depth-2
+    # table round 1 prices its 8 extensions in four blocks of 2: the
+    # machine's strings cut each block at its first and last extension,
+    # and the price filter rejects the block under 11
+    "cap20-block-boundaries": {"cap": 20, "oracle": "none", "stage": 10 ** 4,
+                               "tables": (MartingaleTable.from_splits(
+                                   2, [(1, 8), (1, 2), (1, 8)]),)},
+    # round 1 prices in blocks of 2 with no machine string to cut them,
+    # and the price filter rejects the first block, under 00
+    "cap16-first-block-rejected": {"oracle": "none", "stage": 10 ** 4,
+                                   "tables": (MartingaleTable.from_splits(
+                                       2, [(15, 16), (15, 16), (1, 2)]),)},
+}
+
+
 def test_builder_prices_and_filter_match_fraction_reference():
-    cfg = small_builder()
+    for build in FRACTION_BUILDS.values():
+        check_builder_against_fraction_prices(small_builder(**build))
+
+
+def check_builder_against_fraction_prices(cfg):
     trace = build_deep_random(cfg)
     table = constructions.halting_table(cfg.oracle, cfg.cap)
     prev = ""
@@ -114,10 +143,16 @@ def test_builder_prices_and_filter_match_fraction_reference():
         omap = table.output_map(cfg.dominating(len(r.sigma)), len(r.sigma))
         passed = [tau for tau in cheap
                   if omap.get(prev + tau) is None or omap[prev + tau][0] > r.n - 1]
-        assert not r.flagged and r.chosen == passed[0]
-        assert r.k_rejected == cheap.index(passed[0])
+        if passed:
+            assert not r.flagged and r.chosen == passed[0]
+            assert r.k_rejected == cheap.index(passed[0])
+        else:
+            best = max(omap[prev + tau][0] for tau in cheap)
+            assert r.flagged and r.k_rejected == len(cheap)
+            assert r.chosen == next(tau for tau in cheap if omap[prev + tau][0] == best)
         assert r.price_rejected == (1 << r.extension_length) - len(cheap)
-        assert r.vacuous == (len(cheap) == 1 << r.extension_length and cheap[0] == passed[0])
+        assert r.vacuous == (len(cheap) == 1 << r.extension_length
+                             and passed[:1] == cheap[:1])
         prev = r.sigma
 
 
@@ -127,9 +162,10 @@ def test_builder_price_bound_is_strict():
         3, [(1, 2), (1, 1), (1, 4), (1, 2), (1, 2), (0, 1), (1, 3)])
 
     def extensions(sigma, l, _stage):
-        # the table alone: sigma's extensions are one slice of its heap order
+        # the table alone: sigma's extensions are one slice of its heap
+        # order, each extension its own run
         first = body_index(sigma + "0" * l)
-        return tab.nums[first:first + (1 << l)]
+        return [(1, v) for v in tab.nums[first:first + (1 << l)]]
 
     mart = StagedSupermartingale(extensions, tab.den, "table")
     cfg = BuilderConfig(rounds=1, martingale=mart, oracle=None,
@@ -156,7 +192,7 @@ def test_length_recurrence_check_catches_a_tampered_trace():
 def test_builder_rejects_a_martingale_that_prices_every_extension_too_high():
     # d = 1 at every string, 2 on every extension: none is under 2 d(lambda)
     def extensions(sigma, l, _stage):
-        return [2 if l else 1] * (1 << l)
+        return [(1 << l, 2 if l else 1)]
 
     cfg = BuilderConfig(rounds=1, martingale=StagedSupermartingale(extensions, 1, "flat"),
                         oracle=None, dominating=TimeBound.poly(2, 2), cap=12, mart_stage=0)
@@ -170,11 +206,12 @@ def test_builder_needs_at_least_one_round():
 
 
 def test_builder_flags_a_round_whose_candidates_all_compress(monkeypatch):
-    cfg = small_builder(rounds=2)
+    # round 3 prices its 128 extensions as one run
+    cfg = small_builder(rounds=3)
 
     def k_of(s):
-        # round 1 (3 bits) compresses everything to 0 bits, round 2 to at
-        # most 1 bit, least on strings ending in 0
+        # round 1 (3 bits) compresses everything to 0 bits, rounds 2 and 3
+        # to at most 1 bit, least on strings ending in 0
         return 0 if len(s) <= 3 else int(s.endswith("1"))
 
     class Table:

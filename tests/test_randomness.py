@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -15,7 +16,6 @@ from depthlab.randomness import (
     count_cheap_extensions,
     deficiency,
     default_builder_martingale,
-    dyadic_family,
     machine_supermartingale,
     measure_cheap_oracles,
     mixture_supermartingale,
@@ -24,6 +24,7 @@ from depthlab.randomness import (
     psi_domination_constant,
     random_split_rows,
     random_tables,
+    space_lemma_grid,
     space_lemma_length,
     space_lemma_sample,
     space_lemma_sweep,
@@ -37,6 +38,7 @@ from reference_runs import (
     reference_output_map,
     reference_total_mass,
 )
+from reference_tables import dyadic_family, expand_runs
 
 
 def all_strings(max_len):
@@ -310,37 +312,61 @@ def extension_sigmas(runs, rng):
     return sorted(sigmas, key=lambda s: (len(s), s))
 
 
-@pytest.mark.parametrize("oracle", [None, HaltingOracle(1000)], ids=["none", "halting"])
-def test_extensions_match_per_candidate_reference(oracle):
-    """extensions(sigma, l, stage) prices all 2^l candidates in one pass;
-    each price must equal the one built for that candidate alone, from
-    halting runs and the tables' Fraction values."""
-    cap = 16
-    mixture = mixture_supermartingale(EXTENSION_TABLES, oracle, cap)
+def check_extensions_per_candidate(tables, oracle, cap, cases, stages):
+    """For each (sigma, l) of cases and each stage, the price runs of the
+    mixture of tables and of the machine part alone, expanded, must equal
+    the prices built for each candidate alone, from halting runs and the
+    tables' Fraction values."""
+    mixture = mixture_supermartingale(tables, oracle, cap)
     machine = machine_supermartingale(oracle, cap)
     runs = halting_runs(oracle, cap)
     longest = max(len(out) for *_x, out in runs)
-    tail = Fraction(1, 1 << (len(EXTENSION_TABLES) + 1))
+    tail = Fraction(1, 1 << (len(tables) + 1))
     weights = [(Fraction(1, 1 << (i + 1)) / tab.value(""), tab)
-               for i, tab in enumerate(EXTENSION_TABLES) if tab.value("")]
+               for i, tab in enumerate(tables) if tab.value("")]
 
     def cylinder(x, stage):
         # an output shorter than x extends no cylinder of x
         return reference_cylinder(runs, x, stage) if len(x) <= longest else 0
 
-    for sigma in extension_sigmas(runs, random.Random(13)):
-        for l in range(7):
-            candidates = [sigma + tau for tau in strings_of_length(l)]
-            tables = [sum(w * tab.value(x) for w, tab in weights) for x in candidates]
-            for stage in (0, 1, 5, 10 ** 4):
-                cylinders = [cylinder(x, stage) for x in candidates]
-                want = [t + tail * c for t, c in zip(tables, cylinders)]
-                got = [Fraction(v, mixture.scale)
-                       for v in mixture.extensions(sigma, l, stage)]
-                assert got == want, (sigma, l, stage)
-                got = [Fraction(v, machine.scale)
-                       for v in machine.extensions(sigma, l, stage)]
-                assert got == cylinders, (sigma, l, stage)
+    for sigma, l in cases:
+        candidates = [sigma + tau for tau in strings_of_length(l)]
+        values = [sum(w * tab.value(x) for w, tab in weights) for x in candidates]
+        for stage in stages:
+            cylinders = [cylinder(x, stage) for x in candidates]
+            want = [t + tail * c for t, c in zip(values, cylinders)]
+            got = [Fraction(v, mixture.scale)
+                   for v in expand_runs(mixture.extensions(sigma, l, stage))]
+            assert got == want, (sigma, l, stage)
+            got = [Fraction(v, machine.scale)
+                   for v in expand_runs(machine.extensions(sigma, l, stage))]
+            assert got == cylinders, (sigma, l, stage)
+
+
+@pytest.mark.parametrize("oracle", [None, HaltingOracle(1000)], ids=["none", "halting"])
+def test_extensions_match_per_candidate_reference(oracle):
+    sigmas = extension_sigmas(halting_runs(oracle, 16), random.Random(13))
+    check_extensions_per_candidate(EXTENSION_TABLES, oracle, 16,
+                                   [(sigma, l) for sigma in sigmas for l in range(7)],
+                                   (0, 1, 5, 10 ** 4))
+
+
+def test_extension_runs_cut_a_table_block_at_machine_strings():
+    """At cap 20 the machine prints every 3-bit string and 0000, 0101, 1010
+    and 1111.  Over tables at most 2 levels deep, one table value prices
+    a block of 2 or 4 consecutive extensions alike, and the machine's
+    strings fall on the first, the last and inner extensions of blocks."""
+    cap = 20
+    outputs = {out for *_x, out in halting_runs(None, cap)}
+    assert {"000", "111", "0000", "0101", "1010", "1111"} <= outputs
+    shallow = (MartingaleTable.from_splits(1, [(1, 4)]),
+               MartingaleTable.from_splits(2, [(1, 3), (1, 1), (2, 5)]),
+               MartingaleTable.constant(1, Fraction(2)))
+    runs = list(mixture_supermartingale(shallow, None, cap).extensions("", 4, 10 ** 4))
+    # four blocks of 4, each cut by the machine strings inside it
+    assert len(runs) > 4 and sum(count for count, _price in runs) == 16
+    cases = [(sigma, l) for sigma in ("", "0", "1", "01") for l in range(5 - len(sigma))]
+    check_extensions_per_candidate(shallow, None, cap, cases, (0, 100, 10 ** 4))
 
 
 def test_extensions_reject_a_string_that_is_not_binary():
@@ -433,6 +459,48 @@ def test_sweep_agrees_with_per_node_counts(fam_depth, splits, delta, k):
         assert space_lemma_sweep(tables, delta, l, threshold, above) == want, threshold
 
 
+GRID_DELTAS = (Fraction(3, 2), 2, 3, 4, 5, Fraction(7, 3), Fraction(9, 8))
+# the halves and quarters are symmetric under a <-> 1 - a; the grid
+# {1/3, 1} is not, so it tells a 0-child's positive splits from a 1-child's
+GRID_FAMILIES = {"halves-2": (2, DYADIC_SPLITS), "halves-3": FAMILIES[0],
+                 "quarters-2": FAMILIES[1],
+                 "asymmetric-3": (3, (Fraction(1, 3), Fraction(1)))}
+
+
+@functools.cache
+def grid_family(name):
+    return list(dyadic_family(*GRID_FAMILIES[name]))
+
+
+@pytest.mark.parametrize("name", GRID_FAMILIES)
+@pytest.mark.parametrize("delta", GRID_DELTAS, ids=str)
+def test_grid_count_matches_the_family_sweep(name, delta):
+    """space_lemma_grid counts per node what the sweep counts over every
+    table of the grid's family: each threshold from 1 to one past the 2^l
+    extensions, so the whole distribution of counts, at every number of
+    nodes that have l levels below them, none included."""
+    depth, splits = GRID_FAMILIES[name]
+    for k in (1, 2, 3):
+        l = space_lemma_length(delta, k)
+        for above in range((1 << max(depth + 1 - l, 0))):
+            for threshold in range(1, (1 << l) + 2):
+                want = space_lemma_sweep(grid_family(name), delta, l, threshold, above)
+                assert space_lemma_grid(depth, splits, delta, l, threshold, above) == want
+        with pytest.raises(ValueError, match="past the table depth"):
+            space_lemma_grid(depth, splits, delta, l, k, 1 << max(depth + 1 - l, 0))
+
+
+def test_grid_count_without_a_node_to_test_enumerates_nothing(monkeypatch):
+    # l = 7 leaves no node of a depth-3 table with 7 levels below it; the
+    # 3^127 assignments of a 7-level subtree must not be enumerated
+    def refuse(*_args, **_kw):
+        raise AssertionError("enumerated the subtree assignments")
+
+    monkeypatch.setattr(randomness, "product", refuse)
+    assert space_lemma_grid(3, DYADIC_SPLITS, Fraction(9, 8), 7, 7, 0) == (0, 0)
+    assert space_lemma_grid(2, FAMILIES[1][1], Fraction(9, 8), 7, 7, 0) == (0, 0)
+
+
 # from_splits does not run the constructor's fairness and negativity
 # checks: its tables are fair and nonnegative as built.  Every family it
 # builds here goes back through the validating constructor, so a
@@ -477,6 +545,23 @@ def test_partial_sample_build_counts_like_the_full_tables(depth, l, delta, k, n,
     assert space_lemma_sample(depth, n, seed, delta, l, k) == full
     if l < space_lemma_length(delta, k):
         assert 0 < full[1] < full[0]
+
+
+@pytest.mark.parametrize("depth", range(3, 9))
+def test_leaf_product_sample_counts_like_the_full_tables(depth):
+    """The sample's leaf products of draws against the sweep over the
+    tables random_tables builds from the same draws, at every l up to the
+    table depth and at thresholds from 1 to one past the 2^l extensions."""
+    n, seed = 30, depth
+    tables = list(random_tables(depth, n, seed))
+    straddled = False
+    for l in range(depth + 1):
+        for delta in (Fraction(3, 2), 2, Fraction(9, 8)):
+            for k in sorted({1, max(1 << l >> 1, 1), 1 << l, (1 << l) + 1}):
+                want = space_lemma_sweep(tables, delta, l, k)
+                assert space_lemma_sample(depth, n, seed, delta, l, k) == want, (l, delta, k)
+                straddled |= 0 < want[1] < want[0]
+    assert straddled
 
 
 def test_sample_grid_crosses_a_chunk_and_straddles_the_bound():

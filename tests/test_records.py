@@ -32,7 +32,7 @@ from depthlab.toyvm import Outcome, Program, gamma_encode, run
 
 
 def _extensions(sigma, l, stage):
-    return [1] * (1 << l)
+    return [(1 << l, 1)]
 
 
 def _profile():
