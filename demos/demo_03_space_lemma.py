@@ -9,8 +9,8 @@ from fractions import Fraction
 from depthlab.randomness import (
     MartingaleTable,
     count_cheap_extensions,
-    random_tables,
     space_lemma_length,
+    space_lemma_sample,
 )
 
 # A martingale doubles its stake on the branch it bets on and zeroes the
@@ -30,14 +30,13 @@ for delta, k in ((Fraction(2), 2), (Fraction(3, 2), 4), (Fraction(3), 8)):
     print(f"delta={delta} k={k}: l={l}, constant table has {count} cheap"
           f" extensions (needs >= {k})")
 
-# The bound survives adversarial randomness: sweep seeded random tables
-# and count violations (there are none; the counting argument is exact).
+# The bound survives adversarial randomness: count violations at the
+# root of seeded random tables with splits i/8 (there are none; the
+# counting argument is exact).
 violations = 0
-for table in random_tables(6, 2000, seed=7):
-    for delta, k in ((Fraction(2), 2), (Fraction(2), 4), (Fraction(3), 8)):
-        l = space_lemma_length(delta, k)
-        if count_cheap_extensions(table, "", delta, l) < k:
-            violations += 1
+for delta, k in ((Fraction(2), 2), (Fraction(2), 4), (Fraction(3), 8)):
+    l = space_lemma_length(delta, k)
+    violations += space_lemma_sample(6, 2000, 7, delta, l, k)[1]
 print("violations over 2000 random tables:", violations)
 
 # The doubling-on-zeros table shows the count can exceed the guarantee:

@@ -138,9 +138,7 @@ def _cmd_space_lemma(args) -> int:
         tested = violations = 0
         for fam_depth, splits in ((3, randomness.DYADIC_SPLITS),
                                   (2, tuple(Fraction(i, 4) for i in range(5)))):
-            # the sigma with at least l table levels below them, in heap order
-            above = (1 << max(fam_depth + 1 - l, 0)) - 1
-            counts = randomness.space_lemma_grid(fam_depth, splits, delta, l, args.k, above)
+            counts = randomness.space_lemma_grid(fam_depth, splits, delta, l, args.k)
             tested += counts[0]
             violations += counts[1]
     else:
@@ -294,11 +292,11 @@ def solovay_probe(t: TimeBound, n_range: int, c: int, stage: int,
     The density of the tight list is reported, never asserted."""
     if n_range < 0:
         raise ValueError(f"range must be nonnegative, got {n_range}")
+    table = complexity.halting_table(None, cap)
+    if stage < 0:
+        raise ValueError("stage must be nonnegative")
     tight, violations, undecided = [], [], []
     if n_range:
-        table = complexity.halting_table(None, cap)
-        if stage < 0:
-            raise ValueError("stage must be nonnegative")
         # one output map at the stage, and one per code length at t(length)
         staged = table.output_map(stage, len(int_to_bin(n_range - 1)))
     timed: dict = {}
@@ -379,12 +377,10 @@ def selftest(seed: int = 7) -> dict:
                     mono = False
     report["stage_monotonicity"] = mono
 
-    tables = list(randomness.random_tables(5, 500, seed))
     violations = 0
     for delta, k in ((Fraction(2), 2), (Fraction(3), 4)):
         l = randomness.space_lemma_length(delta, k)
-        if l <= 5:
-            violations += randomness.space_lemma_sweep(tables, delta, l, k)[1]
+        violations += randomness.space_lemma_sample(5, 500, seed, delta, l, k)[1]
     report["extension_count_sample"] = {"tables": 500, "violations": violations}
 
     t = TimeBound.poly(10, 1)

@@ -152,8 +152,14 @@ def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
         delta = 1 + Fraction(1, r * r)
         k = 1 << r
         l = space_lemma_length(delta, k)
+        current = d.numerator(sigma, cfg.mart_stage)
+        if not current:
+            raise BuilderError(
+                f"round {r}: d({sigma!r}) is 0 at stage {cfg.mart_stage}, so no"
+                f" extension can be priced under {delta} x current; the counting"
+                " bound holds only where the martingale is positive")
         # d(sigma tau) < delta d(sigma), cross-multiplied over d's scale
-        bound = delta.numerator * d.numerator(sigma, cfg.mart_stage)
+        bound = delta.numerator * current
         den = delta.denominator
         budget = cfg.dominating(len(sigma) + l)
         omap = table.output_map(budget, len(sigma) + l)

@@ -24,27 +24,18 @@ sees, and the machine's part is the sparse map of cylinder masses that
 HaltingTable.cylinder_numerators reads in one pass over the table's
 outputs.  So a round costs the blocks and the outputs it reads, not 2^l.
 
-space_lemma_sweep checks the counting bound over a stream of tables in
-one pass, a heap slice and one integer bound per tested node.  The
-space-lemma command gives the sweep's counts without building a table.
-Its exhaustive mode, space_lemma_grid, counts the family of every table
-whose splits come from a grid per tested node: whether a node is
-positive reads only the splits on its root path, and its cheap count
-only the 2^l - 1 splits of its l-level subtree, so each node weighs one
-distribution of subtree counts by the assignments of the other splits.
-Its sample mode, space_lemma_sample, reads the rng.randint(0, 8) draws
-of random_split_rows, chunks of Mersenne Twister words at a time (a seed
-gives the draws that one randint per split would), and compares each
-row's 2^l leaf products of its first 2^l - 1 draws with delta 4^l: the
-ratio of a level-l value to the root value is that product over 4^l,
-whatever the table's grain.
+One count of the counting bound serves each population of tables, and
+none of them builds a table it is not given: count_cheap_extensions
+counts one table; space_lemma_grid, the space-lemma command's
+exhaustive mode, counts every table whose splits come from a grid, per
+l-level subtree; and space_lemma_sample, its sample mode, counts the
+root of random tables with splits i/8 by the leaf products of their
+random_split_rows draws.
 
-A table built by from_splits is fair and nonnegative by construction,
-so only its split ranges are checked; the constructor checks fairness
-and negativity of a table given as numerators.  This module imports
-semimeasure only inside the functions that read it (psi, the psi
-domination constant and measure_cheap_oracles), so the betting commands
-do not load it.
+Every table is checked for fairness and negativity when it is built,
+from_splits tables too.  This module imports semimeasure only inside
+the functions that read it (psi, the psi domination constant and
+measure_cheap_oracles), so the betting commands do not load it.
 """
 
 from __future__ import annotations
@@ -53,7 +44,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .complexity import TimeBound, halting_table, k_stage
@@ -98,9 +89,7 @@ def space_lemma_length(delta, k: int) -> int:
 
 class MartingaleTable:
     """Exact nonnegative rationals on every string of length <= depth,
-    validated against fairness on construction from `nums`; a table
-    from_splits builds is fair and nonnegative as built, and is not
-    checked again.
+    validated against fairness and negativity on construction.
 
     The table is the list `nums` of integer numerators over the one
     shared denominator `den`, in heap order: sigma at
@@ -166,52 +155,22 @@ class MartingaleTable:
             w = 2 * (nums[i] // grain)
             nums.append(w * p)
             nums.append(w * (grain - p))
-        # 2 n[i] = w p + w (grain - p) with 0 <= p <= grain: the table is
-        # fair and nonnegative as built, so __init__'s checks are skipped
-        table = cls.__new__(cls)
-        table.depth, table.nums, table.den = depth, nums, grain ** depth
-        return table
-
-
-def _count_cheap(nums: list[int], i: int, num: int, den: int, l: int) -> int:
-    """How many of heap node i's extensions l levels down have a value
-    below num/den times its own: they are the 2^l entries from
-    (i + 1) 2^l - 1 on."""
-    first = ((i + 1) << l) - 1
-    # for an integer v, v * den < num * n[i] is v < ceil(num n[i] / den)
-    bound = -(-num * nums[i] // den)
-    return sum(map(bound.__gt__, nums[first: first + (1 << l)]))
+        return cls(depth, nums=nums, den=grain ** depth)
 
 
 def count_cheap_extensions(d: MartingaleTable, sigma: str, delta, l: int) -> int:
     """Exact count of tau of length l with d(sigma tau) < delta d(sigma),
-    in integers over the table's slice of sigma's extensions."""
+    in integers over the table's slice of sigma's extensions: the 2^l
+    entries from (i + 1) 2^l - 1 on, for sigma at heap index i."""
     num, den = _ratio(delta)
     check_bits(sigma)
     if len(sigma) + l > d.depth:
         raise ValueError("extension runs past the table depth")
-    return _count_cheap(d.nums, body_index(sigma), num, den, l)
-
-
-def space_lemma_sweep(tables: Iterable[MartingaleTable], delta, l: int, k: int,
-                      above: int = 1) -> tuple[int, int]:
-    """(tested, violations) of the counting bound over the first `above`
-    heap nodes of each table: a node with a positive value is tested, and
-    it violates the bound when fewer than k of its 2^l extensions l
-    levels down are cheap.  The default tests the root alone."""
-    num, den = _ratio(delta)
-    tested = violations = 0
-    for table in tables:
-        # heap nodes below 2^(depth + 1 - l) - 1 have l levels under them
-        if above > (1 << max(table.depth + 1 - l, 0)) - 1:
-            raise ValueError("extension runs past the table depth")
-        nums = table.nums
-        for i in range(above):
-            if nums[i]:
-                tested += 1
-                if _count_cheap(nums, i, num, den, l) < k:
-                    violations += 1
-    return tested, violations
+    i = body_index(sigma)
+    first = ((i + 1) << l) - 1
+    # for an integer v, v * den < num * n[i] is v < ceil(num n[i] / den)
+    bound = -(-num * d.nums[i] // den)
+    return sum(map(bound.__gt__, d.nums[first: first + (1 << l)]))
 
 
 DYADIC_SPLITS = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -229,10 +188,12 @@ def _leaf_products(factors, l: int) -> list[int]:
     return prods
 
 
-def space_lemma_grid(depth: int, splits, delta, l: int, k: int,
-                     above: int = 1) -> tuple[int, int]:
-    """space_lemma_sweep over every table of the given depth whose splits
-    (rationals in [0, 1]) come from the grid `splits`, without building one.
+def space_lemma_grid(depth: int, splits, delta, l: int, k: int) -> tuple[int, int]:
+    """(tested, violations) of the counting bound over every table of the
+    given depth whose splits (rationals in [0, 1]) come from the grid
+    `splits`, without building one.  Every heap node with l levels below
+    it is tested where it is positive, and violates the bound when fewer
+    than k of its 2^l extensions l levels down are cheap.
 
     Split a at a node makes its children 2a and 2(1 - a) times its value,
     so heap node i is positive when no split on its root path is 0 toward
@@ -241,10 +202,10 @@ def space_lemma_grid(depth: int, splits, delta, l: int, k: int,
     than k cheap leaves serves every node, weighed by the positive
     assignments of the node's root path times every assignment of the
     other splits."""
-    if above > (1 << max(depth + 1 - l, 0)) - 1:
-        raise ValueError("extension runs past the table depth")
-    if not above:
+    if l > depth:
         return 0, 0
+    # heap nodes below 2^(depth + 1 - l) - 1 have l levels under them
+    above = (1 << (depth + 1 - l)) - 1
     num, den = _ratio(delta)
     grid = [_ratio(a) for a in splits]
     grain = lcm(*(q for _p, q in grid))
@@ -272,7 +233,7 @@ def space_lemma_grid(depth: int, splits, delta, l: int, k: int,
     return tested, violations
 
 
-# random_tables reads the stream of rng.randint(0, 8) in bulk.  For a
+# random_split_rows reads the stream of rng.randint(0, 8) in bulk.  For a
 # range of 9, CPython's randint takes the top 4 bits of one 32-bit
 # Mersenne Twister word and draws again while they exceed 8, and
 # getrandbits(32 w) packs w such words, the first least significant.  So
@@ -282,7 +243,6 @@ def space_lemma_grid(depth: int, splits, delta, l: int, k: int,
 _CHUNK_WORDS = 4096
 _TOP_NIBBLE = bytes(b >> 4 for b in range(256))
 _ABOVE_EIGHT = bytes(range(9 << 4, 256))
-_EIGHTHS = [(i // gcd(i, 8), 8 // gcd(i, 8)) for i in range(9)]
 _FACTORS = [(i, 8 - i) for i in range(9)]
 
 
@@ -312,20 +272,15 @@ def _split_rows(rng: random.Random, size: int, n: int) -> Iterator[bytes]:
         pos += size
 
 
-def random_tables(depth: int, n: int, seed) -> Iterator[MartingaleTable]:
-    """n tables with splits drawn uniformly from the multiples of 1/8, in
-    lowest terms, one row of random_split_rows each, built lazily."""
-    for row in random_split_rows(depth, n, seed):
-        yield MartingaleTable.from_splits(depth, [_EIGHTHS[i] for i in row])
-
-
 def space_lemma_sample(depth: int, n: int, seed, delta, l: int, k: int) -> tuple[int, int]:
-    """space_lemma_sweep at the root of random_tables(depth, n, seed), for
-    l <= depth, building no table.  Draw i splits a node's value into i/4
-    and (8 - i)/4 times it, so a level-l value is the root's times the
-    product of l factors (i or 8 - i) over 4^l, whatever the table's
-    grain: a row's cheap count reads the 2^l leaf products of its first
-    2^l - 1 draws.  Every root is positive, so every row is tested."""
+    """(tested, violations) of the counting bound at the root of n
+    depth-level tables with splits i/8, one row of
+    random_split_rows(depth, n, seed) each, for l <= depth, building no
+    table.  Draw i splits a node's value into i/4 and (8 - i)/4 times
+    it, so a level-l value is the root's times the product of l factors
+    (i or 8 - i) over 4^l, whatever the table's grain: a row's cheap
+    count reads the 2^l leaf products of its first 2^l - 1 draws.  Every
+    root is positive, so every row is tested."""
     if l > depth:
         raise ValueError("extension runs past the table depth")
     num, den = _ratio(delta)

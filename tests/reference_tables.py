@@ -1,10 +1,20 @@
 """Reference betting data for the tests: the families of martingale tables
-the counting sweeps are checked over, built table by table, and the
-per-extension prices a run-length price stream stands for."""
+the space-lemma counts are checked over, built table by table, the sweep
+that counts them one table at a time, and the per-extension prices a
+run-length price stream stands for."""
 
 from itertools import product
+from math import gcd
 
-from depthlab.randomness import DYADIC_SPLITS, MartingaleTable
+from depthlab.randomness import (
+    DYADIC_SPLITS,
+    MartingaleTable,
+    count_cheap_extensions,
+    random_split_rows,
+)
+from depthlab.toyvm import index_to_body
+
+_EIGHTHS = [(i // gcd(i, 8), 8 // gcd(i, 8)) for i in range(9)]
 
 
 def dyadic_family(depth: int, splits=DYADIC_SPLITS):
@@ -15,6 +25,32 @@ def dyadic_family(depth: int, splits=DYADIC_SPLITS):
     grid = [(a.numerator, a.denominator) for a in splits]
     for assign in product(grid, repeat=(1 << depth) - 1):
         yield MartingaleTable.from_splits(depth, assign[::-1])
+
+
+def random_tables(depth: int, n: int, seed):
+    """n tables with splits drawn uniformly from the multiples of 1/8, in
+    lowest terms, one row of random_split_rows each, built lazily: the
+    tables space_lemma_sample counts without building them."""
+    for row in random_split_rows(depth, n, seed):
+        yield MartingaleTable.from_splits(depth, [_EIGHTHS[i] for i in row])
+
+
+def space_lemma_sweep(tables, delta, l: int, k: int, above: int = 1) -> tuple[int, int]:
+    """(tested, violations) of the counting bound over the first `above`
+    heap nodes of each table, counted table by table: a node with a
+    positive value is tested, and it violates the bound when fewer than k
+    of its 2^l extensions l levels down are cheap.  The default tests the
+    root alone."""
+    tested = violations = 0
+    for table in tables:
+        # heap nodes below 2^(depth + 1 - l) - 1 have l levels under them
+        if above > (1 << max(table.depth + 1 - l, 0)) - 1:
+            raise ValueError("extension runs past the table depth")
+        for i in range(above):
+            if table.nums[i]:
+                tested += 1
+                violations += count_cheap_extensions(table, index_to_body(i), delta, l) < k
+    return tested, violations
 
 
 def expand_runs(runs) -> list:

@@ -36,7 +36,6 @@ from depthlab.randomness import (
     psi_average,
     psi_domination_constant,
     measure_cheap_oracles,
-    random_tables,
     space_lemma_length,
 )
 from depthlab.semimeasure import (
@@ -59,7 +58,7 @@ from depthlab.toyvm import (
     programs_up_to,
     run,
 )
-from reference_tables import dyadic_family
+from reference_tables import dyadic_family, random_tables
 from test_constructions import _even_bit_reduction
 from test_forcing import assert_member_carries_every_bit
 

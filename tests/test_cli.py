@@ -434,6 +434,8 @@ def test_a_bad_input_file_exits_2_naming_the_file(tmp_path, capsys, flag, fault)
     (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--mc", "-5"], "--mc"),
     (["solovay", "--t", "poly:1,1", "--range", "-3", "--cap", "8", "--stage", "10"],
      "range"),
+    (["solovay", "--t", "poly:1,1", "--range", "0", "--stage", "-3", "--cap", "8"],
+     "stage"),
     (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "-4"],
      "--n"),
     (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--depth", "-2"],
@@ -459,9 +461,9 @@ def test_a_bad_input_file_exits_2_naming_the_file(tmp_path, capsys, flag, fault)
     (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "9/2", "--n", "-1"], "--n"),
     (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "9/2", "--n", "2",
       "--ceiling", "-4"], "--ceiling"),
-], ids=["avg-mc", "solovay-range", "space-lemma-n", "avg-depth", "measure-cheap-depth",
-        "psi-len-cap", "profile-stage", "join-check-stage", "build-deep-mart-stage",
-        "space-lemma-depth", "force-steps", "force-budget", "force-functional-budget",
+], ids=["avg-mc", "solovay-range", "solovay-stage-range-0", "space-lemma-n", "avg-depth",
+        "measure-cheap-depth", "psi-len-cap", "profile-stage", "join-check-stage",
+        "build-deep-mart-stage", "space-lemma-depth", "force-steps", "force-budget", "force-functional-budget",
         "convert-timebound-n", "convert-timebound-ceiling"])
 def test_negative_count_exits_2_without_an_artifact(tmp_path, capsys, argv, flag):
     (tmp_path / "sched.json").write_text('{"depth": 4, "stages": []}')
@@ -504,8 +506,9 @@ def test_sample_table_depth_above_the_bound_exits_2_without_an_artifact(
     ["build-deep", "--rounds", "1", "--T", "poly:2,2", "--cap", "0"],
     ["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "2", "--n", "1", "--cap", "-1"],
     ["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "1"],
+    ["solovay", "--t", "poly:1,1", "--range", "0", "--stage", "3", "--cap", "1"],
 ], ids=["m-negative", "m-one", "k-one", "psi", "measure-cheap", "avg", "profile",
-        "join-check", "build-deep", "convert-timebound", "solovay"])
+        "join-check", "build-deep", "convert-timebound", "solovay", "solovay-range-0"])
 def test_cap_below_two_exits_2_without_an_artifact(tmp_path, capsys, argv):
     (tmp_path / "m.tsv").write_text("0\t1/4\n")
     out = tmp_path / "artifact"
@@ -759,7 +762,8 @@ def test_solovay_probe_rejects_a_negative_stage_when_it_reads_one():
     t = TimeBound.poly(1, 1)
     with pytest.raises(ValueError, match="stage must be nonnegative"):
         solovay_probe(t, 4, 8, -1, 12)
-    assert solovay_probe(t, 0, 8, -1, 12)["undecided"] == []
+    with pytest.raises(ValueError, match="stage must be nonnegative"):
+        solovay_probe(t, 0, 8, -1, 12)
 
 
 def test_solovay_probe_no_structural_violations():

@@ -200,6 +200,19 @@ def test_builder_rejects_a_martingale_that_prices_every_extension_too_high():
         build_deep_random(cfg)
 
 
+def test_builder_blames_a_zero_value_not_the_martingale():
+    # the table bets everything on the 1-child, so its part is 0 below "0";
+    # by round 3 the machine part of 00000000 is 0 at cap 20 too, and the
+    # mixture, a supermartingale, is 0 there
+    cfg = small_builder(rounds=3, cap=20, oracle="none", stage=10 ** 4,
+                        tables=(MartingaleTable.from_splits(1, [(0, 1)]),))
+    with pytest.raises(constructions.BuilderError) as info:
+        build_deep_random(cfg)
+    message = str(info.value)
+    assert message.startswith("round 3: d('00000000') is 0 at stage 10000")
+    assert "not a supermartingale" not in message
+
+
 def test_builder_needs_at_least_one_round():
     with pytest.raises(ValueError, match="at least one round"):
         build_deep_random(small_builder(rounds=0))

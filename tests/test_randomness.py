@@ -23,11 +23,9 @@ from depthlab.randomness import (
     psi_average,
     psi_domination_constant,
     random_split_rows,
-    random_tables,
     space_lemma_grid,
     space_lemma_length,
     space_lemma_sample,
-    space_lemma_sweep,
 )
 from depthlab.semimeasure import m_stage, oracle_average
 from depthlab.toyvm import HaltingOracle, index_to_body, rope_materialize, strings_of_length
@@ -38,7 +36,7 @@ from reference_runs import (
     reference_output_map,
     reference_total_mass,
 )
-from reference_tables import dyadic_family, expand_runs
+from reference_tables import dyadic_family, expand_runs, random_tables, space_lemma_sweep
 
 
 def all_strings(max_len):
@@ -476,18 +474,16 @@ def grid_family(name):
 @pytest.mark.parametrize("delta", GRID_DELTAS, ids=str)
 def test_grid_count_matches_the_family_sweep(name, delta):
     """space_lemma_grid counts per node what the sweep counts over every
-    table of the grid's family: each threshold from 1 to one past the 2^l
-    extensions, so the whole distribution of counts, at every number of
-    nodes that have l levels below them, none included."""
+    table of the grid's family, at every node that has l levels below it
+    (none when l is past the depth): each threshold from 1 to one past
+    the 2^l extensions, so the whole distribution of counts."""
     depth, splits = GRID_FAMILIES[name]
     for k in (1, 2, 3):
         l = space_lemma_length(delta, k)
-        for above in range((1 << max(depth + 1 - l, 0))):
-            for threshold in range(1, (1 << l) + 2):
-                want = space_lemma_sweep(grid_family(name), delta, l, threshold, above)
-                assert space_lemma_grid(depth, splits, delta, l, threshold, above) == want
-        with pytest.raises(ValueError, match="past the table depth"):
-            space_lemma_grid(depth, splits, delta, l, k, 1 << max(depth + 1 - l, 0))
+        above = (1 << max(depth + 1 - l, 0)) - 1
+        for threshold in range(1, (1 << l) + 2):
+            want = space_lemma_sweep(grid_family(name), delta, l, threshold, above)
+            assert space_lemma_grid(depth, splits, delta, l, threshold) == want
 
 
 def test_grid_count_without_a_node_to_test_enumerates_nothing(monkeypatch):
@@ -497,14 +493,14 @@ def test_grid_count_without_a_node_to_test_enumerates_nothing(monkeypatch):
         raise AssertionError("enumerated the subtree assignments")
 
     monkeypatch.setattr(randomness, "product", refuse)
-    assert space_lemma_grid(3, DYADIC_SPLITS, Fraction(9, 8), 7, 7, 0) == (0, 0)
-    assert space_lemma_grid(2, FAMILIES[1][1], Fraction(9, 8), 7, 7, 0) == (0, 0)
+    assert space_lemma_grid(3, DYADIC_SPLITS, Fraction(9, 8), 7, 7) == (0, 0)
+    assert space_lemma_grid(2, FAMILIES[1][1], Fraction(9, 8), 7, 7) == (0, 0)
 
 
-# from_splits does not run the constructor's fairness and negativity
-# checks: its tables are fair and nonnegative as built.  Every family it
-# builds here goes back through the validating constructor, so a
-# from_splits that built an unfair or negative table fails this test.
+# from_splits builds through the validating constructor.  Every family it
+# builds here goes through that constructor again, from a copy of its
+# numerators, so a from_splits that skipped the fairness and negativity
+# checks and built an unfair or negative table would fail this test.
 FROM_SPLITS_FAMILIES = {
     "random": lambda: [table for depth in range(1, 7) for seed in range(4)
                        for table in random_tables(depth, 10, seed)],
