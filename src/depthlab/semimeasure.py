@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complexity import (
+    HaltingTable,
     NoStageWithinBudget,
     OracleBranches,
     PrefixTrie,
@@ -33,16 +34,12 @@ from .complexity import (
 from .toyvm import (
     MEMO,
     DepthlabError,
-    MachineState,
-    OutOfTableError,
+    PrefixOracle,
     Program,
-    _advance,
     check_bits,
     index_to_body,
     output_string,
-    parse_body,
     parse_fraction,
-    programs_up_to,
     read_input,
     strings_of_length,
 )
@@ -179,69 +176,9 @@ def semimeasure_to_timebound(m: ComputableSemimeasure, c: Fraction, n: int,
 # it walks the instruction-prefix trie under OracleBranches, where a run
 # that asks an unpinned index below depth splits into one child per
 # answer, and each halt adds its closed-form subtree or tail mass to the
-# entry of its pinned bits.  oracle_leaves explores one program by
-# restarting it per branch; it reads nothing from the walk and is the
-# reference the walk is checked against.
-
-
-class _ProbeOracle:
-    def __init__(self, assign: dict, depth: int):
-        self.assign = assign
-        self.depth = depth
-        self.missing: int | None = None
-        self.too_deep: int | None = None
-
-    def answer(self, index: int) -> int:
-        if index >= self.depth:
-            self.too_deep = index
-            raise OutOfTableError(f"query at {index} beyond depth {self.depth}")
-        bit = self.assign.get(index)
-        if bit is None:
-            self.missing = index
-            raise OutOfTableError(f"unassigned index {index}")
-        return bit
-
-
-class OracleLeaf(NamedTuple):
-    """One reachable answer pattern: the pinned bits and the run outcome."""
-
-    assign: tuple
-    halted: bool
-    output: str | None
-
-    def consistent(self, prefix: str) -> bool:
-        return all(prefix[i] == ("1" if b else "0") for i, b in self.assign)
-
-
-def oracle_leaves(program: Program, budget: int, depth: int) -> tuple[OracleLeaf, ...]:
-    """All reachable oracle-answer branches of one program at one budget,
-    each halting one with its whole output (toyvm.output_string).  Raises
-    DepthViolation if any reachable query lands at or past depth."""
-    instrs = parse_body(program.body)
-    leaves = []
-
-    def explore(assign: dict):
-        probe = _ProbeOracle(assign, depth)
-        st = MachineState()
-        kind = _advance(instrs, probe, budget, st, True)
-        if kind == "aborted":
-            if probe.too_deep is not None:
-                raise DepthViolation(
-                    f"program {program.bits} queries index {probe.too_deep}")
-            if probe.missing is not None:
-                idx = probe.missing
-                for bit in (0, 1):
-                    explore({**assign, idx: bit})
-                return
-        halted = kind == "halted"
-        leaves.append(OracleLeaf(
-            tuple(sorted(assign.items())),
-            halted,
-            output_string(st.rope) if halted else None,
-        ))
-
-    explore({})
-    return tuple(leaves)
+# entry of its pinned bits.  oracle_average_direct reads no branch: it
+# builds one plain HaltingTable per concrete prefix oracle and sums their
+# masses, so the two integrals share only the enumeration core.
 
 
 class PrefixMassEvaluator:
@@ -311,18 +248,17 @@ def oracle_average(sigma: str, t: TimeBound, cap: int = 16,
 
 def oracle_average_direct(sigma: str, t: TimeBound, cap: int = 16,
                           depth: int = 6) -> Fraction:
-    """The same integral by brute enumeration of all 2^depth prefixes, each
-    taking the one branch of each program it is consistent with; the
-    reference for oracle_average, so it reads no evaluator."""
+    """The same integral by brute enumeration of all 2^depth prefixes y,
+    each the mass at sigma of a HaltingTable under PrefixOracle(y); the
+    reference for oracle_average, so it reads no evaluator and splits on
+    no oracle answer.  Each table is built, read and dropped, never cached
+    in MEMO.  A query at depth or beyond aborts that run under its prefix,
+    so where oracle_average raises DepthViolation this returns the mass of
+    the runs that stay within the prefix."""
     check_bits(sigma)
     budget = t(len(sigma))
-    hits = 0
-    for p in programs_up_to(cap):
-        leaves = oracle_leaves(p, budget, depth)
-        for prefix in strings_of_length(depth):
-            leaf = next(leaf for leaf in leaves if leaf.consistent(prefix))
-            if leaf.halted and leaf.output == sigma:
-                hits += 1 << (cap - len(p))
+    hits = sum(HaltingTable(PrefixOracle(y), cap).mass_numerator(sigma, budget)
+               for y in strings_of_length(depth))
     return Fraction(hits, 1 << (cap + depth))
 
 

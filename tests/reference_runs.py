@@ -1,11 +1,17 @@
 """Reference halting data for the table tests, computed one program at a
 time with toyvm.run: it reads no HaltingTable, so the table's index is
 checked against runs it did not make.  recorded_run also reports the
-oracle indices a run was answered, which the machine does not keep."""
+oracle indices a run was answered, which the machine does not keep.
+oracle_leaves explores one program's oracle branches by restarting it per
+branch; it reads nothing from the prefix-trie walk, so the evaluator's
+branch index is checked against runs it did not make either."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from depthlab.toyvm import programs_up_to, run
+from depthlab.semimeasure import DepthViolation
+from depthlab.toyvm import (MachineState, OutOfTableError, Program, _advance,
+                            output_string, parse_body, programs_up_to, run)
 
 REFERENCE_BUDGET = 10 ** 4
 
@@ -89,3 +95,66 @@ def reference_cylinder(runs, sigma: str, budget: int) -> Fraction:
         if steps <= budget and out.startswith(sigma):
             total += Fraction(1, 1 << len(p))
     return total * (1 << len(sigma))
+
+
+# ------------------------------------------------------------------ oracle branches
+
+
+class _ProbeOracle:
+    def __init__(self, assign: dict, depth: int):
+        self.assign = assign
+        self.depth = depth
+        self.missing: int | None = None
+        self.too_deep: int | None = None
+
+    def answer(self, index: int) -> int:
+        if index >= self.depth:
+            self.too_deep = index
+            raise OutOfTableError(f"query at {index} beyond depth {self.depth}")
+        bit = self.assign.get(index)
+        if bit is None:
+            self.missing = index
+            raise OutOfTableError(f"unassigned index {index}")
+        return bit
+
+
+class OracleLeaf(NamedTuple):
+    """One reachable answer pattern: the pinned bits and the run outcome."""
+
+    assign: tuple
+    halted: bool
+    output: str | None
+
+    def consistent(self, prefix: str) -> bool:
+        return all(prefix[i] == ("1" if b else "0") for i, b in self.assign)
+
+
+def oracle_leaves(program: Program, budget: int, depth: int) -> tuple[OracleLeaf, ...]:
+    """All reachable oracle-answer branches of one program at one budget,
+    each halting one with its whole output (toyvm.output_string).  Raises
+    DepthViolation if any reachable query lands at or past depth."""
+    instrs = parse_body(program.body)
+    leaves = []
+
+    def explore(assign: dict):
+        probe = _ProbeOracle(assign, depth)
+        st = MachineState()
+        kind = _advance(instrs, probe, budget, st, True)
+        if kind == "aborted":
+            if probe.too_deep is not None:
+                raise DepthViolation(
+                    f"program {program.bits} queries index {probe.too_deep}")
+            if probe.missing is not None:
+                idx = probe.missing
+                for bit in (0, 1):
+                    explore({**assign, idx: bit})
+                return
+        halted = kind == "halted"
+        leaves.append(OracleLeaf(
+            tuple(sorted(assign.items())),
+            halted,
+            output_string(st.rope) if halted else None,
+        ))
+
+    explore({})
+    return tuple(leaves)

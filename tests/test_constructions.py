@@ -1,12 +1,13 @@
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import constructions
-from depthlab.complexity import Reduction, TimeBound
+from depthlab.complexity import Reduction, TimeBound, halting_table
 from depthlab.constructions import BuilderConfig, build_deep_random, depth_profile
 from depthlab.randomness import (
     MartingaleTable,
@@ -250,6 +251,31 @@ def test_builder_length_fit_reported():
     fit = trace.length_fit()
     assert [n for n, _l, _q in fit] == [1, 2, 3, 4]
     assert all(length > 0 for _n, length, _q in fit)
+
+
+@pytest.mark.parametrize("oracle", ["none", "halting:10000"])
+def test_no_round_up_to_25_can_reject_on_complexity(oracle):
+    """Round r rejects a candidate only when a program of at most r - 1
+    bits prints it.  For r <= 25 such a program has at most 24 bits, so
+    it lies in the cap-24 table, a larger cap adds only longer programs,
+    and a time bound only drops halts.  At budget 10^5 that table leaves
+    no run unresolved, so it holds every halt at any budget: no round up
+    to 25 has a candidate the filter could reject, at any cap or time
+    bound.  The candidates of round 2 on are longer than any output."""
+    cap, budget = 24, 10 ** 5
+    table = halting_table(parse_oracle(oracle), cap)
+    table.ensure(budget)
+    assert table.unresolved == 0
+    lengths = list(accumulate(space_lemma_length(1 + Fraction(1, r * r), 1 << r)
+                              for r in range(1, 26)))
+    assert lengths[:3] == [3, 8, 15] and lengths[-1] == 509
+    assert table.reach == 4 < lengths[1]
+    omap = table.output_map(budget, lengths[-1])
+    for r, length in enumerate(lengths, 1):
+        assert not [sigma for sigma, (k, _p) in omap.items()
+                    if len(sigma) == length and k <= r - 1]
+    # round 1's 3-bit candidates would need K <= 0, shorter than any program
+    assert min(k for k, _p in omap.values()) > 0
 
 
 # ------------------------------------------------------------------ profiles

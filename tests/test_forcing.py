@@ -560,6 +560,19 @@ def test_join_check_brute_force_triple():
     assert rep.xor_ok and rep.dnc_ok and rep.x_random_ok and rep.y_random_ok
 
 
+@pytest.mark.parametrize("cap", [24, 28])
+def test_join_check_randomness_clauses_fail_only_on_clamped_terms(cap):
+    # a deficiency term n - K(sigma) with K within the cap is at most -1:
+    # every table run is resolved by budget 1000, so no stage finds a
+    # shorter program, and no cap below adds one.  "Deficiency above
+    # k >= 0" therefore comes only from a term clamped to cap + 1
+    table = complexity.halting_table(None, cap)
+    table.ensure(1000)
+    assert table.unresolved == 0
+    omap = table.output_map(1000, toyvm.OUTPUT_LIMIT)
+    assert max(len(sigma) - k for sigma, (k, _p) in omap.items()) == -1
+
+
 def test_join_check_length_mismatch():
     with pytest.raises(ValueError):
         join_check("00", "000", "000", 1, 10, 14)

@@ -27,7 +27,7 @@ from depthlab.randomness import (
     StagedSupermartingale,
     deficiency,
 )
-from depthlab.semimeasure import CodingGap, OracleLeaf, coding_gap
+from depthlab.semimeasure import CodingGap, coding_gap
 from depthlab.toyvm import Outcome, Program, gamma_encode, run
 
 
@@ -50,7 +50,6 @@ RECORDS = {
     Reduction: identity_reduction,
     LiftedCode: lambda: LiftedCode(Program.encode("0001"), identity_reduction()),
     CodingGap: lambda: coding_gap("0", 100, 8),
-    OracleLeaf: lambda: OracleLeaf(((0, 1), (2, 0)), True, "01"),
     StagedSupermartingale: lambda: StagedSupermartingale(_extensions, 8, "flat"),
     DeficiencyRecord: lambda: deficiency("01", 100, 8),
     PsiResult: lambda: PsiResult(Fraction(1, 3), 2, {"stage": 100}),

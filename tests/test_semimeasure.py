@@ -16,14 +16,13 @@ from depthlab.semimeasure import (
     monte_carlo_average,
     oracle_average,
     oracle_average_direct,
-    oracle_leaves,
     relative_mass,
     semimeasure_to_timebound,
 )
 from depthlab.toyvm import (MEMO, MachineState, PrefixOracle, Program, assemble,
                             parse_body, parse_oracle, programs_up_to, run,
                             strings_of_length)
-from reference_runs import halting_runs, reference_mass_map
+from reference_runs import halting_runs, oracle_leaves, reference_mass_map
 from test_toyvm import loop_bodies
 
 
@@ -218,6 +217,38 @@ def test_exact_equals_direct_enumeration():
     t = TimeBound.poly(10, 1)
     for sigma in ("", "0", "1", "00"):
         assert oracle_average(sigma, t, 15, 4) == oracle_average_direct(sigma, t, 15, 4)
+    # the bench's avg-22 shape, where some branches pin index 0; the prefix
+    # tables' sum is also the integral of the index rebuilt from the leaves
+    sigma, cap, depth = "01", 22, 6
+    direct = oracle_average_direct(sigma, t, cap, depth)
+    assert oracle_average(sigma, t, cap, depth) == direct
+    entries = reference_prefix_index(t(len(sigma)), cap, depth)[sigma]
+    assert any(mask for mask, _bits in entries)
+    total = sum(w << (depth - mask.bit_count()) for (mask, _bits), w in entries.items())
+    assert direct == Fraction(total, 1 << (cap + depth))
+
+
+def test_direct_average_keeps_the_runs_within_each_prefix():
+    # INC R0; ORACLE asks index 1, past depth 1: the evaluator raises,
+    # while under each one-bit prefix that run aborts, so the direct sum
+    # is the mean of the prefixes' masses, by table and by direct runs
+    p = Program.encode(assemble([("INC", 0), ("ORACLE",)]))
+    t, cap = TimeBound.poly(10, 1), len(p)
+    for sigma in ("", "0", "1"):
+        with pytest.raises(DepthViolation):
+            oracle_average(sigma, t, cap, 1)
+        budget = t(len(sigma))
+        direct = oracle_average_direct(sigma, t, cap, 1)
+        assert direct == sum(m_stage(sigma, budget, PrefixOracle(y), cap) for y in "01") / 2
+        assert direct == sum(run_masses(y, budget, cap).get(sigma, 0) for y in "01") / 2
+    assert oracle_average_direct("", t, cap, 1) > 0
+
+
+def test_direct_average_caches_nothing():
+    # each prefix table is built, read and dropped, so the bench runner
+    # that calls this keeps no table alive
+    oracle_average_direct("1", TimeBound.poly(10, 1), 12, 4)
+    assert not MEMO.tables and not MEMO.evaluators
 
 
 def test_direct_enumeration_catches_overlapping_branches(monkeypatch):
