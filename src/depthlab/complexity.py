@@ -13,7 +13,9 @@ at the caps in use almost every run halts, aborts or diverges within a
 few steps of its first instructions.  A prefix whose run ends inside it
 settles its whole subtree, whose mass has a closed form; a prefix whose
 run reaches its end settles the bodies whose remaining bits hold no
-complete instruction and splits into one child per next instruction.
+complete instruction and splits into one child per next instruction,
+less two kinds: the one-step halts, which it settles itself, and the
+R3 half of each R2/R3 mirror pair, which its R2 twin stands for.
 An ORACLE is one more branch point: under OracleBranches a run that asks
 an unpinned index splits into one child per answer.  That is how
 semimeasure.PrefixMassEvaluator averages over oracle prefixes, and it
@@ -34,24 +36,29 @@ folded into it.
 The unrelativised complexity runs with no oracle at all: a program that
 executes ORACLE then aborts, so every oracle-free witness is verbatim a
 witness under any oracle and K^A <= K holds with constant zero.
+
+Randomness deficiency, the largest n - K_s over a string's prefixes, is
+read here too, so the commands that read it load no martingale code.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .toyvm import (
     INSTRUCTION_CODES,
     MEMO,
-    DepthlabError,
+    OP_DEC,
+    OP_EMITR,
+    OP_HALT,
+    OP_INC,
+    OP_JZ,
     Instructions,
     MachineError,
     MachineState,
     OutOfTableError,
     Program,
     _advance,
-    assemble,
     bits_to_hex,
     check_bits,
     extend,
@@ -59,21 +66,14 @@ from .toyvm import (
     oracle_key,
     output_string,
     parse_int,
-    phi,
     program_length,
     programs_up_to,
     read_input,
-    rope_materialize,
-    run,
 )
 
 
 class NoStageWithinBudget(Exception):
     """A stage search ran past its configured ceiling."""
-
-
-class ReductionDiverged(DepthlabError):
-    """An oracle reduction failed to answer a needed index in budget."""
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +157,22 @@ def _tail_counts() -> list:
     return counts
 
 
+# the instructions that halt when executed: HALT and the reserved opcodes
+_ONE_STEP_HALTS = frozenset(code[2] for code in INSTRUCTION_CODES
+                            if code[2][0] == OP_HALT or code[2][0] > OP_EMITR)
+# the instructions that name R2 or R3: INC, DEC and JZ on either
+_NAMES_R2_R3 = frozenset(code[2] for code in INSTRUCTION_CODES
+                         if code[2][0] in (OP_INC, OP_DEC, OP_JZ) and code[2][1] >= 2)
+
+
+def _mirror_factor(code: tuple) -> int:
+    """The multiplicity factor of a code's child under an unmirrored node:
+    2 for an R2 code, 0 for the R3 code it stands for, 1 for the rest."""
+    if code[2] not in _NAMES_R2_R3:
+        return 1
+    return 2 if code[2][1] == 2 else 0
+
+
 NO_PINS = (0, 0, ())
 """The pins of a node that has split on no oracle answer (see OracleBranches)."""
 
@@ -214,10 +230,12 @@ class PrefixTrie:
     and the one loop that walks it.
 
     A node is (instructions, prefix length, prefix value, MachineState,
-    pins): a body prefix P of whole instructions run as the body P alone,
-    under the oracle answers its pins fix (NO_PINS under a real oracle).
-    Every body P.x runs exactly as P does until the program counter first
-    leaves P's instructions, so the run stops in one of four ways:
+    pins, multiplicity): a body prefix P of whole instructions run as the
+    body P alone, under the oracle answers its pins fix (NO_PINS under a
+    real oracle), standing for `multiplicity` subtrees that run alike (see
+    below; 1 at the root).  Every body P.x runs exactly as P does until
+    the program counter first leaves P's instructions, so the run stops in
+    one of four ways:
 
     * It halts, aborts or diverges inside P (HALT, a reserved opcode, a
       jump before the start, an oracle abort, a repeated cycle key).
@@ -231,7 +249,20 @@ class PrefixTrie:
       one child per INSTRUCTION_CODES entry that fits under the cap (the
       one decoder, which toyvm.parse_body reads too) resumes from a copy
       of the state; a child whose program counter is still past its end
-      traps again at once.
+      traps again at once.  Two kinds of child are not pushed:
+      - When the program counter is exactly len(P) and the budget has a
+        step to spare, the HALT child and the six reserved-opcode
+        children (4-bit codes 0 and 10-15) each halt after one step with
+        P's output.  They make one halt: one more step, their summed
+        subtree masses, and the index of P.HALT, the least of the seven.
+        With no step to spare they are pushed, and wait in `live`.
+      - A node is unmirrored when its body names neither R2 nor R3 and
+        its state has R2 == R3.  Swapping R2 and R3 throughout a body
+        then maps the subtree of each child naming R3 onto that of its
+        mirror naming R2 (see the toyvm docstring), so an unmirrored node
+        pushes the R2 child of each INC, DEC and JZ code with twice its
+        multiplicity and skips the R3 child.  The R2 body has the smaller
+        index, so least indices do not change.
     * It stops at an ORACLE of an OracleBranches whose answer is not
       pinned.  An index below depth splits the node into two children on
       the same P, one per answer: each resumes at the next instruction
@@ -244,6 +275,7 @@ class PrefixTrie:
     * It reaches the budget: the node goes to `live` for a later walk
       at a larger budget, or is dropped when there is none.
 
+    Every halt a node yields carries its mass times its multiplicity.
     Cycle keys project onto P's control registers.  That is sound for
     every extension, because between two equal keys the run executed only
     P's instructions, which read no other register, and asked no index
@@ -256,32 +288,48 @@ class PrefixTrie:
         weight = [1 << (cap - program_length(n)) for n in range(nmax + 1)]
         tails = _tail_counts()
         # per prefix length p, in units of 2^-cap: the mass of the subtree,
-        # and of its tails that hold no complete instruction
-        self.subtree_mass = [sum(weight[n] << (n - p) for n in range(p, nmax + 1))
-                             for p in range(nmax + 1)]
+        # of its tails that hold no complete instruction, and of the
+        # subtrees of its one-step halts
+        subtree = [0] * (nmax + 2)
+        for p in range(nmax, -1, -1):
+            subtree[p] = weight[p] + 2 * subtree[p + 1]
+        self.subtree_mass = subtree[:-1]
         self.tail_mass = [sum(c * weight[p + n] for n, c in enumerate(tails)
                               if p + n <= nmax) for p in range(nmax + 1)]
-        # per number of body bits left: the instruction codes that fit
-        self.fits = [[code for code in INSTRUCTION_CODES if code[0] <= room]
-                     for room in range(nmax + 1)]
+        halts = [code for code in INSTRUCTION_CODES if code[2] in _ONE_STEP_HALTS]
+        self.halt_mass = [sum(subtree[p + code[0]] for code in halts)
+                          for p in range(nmax - 3)]
+        # per (unmirrored, settled) and number of body bits left: the
+        # (code, multiplicity factor) of each child a trapped node pushes;
+        # every room past the widest code shares one list
+        widest = max(code[0] for code in INSTRUCTION_CODES)
+        self.kids = {}
+        for unmirrored in (False, True):
+            for settled in (False, True):
+                kids = [(code, _mirror_factor(code) if unmirrored else 1)
+                        for code in INSTRUCTION_CODES
+                        if not (settled and code in halts)]
+                fits = [[kid for kid in kids if kid[1] and kid[0][0] <= room]
+                        for room in range(widest + 1)]
+                self.kids[unmirrored, settled] = [fits[min(room, widest)]
+                                                  for room in range(nmax + 1)]
 
     @staticmethod
     def root() -> list:
         """A stack holding the root, the empty body."""
-        return [(Instructions(), 0, 0, MachineState(), NO_PINS)]
+        return [(Instructions(), 0, 0, MachineState(), NO_PINS, 1)]
 
     def walk(self, stack: list, oracle, budget: int, live: list | None = None):
         """Run the nodes on stack and all their descendants to budget,
         popping them; yield (least program index, pins, halted
         MachineState, mass numerator) for each halt, in no fixed order.
-        The state is the walk's own: read it before the next item, as a
-        trapped node's children are copied from it."""
-        nmax, fits = self.nmax, self.fits
-        subtree_mass, tail_mass = self.subtree_mass, self.tail_mass
+        The state is the walk's own: read it before the next item."""
+        nmax, kids = self.nmax, self.kids
+        subtree_mass, tail_mass, halt_mass = self.subtree_mass, self.tail_mass, self.halt_mass
         branching = isinstance(oracle, OracleBranches)
         while stack:
             node = stack.pop()
-            instrs, p, v, st, pins = node
+            instrs, p, v, st, pins, mult = node
             if branching:
                 oracle.pins = pins
             kind = _advance(instrs, oracle, budget, st, True)
@@ -291,16 +339,22 @@ class PrefixTrie:
                         live.append(node)
                 elif kind == "aborted" and branching:
                     for child_pins, child in oracle.children((1 << p) - 1 + v, st):
-                        stack.append((instrs, p, v, child, child_pins))
+                        stack.append((instrs, p, v, child, child_pins, mult))
                 continue
-            trapped = st.pc >= len(instrs)
-            yield (1 << p) - 1 + v, pins, st, tail_mass[p] if trapped else subtree_mass[p]
-            if not trapped:
+            if st.pc < len(instrs):
+                yield (1 << p) - 1 + v, pins, st, subtree_mass[p] * mult
                 continue
-            for code in fits[nmax - p]:
-                child = extend(instrs, code)
+            room = nmax - p
+            settled = st.pc == len(instrs) and st.steps < budget and room >= 4
+            unmirrored = st.regs[2] == st.regs[3] and _NAMES_R2_R3.isdisjoint(instrs)
+            for code, times in kids[unmirrored, settled][room]:
                 width = code[0]
-                stack.append((child, p + width, v << width | code[1], st.copy(), pins))
+                stack.append((extend(instrs, code), p + width, v << width | code[1],
+                              st.copy(), pins, mult * times))
+            yield (1 << p) - 1 + v, pins, st, tail_mass[p] * mult
+            if settled:
+                st.steps += 1
+                yield (1 << (p + 4)) - 1 + (v << 4), pins, st, halt_mass[p] * mult
 
 
 class HaltingTable:
@@ -309,8 +363,9 @@ class HaltingTable:
 
     The programs are walked as a PrefixTrie, not one by one: a node whose
     run ends inside its prefix settles its whole subtree, one that traps
-    settles its tails and grows one child per next instruction, and one
-    that reaches the budget waits in `_live` for the next `ensure`.  The
+    settles its tails and one-step halts and grows one child per next
+    instruction and mirror pair, and one that reaches the budget waits in
+    `_live`, with its multiplicity, for the next `ensure`.  The
     oracle is a real one, so no node branches on an oracle answer (the
     trie's ORACLE branch point serves PrefixMassEvaluator).
 
@@ -339,7 +394,8 @@ class HaltingTable:
         """Number of programs whose run neither halted, aborted nor
         provably diverged within the budgets ensured so far."""
         nmax = self._trie.nmax
-        return sum((1 << (nmax - p + 1)) - 1 for _i, p, _v, _st, _pins in self._live)
+        return sum(((1 << (nmax - p + 1)) - 1) * mult
+                   for _i, p, _v, _st, _pins, mult in self._live)
 
     @property
     def settled_stage(self) -> int | None:
@@ -401,6 +457,8 @@ class HaltingTable:
         return {sigma: (len(p), p) for sigma, p in witnesses.items()}
 
     def total_mass(self, budget: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.cylinder_numerator("", budget), 1 << self.cap)
 
     def cylinder_numerator(self, prefix: str, budget: int) -> int:
@@ -470,16 +528,6 @@ def k_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> Comp
     return k_stage(sigma, t(len(sigma)), oracle, cap)
 
 
-def lowk_gap(sigma: str, oracle, stage: int, cap: int = 16) -> int:
-    """K_s(sigma) - K_s^A(sigma), with above-cap values entering as cap+1.
-
-    Oracle-free programs run unchanged under every oracle, so the gap is
-    never negative here; how far above zero it climbs is the probe."""
-    plain = k_stage(sigma, stage, None, cap).clamped(cap)
-    relative = k_stage(sigma, stage, oracle, cap).clamped(cap)
-    return plain - relative
-
-
 def result_csv_row(sigma: str, descriptor: str, result: ComplexityResult) -> str:
     value = "above-cap" if result.above_cap else str(result.value)
     witness = "" if result.witness is None else bits_to_hex(result.witness.bits)
@@ -488,104 +536,26 @@ def result_csv_row(sigma: str, descriptor: str, result: ComplexityResult) -> str
 
 
 # --------------------------------------------------------------------------
-# code lifting between oracles
+# randomness deficiency
 
 
-class Reduction(NamedTuple):
-    """A machine program computing oracle bits: bit i is phi-value mod 2 of
-    the program run with R2 = i against the base oracle."""
+class DeficiencyRecord(NamedTuple):
+    """max over n <= |sigma| of n - K_s(prefix of length n); above-cap
+    complexities enter as cap + 1, so the value is an upper bound on the
+    same quantity under the (unknowable) true stage-s complexities."""
 
-    program: Program
-    budget: int
-
-    def bit(self, base_oracle, index: int) -> tuple[int, int]:
-        """(bit, steps spent); raises ReductionDiverged on a miss."""
-        res = phi(self.program.index, index, base_oracle, self.budget)
-        if not res.halted:
-            raise ReductionDiverged(f"reduction did not answer index {index}")
-        return res.value & 1, res.steps
+    sigma: str
+    stage: int
+    value: int
+    argmax: int
+    cap: int
 
 
-def identity_reduction(budget: int = 4096) -> Reduction:
-    """Pass-through: bit i of the simulated oracle is bit i of the base."""
-    body = assemble([
-        "copy:",
-        ("JZ", 2, "query"),
-        ("DEC", 2),
-        ("INC", 0),
-        ("JMP", "copy"),
-        "query:",
-        ("ORACLE",),
-        ("JZ", 1, "done"),
-        ("INC", 3),
-        "done:",
-    ])
-    return Reduction(Program.encode(body), budget)
-
-
-WRAPPER_BITS = 8
-"""Pinned accounting size of the oracle-translation layer, in bits."""
-
-
-class TranslatedOracle:
-    """The oracle whose bit i is reduction^base(i); steps spent inside the
-    reduction are charged to the wrapped run."""
-
-    def __init__(self, reduction: Reduction, base_oracle):
-        self.reduction = reduction
-        self.base = base_oracle
-        self.spent = 0
-        self._memo: dict[int, int] = {}
-        self.key = ("translated", reduction.program.bits,
-                    reduction.budget, oracle_key(base_oracle))
-
-    def answer(self, index: int) -> int:
-        bit = self._memo.get(index)
-        if bit is None:
-            bit, steps = self.reduction.bit(self.base, index)
-            self.spent += steps
-            self._memo[index] = bit
-        return bit
-
-
-class LiftedCode(NamedTuple):
-    """A program re-targeted from oracle A to oracle B through a reduction.
-
-    Execution is the base program against the translated oracle; declared
-    length is |base| plus the pinned wrapper size, independent of the base.
-    """
-
-    base: Program
-    reduction: Reduction
-
-    def __len__(self) -> int:
-        """The declared length; as with Program, _make and _replace do
-        not work on a LiftedCode."""
-        return len(self.base) + WRAPPER_BITS
-
-    def run_under(self, b_oracle, budget: int):
-        """(outcome, total steps including reduction work)."""
-        translated = TranslatedOracle(self.reduction, b_oracle)
-        out = run(self.base, translated, budget)
-        return out, out.steps + translated.spent
-
-
-def lift_code(tau: Program, reduction: Reduction, t: TimeBound | None = None,
-              b_oracle=None, sigma: str | None = None):
-    """Wrap an A-witness as a B-program via the reduction.
-
-    Unbounded case: returns the LiftedCode.  With a time bound t (the
-    truth-table case) a target and base oracle are required; the wrapped
-    run is measured and the step bound it actually met is returned as an
-    explicit-table time bound, so callers get (LiftedCode, t_prime)."""
-    lifted = LiftedCode(tau, reduction)
-    if t is None:
-        return lifted, None
-    if b_oracle is None or sigma is None:
-        raise ValueError("tt-case lifting needs the base oracle and target")
-    generous = t(len(sigma)) * (reduction.budget + 1) + reduction.budget + 1
-    out, total = lifted.run_under(b_oracle, generous)
-    if out.kind != "halted" or rope_materialize(out.rope, len(sigma)) != sigma:
-        raise ReductionDiverged("wrapped run failed to reproduce the target")
-    t_prime = TimeBound.from_table([max(total, t(n)) for n in range(len(sigma) + 1)])
-    return lifted, t_prime
+def deficiency(sigma: str, stage: int, cap: int = 16, oracle=None) -> DeficiencyRecord:
+    check_bits(sigma)
+    best, arg = None, 0
+    for n in range(len(sigma) + 1):
+        term = n - k_stage(sigma[:n], stage, oracle, cap).clamped(cap)
+        if best is None or term > best:
+            best, arg = term, n
+    return DeficiencyRecord(sigma, stage, best, arg, cap)

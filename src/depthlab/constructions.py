@@ -15,17 +15,23 @@ configuration: the halting oracle is the stage-bounded diagonal table,
 the dominating time bound is whatever TimeBound the caller supplies, and
 the limit complexity is its stage approximation.  The trace is what the
 artifact certifies.
+
+Only the builder reads the betting code, so this module imports
+randomness inside the builder's functions: a depth profile loads none
+of it.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .complexity import TimeBound, halting_table, k_stage
-from .randomness import StagedSupermartingale, space_lemma_length
 from .toyvm import DepthlabError, bits_to_hex, check_bits, oracle_key
+
+if TYPE_CHECKING:
+    from .randomness import StagedSupermartingale
 
 
 class BuilderError(DepthlabError):
@@ -96,6 +102,8 @@ class BuilderTrace:
                    for r, b in zip(self.rounds, self.claim_bound_products()))
 
     def check_length_recurrence(self) -> bool:
+        from .randomness import space_lemma_length
+
         prev = 0
         for r in self.rounds:
             l = space_lemma_length(1 + Fraction(1, r.n ** 2), 1 << r.n)
@@ -135,6 +143,8 @@ class BuilderTrace:
 
 def build_deep_random(cfg: BuilderConfig) -> BuilderTrace:
     """Run the finite-extension construction and return its full trace."""
+    from .randomness import space_lemma_length
+
     if cfg.rounds < 1:
         raise ValueError("at least one round")
     d = cfg.martingale

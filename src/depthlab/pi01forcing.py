@@ -38,7 +38,7 @@ import json
 from itertools import compress
 from typing import NamedTuple
 
-from .complexity import NO_PINS, OracleBranches
+from .complexity import NO_PINS, OracleBranches, deficiency
 from .toyvm import (
     DIVERGE_BODY,
     DepthlabError,
@@ -505,8 +505,6 @@ def join_check(f_prefix: str, x_prefix: str, y_prefix: str, k: int,
     """Three clauses: the prefix is the exact xor of the two others, both
     of those look k-random at the stage (deficiency at most k), and the
     prefix's bits form a valid dodging witness on its listed indices."""
-    from .randomness import deficiency
-
     if not len(f_prefix) == len(x_prefix) == len(y_prefix):
         raise ValueError("length mismatch")
     xor_ok = f_prefix == symdiff(x_prefix, y_prefix)

@@ -1,4 +1,4 @@
-"""Martingales, the extension-counting bound, deficiency and oracle tests.
+"""Martingales, the extension-counting bound and oracle tests.
 
 Betting functions live on finite binary trees with exact rational values
 and the exact fairness condition 2 d(sigma) = d(sigma 0) + d(sigma 1).
@@ -36,6 +36,8 @@ Every table is checked for fairness and negativity when it is built,
 from_splits tables too.  This module imports semimeasure only inside
 the functions that read it (psi, the psi domination constant and
 measure_cheap_oracles), so the betting commands do not load it.
+Randomness deficiency, n - K_s, is a complexity quantity, and lives in
+complexity.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from itertools import product
 from math import lcm
 from typing import NamedTuple
 
-from .complexity import TimeBound, halting_table, k_stage
+from .complexity import TimeBound, halting_table
 from .toyvm import body_index, check_bits, index_to_body, strings_of_length
 
 
@@ -348,18 +350,6 @@ def _runs(blocks: list[int], width: int, sparse: dict) -> Iterator[tuple[int, in
             yield end - start, base
 
 
-def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
-    """Cylinder-mass supermartingale from the machine semimeasure:
-    d_s(sigma) = 2^|sigma| * sum of halting mass on outputs extending sigma,
-    over the scale 2^cap."""
-    cylinders = halting_table(oracle, cap).cylinder_numerators
-
-    def extensions(sigma: str, l: int, stage: int):
-        return _runs([0], l, _machine_part(cylinders, sigma, l, stage))
-
-    return StagedSupermartingale(extensions, 1 << cap, f"machine-cylinder/cap{cap}")
-
-
 def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSupermartingale:
     """Weighted mixture of normalised finite tables plus the machine
     cylinder supermartingale; the builder default.  Table i enters with
@@ -417,32 +407,6 @@ def default_builder_martingale(oracle=None, cap: int = 16) -> StagedSupermarting
     """The _builder_tables plus the machine part; positive everywhere, so
     extension counting never degenerates."""
     return mixture_supermartingale(_builder_tables(), oracle, cap)
-
-
-# --------------------------------------------------------------------------
-# randomness deficiency
-
-
-class DeficiencyRecord(NamedTuple):
-    """max over n <= |sigma| of n - K_s(prefix of length n); above-cap
-    complexities enter as cap + 1, so the value is an upper bound on the
-    same quantity under the (unknowable) true stage-s complexities."""
-
-    sigma: str
-    stage: int
-    value: int
-    argmax: int
-    cap: int
-
-
-def deficiency(sigma: str, stage: int, cap: int = 16, oracle=None) -> DeficiencyRecord:
-    check_bits(sigma)
-    best, arg = None, 0
-    for n in range(len(sigma) + 1):
-        term = n - k_stage(sigma[:n], stage, oracle, cap).clamped(cap)
-        if best is None or term > best:
-            best, arg = term, n
-    return DeficiencyRecord(sigma, stage, best, arg, cap)
 
 
 # --------------------------------------------------------------------------

@@ -68,6 +68,21 @@ Cycle detection
     fresh set changes only when divergence is found, never whether a run
     halts.
 
+Mirror pairs
+    Only INC, DEC and JZ name R2 or R3.  Swap R2 and R3 throughout a body
+    and start it from a state with R2 == R3, as every walk's root does:
+    each step of the swapped run is the step of the first with the two
+    registers exchanged.  So it takes the same jumps, prints the same
+    output and halts, aborts or diverges at the same step.  Cycle keys
+    project onto the JZ-tested registers and R0, so a key of one run is a
+    key of the other with R2 and R3 exchanged, and one repeats exactly
+    when the other does; ORACLE and EMITR read only R0 and R1, so both
+    runs ask the same indices and print the same bits.  Only the final
+    registers differ, and a walk reads no register of a halted state
+    (phi reads R3, but phi runs no walk).  So complexity.PrefixTrie walks
+    one body of each pair, counted twice: the one whose first R2/R3
+    operand is R2, bits 10 against 11, which has the smaller index.
+
 Program indices
     Bodies are ranked in length-lexicographic order: the empty body is 0,
     "0" is 1, "1" is 2, "00" is 3, and so on; body_index/index_to_body
@@ -79,7 +94,6 @@ Program indices
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -534,6 +548,8 @@ def parse_int(token: str) -> int:
 
 def parse_fraction(text: str) -> Fraction:
     """An exact rational from "num/den" or "num"."""
+    from fractions import Fraction
+
     num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den or 1)
@@ -748,10 +764,6 @@ def run(program: Program, oracle, budget: int, r1: int = 0, r2: int = 0,
         raise ValueError("budget must be nonnegative")
     st = MachineState(regs=[0, r1, r2, 0])
     return _outcome(_advance(program.instructions(), oracle, budget, st, detect_cycles), st)
-
-
-def run_body(body: str, oracle, budget: int, **kw):
-    return run(Program.encode(body), oracle, budget, **kw)
 
 
 # --------------------------------------------------------------------------

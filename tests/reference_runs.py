@@ -1,7 +1,10 @@
 """Reference halting data for the table tests, computed one program at a
 time with toyvm.run: it reads no HaltingTable, so the table's index is
-checked against runs it did not make.  recorded_run also reports the
-oracle indices a run was answered, which the machine does not keep.
+checked against runs it did not make.  walked_index builds the table's
+own index the same way, one walked_run per program, so it knows no
+subtree mass, multiplicity or settled halt of the prefix-trie walk.
+recorded_run also reports the oracle indices a run was answered, which
+the machine does not keep.
 oracle_leaves explores one program's oracle branches by restarting it per
 branch; it reads nothing from the prefix-trie walk, so the evaluator's
 branch index is checked against runs it did not make either."""
@@ -9,9 +12,11 @@ branch index is checked against runs it did not make either."""
 from fractions import Fraction
 from typing import NamedTuple
 
+from depthlab.complexity import INSTRUCTION_CODES
 from depthlab.semimeasure import DepthViolation
-from depthlab.toyvm import (MachineState, OutOfTableError, Program, _advance,
-                            output_string, parse_body, programs_up_to, run)
+from depthlab.toyvm import (Instructions, MachineState, OutOfTableError, Program, _advance,
+                            _outcome, extend, output_string, parse_body, programs_up_to,
+                            run)
 
 REFERENCE_BUDGET = 10 ** 4
 
@@ -29,6 +34,11 @@ class RecordingOracle:
         bit = self.oracle.answer(index)
         self.asked.add(index)
         return bit
+
+
+def run_body(body: str, oracle, budget: int, **kw):
+    """run of the program whose body is the given bits."""
+    return run(Program.encode(body), oracle, budget, **kw)
 
 
 def recorded_run(program, oracle, budget: int, **kw):
@@ -51,6 +61,41 @@ def halting_runs(oracle, cap: int, budget: int = REFERENCE_BUDGET) -> list:
         if out.kind == "halted":
             runs.append((i, p, out.steps, out.output))
     return runs
+
+
+_CODE = {code[2]: code for code in INSTRUCTION_CODES}
+
+
+def walked_run(program, oracle, budget: int):
+    """The Outcome of program as the prefix-trie walk runs it: on the
+    instructions reached so far, looking for cycles over their control
+    registers, and resumed with one more instruction, from a copy with no
+    cycle keys, each time the program counter reaches their end.  It
+    halts exactly when run does; it may see a divergence later."""
+    instrs = program.instructions()
+    reached, st = Instructions(), MachineState()
+    while True:
+        kind = _advance(reached, oracle, budget, st, True)
+        if kind != "halted" or st.pc < len(reached) or len(reached) == len(instrs):
+            return _outcome(kind, st)
+        reached = extend(reached, _CODE[instrs[len(reached)]])
+        st = st.copy()
+
+
+def walked_index(oracle, cap: int, budget: int) -> tuple[dict, int]:
+    """(HaltingTable._halts, HaltingTable.unresolved) of a table ensured
+    to budget, from one walked_run per program: output -> {halt step:
+    [least program index, mass in units of 2^-cap]}, and the number of
+    runs the budget left live."""
+    halts: dict = {}
+    unresolved = 0
+    for i, p in enumerate(programs_up_to(cap)):
+        out = walked_run(p, oracle, budget)
+        if out.kind == "halted":
+            entry = halts.setdefault(out.output, {}).setdefault(out.steps, [i, 0])
+            entry[1] += 1 << (cap - len(p))
+        unresolved += out.kind == "budget"
+    return halts, unresolved
 
 
 def reference_output_map(runs, budget: int, max_len: int) -> dict:

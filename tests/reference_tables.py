@@ -1,14 +1,19 @@
 """Reference betting data for the tests: the families of martingale tables
 the space-lemma counts are checked over, built table by table, the sweep
-that counts them one table at a time, and the per-extension prices a
-run-length price stream stands for."""
+that counts them one table at a time, the per-extension prices a
+run-length price stream stands for, and the machine's cylinder
+supermartingale alone, which checks the machine part of the mixture."""
 
 from itertools import product
 from math import gcd
 
+from depthlab.complexity import halting_table
 from depthlab.randomness import (
     DYADIC_SPLITS,
     MartingaleTable,
+    StagedSupermartingale,
+    _machine_part,
+    _runs,
     count_cheap_extensions,
     random_split_rows,
 )
@@ -61,3 +66,15 @@ def expand_runs(runs) -> list:
         assert count >= 1, (count, price)
         prices.extend([price] * count)
     return prices
+
+
+def machine_supermartingale(oracle=None, cap: int = 16) -> StagedSupermartingale:
+    """Cylinder-mass supermartingale from the machine semimeasure:
+    d_s(sigma) = 2^|sigma| * sum of halting mass on outputs extending sigma,
+    over the scale 2^cap."""
+    cylinders = halting_table(oracle, cap).cylinder_numerators
+
+    def extensions(sigma: str, l: int, stage: int):
+        return _runs([0], l, _machine_part(cylinders, sigma, l, stage))
+
+    return StagedSupermartingale(extensions, 1 << cap, f"machine-cylinder/cap{cap}")

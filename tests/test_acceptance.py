@@ -8,19 +8,12 @@ import json
 import random
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from depthlab.cli import dispatch
-from depthlab.complexity import (
-    ReductionDiverged,
-    TimeBound,
-    WRAPPER_BITS,
-    halting_table,
-    identity_reduction,
-    k_stage,
-    lift_code,
-)
+from depthlab.complexity import TimeBound, halting_table, k_stage
 from depthlab.constructions import BuilderConfig, build_deep_random
 from depthlab.pi01forcing import (
     Dnc2Witness,
@@ -47,6 +40,7 @@ from depthlab.semimeasure import (
     semimeasure_to_timebound,
 )
 from depthlab.toyvm import (
+    DepthlabError,
     HaltingOracle,
     PrefixOracle,
     Program,
@@ -54,12 +48,13 @@ from depthlab.toyvm import (
     assemble,
     compile_const,
     fixed_point,
+    oracle_key,
     phi,
     programs_up_to,
+    rope_materialize,
     run,
 )
 from reference_tables import dyadic_family, random_tables
-from test_constructions import _even_bit_reduction
 from test_forcing import assert_member_carries_every_bit
 
 
@@ -262,6 +257,135 @@ def test_acceptance_markov_bound_5_strings():
             assert mu <= c_const / k
     report("Markov bound: measure of compressing oracles <= C/k for k in {1,2,4,8},"
            " 5 strings, exact")
+
+
+# ------------------------------------------------------------------ code lifting
+#
+# A program written for oracle A runs under oracle B through a reduction
+# that computes A's bits from B's.  Only the acceptance check below and
+# the lifting tests in test_complexity.py use it, so it lives here.
+
+
+class ReductionDiverged(DepthlabError):
+    """An oracle reduction failed to answer a needed index in budget."""
+
+
+class Reduction(NamedTuple):
+    """A machine program computing oracle bits: bit i is phi-value mod 2 of
+    the program run with R2 = i against the base oracle."""
+
+    program: Program
+    budget: int
+
+    def bit(self, base_oracle, index: int) -> tuple[int, int]:
+        """(bit, steps spent); raises ReductionDiverged on a miss."""
+        res = phi(self.program.index, index, base_oracle, self.budget)
+        if not res.halted:
+            raise ReductionDiverged(f"reduction did not answer index {index}")
+        return res.value & 1, res.steps
+
+
+def identity_reduction(budget: int = 4096) -> Reduction:
+    """Pass-through: bit i of the simulated oracle is bit i of the base."""
+    body = assemble([
+        "copy:",
+        ("JZ", 2, "query"),
+        ("DEC", 2),
+        ("INC", 0),
+        ("JMP", "copy"),
+        "query:",
+        ("ORACLE",),
+        ("JZ", 1, "done"),
+        ("INC", 3),
+        "done:",
+    ])
+    return Reduction(Program.encode(body), budget)
+
+
+def _even_bit_reduction() -> Reduction:
+    # X(i) = Y(2i): double the requested index before querying
+    body = assemble([
+        "copy:",
+        ("JZ", 2, "query"),
+        ("DEC", 2),
+        ("INC", 0),
+        ("INC", 0),
+        ("JMP", "copy"),
+        "query:",
+        ("ORACLE",),
+        ("JZ", 1, "done"),
+        ("INC", 3),
+        "done:",
+    ])
+    return Reduction(Program.encode(body), 4096)
+
+
+WRAPPER_BITS = 8
+"""Pinned accounting size of the oracle-translation layer, in bits."""
+
+
+class TranslatedOracle:
+    """The oracle whose bit i is reduction^base(i); steps spent inside the
+    reduction are charged to the wrapped run."""
+
+    def __init__(self, reduction: Reduction, base_oracle):
+        self.reduction = reduction
+        self.base = base_oracle
+        self.spent = 0
+        self._memo: dict[int, int] = {}
+        self.key = ("translated", reduction.program.bits,
+                    reduction.budget, oracle_key(base_oracle))
+
+    def answer(self, index: int) -> int:
+        bit = self._memo.get(index)
+        if bit is None:
+            bit, steps = self.reduction.bit(self.base, index)
+            self.spent += steps
+            self._memo[index] = bit
+        return bit
+
+
+class LiftedCode(NamedTuple):
+    """A program re-targeted from oracle A to oracle B through a reduction.
+
+    Execution is the base program against the translated oracle; declared
+    length is |base| plus the pinned wrapper size, independent of the base.
+    """
+
+    base: Program
+    reduction: Reduction
+
+    def __len__(self) -> int:
+        """The declared length; as with Program, _make and _replace do
+        not work on a LiftedCode."""
+        return len(self.base) + WRAPPER_BITS
+
+    def run_under(self, b_oracle, budget: int):
+        """(outcome, total steps including reduction work)."""
+        translated = TranslatedOracle(self.reduction, b_oracle)
+        out = run(self.base, translated, budget)
+        return out, out.steps + translated.spent
+
+
+def lift_code(tau: Program, reduction: Reduction, t: TimeBound | None = None,
+              b_oracle=None, sigma: str | None = None):
+    """Wrap an A-witness as a B-program via the reduction.
+
+    Unbounded case: returns the LiftedCode.  With a time bound t (the
+    truth-table case) a target and base oracle are required; the wrapped
+    run is measured and the step bound it actually met is returned as an
+    explicit-table time bound, so callers get (LiftedCode, t_prime)."""
+    lifted = LiftedCode(tau, reduction)
+    if t is None:
+        return lifted, None
+    if b_oracle is None or sigma is None:
+        raise ValueError("tt-case lifting needs the base oracle and target")
+    generous = t(len(sigma)) * (reduction.budget + 1) + reduction.budget + 1
+    out, total = lifted.run_under(b_oracle, generous)
+    if out.kind != "halted" or rope_materialize(out.rope, len(sigma)) != sigma:
+        raise ReductionDiverged("wrapped run failed to reproduce the target")
+    t_prime = TimeBound.from_table([max(total, t(n)) for n in range(len(sigma) + 1)])
+    return lifted, t_prime
 
 
 def test_acceptance_lifting_exhaustive_len6():

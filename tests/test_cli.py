@@ -20,7 +20,6 @@ from depthlab.cli import (
 )
 from depthlab.complexity import (
     NoStageWithinBudget,
-    ReductionDiverged,
     TimeBound,
     k_stage,
     k_time_bounded,
@@ -29,7 +28,13 @@ from depthlab.constructions import BuilderError, depth_profile
 from depthlab.pi01forcing import ForcingError
 from depthlab.randomness import FairnessError
 from depthlab.semimeasure import DepthViolation
-from depthlab.toyvm import DecodeError, FixedPointError, MachineError, int_to_bin
+from depthlab.toyvm import (
+    DecodeError,
+    DepthlabError,
+    FixedPointError,
+    MachineError,
+    int_to_bin,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -527,7 +532,7 @@ def _k_stage_raises(monkeypatch, exc):
 
 
 @pytest.mark.parametrize("exc", [MachineError("m"), FixedPointError("f"),
-                                 BuilderError("b"), ReductionDiverged("r"),
+                                 BuilderError("b"), DepthlabError("r"),
                                  DecodeError("d"), ForcingError("fo"),
                                  FairnessError("fa"), DepthViolation("dv")])
 def test_machine_and_builder_failures_exit_2(monkeypatch, capsys, exc):
@@ -663,24 +668,29 @@ def test_only_a_leading_command_gets_a_one_command_parser(argv, command):
 # ------------------------------------------------------------------ import sets
 
 # Runs argv through dispatch, unless it is empty, and prints the loaded
-# depthlab modules on one line and, on the next, which of the two costly
+# depthlab modules on one line; on the next, which of the two costly
 # standard modules no command needs (dataclasses and the inspect it
-# imports) got loaded.  It needs a fresh interpreter: this process already
-# holds every module, so it cannot see which ones a command loads.
+# imports) got loaded; and on the third, which of fractions and the
+# decimal it imports did.  It needs a fresh interpreter: this process
+# already holds every module, so it cannot see which ones a command loads.
 LOADED = """import sys
 from depthlab.cli import dispatch
 code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "depthlab"))
 print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
+print(" ".join(m for m in ("fractions", "decimal") if m in sys.modules))
 sys.exit(code)
 """
 BASE = ("depthlab", "depthlab.cli", "depthlab.toyvm", "depthlab.complexity")
 # what importing randomness, constructions or pi01forcing loads beyond
-# BASE; randomness imports semimeasure only in the functions that read it
+# BASE; randomness imports semimeasure, and constructions randomness,
+# only in the functions that read it
 RANDOMNESS = ("randomness",)
-CONSTRUCTIONS = RANDOMNESS + ("constructions",)
+CONSTRUCTIONS = ("constructions",)
 FORCING = ("pi01forcing",)
 SEMIMEASURE = ("semimeasure",)
+# the commands that compute no Fraction ("" is the bare import)
+NO_FRACTIONS = ("", "k", "solovay", "join-check")
 
 
 @pytest.mark.parametrize("argv,extra", [
@@ -699,13 +709,13 @@ SEMIMEASURE = ("semimeasure",)
     (["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "100", "--cap", "8"],
      CONSTRUCTIONS),
     (["build-deep", "--rounds", "1", "--oracle", "none", "--T", "poly:2,2", "--cap", "8",
-      "--mart-stage", "100"], CONSTRUCTIONS),
+      "--mart-stage", "100"], CONSTRUCTIONS + RANDOMNESS),
     (["force", "--class", "{tmp}/sched.json", "--f", "bits:0101", "--steps", "1",
       "--budget", "100"], FORCING),
     (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
-      "--k", "1", "--stage", "10", "--cap", "8"], FORCING + RANDOMNESS),
+      "--k", "1", "--stage", "10", "--cap", "8"], FORCING),
     (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], ()),
-    (["selftest", "--seed", "7"], FORCING + RANDOMNESS + SEMIMEASURE),
+    (["selftest", "--seed", "7"], FORCING + RANDOMNESS + SEMIMEASURE + ("selftest",)),
 ], ids=["import", "k", "m", "convert-timebound", "space-lemma", "psi", "avg",
         "measure-cheap", "profile", "build-deep", "force", "join-check", "solovay",
         "selftest"])
@@ -718,9 +728,11 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, extra):
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
-    depthlab_modules, costly = proc.stdout.split("\n")[:2]
+    depthlab_modules, costly, fractions = proc.stdout.split("\n")[:3]
     assert sorted(depthlab_modules.split()) == sorted(BASE + tuple(f"depthlab.{m}" for m in extra))
     assert costly.split() == []
+    if (argv[0] if argv else "") in NO_FRACTIONS:
+        assert fractions.split() == []
 
 
 # ------------------------------------------------------------------ solovay probe

@@ -11,19 +11,15 @@ from depthlab.complexity import (
     NO_PINS,
     HaltingTable,
     PrefixTrie,
-    ReductionDiverged,
     TimeBound,
-    WRAPPER_BITS,
     halting_table,
-    identity_reduction,
     k_stage,
     k_time_bounded,
-    lift_code,
-    lowk_gap,
     result_csv_row,
 )
 from depthlab.toyvm import (
     HaltingOracle,
+    Instructions,
     MachineError,
     MachineState,
     PrefixOracle,
@@ -31,9 +27,12 @@ from depthlab.toyvm import (
     ZERO,
     assemble,
     body_index,
+    index_to_body,
+    output_string,
     parse_body,
     parse_oracle,
     program_length,
+    programs_up_to,
     run,
     strings_of_length,
 )
@@ -44,6 +43,14 @@ from reference_runs import (
     reference_mass_map,
     reference_output_map,
     reference_total_mass,
+    walked_index,
+)
+from test_acceptance import (
+    WRAPPER_BITS,
+    Reduction,
+    ReductionDiverged,
+    identity_reduction,
+    lift_code,
 )
 from test_toyvm import COUNTED_LOOP, loop_bodies
 
@@ -309,13 +316,13 @@ def resumed_walk(body, oracle, budgets, x=0):
     whole = body[:sum(_WIDTH[i] for i in instrs)]
     trie = PrefixTrie(program_length(len(whole)))
     live = [(instrs, len(whole), int(whole or "0", 2), MachineState(regs=[0, 0, x, 0]),
-             NO_PINS)]
+             NO_PINS, 1)]
     halts = []
     for budget in budgets:
         stack, live = live, []
         halts += [(i, st.steps, st.rope) for i, _pins, st, _mass
                   in trie.walk(stack, oracle, budget, live)]
-        yield budget, halts, [st.steps for _i, _p, _v, st, _pins in live]
+        yield budget, halts, [st.steps for _i, _p, _v, st, _pins, _mult in live]
 
 
 @pytest.mark.parametrize("descriptor", INDEX_ORACLES)
@@ -341,6 +348,113 @@ def test_resumed_trie_walk_halts_at_exactly_its_step_count():
         (16, [], [16]), (17, [(body_index(COUNTED_LOOP), halted.steps, halted.rope)], [])]
 
 
+# ------------------------------------------------------------------ the walk's cuts
+
+WALK_BUDGETS = (0, 1, 2, 3, 7, 10 ** 5)
+
+
+@pytest.mark.parametrize("cap", [14, 17, 20])
+@pytest.mark.parametrize("descriptor", INDEX_ORACLES)
+def test_walk_matches_one_walked_run_per_program(descriptor, cap):
+    # the walk settles one-step halts in their parent and walks one body
+    # per R2/R3 mirror pair; the reference runs every program on its own
+    oracle = parse_oracle(descriptor)
+    for budget in WALK_BUDGETS:
+        halts, unresolved = walked_index(oracle, cap, budget)
+        table = HaltingTable(oracle, cap)
+        table.ensure(budget)
+        assert table._halts == halts, budget
+        assert table.unresolved == unresolved, budget
+        assert table.settled_stage == max((s for at in halts.values() for s in at),
+                                          default=None), budget
+        assert table.reach == max(map(len, halts), default=None), budget
+
+
+@pytest.mark.parametrize("descriptor", INDEX_ORACLES)
+def test_a_resumed_walk_equals_one_walk(descriptor):
+    # nodes that reach budget 1 wait in live, settled halts and
+    # multiplicities included, and resume as one walk would have gone on
+    oracle = parse_oracle(descriptor)
+    resumed, direct = HaltingTable(oracle, 20), HaltingTable(oracle, 20)
+    resumed.ensure(1)
+    assert resumed.unresolved > 0
+    resumed.ensure(10 ** 5)
+    direct.ensure(10 ** 5)
+    assert resumed._halts == direct._halts
+    assert (resumed.unresolved, resumed.settled_stage, resumed.reach) == (
+        direct.unresolved, direct.settled_stage, direct.reach)
+
+
+def _first_r2_or_r3(index):
+    """The first of R2 and R3 that the body of index names, or None."""
+    for op, r, _d in parse_body(index_to_body(index)):
+        if op in (toyvm.OP_INC, toyvm.OP_DEC, toyvm.OP_JZ) and r >= 2:
+            return r
+    return None
+
+
+def test_the_walk_keeps_the_r2_body_of_each_mirror_pair():
+    # a halt's index is the least of the bodies it stands for, so the body
+    # of each mirror pair the walk runs is the one whose first R2/R3
+    # operand is R2; the least indices of the index then stay the same
+    trie = PrefixTrie(22)
+    firsts = {_first_r2_or_r3(i) for i, _pins, _st, _mass
+              in trie.walk(trie.root(), None, 10 ** 5)}
+    assert firsts == {None, 2}
+    omap = halting_table(None, 22).output_map(10 ** 5, 100)
+    assert {_first_r2_or_r3(p.index) for _n, p in omap.values()} <= {None, 2}
+
+
+@pytest.mark.parametrize("x", [1, 3])
+def test_a_node_with_r2_unlike_r3_is_walked_whole(x):
+    # a node like resumed_walk's, with R2 = x, at a cap with room for children:
+    # its R2 and R3 children run differently (JZ R2,-1 halts and JZ R3,-1
+    # loops), so no child may stand for its mirror; cap 18 leaves room for
+    # a JZ
+    cap = 18
+    trie = PrefixTrie(cap)
+    node = (Instructions(), 0, 0, MachineState(regs=[0, 0, x, 0]), NO_PINS, 1)
+    walked: dict = {}
+    for i, _pins, st, mass in trie.walk([node], None, 10 ** 4):
+        entry = walked.setdefault(output_string(st.rope), {}).setdefault(st.steps, [i, 0])
+        entry[0] = min(entry[0], i)
+        entry[1] += mass
+    want: dict = {}
+    for i, p in enumerate(programs_up_to(cap)):
+        out = run(p, None, 10 ** 4, r2=x, detect_cycles=True)
+        if out.halted:
+            entry = want.setdefault(out.output, {}).setdefault(out.steps, [i, 0])
+            entry[1] += 1 << (cap - len(p))
+    assert walked == want
+
+
+def test_a_cap_22_build_walks_1362_nodes(monkeypatch):
+    # one _advance call per node; 2,421 before the one-step halts were
+    # settled in their parent and mirror pairs walked once
+    calls = []
+    advance = complexity._advance
+
+    def counted(*args):
+        calls.append(None)
+        return advance(*args)
+
+    monkeypatch.setattr(complexity, "_advance", counted)
+    table = HaltingTable(None, 22)
+    table.ensure(1000)
+    assert table.unresolved == 0
+    assert len(calls) == 1362
+
+
+def test_subtree_masses_equal_their_direct_sums():
+    for cap in range(2, 65):
+        trie = PrefixTrie(cap)
+        nmax = trie.nmax
+        weight = [1 << (cap - program_length(n)) for n in range(nmax + 1)]
+        assert trie.subtree_mass == [sum(weight[n] << (n - p) for n in range(p, nmax + 1))
+                                     for p in range(nmax + 1)], cap
+        assert trie.halt_mass == [7 * trie.subtree_mass[p + 4] for p in range(nmax - 3)], cap
+
+
 def test_kraft_sum_at_most_one():
     table = halting_table(None, 14)
     omap = table.output_map(10 ** 4, 8)
@@ -355,6 +469,16 @@ def test_csv_row_quotes_commas():
 
 
 # ------------------------------------------------------------------ gaps
+
+def lowk_gap(sigma: str, oracle, stage: int, cap: int = 16) -> int:
+    """K_s(sigma) - K_s^A(sigma), with above-cap values entering as cap+1.
+
+    Oracle-free programs run unchanged under every oracle, so the gap is
+    never negative here; how far above zero it climbs is the probe."""
+    plain = k_stage(sigma, stage, None, cap).clamped(cap)
+    relative = k_stage(sigma, stage, oracle, cap).clamped(cap)
+    return plain - relative
+
 
 def test_lowk_gap_zero_oracle_exhaustive():
     for sigma in all_strings(6):
@@ -435,7 +559,6 @@ def test_lift_measured_budget_bound():
 
 def test_lift_diverging_reduction_raises():
     from depthlab.toyvm import DIVERGE_BODY, Program
-    from depthlab.complexity import Reduction
 
     bad = Reduction(Program.encode(DIVERGE_BODY), 100)
     tau = k_time_bounded("0", TimeBound.poly(10, 1), None, 12).witness

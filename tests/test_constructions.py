@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import constructions
-from depthlab.complexity import Reduction, TimeBound, halting_table
+from depthlab.complexity import TimeBound, halting_table
 from depthlab.constructions import BuilderConfig, build_deep_random, depth_profile
 from depthlab.randomness import (
     MartingaleTable,
@@ -17,7 +17,7 @@ from depthlab.randomness import (
     space_lemma_length,
 )
 from depthlab.pi01forcing import symdiff
-from depthlab.toyvm import Program, assemble, body_index, parse_oracle
+from depthlab.toyvm import body_index, parse_oracle
 
 
 def small_builder(rounds=4, cap=16, stage=1000, oracle=None, tables=None):
@@ -349,23 +349,3 @@ def test_symdiff_involution(a, b):
     x = format(a, "b").zfill(64)
     y = format(b, "b").zfill(64)
     assert symdiff(symdiff(x, y), x) == y
-
-
-# ------------------------------------------------------------------ reductions
-
-def _even_bit_reduction() -> Reduction:
-    # X(i) = Y(2i): double the requested index before querying
-    body = assemble([
-        "copy:",
-        ("JZ", 2, "query"),
-        ("DEC", 2),
-        ("INC", 0),
-        ("INC", 0),
-        ("JMP", "copy"),
-        "query:",
-        ("ORACLE",),
-        ("JZ", 1, "done"),
-        ("INC", 3),
-        "done:",
-    ])
-    return Reduction(Program.encode(body), 4096)

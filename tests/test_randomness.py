@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import complexity, randomness
-from depthlab.complexity import TimeBound, halting_table
+from depthlab.complexity import TimeBound, deficiency, halting_table
 from depthlab.randomness import (
     DYADIC_SPLITS,
     FairnessError,
     MartingaleTable,
     count_cheap_extensions,
-    deficiency,
     default_builder_martingale,
-    machine_supermartingale,
     measure_cheap_oracles,
     mixture_supermartingale,
     psi,
@@ -36,7 +34,13 @@ from reference_runs import (
     reference_output_map,
     reference_total_mass,
 )
-from reference_tables import dyadic_family, expand_runs, random_tables, space_lemma_sweep
+from reference_tables import (
+    dyadic_family,
+    expand_runs,
+    machine_supermartingale,
+    random_tables,
+    space_lemma_sweep,
+)
 
 
 def all_strings(max_len):

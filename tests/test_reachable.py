@@ -9,13 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "depthlab"
 
 # the names that only tests reach, each kept for the reason given
-KEPT = {
-    "run_body": "the tests' way to run a bare body; moving it into them shrinks nothing",
-    "lowk_gap": "the oracle gap certificate, still to be given an artifact",
-    "machine_supermartingale": "tests check cylinder_numerators against it",
-    "lift_code": "the acceptance gate's code-lifting check",
-    "identity_reduction": "the acceptance gate's code-lifting check",
-}
+KEPT: dict = {}
 
 
 def test_every_public_definition_is_reached_or_kept_for_a_reason():

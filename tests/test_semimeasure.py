@@ -377,7 +377,7 @@ def test_depth_violation_names_the_first_branch():
     with pytest.raises(DepthViolation, match="queries index 2$") as exc:
         oracle_leaves(p, 10, 1)
     trie, answers = PrefixTrie(len(p)), OracleBranches(1)
-    node = (parse_body(body), len(body), int(body, 2), MachineState(), NO_PINS)
+    node = (parse_body(body), len(body), int(body, 2), MachineState(), NO_PINS, 1)
     assert list(trie.walk([node], answers, 10)) == []
     index, order, query = answers.too_deep
     assert (index, order, query) == (p.index, (0,), 2)

@@ -24,11 +24,10 @@ from depthlab.toyvm import (
     programs_up_to,
     read_bits,
     run,
-    run_body,
     smn,
     strings_of_length,
 )
-from reference_runs import recorded_run
+from reference_runs import recorded_run, run_body
 
 bodies = st.text(alphabet="01", max_size=16)
 
