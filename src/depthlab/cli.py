@@ -242,7 +242,7 @@ def _cmd_force(args) -> int:
     else:
         source = read_bits(args.f)
     queries = tuple(args.steps + s for s in range(args.steps))
-    if args.query_schedule:
+    if args.query_schedule is not None:
         try:
             queries = tuple(map(int, args.query_schedule.split(",")))
         except ValueError:

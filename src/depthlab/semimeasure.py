@@ -28,6 +28,7 @@ from .complexity import (
     OracleBranches,
     PrefixTrie,
     TimeBound,
+    check_cap,
     halting_table,
     k_stage,
 )
@@ -204,7 +205,7 @@ class PrefixMassEvaluator:
     def __init__(self, budget: int, cap: int, depth: int):
         if budget < 0:
             raise ValueError("budget must be nonnegative")
-        trie = PrefixTrie(cap)
+        trie = PrefixTrie(check_cap(cap))
         answers = OracleBranches(depth)
         self.cap = cap
         self.halts: dict[str, dict[tuple[int, int], int]] = {}

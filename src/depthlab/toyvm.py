@@ -30,8 +30,9 @@ Opcode table (4-bit opcodes, big-endian bit order)
 
 Execution conventions
     * The body is parsed front to back into whole instructions; a truncated
-      trailing instruction is dropped.  INSTRUCTION_CODES is the one
-      decoder: parse_body and the prefix trie both read a body through it.
+      trailing instruction is dropped.  INSTRUCTION_CODES alone holds the
+      bit layout: parse_body and the prefix trie read a body through it,
+      and assemble writes one through it.
     * The output's length is kept once, at its rope's root.
       MachineState.copy builds every child state a walk resumes from.
     * The program counter indexes instructions.  Leaving the instruction
@@ -327,9 +328,11 @@ def extend(instrs: Instructions, code: tuple) -> Instructions:
     return _INSTRUCTIONS_BY_MASK[instrs.mask | code[3]](instrs + (code[2],))
 
 
-# the bits of each code -> (instruction, control-register mask), and the widths
+# the bits of each code -> (instruction, control-register mask), its
+# inverse instruction -> bits, and the widths
 _DECODE = {format(value, "b").zfill(width): (instruction, mask)
            for width, value, instruction, mask in INSTRUCTION_CODES}
+_ENCODE = {instruction: bits for bits, (instruction, _mask) in _DECODE.items()}
 _WIDTHS = sorted({code[0] for code in INSTRUCTION_CODES})
 
 
@@ -355,7 +358,8 @@ def parse_body(body: str) -> Instructions:
 
 
 def assemble(items: list) -> str:
-    """Assemble ("MNEMONIC", args...) tuples into a body string.
+    """Assemble ("MNEMONIC", args...) tuples into a body string, writing
+    each instruction as its INSTRUCTION_CODES entry.
 
     A bare string ending in ":" defines a label; jump targets may be given
     as label names instead of numeric offsets.  Offsets are encoded
@@ -372,27 +376,17 @@ def assemble(items: list) -> str:
         else:
             instrs.append(item)
 
-    def register(r, idx: int) -> str:
-        if not 0 <= r <= 3:
-            raise ValueError(f"register {r} out of range at {idx}")
-        return format(r, "02b")
-
-    def offset(target, idx: int) -> str:
-        off = (labels[target] - idx - 1) if isinstance(target, str) else target
-        if not -8 <= off <= 7:
-            raise ValueError(f"offset {off} out of range at {idx}")
-        return format(off & 0xF, "04b")
-
     pieces = []
     for idx, ins in enumerate(instrs):
         op = _MNEMONIC[ins[0]]
-        pieces.append(format(op, "04b"))
-        if op in (OP_INC, OP_DEC):
-            pieces.append(register(ins[1], idx))
-        elif op == OP_JZ:
-            pieces += [register(ins[1], idx), offset(ins[2], idx)]
-        elif op == OP_JMP:
-            pieces.append(offset(ins[1], idx))
+        reg = ins[1] if op in (OP_INC, OP_DEC, OP_JZ) else 0
+        if not 0 <= reg <= 3:
+            raise ValueError(f"register {reg} out of range at {idx}")
+        target = ins[2] if op == OP_JZ else ins[1] if op == OP_JMP else 0
+        off = labels[target] - idx - 1 if isinstance(target, str) else target
+        if not -8 <= off <= 7:
+            raise ValueError(f"offset {off} out of range at {idx}")
+        pieces.append(_ENCODE[op, reg, off])
     return "".join(pieces)
 
 
@@ -776,16 +770,16 @@ class Memo:
     Each field maps a key to what the pinned machine computes for it, so
     clearing them changes no answer, only what must be recomputed:
 
-    parsed      body index -> Instructions (parsed_body), for phi, the
-                diagonal and forcing
     diagonal    index e -> (stage, Outcome) of the diagonal run phi_e(e)
                 at the largest stage asked
     tables      (oracle key, cap) -> complexity.HaltingTable
     evaluators  (budget, cap, depth) -> semimeasure.PrefixMassEvaluator
+
+    Parsed bodies are not kept: phi parses its body on each call, which
+    costs a few microseconds beside the run.
     """
 
     def __init__(self):
-        self.parsed: dict = {}
         self.diagonal: dict = {}
         self.tables: dict = {}
         self.evaluators: dict = {}
@@ -802,21 +796,11 @@ MEMO = Memo()
 # the program enumeration phi
 
 
-def parsed_body(e: int) -> Instructions:
-    """The parsed body of index e, kept in MEMO.parsed."""
-    if e < 0:
-        raise ValueError("index must be nonnegative")
-    instrs = MEMO.parsed.get(e)
-    if instrs is None:
-        instrs = MEMO.parsed[e] = parse_body(index_to_body(e))
-    return instrs
-
-
 def phi(e: int, x: int, oracle, budget: int) -> Outcome:
     """Run body e with R2 = x, looking for cycles; on halting the value is
     the final R3."""
     st = MachineState(regs=[0, 0, x, 0])
-    return _outcome(_advance(parsed_body(e), oracle, budget, st, True), st)
+    return _outcome(_advance(parse_body(index_to_body(e)), oracle, budget, st, True), st)
 
 
 def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
@@ -837,9 +821,6 @@ def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
 # --------------------------------------------------------------------------
 # s-m-n and the exact fixed point
 
-_INC_R1 = "010001"  # INC R1
-
-
 def smn(e: int, y: int) -> int:
     """Index of (INC R1)^y . body(e); phi_smn(e,y)(x) behaves like body(e)
     started with R1 = y and R2 = x.  The base body must keep every jump
@@ -850,7 +831,7 @@ def smn(e: int, y: int) -> int:
     body = index_to_body(e)
     if not jumps_confined(body):
         raise EscapingJumpError(f"body of index {e} has an escaping jump")
-    return body_index(_INC_R1 * y + body)
+    return body_index(assemble([("INC", 1)]) * y + body)
 
 
 def compile_const(value: int) -> int:
@@ -858,10 +839,10 @@ def compile_const(value: int) -> int:
     constant; zero is the empty body."""
     if value < 0:
         raise ValueError("value must be nonnegative")
-    return body_index("010011" * value)
+    return body_index(assemble([("INC", 3)]) * value)
 
 
-DIVERGE_BODY = "01111111"  # JMP -1: a one-instruction busy loop
+DIVERGE_BODY = assemble([("JMP", -1)])  # a one-instruction busy loop
 
 
 def fixed_point(transformer) -> int:

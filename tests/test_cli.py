@@ -311,6 +311,12 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "2",
       "--budget", "100", "--query-schedule", "1,x"],
      "bad --query-schedule '1,x'"),
+    (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "2",
+      "--budget", "100", "--query-schedule", ""],
+     "bad --query-schedule ''"),
+    (["--config", "{tmp}/no-schedule.cfg", "force", "--class", "{tmp}/sched.json",
+      "--f", "halting-dnc", "--steps", "2", "--budget", "100"],
+     "bad --query-schedule ''"),
     (["k", "--sigma", "0", "--t", "table:{tmp}/t.txt"],
      "time bound table '{tmp}/t.txt', line 1: 'x' is not an integer"),
     (["k", "--sigma", "0", "--stage", "10", "--oracle", "halting:x"],
@@ -322,14 +328,16 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (["--config", "{tmp}/twice.cfg", "k", "--sigma", "0", "--stage", "10"],
      "config file '{tmp}/twice.cfg', line 3: key 'cap' given twice"),
 ], ids=["poly-one-value", "poly-letters", "fraction-letters", "query-schedule-letter",
-        "table-letter", "halting-letter", "fraction-table-no-tab",
-        "fraction-table-repeated-sigma", "config-repeated-key"])
+        "query-schedule-empty", "query-schedule-empty-in-config", "table-letter",
+        "halting-letter", "fraction-table-no-tab", "fraction-table-repeated-sigma",
+        "config-repeated-key"])
 def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, message):
     (tmp_path / "sched.json").write_text('{"depth": 8, "stages": []}')
     (tmp_path / "t.txt").write_text("1 x\n")
     (tmp_path / "semi.tsv").write_text("0\t1/4\n1 1/4\n")
     (tmp_path / "twice.tsv").write_text("0\t1/4\n1\t1/8\n0\t1/8\n")
     (tmp_path / "twice.cfg").write_text("cap=12\n# a later value\ncap=14\n")
+    (tmp_path / "no-schedule.cfg").write_text("query-schedule=\n")
     out = tmp_path / "artifact"
     code = dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
     assert code == EXIT_VALIDATION
@@ -520,6 +528,18 @@ def test_cap_below_two_exits_2_without_an_artifact(tmp_path, capsys, argv):
     assert dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cap must be at least 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["41", "200000"])
+@pytest.mark.parametrize("command", [
+    ["k", "--sigma", "0", "--stage", "1"],
+    ["avg", "--sigma", "1", "--t", "poly:10,1", "--depth", "2"],
+], ids=["table", "evaluator"])
+def test_a_cap_above_the_bound_exits_2_without_an_artifact(tmp_path, capsys, command, cap):
+    out = tmp_path / "artifact"
+    assert dispatch(command + ["--cap", cap, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: cap {cap} is above the bound 40\n"
     assert not out.exists()
 
 
@@ -843,7 +863,7 @@ def _argv(d):
                      ["halting:-1", "halting:x", "prefix:" + missing, "bogus",
                       *("prefix:" + b for b in bad_files)])
     frac = _mostly(["2", "3/2", "5/4", "16"], ["1", "0", "-1", "1/0", "x"])
-    cap = _mostly(range(2, 13), [-1, 0, 1])
+    cap = _mostly(range(2, 13), [-1, 0, 1, 41])
     stage = _mostly([0, 3, 100, 1000], [-1])
     small = st.integers(-1, 4)
     commands = {
@@ -878,7 +898,7 @@ def _argv(d):
                                       [missing, *bad_files])),
                   ("--f", _mostly(["halting-dnc", "bits:1011"], ["bits:1", "bits:2"])),
                   ("--steps", small), ("--budget", stage),
-                  ("--query-schedule", _mostly(["", "5,6", "4,5,6"], ["5", "9,9", "-1", "x"])),
+                  ("--query-schedule", _mostly(["5,6", "4,5,6"], ["", "5", "9,9", "-1", "x"])),
                   ("--functional-budget", _mostly([4096], [-1, 10]))],
         "join-check": [("--F", bitsrc), ("--X", bitsrc), ("--Y", bitsrc), ("--k", small),
                        ("--stage", stage), ("--cap", cap)],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from depthlab import cli, complexity, toyvm
 from depthlab.complexity import (
     INSTRUCTION_CODES,
+    MAX_CAP,
     NO_PINS,
     HaltingTable,
     PrefixTrie,
@@ -353,7 +354,7 @@ def test_resumed_trie_walk_halts_at_exactly_its_step_count():
 WALK_BUDGETS = (0, 1, 2, 3, 7, 10 ** 5)
 
 
-@pytest.mark.parametrize("cap", [14, 17, 20])
+@pytest.mark.parametrize("cap", [14, 17, 20, 22])
 @pytest.mark.parametrize("descriptor", INDEX_ORACLES)
 def test_walk_matches_one_walked_run_per_program(descriptor, cap):
     # the walk settles one-step halts in their parent and walks one body
@@ -368,6 +369,20 @@ def test_walk_matches_one_walked_run_per_program(descriptor, cap):
         assert table.settled_stage == max((s for at in halts.values() for s in at),
                                           default=None), budget
         assert table.reach == max(map(len, halts), default=None), budget
+
+
+def test_a_walk_from_the_root_refuses_a_cap_above_the_bound(monkeypatch):
+    # the bound is checked before a trie is built; a trie alone has none
+    built = []
+    monkeypatch.setattr(PrefixTrie, "__init__", lambda self, cap: built.append(cap))
+    assert MAX_CAP == 40
+    for make in (lambda cap: HaltingTable(None, cap),
+                 lambda cap: PrefixMassEvaluator(0, cap, 1)):
+        with pytest.raises(ValueError, match=f"^cap {MAX_CAP + 1} is above the bound 40$"):
+            make(MAX_CAP + 1)
+        assert built == []
+    HaltingTable(None, MAX_CAP)
+    assert built == [MAX_CAP]
 
 
 @pytest.mark.parametrize("descriptor", INDEX_ORACLES)

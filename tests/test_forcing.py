@@ -275,6 +275,12 @@ def test_force_rejects_bad_query_schedule():
         force(PruningSchedule.full_space(8), "1", 1, 4096, functional=fn)
 
 
+def test_force_of_no_steps_at_depth_zero_makes_no_query():
+    res = force(PruningSchedule.full_space(0), "", 0, 10)
+    assert res.b_prefix == res.b_member == ""
+    assert res.steps == [] and res.inconclusive == []
+
+
 def test_force_rejects_more_steps_than_the_depth_cap():
     fn = Functional.projection((0, 1, 1))
     with pytest.raises(ForcingError, match="more steps than the depth cap"):

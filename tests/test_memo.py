@@ -4,7 +4,7 @@ from functools import partial
 
 from depthlab.complexity import TimeBound, k_stage
 from depthlab.semimeasure import oracle_average
-from depthlab.toyvm import MEMO, ZERO, diagonal, phi
+from depthlab.toyvm import MEMO, diagonal
 
 T = TimeBound.poly(10, 1)
 
@@ -34,7 +34,7 @@ def memo_sizes():
 
 def test_reset_empties_every_memo():
     answers(QUERIES)
-    phi(5, 0, ZERO, 10)
+    assert set(memo_sizes()) == {"diagonal", "tables", "evaluators"}
     assert all(memo_sizes().values())
     MEMO.reset()
     assert set(memo_sizes().values()) == {0}
@@ -48,13 +48,3 @@ def test_answers_do_not_depend_on_memo_state_or_order():
         runs.append(answers(order))   # served from the memo
     assert all(run == runs[0] for run in runs)
 
-
-def test_only_phi_fills_the_parse_memo():
-    # table, evaluator and k reads walk the trie and parse no body
-    answers(("k", "avg"))
-    assert MEMO.tables and MEMO.evaluators and not MEMO.parsed
-    # the diagonal runs through phi, which parses its body once
-    diagonal(5, 10)
-    diagonal(5, 1000)
-    phi(5, 1, ZERO, 10)
-    assert list(MEMO.parsed) == [5]

@@ -1,5 +1,6 @@
 """Every public module-level function and class of the package is reached
-from outside its own definition: by the package, a demo or a bench case."""
+from outside its own definition: by the package, a demo or a bench case.
+And no body in the package is written out as bits by hand."""
 
 import ast
 import re
@@ -31,3 +32,18 @@ def test_every_public_definition_is_reached_or_kept_for_a_reason():
                        if not (other == path and number in own)):
                 unreached.add(node.name)
     assert unreached == set(KEPT)
+
+
+def test_no_body_is_written_as_a_bit_literal():
+    # INSTRUCTION_CODES alone holds the instruction layout, so the package
+    # writes a body with assemble, not as a literal of 0/1 characters;
+    # docstrings may still show bits
+    literals = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        prose = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        literals += [(path.name, node.lineno, node.value) for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and id(node) not in prose and len(node.value) >= 4
+                     and not node.value.strip("01")]
+    assert literals == []

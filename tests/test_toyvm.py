@@ -195,22 +195,27 @@ _MNEMONICS = ("HALT", "EMIT0", "EMIT1", "DOUBLE", "INC", "DEC", "JZ", "JMP", "OR
 
 
 def test_instruction_codes_are_the_assembled_instructions():
-    # parse_body decodes through INSTRUCTION_CODES, so check the table
-    # against the assembler: each entry's bits, triple and control mask
+    # INSTRUCTION_CODES owns the layout that parse_body reads and assemble
+    # writes, so check it and the assembler against the module docstring's
+    # opcode table: a 4-bit opcode, then a 2-bit register and a 4-bit
+    # two's-complement offset where the instruction has them
     got = {format(value, "b").zfill(width): (instruction, mask)
            for width, value, instruction, mask in tv.INSTRUCTION_CODES}
     want = {}
     for op, name in enumerate(_MNEMONICS):
         if name in ("INC", "DEC"):
-            items = [((name, r), (op, r, 0), 0) for r in range(4)]
+            items = [((name, r), (op, r, 0), 0, f"{r:02b}") for r in range(4)]
         elif name == "JZ":
-            items = [((name, r, d), (op, r, d), 1 << r) for r in range(4) for d in range(-8, 8)]
+            items = [((name, r, d), (op, r, d), 1 << r, f"{r:02b}{d & 15:04b}")
+                     for r in range(4) for d in range(-8, 8)]
         elif name == "JMP":
-            items = [((name, d), (op, 0, d), 0) for d in range(-8, 8)]
+            items = [((name, d), (op, 0, d), 0, f"{d & 15:04b}") for d in range(-8, 8)]
         else:
-            items = [((name,), (op, 0, 0), int(name == "ORACLE"))]
-        for item, instruction, mask in items:
-            want[assemble([item])] = (instruction, mask)
+            items = [((name,), (op, 0, 0), int(name == "ORACLE"), "")]
+        for item, instruction, mask, operands in items:
+            bits = f"{op:04b}" + operands
+            assert assemble([item]) == bits, item
+            want[bits] = (instruction, mask)
     # reserved 1010-1111: bare 4-bit opcodes, kept as they are
     want.update({format(op, "04b"): ((op, 0, 0), 0) for op in range(10, 16)})
     assert len(tv.INSTRUCTION_CODES) == len(got) == len(want) == 100
@@ -376,6 +381,16 @@ def test_assemble_disassemble():
 ])
 def test_assemble_rejects_registers_outside_r0_to_r3(items):
     with pytest.raises(ValueError, match="register"):
+        assemble(items)
+
+
+@pytest.mark.parametrize("items,message", [
+    ([("JMP", 8)], "offset 8 out of range at 0"),
+    ([("INC", 0), ("JZ", 1, -9)], "offset -9 out of range at 1"),
+    (["top:"] + [("EMIT1",)] * 8 + [("JMP", "top")], "offset -9 out of range at 8"),
+])
+def test_assemble_rejects_offsets_outside_4_signed_bits(items, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         assemble(items)
 
 
