@@ -7,7 +7,8 @@ staged semimeasures (:mod:`.semimeasure`), martingales and randomness
 probes (:mod:`.randomness`), finite-extension and depth-profile
 constructions (:mod:`.constructions`) and pruning-schedule forcing
 (:mod:`.pi01forcing`).  ``depthlab`` on the command line fronts the lot
-(:mod:`.cli`), and ``depthlab selftest`` checks it (:mod:`.selftest`).
+(:mod:`.cli`, one module per subcommand in :mod:`.commands`), and
+``depthlab selftest`` checks it (:mod:`.selftest`).
 
 The package root re-exports nothing: import names from the submodules,
 so that importing one loads only it and what it depends on.

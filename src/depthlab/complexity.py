@@ -543,6 +543,16 @@ def k_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> Comp
     return k_stage(sigma, t(len(sigma)), oracle, cap)
 
 
+def m_numerator(sigma: str, stage: int, oracle=None, cap: int = 16) -> int:
+    """The stage approximation of the machine semimeasure at sigma, as
+    its numerator over 2^cap: the mass of the programs within the cap
+    that print sigma within `stage` steps."""
+    check_bits(sigma)
+    if stage < 0:
+        raise ValueError("stage must be nonnegative")
+    return halting_table(oracle, cap).mass_numerator(sigma, stage)
+
+
 def result_csv_row(sigma: str, descriptor: str, result: ComplexityResult) -> str:
     value = "above-cap" if result.above_cap else str(result.value)
     witness = "" if result.witness is None else bits_to_hex(result.witness.bits)

@@ -31,6 +31,7 @@ from .complexity import (
     check_cap,
     halting_table,
     k_stage,
+    m_numerator,
 )
 from .toyvm import (
     MEMO,
@@ -56,14 +57,7 @@ class DepthViolation(DepthlabError):
 
 def m_stage(sigma: str, stage: int, oracle=None, cap: int = 16) -> Fraction:
     """Exact stage approximation of the machine semimeasure at sigma."""
-    check_bits(sigma)
-    if stage < 0:
-        raise ValueError("stage must be nonnegative")
-    return Fraction(halting_table(oracle, cap).mass_numerator(sigma, stage), 1 << cap)
-
-
-def m_time_bounded(sigma: str, t: TimeBound, oracle=None, cap: int = 16) -> Fraction:
-    return m_stage(sigma, t(len(sigma)), oracle, cap)
+    return Fraction(m_numerator(sigma, stage, oracle, cap), 1 << cap)
 
 
 # --------------------------------------------------------------------------

@@ -4,20 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from depthlab import cli
+from depthlab import cli, complexity, semimeasure
 from depthlab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_VALIDATION,
     dispatch,
-    solovay_probe,
 )
+from depthlab.commands.solovay import solovay_probe
 from depthlab.complexity import (
     NoStageWithinBudget,
     TimeBound,
@@ -34,6 +35,7 @@ from depthlab.toyvm import (
     FixedPointError,
     MachineError,
     int_to_bin,
+    parse_oracle,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,6 +64,34 @@ def test_m_subcommand(tmp_path):
     num, den = doc["mass"].split("/")
     assert int(num) * 2 >= int(den)
     assert doc["config"]["cap"] == 14
+
+
+@pytest.mark.parametrize("cap", [8, 14, 20])
+@pytest.mark.parametrize("oracle", ["none", "zero", "halting:1000"])
+def test_m_prints_its_integer_numerator_in_lowest_terms(tmp_path, oracle, cap):
+    # the command reads m_numerator and reduces it over 2^cap itself; the
+    # string must be the Fraction that semimeasure computes
+    masses = []
+    for sigma in ("", "0", "01", "111"):
+        for stage in (0, 1, 100):
+            mass = semimeasure.m_stage(sigma, stage, parse_oracle(oracle), cap)
+            num = complexity.m_numerator(sigma, stage, parse_oracle(oracle), cap)
+            assert mass == Fraction(num, 2 ** cap)
+            code, text = run_cli(tmp_path, "m", "--sigma", sigma, "--stage", str(stage),
+                                 "--oracle", oracle, "--cap", str(cap))
+            assert code == EXIT_OK
+            assert json.loads(text)["mass"] == cli._frac_str(mass)
+            masses.append(mass)
+        t = TimeBound.poly(10, 1)
+        mass = semimeasure.m_stage(sigma, t(len(sigma)), parse_oracle(oracle), cap)
+        code, text = run_cli(tmp_path, "m", "--sigma", sigma, "--t", "poly:10,1",
+                             "--oracle", oracle, "--cap", str(cap))
+        assert code == EXIT_OK
+        assert json.loads(text)["mass"] == cli._frac_str(mass)
+        masses.append(mass)
+    # zero masses print 0/1, and some nonzero ones reduce below 2^cap
+    assert 0 in masses
+    assert any(0 < mass.denominator < 2 ** cap for mass in masses)
 
 
 def test_space_lemma_sample_zero_violations(tmp_path):
@@ -317,6 +347,12 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (["--config", "{tmp}/no-schedule.cfg", "force", "--class", "{tmp}/sched.json",
       "--f", "halting-dnc", "--steps", "2", "--budget", "100"],
      "bad --query-schedule ''"),
+    (["force", "--class", "{tmp}/sched.json", "--f", "halting-dnc", "--steps", "1",
+      "--budget", "100", "--query-schedule", "-1"],
+     "bad --query-schedule '-1'"),
+    (["--config", "{tmp}/negative-schedule.cfg", "force", "--class", "{tmp}/sched.json",
+      "--f", "halting-dnc", "--steps", "2", "--budget", "100"],
+     "bad --query-schedule '3,-2'"),
     (["k", "--sigma", "0", "--t", "table:{tmp}/t.txt"],
      "time bound table '{tmp}/t.txt', line 1: 'x' is not an integer"),
     (["k", "--sigma", "0", "--stage", "10", "--oracle", "halting:x"],
@@ -328,7 +364,8 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     (["--config", "{tmp}/twice.cfg", "k", "--sigma", "0", "--stage", "10"],
      "config file '{tmp}/twice.cfg', line 3: key 'cap' given twice"),
 ], ids=["poly-one-value", "poly-letters", "fraction-letters", "query-schedule-letter",
-        "query-schedule-empty", "query-schedule-empty-in-config", "table-letter",
+        "query-schedule-empty", "query-schedule-empty-in-config",
+        "query-schedule-negative", "query-schedule-negative-in-config", "table-letter",
         "halting-letter", "fraction-table-no-tab", "fraction-table-repeated-sigma",
         "config-repeated-key"])
 def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, message):
@@ -338,6 +375,7 @@ def test_malformed_number_exits_2_quoting_the_text(tmp_path, capsys, argv, messa
     (tmp_path / "twice.tsv").write_text("0\t1/4\n1\t1/8\n0\t1/8\n")
     (tmp_path / "twice.cfg").write_text("cap=12\n# a later value\ncap=14\n")
     (tmp_path / "no-schedule.cfg").write_text("query-schedule=\n")
+    (tmp_path / "negative-schedule.cfg").write_text("query-schedule=3,-2\n")
     out = tmp_path / "artifact"
     code = dispatch([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
     assert code == EXIT_VALIDATION
@@ -547,7 +585,7 @@ def _k_stage_raises(monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "k_stage", fail)
+    monkeypatch.setattr(complexity, "k_stage", fail)
     return dispatch(["k", "--sigma", "0", "--cap", "10"])
 
 
@@ -702,6 +740,9 @@ print(" ".join(m for m in ("fractions", "decimal") if m in sys.modules))
 sys.exit(code)
 """
 BASE = ("depthlab", "depthlab.cli", "depthlab.toyvm", "depthlab.complexity")
+# a command run also loads the commands package and its own module, and
+# no other command's module but those named here: m takes k's flags
+SHARED = {"m": ("k",)}
 # what importing randomness, constructions or pi01forcing loads beyond
 # BASE; randomness imports semimeasure, and constructions randomness,
 # only in the functions that read it
@@ -710,13 +751,17 @@ CONSTRUCTIONS = ("constructions",)
 FORCING = ("pi01forcing",)
 SEMIMEASURE = ("semimeasure",)
 # the commands that compute no Fraction ("" is the bare import)
-NO_FRACTIONS = ("", "k", "solovay", "join-check")
+NO_FRACTIONS = ("", "k", "m", "solovay", "join-check")
+
+
+def command_module(command):
+    return "depthlab.commands." + command.replace("-", "_")
 
 
 @pytest.mark.parametrize("argv,extra", [
     ([], ()),
     (["k", "--sigma", "0", "--stage", "10", "--cap", "8"], ()),
-    (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], SEMIMEASURE),
+    (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], ()),
     (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "16", "--n", "1",
       "--cap", "14"], SEMIMEASURE),
     (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "5"], RANDOMNESS),
@@ -749,10 +794,37 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, extra):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     depthlab_modules, costly, fractions = proc.stdout.split("\n")[:3]
-    assert sorted(depthlab_modules.split()) == sorted(BASE + tuple(f"depthlab.{m}" for m in extra))
+    commands = ()
+    if argv:
+        commands = ("depthlab.commands", command_module(argv[0]),
+                    *map(command_module, SHARED.get(argv[0], ())))
+    assert sorted(depthlab_modules.split()) == sorted(
+        BASE + commands + tuple(f"depthlab.{m}" for m in extra))
     assert costly.split() == []
     if (argv[0] if argv else "") in NO_FRACTIONS:
         assert fractions.split() == []
+
+
+COMMANDS_DIR = SRC / "depthlab" / "commands"
+
+
+def test_each_command_has_one_module():
+    modules = sorted(path.stem for path in COMMANDS_DIR.glob("*.py")
+                     if path.name != "__init__.py")
+    assert modules == sorted(name.replace("-", "_") for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_command_module_imports_alone_with_arguments_and_run(command):
+    # a fresh interpreter holds no module that cli or another command
+    # would have loaded first
+    module = command_module(command)
+    code = (f"import {module} as m; "
+            "assert callable(m.arguments) and callable(m.run)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------------ solovay probe

@@ -16,9 +16,9 @@ KEPT: dict = {}
 def test_every_public_definition_is_reached_or_kept_for_a_reason():
     sources = {path: path.read_text(encoding="utf-8").splitlines()
                for folder in (PACKAGE, ROOT / "demos", ROOT / "bench")
-               for path in sorted(folder.glob("*.py"))}
+               for path in sorted(folder.rglob("*.py"))}
     unreached = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
@@ -39,10 +39,10 @@ def test_no_body_is_written_as_a_bit_literal():
     # writes a body with assemble, not as a literal of 0/1 characters;
     # docstrings may still show bits
     literals = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         prose = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
-        literals += [(path.name, node.lineno, node.value) for node in ast.walk(tree)
+        literals += [(str(path.relative_to(PACKAGE)), node.lineno, node.value) for node in ast.walk(tree)
                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
                      and id(node) not in prose and len(node.value) >= 4
                      and not node.value.strip("01")]
