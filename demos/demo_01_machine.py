@@ -4,15 +4,14 @@
 Run with: python3 demos/demo_01_machine.py
 """
 
+from depthlab.bits import body_index, index_to_body
 from depthlab.toyvm import (
     HaltingOracle,
     PrefixOracle,
     Program,
     ZERO,
     assemble,
-    body_index,
     disassemble,
-    index_to_body,
     phi,
     programs_up_to,
     run,

@@ -11,10 +11,13 @@ This module is what every run needs: the command table, the parser,
 config files, the artifact writers and the exit codes.  Each
 subcommand is one module under `commands/` (`space-lemma` in
 `commands/space_lemma.py`) holding `arguments(parser)` and `run(args)`.
+This module imports only bits, the machine-free leaf that holds the
+input readers and the two failures `dispatch` maps to exit 2 and exit 3.
 A run that names its command imports only that module, which imports
 the measuring modules it calls, so a `k` run loads just toyvm and
-complexity beside it; `--help` and a missing or unknown command import
-them all.
+complexity beyond this module and bits, and a `space-lemma` run just
+randomness and no machine; `--help` and a missing or unknown command
+import them all.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import argparse
 import sys
 from importlib import import_module
 
-from . import complexity
-from .toyvm import DepthlabError, read_input
+from .bits import DepthlabError, NoStageWithinBudget, read_input
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -159,7 +161,7 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, KeyError, OSError, DepthlabError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except complexity.NoStageWithinBudget as exc:
+    except NoStageWithinBudget as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
 

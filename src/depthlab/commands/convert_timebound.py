@@ -3,9 +3,10 @@ semimeasure dominates a table."""
 
 from __future__ import annotations
 
-from .. import complexity, semimeasure
+from .. import semimeasure
+from ..bits import NoStageWithinBudget, parse_fraction
 from ..cli import EXIT_INCONCLUSIVE, EXIT_OK, _emit_json, _require_nonnegative, _resolved
-from ..toyvm import parse_fraction, parse_oracle
+from ..toyvm import parse_oracle
 
 
 def arguments(p) -> None:
@@ -24,7 +25,7 @@ def run(args) -> int:
     try:
         stage = semimeasure.semimeasure_to_timebound(
             m, parse_fraction(args.c), args.n, oracle, args.cap, args.ceiling)
-    except complexity.NoStageWithinBudget as exc:
+    except NoStageWithinBudget as exc:
         _emit_json(args, {"error": "no-stage-within-budget", "detail": str(exc),
                           "config": _resolved(args, ("table", "c", "n", "cap", "ceiling"))})
         return EXIT_INCONCLUSIVE

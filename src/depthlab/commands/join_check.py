@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .. import pi01forcing
+from ..bits import read_bits
 from ..cli import EXIT_OK, _emit_json, _require_nonnegative, _resolved
-from ..toyvm import read_bits
 
 
 def arguments(p) -> None:

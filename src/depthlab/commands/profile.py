@@ -6,9 +6,10 @@ import sys
 import warnings
 
 from .. import constructions
+from ..bits import read_bits
 from ..cli import EXIT_OK, _emit, _require_nonnegative
 from ..complexity import TimeBound
-from ..toyvm import parse_oracle, read_bits
+from ..toyvm import parse_oracle
 
 
 def arguments(p) -> None:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from .. import randomness
+from ..bits import parse_fraction, read_bits
 from ..cli import EXIT_OK, _emit_json, _frac_str, _require_nonnegative
 from ..complexity import TimeBound
-from ..toyvm import parse_fraction, read_bits
 
 
 def arguments(p) -> None:

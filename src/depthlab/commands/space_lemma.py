@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .. import randomness
+from ..bits import parse_fraction
 from ..cli import EXIT_OK, _emit_json, _require_nonnegative, _resolved
-from ..toyvm import parse_fraction
 
 
 def arguments(p) -> None:
@@ -23,6 +23,8 @@ def run(args) -> int:
     delta = parse_fraction(args.delta)
     l = randomness.space_lemma_length(delta, args.k)
     if args.mode == "exhaustive":
+        # the grid is fixed, so the sample's --n, --seed and --depth go unread
+        read = ("delta", "k", "mode")
         tested = violations = 0
         for fam_depth, splits in ((3, randomness.DYADIC_SPLITS),
                                   (2, tuple(Fraction(i, 4) for i in range(5)))):
@@ -30,12 +32,13 @@ def run(args) -> int:
             tested += counts[0]
             violations += counts[1]
     else:
+        read = ("delta", "k", "mode", "n", "seed", "depth")
         tested, violations = randomness.space_lemma_sample(
             max(args.depth, l), args.n, args.seed, delta, l, args.k)
     _emit_json(args, {
         "violations": violations,
         "tested": tested,
         "extension_length": l,
-        "config": _resolved(args, ("delta", "k", "mode", "n", "seed", "depth")),
+        "config": _resolved(args, read),
     })
     return EXIT_OK

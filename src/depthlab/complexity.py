@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .bits import check_bits, parse_int, read_input
 from .toyvm import (
     INSTRUCTION_CODES,
     MEMO,
@@ -60,20 +61,13 @@ from .toyvm import (
     Program,
     _advance,
     bits_to_hex,
-    check_bits,
     extend,
     max_body_length,
     oracle_key,
     output_string,
-    parse_int,
     program_length,
     programs_up_to,
-    read_input,
 )
-
-
-class NoStageWithinBudget(Exception):
-    """A stage search ran past its configured ceiling."""
 
 
 # --------------------------------------------------------------------------

@@ -27,8 +27,9 @@ import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
+from .bits import DepthlabError, check_bits
 from .complexity import TimeBound, halting_table, k_stage
-from .toyvm import DepthlabError, bits_to_hex, check_bits, oracle_key
+from .toyvm import bits_to_hex, oracle_key
 
 if TYPE_CHECKING:
     from .randomness import StagedSupermartingale

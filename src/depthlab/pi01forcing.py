@@ -38,24 +38,20 @@ import json
 from itertools import compress
 from typing import NamedTuple
 
+from .bits import DepthlabError, body_index, check_bits, index_to_body, read_input
 from .complexity import NO_PINS, OracleBranches, deficiency
 from .toyvm import (
     DIVERGE_BODY,
-    DepthlabError,
     MachineState,
     PrefixOracle,
     _advance,
     assemble,
-    body_index,
-    check_bits,
     compile_const,
     diagonal,
     disassemble,
     fixed_point,
-    index_to_body,
     parse_body,
     phi,
-    read_input,
     smn,
 )
 

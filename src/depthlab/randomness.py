@@ -33,11 +33,13 @@ root of random tables with splits i/8 by the leaf products of their
 random_split_rows draws.
 
 Every table is checked for fairness and negativity when it is built,
-from_splits tables too.  This module imports semimeasure only inside
-the functions that read it (psi, the psi domination constant and
-measure_cheap_oracles), so the betting commands do not load it.
-Randomness deficiency, n - K_s, is a complexity quantity, and lives in
-complexity.
+from_splits tables too.  This module imports the modules that run the
+machine only inside the functions that read them: complexity in
+mixture_supermartingale, the builder's machine part, and semimeasure in
+psi, the psi domination constant and measure_cheap_oracles.  So the
+betting commands never load semimeasure, and space-lemma compiles no
+machine.  Randomness deficiency, n - K_s, is a complexity quantity, and
+lives in complexity.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .complexity import TimeBound, halting_table
-from .toyvm import body_index, check_bits, index_to_body, strings_of_length
+from .bits import body_index, check_bits, index_to_body, strings_of_length
+
+if TYPE_CHECKING:
+    from .complexity import TimeBound
 
 
 class FairnessError(ValueError):
@@ -95,7 +99,7 @@ class MartingaleTable:
 
     The table is the list `nums` of integer numerators over the one
     shared denominator `den`, in heap order: sigma at
-    toyvm.body_index(sigma), the children of index i at 2i + 1 and
+    bits.body_index(sigma), the children of index i at 2i + 1 and
     2i + 2.  So fairness is the integer identity 2 n[i] = n[2i+1] +
     n[2i+2], and the extensions of sigma of one length are a slice.
     `value` and `values` return Fractions."""
@@ -362,6 +366,8 @@ def mixture_supermartingale(tables, oracle=None, cap: int = 16) -> StagedSuperma
     2^(|sigma| + l - d) consecutive tau.  The tables are summed once per
     block of the deepest table, and each block is one run, cut around the
     tau the sparse machine part holds."""
+    from .complexity import halting_table
+
     cylinders = halting_table(oracle, cap).cylinder_numerators
     tail_shift = cap + len(tables) + 1
     scale = 1 << tail_shift

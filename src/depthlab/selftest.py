@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import pi01forcing, randomness, semimeasure
+from .bits import strings_of_length
 from .cli import _frac_str
 from .complexity import TimeBound, halting_table
 from .toyvm import (
@@ -19,7 +20,6 @@ from .toyvm import (
     phi,
     programs_up_to,
     smn,
-    strings_of_length,
 )
 
 

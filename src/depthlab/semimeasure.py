@@ -22,9 +22,17 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from .bits import (
+    DepthlabError,
+    NoStageWithinBudget,
+    check_bits,
+    index_to_body,
+    parse_fraction,
+    read_input,
+    strings_of_length,
+)
 from .complexity import (
     HaltingTable,
-    NoStageWithinBudget,
     OracleBranches,
     PrefixTrie,
     TimeBound,
@@ -35,15 +43,9 @@ from .complexity import (
 )
 from .toyvm import (
     MEMO,
-    DepthlabError,
     PrefixOracle,
     Program,
-    check_bits,
-    index_to_body,
     output_string,
-    parse_fraction,
-    read_input,
-    strings_of_length,
 )
 
 

@@ -7,6 +7,7 @@ supermartingale alone, which checks the machine part of the mixture."""
 from itertools import product
 from math import gcd
 
+from depthlab.bits import index_to_body
 from depthlab.complexity import halting_table
 from depthlab.randomness import (
     DYADIC_SPLITS,
@@ -17,7 +18,6 @@ from depthlab.randomness import (
     count_cheap_extensions,
     random_split_rows,
 )
-from depthlab.toyvm import index_to_body
 
 _EIGHTHS = [(i // gcd(i, 8), 8 // gcd(i, 8)) for i in range(9)]
 

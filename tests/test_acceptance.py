@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import pytest
 
+from depthlab.bits import DepthlabError
 from depthlab.cli import dispatch
 from depthlab.complexity import TimeBound, halting_table, k_stage
 from depthlab.constructions import BuilderConfig, build_deep_random
@@ -40,7 +41,6 @@ from depthlab.semimeasure import (
     semimeasure_to_timebound,
 )
 from depthlab.toyvm import (
-    DepthlabError,
     HaltingOracle,
     PrefixOracle,
     Program,

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from depthlab import cli, complexity, semimeasure
+from depthlab.bits import DepthlabError, NoStageWithinBudget
 from depthlab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -20,7 +21,6 @@ from depthlab.cli import (
 )
 from depthlab.commands.solovay import solovay_probe
 from depthlab.complexity import (
-    NoStageWithinBudget,
     TimeBound,
     k_stage,
     k_time_bounded,
@@ -31,7 +31,6 @@ from depthlab.randomness import FairnessError
 from depthlab.semimeasure import DepthViolation
 from depthlab.toyvm import (
     DecodeError,
-    DepthlabError,
     FixedPointError,
     MachineError,
     int_to_bin,
@@ -739,13 +738,15 @@ print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 print(" ".join(m for m in ("fractions", "decimal") if m in sys.modules))
 sys.exit(code)
 """
-BASE = ("depthlab", "depthlab.cli", "depthlab.toyvm", "depthlab.complexity")
+BASE = ("depthlab", "depthlab.cli", "depthlab.bits")
 # a command run also loads the commands package and its own module, and
 # no other command's module but those named here: m takes k's flags
 SHARED = {"m": ("k",)}
+# the machine, which every command but space-lemma runs
+MACHINE = ("toyvm", "complexity")
 # what importing randomness, constructions or pi01forcing loads beyond
-# BASE; randomness imports semimeasure, and constructions randomness,
-# only in the functions that read it
+# BASE; randomness imports complexity and semimeasure, and constructions
+# randomness, only in the functions that read them
 RANDOMNESS = ("randomness",)
 CONSTRUCTIONS = ("constructions",)
 FORCING = ("pi01forcing",)
@@ -760,27 +761,28 @@ def command_module(command):
 
 @pytest.mark.parametrize("argv,extra", [
     ([], ()),
-    (["k", "--sigma", "0", "--stage", "10", "--cap", "8"], ()),
-    (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], ()),
+    (["k", "--sigma", "0", "--stage", "10", "--cap", "8"], MACHINE),
+    (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], MACHINE),
     (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "16", "--n", "1",
-      "--cap", "14"], SEMIMEASURE),
+      "--cap", "14"], MACHINE + SEMIMEASURE),
     (["space-lemma", "--delta", "2", "--k", "2", "--mode", "sample", "--n", "5"], RANDOMNESS),
     (["psi", "--a-prefix", "bits:00", "--t", "poly:5,1", "--tprime", "poly:5,1",
-      "--len-cap", "1", "--stage", "100", "--cap", "8"], RANDOMNESS + SEMIMEASURE),
+      "--len-cap", "1", "--stage", "100", "--cap", "8"], MACHINE + RANDOMNESS + SEMIMEASURE),
     (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--depth", "2"],
-     SEMIMEASURE),
+     MACHINE + SEMIMEASURE),
     (["measure-cheap", "--x", "bits:0000", "--n", "1", "--k", "1", "--t", "poly:10,1",
-      "--stage", "10", "--depth", "2", "--cap", "8"], RANDOMNESS + SEMIMEASURE),
+      "--stage", "10", "--depth", "2", "--cap", "8"], MACHINE + RANDOMNESS + SEMIMEASURE),
     (["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "100", "--cap", "8"],
-     CONSTRUCTIONS),
+     MACHINE + CONSTRUCTIONS),
     (["build-deep", "--rounds", "1", "--oracle", "none", "--T", "poly:2,2", "--cap", "8",
-      "--mart-stage", "100"], CONSTRUCTIONS + RANDOMNESS),
+      "--mart-stage", "100"], MACHINE + CONSTRUCTIONS + RANDOMNESS),
     (["force", "--class", "{tmp}/sched.json", "--f", "bits:0101", "--steps", "1",
-      "--budget", "100"], FORCING),
+      "--budget", "100"], MACHINE + FORCING),
     (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
-      "--k", "1", "--stage", "10", "--cap", "8"], FORCING),
-    (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], ()),
-    (["selftest", "--seed", "7"], FORCING + RANDOMNESS + SEMIMEASURE + ("selftest",)),
+      "--k", "1", "--stage", "10", "--cap", "8"], MACHINE + FORCING),
+    (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], MACHINE),
+    (["selftest", "--seed", "7"],
+     MACHINE + FORCING + RANDOMNESS + SEMIMEASURE + ("selftest",)),
 ], ids=["import", "k", "m", "convert-timebound", "space-lemma", "psi", "avg",
         "measure-cheap", "profile", "build-deep", "force", "join-check", "solovay",
         "selftest"])
@@ -825,6 +827,38 @@ def test_a_command_module_imports_alone_with_arguments_and_run(command):
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# what `python -m depthlab` does, run through runpy under an audit hook
+# that counts the executions of cli.py's module code
+RUN_AS_MAIN = """import runpy, sys
+runs = []
+def count(event, args):
+    if event == "exec" and args[0].co_filename.endswith("cli.py"):
+        runs.append(args[0])
+sys.addaudithook(count)
+sys.argv[0] = "depthlab"
+try:
+    runpy.run_module("depthlab", run_name="__main__", alter_sys=True)
+finally:
+    print(len(runs), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [["k", "--sigma", "0", "--stage", "10", "--cap", "8"],
+                                  ["k", "--sigma", "2", "--stage", "10", "--cap", "8"]],
+                         ids=["ok", "bad-sigma"])
+def test_python_m_depthlab_is_the_depthlab_command_with_one_dispatcher(argv):
+    def run(*entry):
+        proc = subprocess.run([sys.executable, *entry, *argv], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = run("-c", "from depthlab.cli import main; main()")
+    assert code == (EXIT_OK if argv[2] == "0" else EXIT_VALIDATION)
+    assert run("-m", "depthlab") == (code, out, err)
+    # the same run once more, with the count of cli executions after its stderr
+    assert run("-c", RUN_AS_MAIN) == (code, out, err + b"1\n")
 
 
 # ------------------------------------------------------------------ solovay probe

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import cli, complexity, toyvm
+from depthlab.bits import body_index, index_to_body, strings_of_length
 from depthlab.complexity import (
     INSTRUCTION_CODES,
     MAX_CAP,
@@ -27,15 +28,12 @@ from depthlab.toyvm import (
     Program,
     ZERO,
     assemble,
-    body_index,
-    index_to_body,
     output_string,
     parse_body,
     parse_oracle,
     program_length,
     programs_up_to,
     run,
-    strings_of_length,
 )
 from depthlab.semimeasure import PrefixMassEvaluator, m_stage
 from reference_runs import (

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import constructions
+from depthlab.bits import body_index
 from depthlab.complexity import TimeBound, halting_table
 from depthlab.constructions import BuilderConfig, build_deep_random, depth_profile
 from depthlab.randomness import (
@@ -17,7 +18,7 @@ from depthlab.randomness import (
     space_lemma_length,
 )
 from depthlab.pi01forcing import symdiff
-from depthlab.toyvm import body_index, parse_oracle
+from depthlab.toyvm import parse_oracle
 
 
 def small_builder(rounds=4, cap=16, stage=1000, oracle=None, tables=None):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import complexity, pi01forcing, toyvm
+from depthlab.bits import body_index, index_to_body, strings_of_length
 from depthlab.pi01forcing import (
     MAX_DEPTH,
     Dnc2Witness,
@@ -21,11 +22,8 @@ from depthlab.pi01forcing import (
 from depthlab.toyvm import (
     ZERO,
     assemble,
-    body_index,
     diagonal,
-    index_to_body,
     phi,
-    strings_of_length,
 )
 
 from test_semimeasure import _ORACLE_LOOP_KINDS

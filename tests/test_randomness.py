@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import complexity, randomness
+from depthlab.bits import index_to_body, strings_of_length
 from depthlab.complexity import TimeBound, deficiency, halting_table
 from depthlab.randomness import (
     DYADIC_SPLITS,
@@ -26,7 +27,7 @@ from depthlab.randomness import (
     space_lemma_sample,
 )
 from depthlab.semimeasure import m_stage, oracle_average
-from depthlab.toyvm import HaltingOracle, index_to_body, rope_materialize, strings_of_length
+from depthlab.toyvm import HaltingOracle, rope_materialize
 from reference_runs import (
     halting_runs,
     reference_cylinder,

@@ -1,6 +1,7 @@
 """Every public module-level function and class of the package is reached
 from outside its own definition: by the package, a demo or a bench case.
-And no body in the package is written out as bits by hand."""
+No body in the package is written out as bits by hand.  And the layers
+below the machine import none of it."""
 
 import ast
 import re
@@ -47,3 +48,44 @@ def test_no_body_is_written_as_a_bit_literal():
                      and id(node) not in prose and len(node.value) >= 4
                      and not node.value.strip("01")]
     assert literals == []
+
+
+def _package_imports(tree, at_load):
+    """The package modules that tree imports, by their dotted name under
+    the package: every one, or with at_load only those imported when the
+    module loads, not in a function body or an `if TYPE_CHECKING:` block."""
+    found, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if at_load and (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                        or isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[2] for alias in node.names
+                         if alias.name.split(".")[0] == "depthlab")
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            under = node.module or ""
+        elif (node.module or "").split(".")[0] == "depthlab":
+            under = node.module.partition(".")[2]
+        else:
+            continue
+        # `from . import toyvm` names its modules after the import
+        found.update([under] if under else [alias.name for alias in node.names])
+    return found
+
+
+def test_the_command_line_and_the_betting_layer_import_no_machine():
+    # bits is the leaf below everything; cli imports only it, and
+    # randomness reaches the machine only from the functions that run it,
+    # so a space-lemma run compiles neither toyvm nor complexity
+    def tree(name):
+        return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+    machine = {"toyvm", "complexity"}
+    assert _package_imports(tree("bits.py"), at_load=False) == set()
+    assert _package_imports(tree("cli.py"), at_load=False) & machine == set()
+    assert _package_imports(tree("randomness.py"), at_load=True) & machine == set()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab.complexity import (NO_PINS, NoStageWithinBudget, OracleBranches, PrefixTrie,
-                                 TimeBound, halting_table)
+from depthlab.bits import NoStageWithinBudget, strings_of_length
+from depthlab.complexity import NO_PINS, OracleBranches, PrefixTrie, TimeBound, halting_table
 from depthlab.semimeasure import (
     ComputableSemimeasure,
     DepthViolation,
@@ -20,8 +20,7 @@ from depthlab.semimeasure import (
     semimeasure_to_timebound,
 )
 from depthlab.toyvm import (MEMO, MachineState, PrefixOracle, Program, assemble,
-                            parse_body, parse_oracle, programs_up_to, run,
-                            strings_of_length)
+                            parse_body, parse_oracle, programs_up_to, run)
 from reference_runs import halting_runs, oracle_leaves, reference_mass_map
 from test_toyvm import loop_bodies
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import toyvm as tv
+from depthlab.bits import body_index, index_to_body, read_bits, strings_of_length
 from depthlab.toyvm import (
     DIVERGE_BODY,
     EscapingJumpError,
@@ -12,20 +13,16 @@ from depthlab.toyvm import (
     Program,
     ZERO,
     assemble,
-    body_index,
     compile_const,
     diagonal,
     disassemble,
     fixed_point,
     gamma_encode,
-    index_to_body,
     parse_oracle,
     phi,
     programs_up_to,
-    read_bits,
     run,
     smn,
-    strings_of_length,
 )
 from reference_runs import recorded_run, run_body
 
