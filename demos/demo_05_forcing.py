@@ -10,6 +10,7 @@ from depthlab.pi01forcing import (
     PruningSchedule,
     force,
     is_dnc2,
+    member_string,
     members_at_stage,
 )
 
@@ -17,8 +18,9 @@ from depthlab.pi01forcing import (
 # forbidden strings arrive at stages, and a member is any path no
 # forbidden string prefixes.
 sch = PruningSchedule([(0, {"11"}), (2, {"100"})], depth=10)
-print("members at depth 4, stage 0:", members_at_stage(sch, 4, 0))
-print("members at depth 4, stage 2:", members_at_stage(sch, 4, 2))
+for stage in (0, 2):
+    members = [member_string(x, 4) for x in members_at_stage(sch, 4, stage)]
+    print(f"members at depth 4, stage {stage}:", members)
 
 # The canonical dodging witness disagrees with the parity of every
 # halting diagonal value; mutating one constrained bit is caught at once.

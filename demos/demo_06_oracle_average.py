@@ -6,13 +6,13 @@ Run with: python3 demos/demo_06_oracle_average.py
 
 from depthlab.complexity import TimeBound
 from depthlab.randomness import (
-    measure_cheap_oracles,
     psi,
     psi_average,
     psi_domination_constant,
 )
 from depthlab.semimeasure import (
     m_stage,
+    measure_cheap_oracles,
     monte_carlo_average,
     oracle_average,
     oracle_average_direct,

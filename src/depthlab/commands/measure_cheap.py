@@ -3,7 +3,7 @@ compress a fixed prefix."""
 
 from __future__ import annotations
 
-from .. import randomness
+from .. import semimeasure
 from ..bits import parse_fraction, read_bits
 from ..cli import EXIT_OK, _emit_json, _frac_str, _require_nonnegative, _resolved
 from ..complexity import TimeBound
@@ -21,7 +21,7 @@ def arguments(p) -> None:
 
 def run(args) -> int:
     _require_nonnegative(args, "--depth")
-    mu = randomness.measure_cheap_oracles(
+    mu = semimeasure.measure_cheap_oracles(
         read_bits(args.x), args.n, parse_fraction(args.k),
         TimeBound.parse(args.t), args.stage, args.depth, args.cap)
     _emit_json(args, {

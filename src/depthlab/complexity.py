@@ -16,8 +16,8 @@ run reaches its end settles the bodies whose remaining bits hold no
 complete instruction and splits into one child per next instruction,
 less two kinds: the one-step halts, which it settles itself, and the
 R3 half of each R2/R3 mirror pair, which its R2 twin stands for.
-An ORACLE is one more branch point: under OracleBranches a run that asks
-an unpinned index splits into one child per answer.  That is how
+An ORACLE is one more branch point: under toyvm.OracleBranches a run
+that asks an unpinned index splits into one child per answer.  That is how
 semimeasure.PrefixMassEvaluator averages over oracle prefixes, and it
 never fires under the real oracles of a HaltingTable.  PrefixTrie holds
 the one walk loop both use, its rules, and why the cycle key of a
@@ -55,9 +55,10 @@ from .toyvm import (
     OP_INC,
     OP_JZ,
     Instructions,
+    NO_PINS,
     MachineError,
     MachineState,
-    OutOfTableError,
+    OracleBranches,
     Program,
     _advance,
     bits_to_hex,
@@ -167,58 +168,6 @@ def _mirror_factor(code: tuple) -> int:
     return 2 if code[2][1] == 2 else 0
 
 
-NO_PINS = (0, 0, ())
-"""The pins of a node that has split on no oracle answer (see OracleBranches)."""
-
-
-class OracleBranches:
-    """The oracle of a walk that makes each answer a branch point.
-
-    It answers an index below depth from the pins of the node being run and
-    stops the run at any other index, which it keeps in `asked`.  Pins are
-    (mask, bits, order): index i of a depth-bit prefix is bit depth-1-i of
-    mask when pinned and of bits for its answer, and order lists the
-    answers in the order the run pinned them.  A node stopped at an index
-    at or beyond depth does not split; the least (body index, order,
-    index) of such nodes is kept in `too_deep`."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.pins = NO_PINS
-        self.asked: int | None = None
-        self.too_deep: tuple | None = None
-
-    def answer(self, index: int) -> int:
-        mask, bits, _order = self.pins
-        shift = self.depth - 1 - index
-        if shift >= 0 and mask >> shift & 1:
-            return bits >> shift & 1
-        self.asked = index
-        raise OutOfTableError(f"unpinned index {index}")
-
-    def children(self, body_index: int, st: MachineState) -> list:
-        """The split rule: (pins, state) of each child of a run stopped, in
-        state st, at the index it asked.  A child resumes after the ORACLE
-        with R1 set to its answer and the index added to its pins, on a
-        MachineState.copy of st; `steps` already counts the ORACLE step.
-        An index at or beyond depth has no children, and goes to
-        `too_deep`."""
-        index, (mask, bits, order) = self.asked, self.pins
-        if index >= self.depth:
-            hit = (body_index, order, index)
-            if self.too_deep is None or hit < self.too_deep:
-                self.too_deep = hit
-            return []
-        bit = 1 << (self.depth - 1 - index)
-        out = []
-        for answer in (0, 1):
-            child = st.copy()
-            child.pc += 1
-            child.regs[1] = answer
-            out.append(((mask | bit, bits | bit * answer, order + (answer,)), child))
-        return out
-
-
 class PrefixTrie:
     """The trie of instruction prefixes of the bodies of at most cap bits,
     and the one loop that walks it.
@@ -264,8 +213,8 @@ class PrefixTrie:
       already counts the ORACLE step.  An index at or beyond depth drops
       the node and is recorded by the oracle.  A real oracle never leaves
       an answer unpinned, so under one this never happens.
-      OracleBranches.children builds the two children; it is the one
-      split rule, which pi01forcing.Functional.values shares.
+      toyvm.OracleBranches.children builds the two children; it is the
+      one split rule, which pi01forcing.Functional.values shares.
     * It reaches the budget: the node goes to `live` for a later walk
       at a larger budget, or is dropped when there is none.
 

@@ -7,24 +7,24 @@ clopen (fully enumerated) schedules and a one-sided "not pruned so far"
 check otherwise.
 
 The forcing loop reads the input schedule once, at the stage budget,
-and then narrows that member list in place; it grows a string sigma one
-bit per step, and every member left extends sigma.  Each step first
-builds a probe program whose diagonal value names a provably empty
-branch below sigma (a side of the next bit that no member takes); a
-diagonally non-computable bit source therefore always steers into a
-branch that survives.  It then builds, as an exact fixed point of the
-step's transformer, a second program that reports whether the total
-functional is unanimous on the surviving class at the program's own
-index; when it is not (the expected case), both functional values are
-realised inside the class and one extra coding bit is pressed into it:
-the members that give the other value are dropped.  The emitted string
-together with the final class member lets every consumed bit be read
-back by running the recorded functional instances, which is exactly the
-content the trace certifies.
+as a list of depth-bit integers, and then narrows that list in place;
+it grows a string sigma one bit per step, and every member left extends
+sigma.  Each step first builds a probe program whose diagonal value
+names a provably empty branch below sigma (a side of the next bit that
+no member takes); a diagonally non-computable bit source therefore
+always steers into a branch that survives.  It then builds, as an exact
+fixed point of the step's transformer, a second program that reports
+whether the total functional is unanimous on the surviving class at the
+program's own index; when it is not (the expected case), both
+functional values are realised inside the class and one extra coding
+bit is pressed into it: the members that give the other value are
+dropped.  The emitted string together with the final class member lets
+every consumed bit be read back by running the recorded functional
+instances, which is exactly the content the trace certifies.
 
 The loop reads a functional instance on the whole surviving class at
 once (Functional.values): one run that branches on each oracle answer
-it asks, by the split rule of complexity.PrefixTrie, stands for every
+it asks, by the split rule of toyvm.OracleBranches, stands for every
 member that agrees with the answers on its branch.  The projection
 functional asks one index, so each reading costs two runs however many
 members survive.  Functional.apply, one plain run on one member, is the
@@ -39,10 +39,11 @@ from itertools import compress
 from typing import NamedTuple
 
 from .bits import DepthlabError, body_index, check_bits, index_to_body, read_input
-from .complexity import NO_PINS, OracleBranches, deficiency
 from .toyvm import (
     DIVERGE_BODY,
+    NO_PINS,
     MachineState,
+    OracleBranches,
     PrefixOracle,
     _advance,
     assemble,
@@ -138,9 +139,10 @@ class PruningSchedule:
         return cls([], depth)
 
 
-def members_at_stage(schedule: PruningSchedule, d: int, stage: int) -> list[str]:
-    """All length-d strings no forbidden string (at the stage) prefixes;
-    sorted, and nonincreasing in the stage."""
+def members_at_stage(schedule: PruningSchedule, d: int, stage: int) -> list[int]:
+    """All length-d strings no forbidden string (at the stage) prefixes,
+    each as its d-bit number (member_string reads one back); sorted, and
+    nonincreasing in the stage."""
     if d > schedule.depth:
         raise ValueError("depth beyond the schedule cap")
     # alive[i]: string i (as a d-bit number) has no forbidden prefix; a
@@ -151,9 +153,12 @@ def members_at_stage(schedule: PruningSchedule, d: int, stage: int) -> list[str]
             width = 1 << (d - len(w))
             low = int(w or "0", 2) * width
             alive[low:low + width] = bytes(width)
-    if d == 0:
-        return [""] * alive[0]
-    return [format(i, f"0{d}b") for i in compress(range(1 << d), alive)]
+    return list(compress(range(1 << d), alive))
+
+
+def member_string(member: int, d: int) -> str:
+    """The d-bit string of a member that members_at_stage lists as an int."""
+    return format(member, f"0{d}b") if d else ""
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +210,9 @@ def is_dnc2(witness: Dnc2Witness, stage: int):
 
 # --------------------------------------------------------------------------
 # total functionals
+
+
+_NO_LEAF = object()  # a leaf mask under which a member has no leaf
 
 
 _PROJECTION_ITEMS = [
@@ -260,10 +268,12 @@ class Functional(NamedTuple):
             raise ForcingError(f"functional value {res.value} outside 0/1")
         return res.value
 
-    def values(self, instance_index: int, members: list, input_value: int,
+    def values(self, instance_index: int, members: list[int], input_value: int,
                depth: int) -> list[int]:
-        """[apply(instance_index, x, input_value) for x in members], for
-        depth-bit members, from one run that branches on oracle answers.
+        """[apply(instance_index, member_string(x, depth), input_value) for x
+        in members], for members given as depth-bit numbers (as
+        members_at_stage lists them), from one run that branches on oracle
+        answers.
 
         The run starts as apply's does and goes under OracleBranches(depth):
         an unpinned index below depth splits it into one child per answer
@@ -271,9 +281,10 @@ class Functional(NamedTuple):
         an index at or past depth ends the branch without a halt, as it
         aborts a run on a depth-bit member.  Each branch ends in a leaf
         (mask, bits, R3 or None when it did not halt), and the leaves
-        partition the members: x reads the leaf whose pins int(x, 2)
-        matches.  The first member, in list order, whose leaf did not halt
-        or holds a value outside 0/1 raises apply's ForcingError."""
+        partition the members: x reads the one leaf with x & mask == bits,
+        by one dict lookup per leaf mask.  The first member, in list order,
+        whose leaf did not halt or holds a value outside 0/1 raises apply's
+        ForcingError."""
         instrs = parse_body(index_to_body(instance_index))
         answers = OracleBranches(depth)
         stack = [(NO_PINS, MachineState(regs=[0, 0, input_value, 0]))]
@@ -290,9 +301,10 @@ class Functional(NamedTuple):
             leaves.setdefault(pins[0], {})[pins[1]] = st.regs[3] if kind == "halted" else None
         out = []
         for x in members:
-            y = int(x, 2)
-            value = next(by_bits[y & mask] for mask, by_bits in leaves.items()
-                         if y & mask in by_bits)
+            for mask, by_bits in leaves.items():
+                value = by_bits.get(x & mask, _NO_LEAF)
+                if value is not _NO_LEAF:
+                    break
             if value is None:
                 raise ForcingError(
                     f"functional instance {instance_index} not total on a member")
@@ -382,11 +394,12 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
     coming from the canonical halting-table witness at the stage budget.
 
     The class is the input schedule's members at the stage budget, listed
-    once and narrowed in place: each step keeps the members on the dodge
-    bit's side, then those whose functional value is the coding bit.  The
-    result's b_member is the first member left.  `inconclusive` lists
-    every step when the input schedule has a stage past the stage budget
-    (a later pruning could still empty the class), and no step otherwise.
+    once as depth-bit numbers and narrowed in place: each step keeps the
+    members whose bit s is the dodge bit, then those whose functional
+    value is the coding bit.  The result's b_member is the first member
+    left, as a string.  `inconclusive` lists every step when the input
+    schedule has a stage past the stage budget (a later pruning could
+    still empty the class), and no step otherwise.
     """
     depth = schedule.depth
     if isinstance(f, Dnc2Witness):
@@ -417,13 +430,15 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
     result = ForcingResult("", "", inconclusive=(
         [] if schedule.settled_at(stage_budget) else list(range(steps))))
     for s in range(steps):
-        # every member extends sigma; probe: the first side no member takes
-        sides = {x[s] for x in members}
-        empty_side = next((i for i in (0, 1) if str(i) not in sides), None)
+        # every member extends sigma, and the list is sorted, so bit s
+        # rises along it; probe: the first side no member takes
+        shift = depth - 1 - s
+        sides = {members[0] >> shift & 1, members[-1] >> shift & 1}
+        empty_side = next((i for i in (0, 1) if i not in sides), None)
         n_index = smn(_answer_base(empty_side), 2 * s + 1)
         bit = dodge.value(n_index)
         sigma_next = sigma + str(bit)
-        survivors = [x for x in members if x[s] == str(bit)]
+        survivors = [x for x in members if x >> shift & 1 == bit]
         if not survivors:
             raise ForcingError(
                 f"step {s}: the bit source walked into the pruned side")
@@ -465,7 +480,7 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
         members = keep
 
     result.b_prefix = sigma
-    result.b_member = members[0]
+    result.b_member = member_string(members[0], depth)
     return result
 
 
@@ -501,6 +516,8 @@ def join_check(f_prefix: str, x_prefix: str, y_prefix: str, k: int,
     """Three clauses: the prefix is the exact xor of the two others, both
     of those look k-random at the stage (deficiency at most k), and the
     prefix's bits form a valid dodging witness on its listed indices."""
+    from .complexity import deficiency
+
     if not len(f_prefix) == len(x_prefix) == len(y_prefix):
         raise ValueError("length mismatch")
     xor_ok = f_prefix == symdiff(x_prefix, y_prefix)

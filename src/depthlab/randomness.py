@@ -36,10 +36,12 @@ Every table is checked for fairness and negativity when it is built,
 from_splits tables too.  This module imports the modules that run the
 machine only inside the functions that read them: complexity in
 mixture_supermartingale, the builder's machine part, and semimeasure in
-psi, the psi domination constant and measure_cheap_oracles.  So the
-betting commands never load semimeasure, and space-lemma compiles no
-machine.  Randomness deficiency, n - K_s, is a complexity quantity, and
-lives in complexity.
+psi and the psi domination constant.  So the betting commands never
+load semimeasure, and space-lemma compiles no machine.  Randomness
+deficiency, n - K_s, is a complexity quantity, and lives in complexity;
+the measure of the oracles that compress a prefix
+(measure_cheap_oracles) reads only semimeasures, and lives in
+semimeasure.
 """
 
 from __future__ import annotations
@@ -432,7 +434,7 @@ def psi(a_prefix: str, t: TimeBound, t_prime: TimeBound, c: Fraction,
     under the oracle prefix A.  Terms whose time-t' mass is 0 are dropped
     and counted: at finite stage they carry the divergence signal, and
     dropping them keeps the truncation finite and monotone."""
-    from .semimeasure import m_stage, relative_mass
+    from .semimeasure import m_stage, prefix_mass_evaluator, relative_mass
 
     check_bits(a_prefix)
     c = Fraction(c)
@@ -441,8 +443,11 @@ def psi(a_prefix: str, t: TimeBound, t_prime: TimeBound, c: Fraction,
     total = Fraction(0)
     dropped = 0
     for sigma_len in range(len_cap + 1):
+        # only an output the evaluator holds at budget t(|sigma|) can have
+        # relative mass there, so no other string is read
         budget = t(sigma_len)
-        for sigma in strings_of_length(sigma_len):
+        held = prefix_mass_evaluator(budget, cap, len(a_prefix)).halts
+        for sigma in sorted(s for s in held if len(s) == sigma_len):
             rel = relative_mass(sigma, a_prefix, budget, cap)
             if rel == 0:
                 continue
@@ -483,29 +488,3 @@ def psi_average(t: TimeBound, t_prime: TimeBound, c: Fraction, len_cap: int,
                  for prefix in strings_of_length(depth)), Fraction(0))
     return total / (1 << depth)
 
-
-# --------------------------------------------------------------------------
-# measure of oracles that compress a fixed prefix
-
-
-def measure_cheap_oracles(x_prefix: str, n: int, k, t: TimeBound, stage: int,
-                          depth: int, cap: int = 16) -> Fraction:
-    """Exact measure of depth-bit oracle prefixes Y with
-    m^{Y,stage}(X|n) >= k * m^t(X|n), by enumeration of all prefixes."""
-    from .semimeasure import m_stage, prefix_mass_evaluator
-
-    check_bits(x_prefix)
-    if not 0 <= n <= len(x_prefix):
-        raise ValueError("n must lie between 0 and the prefix length")
-    k = Fraction(k)
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if stage < 0:
-        raise ValueError(f"stage must be nonnegative, got {stage}")
-    sigma = x_prefix[:n]
-    threshold = k * m_stage(sigma, t(n), None, cap)
-    ev = prefix_mass_evaluator(stage, cap, depth)
-    bound = threshold.numerator << cap
-    hits = sum(1 for y in range(1 << depth)
-               if ev.numerator(sigma, y) * threshold.denominator >= bound)
-    return Fraction(hits, 1 << depth)

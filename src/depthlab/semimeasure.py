@@ -13,7 +13,9 @@ oracle prefixes of a given depth.  The integral reads one index per
 (budget, cap, depth) of every halting oracle branch, built by one walk
 of the instruction-prefix trie (complexity.PrefixTrie) in which each
 unpinned oracle answer is a branch point.  It sums integers in units of
-2^-cap; a Fraction is built only for the value returned.
+2^-cap; a Fraction is built only for the value returned.  The same index
+gives the measure of the oracle prefixes that lift a string's mass
+k-fold (measure_cheap_oracles).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .bits import (
 )
 from .complexity import (
     HaltingTable,
-    OracleBranches,
     PrefixTrie,
     TimeBound,
     check_cap,
@@ -43,6 +44,7 @@ from .complexity import (
 )
 from .toyvm import (
     MEMO,
+    OracleBranches,
     PrefixOracle,
     Program,
     output_string,
@@ -289,3 +291,42 @@ def monte_carlo_average(sigma: str, t: TimeBound, cap: int = 16, depth: int = 6,
                    max(samples * (samples - 1), 1) << (2 * cap))
     se = (float(var) / samples) ** 0.5
     return mean, se
+
+
+# --------------------------------------------------------------------------
+# measure of oracles that compress a fixed prefix
+
+
+def measure_cheap_oracles(x_prefix: str, n: int, k, t: TimeBound, stage: int,
+                          depth: int, cap: int = 16) -> Fraction:
+    """Exact measure of depth-bit oracle prefixes Y with
+    m^{Y,stage}(X|n) >= k * m^t(X|n).
+
+    The mass under Y reads only the bits of Y that some branch printing
+    X|n pins, so with U the union of those branches' masks it is counted
+    once per assignment to U, which stands for 2^(depth - |U|) prefixes:
+    the count is exact however large depth is."""
+    check_bits(x_prefix)
+    if not 0 <= n <= len(x_prefix):
+        raise ValueError("n must lie between 0 and the prefix length")
+    k = Fraction(k)
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if stage < 0:
+        raise ValueError(f"stage must be nonnegative, got {stage}")
+    sigma = x_prefix[:n]
+    threshold = k * m_stage(sigma, t(n), None, cap)
+    ev = prefix_mass_evaluator(stage, cap, depth)
+    bound = threshold.numerator << cap
+    pinned = 0
+    for mask, _bits in ev.halts.get(sigma, {}):
+        pinned |= mask
+    # y runs through every submask of pinned, from pinned down to 0
+    hits, y = 0, pinned
+    while True:
+        if ev.numerator(sigma, y) * threshold.denominator >= bound:
+            hits += 1
+        if not y:
+            break
+        y = (y - 1) & pinned
+    return Fraction(hits << (depth - pinned.bit_count()), 1 << depth)

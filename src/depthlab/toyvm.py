@@ -48,6 +48,10 @@ Execution conventions
       ran out); run and phi wrap that and the state into one Outcome.
     * An oracle is any object with a hashable `key` and an answer(index)
       that returns 0 or 1, or raises OutOfTableError to abort the run.
+      OracleBranches is the one exception: it is the oracle of a walk that
+      splits on each answer (complexity.PrefixTrie, and
+      pi01forcing.Functional.values), answers from the pins of the node
+      it runs, has no `key` and never keys MEMO.
 
 Cycle detection
     A run asked to look for cycles keys each step by the program counter
@@ -456,6 +460,61 @@ class HaltingOracle:
 
     def answer(self, index: int) -> int:
         return 1 if diagonal(index, self.stage)[0] else 0
+
+
+NO_PINS = (0, 0, ())
+"""The pins of a node that has split on no oracle answer (see OracleBranches)."""
+
+
+class OracleBranches:
+    """The oracle of a walk that makes each answer a branch point: the
+    instruction-prefix walk of complexity.PrefixTrie and the per-branch
+    read of pi01forcing.Functional.values.  It has no `key`, as no table
+    or evaluator is kept under it.
+
+    It answers an index below depth from the pins of the node being run and
+    stops the run at any other index, which it keeps in `asked`.  Pins are
+    (mask, bits, order): index i of a depth-bit prefix is bit depth-1-i of
+    mask when pinned and of bits for its answer, and order lists the
+    answers in the order the run pinned them.  A node stopped at an index
+    at or beyond depth does not split; the least (body index, order,
+    index) of such nodes is kept in `too_deep`."""
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.pins = NO_PINS
+        self.asked: int | None = None
+        self.too_deep: tuple | None = None
+
+    def answer(self, index: int) -> int:
+        mask, bits, _order = self.pins
+        shift = self.depth - 1 - index
+        if shift >= 0 and mask >> shift & 1:
+            return bits >> shift & 1
+        self.asked = index
+        raise OutOfTableError(f"unpinned index {index}")
+
+    def children(self, body_index: int, st: MachineState) -> list:
+        """The split rule: (pins, state) of each child of a run stopped, in
+        state st, at the index it asked.  A child resumes after the ORACLE
+        with R1 set to its answer and the index added to its pins, on a
+        MachineState.copy of st; `steps` already counts the ORACLE step.
+        An index at or beyond depth has no children, and goes to
+        `too_deep`."""
+        index, (mask, bits, order) = self.asked, self.pins
+        if index >= self.depth:
+            hit = (body_index, order, index)
+            if self.too_deep is None or hit < self.too_deep:
+                self.too_deep = hit
+            return []
+        bit = 1 << (self.depth - 1 - index)
+        out = []
+        for answer in (0, 1):
+            child = st.copy()
+            child.pc += 1
+            child.regs[1] = answer
+            out.append(((mask | bit, bits | bit * answer, order + (answer,)), child))
+        return out
 
 
 def parse_oracle(text: str | None):

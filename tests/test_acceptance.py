@@ -29,12 +29,12 @@ from depthlab.randomness import (
     psi,
     psi_average,
     psi_domination_constant,
-    measure_cheap_oracles,
     space_lemma_length,
 )
 from depthlab.semimeasure import (
     ComputableSemimeasure,
     m_stage,
+    measure_cheap_oracles,
     monte_carlo_average,
     oracle_average,
     oracle_average_direct,

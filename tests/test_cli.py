@@ -745,14 +745,15 @@ SHARED = {"m": ("k",)}
 # the machine, which every command but space-lemma runs
 MACHINE = ("toyvm", "complexity")
 # what importing randomness, constructions or pi01forcing loads beyond
-# BASE; randomness imports complexity and semimeasure, and constructions
-# randomness, only in the functions that read them
+# BASE and the machine module each imports at load: randomness imports
+# complexity and semimeasure, constructions randomness, and pi01forcing
+# complexity, only in the functions that read them
 RANDOMNESS = ("randomness",)
 CONSTRUCTIONS = ("constructions",)
 FORCING = ("pi01forcing",)
 SEMIMEASURE = ("semimeasure",)
 # the commands that compute no Fraction ("" is the bare import)
-NO_FRACTIONS = ("", "k", "m", "solovay", "join-check")
+NO_FRACTIONS = ("", "k", "m", "solovay", "force", "join-check")
 
 
 def command_module(command):
@@ -771,13 +772,13 @@ def command_module(command):
     (["avg", "--sigma", "1", "--t", "poly:10,1", "--cap", "8", "--depth", "2"],
      MACHINE + SEMIMEASURE),
     (["measure-cheap", "--x", "bits:0000", "--n", "1", "--k", "1", "--t", "poly:10,1",
-      "--stage", "10", "--depth", "2", "--cap", "8"], MACHINE + RANDOMNESS + SEMIMEASURE),
+      "--stage", "10", "--depth", "2", "--cap", "8"], MACHINE + SEMIMEASURE),
     (["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "100", "--cap", "8"],
      MACHINE + CONSTRUCTIONS),
     (["build-deep", "--rounds", "1", "--oracle", "none", "--T", "poly:2,2", "--cap", "8",
       "--mart-stage", "100"], MACHINE + CONSTRUCTIONS + RANDOMNESS),
     (["force", "--class", "{tmp}/sched.json", "--f", "bits:0101", "--steps", "1",
-      "--budget", "100"], MACHINE + FORCING),
+      "--budget", "100"], ("toyvm",) + FORCING),
     (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
       "--k", "1", "--stage", "10", "--cap", "8"], MACHINE + FORCING),
     (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], MACHINE),
@@ -859,6 +860,23 @@ def test_python_m_depthlab_is_the_depthlab_command_with_one_dispatcher(argv):
     assert run("-m", "depthlab") == (code, out, err)
     # the same run once more, with the count of cli executions after its stderr
     assert run("-c", RUN_AS_MAIN) == (code, out, err + b"1\n")
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["measure-cheap", "--x", "bits:1111", "--n", "1", "--k", "1", "--t", "poly:10,1",
+      "--stage", "5", "--depth", "40", "--cap", "4"], "measure", "1/1"),
+    (["psi", "--a-prefix", "bits:01", "--t", "poly:5,1", "--tprime", "poly:5,1",
+      "--len-cap", "30", "--stage", "3", "--cap", "4"], "value", "5/8"),
+], ids=["measure-cheap-depth-40", "psi-len-cap-30"])
+def test_a_command_reads_only_what_a_branch_holds(tmp_path, argv, key, value):
+    # 2^40 oracle prefixes and 2^31 strings: each command counts over the
+    # bits its branches pin and the outputs they print, so it ends at once
+    out = tmp_path / "artifact.json"
+    proc = subprocess.run([sys.executable, "-m", "depthlab", *argv, "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(out.read_text())[key] == value
 
 
 # ------------------------------------------------------------------ solovay probe

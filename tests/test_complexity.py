@@ -10,7 +10,6 @@ from depthlab.bits import body_index, index_to_body, strings_of_length
 from depthlab.complexity import (
     INSTRUCTION_CODES,
     MAX_CAP,
-    NO_PINS,
     HaltingTable,
     PrefixTrie,
     TimeBound,
@@ -20,6 +19,7 @@ from depthlab.complexity import (
     result_csv_row,
 )
 from depthlab.toyvm import (
+    NO_PINS,
     HaltingOracle,
     Instructions,
     MachineError,

@@ -17,6 +17,7 @@ from depthlab.pi01forcing import (
     force,
     is_dnc2,
     join_check,
+    member_string,
     members_at_stage,
 )
 from depthlab.toyvm import (
@@ -32,6 +33,11 @@ from test_toyvm import loop_bodies
 
 # ------------------------------------------------------------------ schedules
 
+def listed(schedule, d, stage):
+    """members_at_stage, each member as its d-bit string."""
+    return [member_string(x, d) for x in members_at_stage(schedule, d, stage)]
+
+
 def test_members_full_space():
     sch = PruningSchedule.full_space(6)
     assert len(members_at_stage(sch, 4, 0)) == 16
@@ -39,13 +45,13 @@ def test_members_full_space():
 
 def test_members_forbid_one_branch():
     sch = PruningSchedule([(0, {"1"})], 6)
-    members = members_at_stage(sch, 3, 0)
-    assert members == ["000", "001", "010", "011"]
+    assert members_at_stage(sch, 3, 0) == [0b000, 0b001, 0b010, 0b011]
+    assert listed(sch, 3, 0) == ["000", "001", "010", "011"]
 
 
 def test_members_antichain_singleton():
     sch = PruningSchedule([(0, {"1", "01", "001", "0001"})], 4)
-    assert members_at_stage(sch, 4, 0) == ["0000"]
+    assert listed(sch, 4, 0) == ["0000"]
 
 
 def test_members_nonincreasing_in_stage():
@@ -117,16 +123,16 @@ def test_members_match_a_brute_force_scan():
         sch = PruningSchedule(stages, depth)
         for d in range(depth + 1):
             for stage in (0, 2, 5):
-                assert members_at_stage(sch, d, stage) == reference_members(sch, d, stage)
+                assert listed(sch, d, stage) == reference_members(sch, d, stage)
 
 
 def test_members_at_depth_zero_and_under_the_empty_string():
-    assert members_at_stage(PruningSchedule.full_space(3), 0, 0) == [""]
+    assert listed(PruningSchedule.full_space(3), 0, 0) == [""]
     sch = PruningSchedule([(0, {"1"}), (4, {""})], 3)
-    assert members_at_stage(sch, 0, 0) == [""]
-    assert members_at_stage(sch, 2, 3) == ["00", "01"]
-    assert members_at_stage(sch, 0, 4) == []
-    assert members_at_stage(sch, 3, 4) == []
+    assert listed(sch, 0, 0) == [""]
+    assert listed(sch, 2, 3) == ["00", "01"]
+    assert listed(sch, 0, 4) == []
+    assert listed(sch, 3, 4) == []
 
 
 # ------------------------------------------------------------------ dodging witnesses
@@ -204,7 +210,7 @@ def assert_member_carries_every_bit(res, schedule, budget, fn):
     every step's sigma, and gives back each step's dodge and coding bit:
     its functional instance, run on the member at the fixed-point index,
     reads the coding bit."""
-    assert res.b_member in members_at_stage(schedule, schedule.depth, budget)
+    assert res.b_member in listed(schedule, schedule.depth, budget)
     for st in res.steps:
         assert res.b_member.startswith(st.sigma)
         assert fn.apply(st.functional_instance, res.b_member, st.m_index) == st.coding_bit
@@ -385,7 +391,8 @@ def read_all(call):
 
 
 def branched_and_per_member(fn, inst, members, e, depth):
-    return (read_all(lambda: fn.values(inst, members, e, depth)),
+    numbers = [int(x, 2) for x in members]
+    return (read_all(lambda: fn.values(inst, numbers, e, depth)),
             read_all(lambda: [fn.apply(inst, x, e) for x in members]))
 
 
@@ -415,11 +422,11 @@ def test_hand_bodies_reach_each_kind_of_leaf():
     # the first member to fail decides which error text is raised
     fn = Functional(0, 4096, ())
     mixed = body_index(HAND_BODIES["mixed-errors"])
-    assert read_all(lambda: fn.values(mixed, ["0000", "1100"], 0, 4)) == \
+    assert read_all(lambda: fn.values(mixed, [0b0000, 0b1100], 0, 4)) == \
         "functional value 2 outside 0/1"
-    assert read_all(lambda: fn.values(mixed, ["1100", "0000"], 0, 4)) == \
+    assert read_all(lambda: fn.values(mixed, [0b1100, 0b0000], 0, 4)) == \
         f"functional instance {mixed} not total on a member"
-    assert read_all(lambda: fn.values(mixed, ["1000", "1100"], 0, 4)) == \
+    assert read_all(lambda: fn.values(mixed, [0b1000, 0b1100], 0, 4)) == \
         "functional value 3 outside 0/1"
     # the budget body halts on answer 0 at index 0 after a number of steps
     # that depends on the answer at index 1
@@ -428,10 +435,10 @@ def test_hand_bodies_reach_each_kind_of_leaf():
              for x in ("0000", "0100")}
     assert steps["0100"] > steps["0000"]
     tight = Functional(0, steps["0000"], ())
-    assert read_all(lambda: tight.values(counting, ["0000"], 1, 4)) == [0]
-    assert read_all(lambda: tight.values(counting, ["0000", "0100"], 1, 4)) == \
+    assert read_all(lambda: tight.values(counting, [0b0000], 1, 4)) == [0]
+    assert read_all(lambda: tight.values(counting, [0b0000, 0b0100], 1, 4)) == \
         f"functional instance {counting} not total on a member"
-    assert read_all(lambda: fn.values(counting, ["0100", "1000"], 1, 4)) == \
+    assert read_all(lambda: fn.values(counting, [0b0100, 0b1000], 1, 4)) == \
         f"functional instance {counting} not total on a member"
 
 
@@ -459,8 +466,9 @@ def test_branched_values_match_per_member_runs_on_loops(body, depth, e, budget, 
 
 
 def per_member_values(self, instance_index, members, input_value, depth):
-    """The reference reading: one plain run per member."""
-    return [self.apply(instance_index, x, input_value) for x in members]
+    """The reference reading: one plain run per member, on its string."""
+    return [self.apply(instance_index, member_string(x, depth), input_value)
+            for x in members]
 
 
 # parity of the oracle bits at the parameter q and at q + 1

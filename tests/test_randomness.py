@@ -16,7 +16,6 @@ from depthlab.randomness import (
     MartingaleTable,
     count_cheap_extensions,
     default_builder_martingale,
-    measure_cheap_oracles,
     mixture_supermartingale,
     psi,
     psi_average,
@@ -26,7 +25,7 @@ from depthlab.randomness import (
     space_lemma_length,
     space_lemma_sample,
 )
-from depthlab.semimeasure import m_stage, oracle_average
+from depthlab.semimeasure import m_stage, relative_mass
 from depthlab.toyvm import HaltingOracle, rope_materialize
 from reference_runs import (
     halting_runs,
@@ -702,37 +701,39 @@ def test_psi_average_at_most_one_with_measured_constant():
     assert avg <= 1
 
 
+def stringwise_psi(a_prefix, t, t_prime, c, len_cap, stage, cap):
+    """(value, dropped terms) of psi by reading every string up to len_cap."""
+    total, dropped = Fraction(0), 0
+    for sigma in all_strings(len_cap):
+        rel = relative_mass(sigma, a_prefix, t(len(sigma)), cap)
+        if rel == 0:
+            continue
+        denom = m_stage(sigma, t_prime(len(sigma)), None, cap)
+        if denom == 0:
+            dropped += 1
+            continue
+        total += rel * m_stage(sigma, stage, None, cap) / (Fraction(c) * denom)
+    return total, dropped
+
+
+def test_psi_reads_only_held_outputs_and_matches_the_stringwise_sum():
+    # cap 22 holds bodies that ask the oracle at indices 0 and 1, so the
+    # prefix changes the value; the zero t' starves every nonempty output
+    t = TimeBound.poly(5, 1)
+    wants = {}  # (t', len_cap) -> the (value, dropped) pairs of the prefixes
+    for t_prime in (t, TimeBound.poly(1, 2), TimeBound.poly(0, 0)):
+        for a in ("00", "01", "11", "110", "1001"):
+            for len_cap in range(5):
+                res = psi(a, t, t_prime, Fraction(3, 2), len_cap, 40, 22)
+                want = stringwise_psi(a, t, t_prime, Fraction(3, 2), len_cap, 40, 22)
+                assert (res.value, res.dropped_terms) == want
+                wants.setdefault((t_prime, len_cap), set()).add(want)
+    assert any(value and dropped for pairs in wants.values() for value, dropped in pairs)
+    assert any(len(pairs) > 1 for pairs in wants.values())
+
+
 def test_psi_rejects_bad_constant():
     t = TimeBound.poly(5, 1)
     with pytest.raises(ValueError):
         psi("00", t, t, Fraction(0), 1, 10, 12)
 
-
-# ------------------------------------------------------------------ cheap oracles
-
-def test_measure_cheap_large_k_empty():
-    t = TimeBound.poly(10, 1)
-    assert measure_cheap_oracles("0000", 1, Fraction(10 ** 9), t, t(1), 4, 14) == 0
-
-
-def test_measure_cheap_k1_without_consultation():
-    # relative mass dominates the plain mass, so the ratio is always >= 1
-    t = TimeBound.poly(10, 1)
-    assert measure_cheap_oracles("0000", 1, 1, t, t(1), 4, 14) == 1
-
-
-def test_measure_cheap_markov_bound_exact():
-    t = TimeBound.poly(10, 1)
-    x = "0000"
-    n = 1
-    base = m_stage(x[:n], t(n), None, 12)
-    c_const = oracle_average(x[:n], t, 12, 4) / base
-    for k in (1, 2, 4, 8):
-        mu = measure_cheap_oracles(x, n, k, t, t(n), 4, 12)
-        assert mu <= c_const / k
-
-
-def test_measure_cheap_nonincreasing_in_k():
-    t = TimeBound.poly(10, 1)
-    vals = [measure_cheap_oracles("1111", 1, k, t, 50, 4, 15) for k in (1, 2, 4, 8)]
-    assert all(b <= a for a, b in zip(vals, vals[1:]))

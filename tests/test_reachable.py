@@ -78,14 +78,24 @@ def _package_imports(tree, at_load):
     return found
 
 
+def _tree(name):
+    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+
 def test_the_command_line_and_the_betting_layer_import_no_machine():
     # bits is the leaf below everything; cli imports only it, and
     # randomness reaches the machine only from the functions that run it,
     # so a space-lemma run compiles neither toyvm nor complexity
-    def tree(name):
-        return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
-
     machine = {"toyvm", "complexity"}
-    assert _package_imports(tree("bits.py"), at_load=False) == set()
-    assert _package_imports(tree("cli.py"), at_load=False) & machine == set()
-    assert _package_imports(tree("randomness.py"), at_load=True) & machine == set()
+    assert _package_imports(_tree("bits.py"), at_load=False) == set()
+    assert _package_imports(_tree("cli.py"), at_load=False) & machine == set()
+    assert _package_imports(_tree("randomness.py"), at_load=True) & machine == set()
+
+
+def test_the_oracle_layers_import_only_what_they_run():
+    # forcing runs the machine and its branching oracle, both in toyvm, and
+    # reads complexity's deficiency only inside join_check, so a force run
+    # compiles no complexity; the oracle measures read no martingale, so
+    # measure-cheap and avg compile no randomness
+    assert _package_imports(_tree("pi01forcing.py"), at_load=True) & {"complexity"} == set()
+    assert _package_imports(_tree("semimeasure.py"), at_load=False) & {"randomness"} == set()

@@ -6,21 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab.bits import NoStageWithinBudget, strings_of_length
-from depthlab.complexity import NO_PINS, OracleBranches, PrefixTrie, TimeBound, halting_table
+from depthlab.complexity import PrefixTrie, TimeBound, halting_table
 from depthlab.semimeasure import (
     ComputableSemimeasure,
     DepthViolation,
     PrefixMassEvaluator,
     coding_gap,
     m_stage,
+    measure_cheap_oracles,
     monte_carlo_average,
+    prefix_mass_evaluator,
     oracle_average,
     oracle_average_direct,
     relative_mass,
     semimeasure_to_timebound,
 )
-from depthlab.toyvm import (MEMO, MachineState, PrefixOracle, Program, assemble,
-                            parse_body, parse_oracle, programs_up_to, run)
+from depthlab.toyvm import (MEMO, NO_PINS, MachineState, OracleBranches, PrefixOracle,
+                            Program, assemble, parse_body, parse_oracle, programs_up_to,
+                            run)
 from reference_runs import halting_runs, oracle_leaves, reference_mass_map
 from test_toyvm import loop_bodies
 
@@ -433,3 +436,83 @@ def test_monte_carlo_needs_a_sample():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="at least one sample"):
             monte_carlo_average("1", t, 8, 2, samples)
+
+
+# ------------------------------------------------------------------ cheap oracles
+
+def test_measure_cheap_large_k_empty():
+    t = TimeBound.poly(10, 1)
+    assert measure_cheap_oracles("0000", 1, Fraction(10 ** 9), t, t(1), 4, 14) == 0
+
+
+def test_measure_cheap_k1_without_consultation():
+    # relative mass dominates the plain mass, so the ratio is always >= 1
+    t = TimeBound.poly(10, 1)
+    assert measure_cheap_oracles("0000", 1, 1, t, t(1), 4, 14) == 1
+
+
+def test_measure_cheap_markov_bound_exact():
+    t = TimeBound.poly(10, 1)
+    x = "0000"
+    n = 1
+    base = m_stage(x[:n], t(n), None, 12)
+    c_const = oracle_average(x[:n], t, 12, 4) / base
+    for k in (1, 2, 4, 8):
+        mu = measure_cheap_oracles(x, n, k, t, t(n), 4, 12)
+        assert mu <= c_const / k
+
+
+def test_measure_cheap_nonincreasing_in_k():
+    t = TimeBound.poly(10, 1)
+    vals = [measure_cheap_oracles("1111", 1, k, t, 50, 4, 15) for k in (1, 2, 4, 8)]
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def enumerated_cheap_measure(x_prefix, n, k, t, stage, depth, cap):
+    """The measure by testing each of the 2^depth prefixes in turn."""
+    sigma = x_prefix[:n]
+    threshold = Fraction(k) * m_stage(sigma, t(n), None, cap)
+    ev = prefix_mass_evaluator(stage, cap, depth)
+    hits = sum(1 for y in range(1 << depth)
+               if Fraction(ev.numerator(sigma, y), 1 << cap) >= threshold)
+    return Fraction(hits, 1 << depth)
+
+
+def test_measure_cheap_matches_enumerating_every_prefix():
+    # k runs through each distinct lift of the mass, so the measure takes
+    # every value the prefixes give; at cap 22 some branches printing "0"
+    # pin indices 0 and 1, so the count over the pinned bits stands for
+    # 2^(depth - 2) prefixes each
+    t = TimeBound.poly(10, 1)
+    seen, widest = set(), 0
+    for cap in (17, 20, 22):
+        for depth in range(2, 9):
+            ev = prefix_mass_evaluator(30, cap, depth)
+            for x, n in (("0110", 0), ("0110", 1), ("1001", 1), ("0110", 2), ("1001", 2)):
+                sigma = x[:n]
+                base = m_stage(sigma, t(n), None, cap)
+                pinned = 0
+                for mask, _bits in ev.halts.get(sigma, {}):
+                    pinned |= mask
+                widest = max(widest, pinned.bit_count())
+                lifts = {Fraction(ev.numerator(sigma, y), 1 << cap) / base
+                         for y in range(1 << depth)}
+                for k in sorted(lifts) + [max(lifts) + Fraction(1, 1 << 40)]:
+                    mu = measure_cheap_oracles(x, n, k, t, 30, depth, cap)
+                    assert mu == enumerated_cheap_measure(x, n, k, t, 30, depth, cap)
+                    seen.add(mu)
+    assert widest == 2 and 0 in seen and 1 in seen
+    assert any(0 < mu < 1 for mu in seen)
+
+
+def test_measure_cheap_at_a_depth_past_enumeration():
+    # at cap 22 no branch asks past index 1, so the measure is the same at
+    # depth 40, with 2^40 prefixes, as at depth 8, where they are counted
+    t = TimeBound.poly(10, 1)
+    base = m_stage("0", t(1), None, 22)
+    ev = prefix_mass_evaluator(30, 22, 8)
+    lifts = sorted({Fraction(ev.numerator("0", y), 1 << 22) / base for y in range(256)})
+    assert len(lifts) == 4
+    for k in lifts:
+        mu = measure_cheap_oracles("0110", 1, k, t, 30, 40, 22)
+        assert mu == enumerated_cheap_measure("0110", 1, k, t, 30, 8, 22)
