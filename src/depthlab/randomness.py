@@ -35,11 +35,11 @@ random_split_rows draws.
 Every table is checked for fairness and negativity when it is built,
 from_splits tables too.  This module imports the modules that run the
 machine only inside the functions that read them: complexity in
-mixture_supermartingale, the builder's machine part, and semimeasure in
-psi and the psi domination constant.  So the betting commands never
-load semimeasure, and space-lemma compiles no machine.  Randomness
-deficiency, n - K_s, is a complexity quantity, and lives in complexity;
-the measure of the oracles that compress a prefix
+mixture_supermartingale, the builder's machine part, and in the psi
+domination constant, and semimeasure in psi and that constant.  So the
+betting commands never load semimeasure, and space-lemma compiles no
+machine.  Randomness deficiency, n - K_s, is a complexity quantity, and
+lives in complexity; the measure of the oracles that compress a prefix
 (measure_cheap_oracles) reads only semimeasures, and lives in
 semimeasure.
 """
@@ -467,16 +467,19 @@ def psi_domination_constant(t: TimeBound, t_prime: TimeBound, len_cap: int,
     """Smallest exact c with avg_A m^{A,t}(sigma) <= c m^{t'}(sigma) over
     all sigma of length <= len_cap with positive t'-mass; the measured
     stand-in for the abstract domination constant."""
+    from .complexity import halting_table
     from .semimeasure import m_stage, oracle_average
 
+    table = halting_table(None, cap)
     best = Fraction(0)
     for sigma_len in range(len_cap + 1):
-        for sigma in strings_of_length(sigma_len):
-            denom = m_stage(sigma, t_prime(sigma_len), None, cap)
-            if denom == 0:
-                continue
+        # an output with positive mass at budget t'(|sigma|) is one the
+        # oracle-free table holds there, so no other string is read
+        budget = t_prime(sigma_len)
+        held = table.output_map(budget, sigma_len)
+        for sigma in sorted(s for s in held if len(s) == sigma_len):
             avg = oracle_average(sigma, t, cap, depth)
-            best = max(best, avg / denom)
+            best = max(best, avg / m_stage(sigma, budget, None, cap))
     return best if best > 0 else Fraction(1)
 
 

@@ -63,15 +63,31 @@ Cycle detection
     program counter.  So the key's next value is a function of its current
     value, and once a key repeats the run repeats the same cycle forever:
     it never halts, never aborts and asks no oracle index it has not asked
-    already.  Such a run stops as "diverged".  A loop that only grows
-    an untested register, such as INC R1; JMP -2, is caught on its first
-    lap.  A loop whose tested register keeps growing never repeats a key
-    and runs to the budget.  phi, the diagonal and every walk always look
-    for cycles; run does when asked, and is the reference without them.
-    A state copied to resume a walk's child starts with no keys: a cycle
-    that repeats forever still repeats a key within one more lap, so a
-    fresh set changes only when divergence is found, never whether a run
-    halts.
+    already.  Such a run stops as "diverged".
+
+    The run keeps one saved key, the one it had at the last step count of
+    the form 2^k - 1 (0, 1, 3, 7, ...): each step compares its key with
+    the saved one and stops on a match, then saves its own key if its
+    count has that form (Brent's cycle finder, BIT 20, 1980).  A match is
+    a repeat, so the rule is sound as above.  It is also complete.  Say
+    the key first met at step mu comes back at mu + lambda, and let S be
+    the least 2^k - 1 >= max(mu, lambda - 1).  The key saved at S lies on
+    the cycle and comes back at S + lambda, no later than the next save
+    at 2S + 1, so the run stops as "diverged" at a step from mu + lambda
+    to S + lambda.  That step can come after the first repeat: the loop
+    DEC R2; JZ R2,+1; JMP -3; JMP -1 from R2 = 10 first repeats a key at
+    step 30 and stops at step 32.  A loop that only grows an untested
+    register, such as INC R1; JMP -2, is caught on its second lap.  A
+    loop whose tested register keeps growing never repeats a key and runs
+    to the budget.  phi, the diagonal and every walk always look for
+    cycles; run does when asked, and is the reference without them.
+
+    The counts are the run's absolute steps.  A state copied to resume a
+    walk's child saves no key, as the child's cycle keys may project onto
+    more registers; it saves at the next count of the form 2^k - 1, so
+    the bound holds with mu at least the copy's step.  A state left live
+    at the budget keeps its saved key, so a walk resumed at a larger
+    budget runs as one walk would.
 
 Mirror pairs
     Only INC, DEC and JZ name R2 or R3.  Swap R2 and R3 throughout a body
@@ -590,9 +606,11 @@ def output_string(rope) -> str:
 class MachineState:
     """Resumable snapshot of a run in progress, and the record of a run
     that stopped: pc, steps, rope and regs are its facts either way.  The
-    output's length is rope[0]; seen holds the cycle keys met so far."""
+    output's length is rope[0]; saved is the cycle key the run had at its
+    last step count of the form 2^k - 1, or None (see the module
+    docstring)."""
 
-    __slots__ = ("pc", "regs", "steps", "rope", "seen")
+    __slots__ = ("pc", "regs", "steps", "rope", "saved")
 
     def __init__(self, pc: int = 0, regs: list[int] | None = None, steps: int = 0,
                  rope: tuple | None = None):
@@ -600,11 +618,11 @@ class MachineState:
         self.regs = [0, 0, 0, 0] if regs is None else regs
         self.steps = steps
         self.rope = rope
-        self.seen = None
+        self.saved = None
 
     def copy(self) -> "MachineState":
-        """A state that resumes as this one does, with its own regs and a
-        fresh cycle-key set.  Every child state of a walk is built here."""
+        """A state that resumes as this one does, with its own regs and no
+        saved cycle key.  Every child state of a walk is built here."""
         return MachineState(self.pc, self.regs[:], self.steps, self.rope)
 
 
@@ -615,14 +633,17 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
     Returns how the run stopped: "halted", "aborted", "diverged", or None
     when the budget ran out with the state still live (st then holds the
     resume point).  An abort leaves pc on the ORACLE it could not answer.
-    With detect_cycles the keys seen so far are kept in st.seen, projected
-    onto the control registers of instrs (see the module docstring).
+    With detect_cycles each step's key, projected onto the control
+    registers of instrs, is compared with st.saved, and saved there at
+    steps 0, 1, 3, 7, ...; "diverged" comes at a repeat of the saved key,
+    which may be some steps after the run's first repeat (see the module
+    docstring).
     """
     pc = st.pc
     r = st.regs
     steps = st.steps
     rope = st.rope
-    seen = st.seen
+    saved = st.saved
     project = instrs.project
     n = len(instrs)
     kind = "halted"  # leaving the instruction range, or a reserved opcode
@@ -632,13 +653,11 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
             break
         if detect_cycles:
             key = (pc, project(r)) if project else pc
-            if seen is None:
-                seen = st.seen = set()
-            if key in seen:
+            if key == saved:
                 kind = "diverged"
                 break
-            if len(seen) < 1 << 16:
-                seen.add(key)
+            if not steps & (steps + 1):
+                saved = key
         op, a, d = instrs[pc]
         steps += 1
         if op == OP_EMIT0:
@@ -681,16 +700,17 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
             pc += 1
         else:
             break
-    st.pc, st.steps, st.rope = pc, steps, rope
+    st.pc, st.steps, st.rope, st.saved = pc, steps, rope, saved
     return kind
 
 
 class Outcome(NamedTuple):
     """How a finished call to run or phi stopped, and what it left.
 
-    kind is "halted", "budget", "aborted" or "diverged" (a repeated cycle
-    key, see the module docstring); value is the final R3 of a halted run
-    (phi's value), None otherwise."""
+    kind is "halted", "budget", "aborted" or "diverged" (the saved cycle
+    key came back, see the module docstring; steps is then the step of
+    that repeat, which may follow the run's first repeat of a key); value
+    is the final R3 of a halted run (phi's value), None otherwise."""
 
     kind: str
     steps: int

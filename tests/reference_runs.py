@@ -4,7 +4,8 @@ checked against runs it did not make.  walked_index builds the table's
 own index the same way, one walked_run per program, so it knows no
 subtree mass, multiplicity or settled halt of the prefix-trie walk.
 recorded_run also reports the oracle indices a run was answered, which
-the machine does not keep.
+the machine does not keep.  set_rule_run detects cycles by keeping every
+key a run meets, the rule the machine's one saved key is checked against.
 oracle_leaves explores one program's oracle branches by restarting it per
 branch; it reads nothing from the prefix-trie walk, so the evaluator's
 branch index is checked against runs it did not make either."""
@@ -50,6 +51,40 @@ def recorded_run(program, oracle, budget: int, **kw):
     return run(program, recorder, budget, **kw), frozenset(recorder.asked)
 
 
+def set_rule_run(program, oracle, budget: int, r2: int = 0):
+    """(Outcome, mu) of run(program, oracle, budget, r2=r2,
+    detect_cycles=True) under the rule that keeps every cycle key met, with
+    no cap: the run stops as "diverged" at the first step whose key it met
+    before, at step mu (None when the run stops otherwise).  It makes one
+    plain _advance call per step and keys the state between calls, so it
+    shares the machine's steps but not its detector."""
+    instrs = program.instructions()
+    project = instrs.project
+    st = MachineState(regs=[0, 0, r2, 0])
+    met: dict = {}  # key -> the step it was first met at
+    while True:
+        if 0 <= st.pc < len(instrs) and st.steps < budget:
+            key = (st.pc, project(st.regs)) if project else st.pc
+            if key in met:
+                return _outcome("diverged", st), met[key]
+            met[key] = st.steps
+        kind = _advance(instrs, oracle, min(budget, st.steps + 1), st, False)
+        if kind is not None or st.steps >= budget:
+            return _outcome(kind, st), None
+
+
+def brent_bound(mu: int, repeat: int) -> int:
+    """The last step at which a run whose key met at step mu first comes
+    back at step repeat can stop as "diverged": S + lambda, for the cycle
+    length lambda = repeat - mu and S the least 2^k - 1 >= max(mu,
+    lambda - 1)."""
+    lam = repeat - mu
+    s = 0
+    while s < max(mu, lam - 1):
+        s = 2 * s + 1
+    return s + lam
+
+
 def halting_runs(oracle, cap: int, budget: int = REFERENCE_BUDGET) -> list:
     """(program index, Program, halt step, output) of every program of at
     most cap bits that halts within budget, in canonical program order.  A
@@ -70,7 +105,7 @@ def walked_run(program, oracle, budget: int):
     """The Outcome of program as the prefix-trie walk runs it: on the
     instructions reached so far, looking for cycles over their control
     registers, and resumed with one more instruction, from a copy with no
-    cycle keys, each time the program counter reaches their end.  It
+    saved cycle key, each time the program counter reaches their end.  It
     halts exactly when run does; it may see a divergence later."""
     instrs = program.instructions()
     reached, st = Instructions(), MachineState()

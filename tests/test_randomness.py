@@ -25,7 +25,7 @@ from depthlab.randomness import (
     space_lemma_length,
     space_lemma_sample,
 )
-from depthlab.semimeasure import m_stage, relative_mass
+from depthlab.semimeasure import m_stage, oracle_average, relative_mass
 from depthlab.toyvm import HaltingOracle, rope_materialize
 from reference_runs import (
     halting_runs,
@@ -699,6 +699,34 @@ def test_psi_average_at_most_one_with_measured_constant():
     c_star = psi_domination_constant(t, t, 1, 3, 12)
     avg = psi_average(t, t, c_star, 1, 1000, 3, 12)
     assert avg <= 1
+
+
+def stringwise_domination_constant(t, t_prime, len_cap, depth, cap):
+    """psi_domination_constant by reading every string up to len_cap."""
+    best = Fraction(0)
+    for sigma in all_strings(len_cap):
+        denom = m_stage(sigma, t_prime(len(sigma)), None, cap)
+        if denom:
+            best = max(best, oracle_average(sigma, t, cap, depth) / denom)
+    return best if best > 0 else Fraction(1)
+
+
+def test_psi_domination_constant_reads_only_held_outputs():
+    # cap 20 holds outputs of up to 4 bits within poly:5,1, so the
+    # constant moves with len_cap; the zero t' leaves only the empty output
+    t = TimeBound.poly(5, 1)
+    values = set()
+    for t_prime in (t, TimeBound.poly(1, 2), TimeBound.poly(0, 0)):
+        for len_cap in range(5):
+            want = stringwise_domination_constant(t, t_prime, len_cap, 3, 20)
+            assert psi_domination_constant(t, t_prime, len_cap, 3, 20) == want
+            values.add(want)
+    assert len(values) > 3
+    # reading every string of up to 30 bits would take hours; the held
+    # outputs end at the table's reach, past which the constant is fixed
+    assert psi_domination_constant(t, t, 30, 3, 20) == Fraction(193, 176)
+    assert halting_table(None, 20).reach == 4
+    assert stringwise_domination_constant(t, t, 4, 3, 20) == Fraction(193, 176)
 
 
 def stringwise_psi(a_prefix, t, t_prime, c, len_cap, stage, cap):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from depthlab.toyvm import (
     run,
     smn,
 )
-from reference_runs import recorded_run, run_body
+from reference_runs import brent_bound, recorded_run, run_body, set_rule_run
 
 bodies = st.text(alphabet="01", max_size=16)
 
@@ -299,6 +301,91 @@ def test_cycle_detection_agrees_with_plain_runs_on_loops(descriptor, body, x):
         assert checked_asked == plain_asked
     else:
         assert checked == plain
+
+
+def check_against_the_set_rule(p, oracle, budget, x=0):
+    """run with cycle detection stops as the rule that keeps every key
+    does, except that "diverged" may come later, up to brent_bound; return
+    the reference's kind."""
+    want, mu = set_rule_run(p, oracle, budget, r2=x)
+    got = run(p, oracle, budget, r2=x, detect_cycles=True)
+    if want.kind != "diverged":
+        assert got == want, p.bits
+        return want.kind
+    bound = brent_bound(mu, want.steps)
+    assert bound < budget, p.bits  # else the saved key could miss it
+    assert got.kind == "diverged" and want.steps <= got.steps <= bound, (p.bits, mu)
+    return want.kind
+
+
+@pytest.mark.parametrize("descriptor", ["none", "zero", "halting:1000", "bits:0101"])
+def test_one_saved_key_finds_the_cycles_the_key_set_finds(descriptor):
+    oracle = parse_oracle(descriptor)
+    kinds = [check_against_the_set_rule(p, oracle, 2000) for p in programs_up_to(20)]
+    assert kinds.count("diverged") > 100
+
+
+@pytest.mark.parametrize("descriptor", ["none", "zero", "halting:1000", "bits:0101"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=loop_bodies(), x=st.integers(0, 6))
+def test_one_saved_key_finds_the_cycles_the_key_set_finds_on_loops(descriptor, body, x):
+    check_against_the_set_rule(Program.encode(body), parse_oracle(descriptor), 2000, x)
+
+
+# counts R2 down to 0 and then jumps to the "spin:" label that follows:
+# from R2 = x >= 1 that is step mu = 3x - 1, after 3x - 1 distinct keys
+# (pc, R2)
+COUNTDOWN = ["loop:", ("DEC", 2), ("JZ", 2, "spin"), ("JMP", "loop")]
+SPIN = assemble(COUNTDOWN + ["spin:", ("JMP", "spin")])
+
+
+def cycle_body(mu_pad: int, lam: int) -> str:
+    """COUNTDOWN with mu_pad EMIT0s before it, then a cycle of lam steps:
+    lam - 1 EMIT0s and a JMP back for lam <= 8, and for lam = 4k - 1 (k
+    <= 6) k INCs of R3 counted down again by a DEC/JZ/JMP loop."""
+    if lam <= 8:
+        cycle = ["spin:"] + [("EMIT0",)] * (lam - 1) + [("JMP", "spin")]
+    else:
+        k = (lam + 1) // 4
+        assert 4 * k - 1 == lam and k <= 6
+        cycle = (["spin:"] + [("INC", 3)] * k
+                 + ["down:", ("DEC", 3), ("JZ", 3, "spin"), ("JMP", "down")])
+    return assemble([("EMIT0",)] * mu_pad + COUNTDOWN + cycle)
+
+
+def test_a_cycle_after_more_than_65536_keys_is_found():
+    # the run meets 299,999 distinct keys before its spin, so a key set
+    # capped at 65,536 keys would miss the cycle and run to the budget
+    out = run_body(SPIN, None, 10 ** 6, r2=100000, detect_cycles=True)
+    assert out.kind == "diverged" and out.steps == 524288 == brent_bound(299999, 300000)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 5, 8, 11, 15, 23])
+def test_each_cycle_is_found_by_its_bound(lam):
+    for x in (1, 2, 5, 11, 30, 200):
+        for pad in (0, 1, 2):
+            p, mu = Program.encode(cycle_body(pad, lam)), pad + 3 * x - 1
+            want, want_mu = set_rule_run(p, None, 10 ** 4, r2=x)
+            assert (want.kind, want_mu, want.steps) == ("diverged", mu, mu + lam)
+            out = run(p, None, 10 ** 4, r2=x, detect_cycles=True)
+            assert out.kind == "diverged", (lam, x, pad)
+            assert mu + lam <= out.steps <= brent_bound(mu, mu + lam), (lam, x, pad)
+
+
+def test_a_run_looking_for_cycles_keeps_no_key_set():
+    # 59,999 distinct keys before the spin.  A set of every key met takes
+    # about 100 bytes a key and peaks at 6.1 MB on this run; one saved key
+    # peaks at 344 bytes.  64 kB leaves room for the interpreter's own
+    # allocations and is less than 700 keys' worth of a set.
+    p = Program.encode(SPIN)
+    tracemalloc.start()
+    try:
+        out = run(p, None, 10 ** 6, r2=20000, detect_cycles=True)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert out.kind == "diverged" and out.steps == 65536
 
 
 # 3 INCs, 3 laps of JZ/DEC/EMIT1/JMP, the JZ that leaves the loop and the
