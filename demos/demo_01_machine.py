@@ -5,18 +5,8 @@ Run with: python3 demos/demo_01_machine.py
 """
 
 from depthlab.bits import body_index, index_to_body
-from depthlab.toyvm import (
-    HaltingOracle,
-    PrefixOracle,
-    Program,
-    ZERO,
-    assemble,
-    disassemble,
-    phi,
-    programs_up_to,
-    run,
-    smn,
-)
+from depthlab.numbering import HaltingOracle, assemble, disassemble, phi, smn
+from depthlab.toyvm import PrefixOracle, Program, ZERO, programs_up_to, run
 
 # Every program is a gamma header followed by a raw body.  The header is
 # self-delimiting, so the program set is prefix-free: this is what makes

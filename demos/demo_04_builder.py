@@ -8,9 +8,10 @@ import json
 from fractions import Fraction
 
 from depthlab.complexity import TimeBound
-from depthlab.constructions import BuilderConfig, build_deep_random, depth_profile
+from depthlab.constructions import BuilderConfig, build_deep_random
+from depthlab.depth import depth_profile
 from depthlab.randomness import default_builder_martingale
-from depthlab.toyvm import HaltingOracle
+from depthlab.numbering import HaltingOracle
 
 # Round r extends the string by l(1 + 1/r^2, 2^r) bits.  Extensions are
 # filtered twice: the supermartingale must price them under delta_r times

@@ -4,12 +4,11 @@
 Run with: python3 demos/demo_05_forcing.py
 """
 
+from depthlab.dnc import Dnc2Witness, is_dnc2
 from depthlab.pi01forcing import (
-    Dnc2Witness,
     Functional,
     PruningSchedule,
     force,
-    is_dnc2,
     member_string,
     members_at_stage,
 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from .. import pi01forcing
 from ..bits import read_bits
 from ..cli import EXIT_INCONCLUSIVE, EXIT_OK, _emit_json, _require_nonnegative, _resolved
+from ..dnc import Dnc2Witness
 
 
 def arguments(p) -> None:
@@ -22,7 +23,7 @@ def run(args) -> int:
     _require_nonnegative(args, "--steps", "--budget", "--functional-budget")
     schedule = pi01forcing.PruningSchedule.from_file(args.schedule)
     if args.f == "halting-dnc":
-        source = pi01forcing.Dnc2Witness.from_halting_table(args.budget)
+        source = Dnc2Witness.from_halting_table(args.budget)
     else:
         source = read_bits(args.f)
     queries = tuple(args.steps + s for s in range(args.steps))

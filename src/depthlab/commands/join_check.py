@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .. import pi01forcing
+from .. import dnc
 from ..bits import read_bits
 from ..cli import EXIT_OK, _emit_json, _require_nonnegative, _resolved
 
@@ -18,7 +18,7 @@ def arguments(p) -> None:
 
 def run(args) -> int:
     _require_nonnegative(args, "--stage")
-    rep = pi01forcing.join_check(
+    rep = dnc.join_check(
         read_bits(args.F), read_bits(args.X), read_bits(args.Y),
         args.k, args.stage, args.cap)
     _emit_json(args, {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 import warnings
 
-from .. import constructions
+from .. import depth
 from ..bits import read_bits
 from ..cli import EXIT_OK, _emit, _require_nonnegative
 from ..complexity import TimeBound
@@ -25,7 +25,7 @@ def run(args) -> int:
     bits = read_bits(args.infile)
     with warnings.catch_warnings(record=True) as notices:
         warnings.simplefilter("always")
-        prof = constructions.depth_profile(
+        prof = depth.depth_profile(
             bits, TimeBound.parse(args.t), args.stage,
             parse_oracle(args.oracle), args.cap)
     for notice in notices:

@@ -30,6 +30,12 @@ functional asks one index, so each reading costs two runs however many
 members survive.  Functional.apply, one plain run on one member, is the
 reference; ForcingResult.reconstruct reads the coding bits back with it,
 so every trace checks the branched values against independent runs.
+
+The loop runs on two modules below it: numbering, which holds phi, s-m-n,
+the fixed point and the assembler, and dnc, which holds the bit sources
+(Dnc2Witness, is_dnc2, ForcingError) and the xor-join check.  The join
+check reads no forcing loop, so it lives in dnc and `join-check` loads
+none of this module.
 """
 
 from __future__ import annotations
@@ -38,27 +44,26 @@ import json
 from itertools import compress
 from typing import NamedTuple
 
-from .bits import DepthlabError, body_index, check_bits, index_to_body, read_input
-from .toyvm import (
+from .bits import body_index, check_bits, index_to_body, read_input
+# bench/cases.py reads is_dnc2 here
+from .dnc import Dnc2Witness, ForcingError, is_dnc2  # noqa: F401
+from .numbering import (
     DIVERGE_BODY,
+    assemble,
+    compile_const,
+    disassemble,
+    fixed_point,
+    phi,
+    smn,
+)
+from .toyvm import (
     NO_PINS,
     MachineState,
     OracleBranches,
     PrefixOracle,
     _advance,
-    assemble,
-    compile_const,
-    diagonal,
-    disassemble,
-    fixed_point,
     parse_body,
-    phi,
-    smn,
 )
-
-
-class ForcingError(DepthlabError):
-    """A precondition or internal invariant of the forcing loop failed."""
 
 
 # --------------------------------------------------------------------------
@@ -159,53 +164,6 @@ def members_at_stage(schedule: PruningSchedule, d: int, stage: int) -> list[int]
 def member_string(member: int, d: int) -> str:
     """The d-bit string of a member that members_at_stage lists as an int."""
     return format(member, f"0{d}b") if d else ""
-
-
-# --------------------------------------------------------------------------
-# diagonally non-computable bit sources
-
-
-class Dnc2Witness:
-    """Finite map e -> {0,1} meant to disagree with the parity of the
-    diagonal value phi_e(e) wherever that halts within the stage.
-
-    The canonical witness materialises values on demand from the diagonal
-    table (1 - value mod 2 on halting indices, 0 elsewhere); a frozen map
-    raises on unlisted indices, which the forcing loop reports as a
-    precondition failure."""
-
-    def __init__(self, stage: int, values: dict | None = None, dynamic: bool = True):
-        self.stage = stage
-        self.values = dict(values or {})
-        self.dynamic = dynamic
-
-    @classmethod
-    def from_halting_table(cls, stage: int) -> "Dnc2Witness":
-        return cls(stage)
-
-    @classmethod
-    def frozen(cls, stage: int, values: dict) -> "Dnc2Witness":
-        return cls(stage, values, dynamic=False)
-
-    def value(self, e: int) -> int:
-        if e in self.values:
-            return self.values[e]
-        if not self.dynamic:
-            raise ForcingError(f"bit source undefined at index {e}")
-        halts, val, _step = diagonal(e, self.stage)
-        bit = 1 - (val % 2) if halts else 0
-        self.values[e] = bit
-        return bit
-
-
-def is_dnc2(witness: Dnc2Witness, stage: int):
-    """(ok, counterexample): every listed index must disagree with the
-    parity of its halting diagonal value at the stage."""
-    for e in sorted(witness.values):
-        halts, val, _step = diagonal(e, stage)
-        if halts and witness.values[e] == val % 2:
-            return False, e
-    return True, None
 
 
 # --------------------------------------------------------------------------
@@ -482,55 +440,3 @@ def force(schedule: PruningSchedule, f, steps: int, stage_budget: int,
     result.b_prefix = sigma
     result.b_member = member_string(members[0], depth)
     return result
-
-
-# --------------------------------------------------------------------------
-# xor-join verification
-
-
-def symdiff(a_prefix: str, x_prefix: str) -> str:
-    """Bitwise exclusive or of equal-length prefixes."""
-    check_bits(a_prefix)
-    check_bits(x_prefix)
-    if len(a_prefix) != len(x_prefix):
-        raise ValueError("length mismatch")
-    return "".join("1" if a != b else "0" for a, b in zip(a_prefix, x_prefix))
-
-
-class JoinReport(NamedTuple):
-    xor_ok: bool
-    x_random_ok: bool
-    y_random_ok: bool
-    dnc_ok: bool
-    dnc_counterexample: int | None
-    x_deficiency: int
-    y_deficiency: int
-
-    @property
-    def all_ok(self) -> bool:
-        return self.xor_ok and self.x_random_ok and self.y_random_ok and self.dnc_ok
-
-
-def join_check(f_prefix: str, x_prefix: str, y_prefix: str, k: int,
-               stage: int, cap: int = 18) -> JoinReport:
-    """Three clauses: the prefix is the exact xor of the two others, both
-    of those look k-random at the stage (deficiency at most k), and the
-    prefix's bits form a valid dodging witness on its listed indices."""
-    from .complexity import deficiency
-
-    if not len(f_prefix) == len(x_prefix) == len(y_prefix):
-        raise ValueError("length mismatch")
-    xor_ok = f_prefix == symdiff(x_prefix, y_prefix)
-    dx = deficiency(x_prefix, stage, cap)
-    dy = deficiency(y_prefix, stage, cap)
-    witness = Dnc2Witness.frozen(stage, {e: int(b) for e, b in enumerate(f_prefix)})
-    ok, counter = is_dnc2(witness, stage)
-    return JoinReport(
-        xor_ok=xor_ok,
-        x_random_ok=dx.value <= k,
-        y_random_ok=dy.value <= k,
-        dnc_ok=ok,
-        dnc_counterexample=counter,
-        x_deficiency=dx.value,
-        y_deficiency=dy.value,
-    )

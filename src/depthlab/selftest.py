@@ -13,14 +13,9 @@ from . import pi01forcing, randomness, semimeasure
 from .bits import strings_of_length
 from .cli import _frac_str
 from .complexity import TimeBound, halting_table
-from .toyvm import (
-    ZERO,
-    compile_const,
-    fixed_point,
-    phi,
-    programs_up_to,
-    smn,
-)
+from .dnc import Dnc2Witness
+from .numbering import compile_const, fixed_point, phi, smn
+from .toyvm import ZERO, programs_up_to
 
 
 def selftest(seed: int = 7) -> dict:
@@ -82,7 +77,7 @@ def selftest(seed: int = 7) -> dict:
     fn = pi01forcing.Functional.projection((4, 5, 6))
     res = pi01forcing.force(
         pi01forcing.PruningSchedule.full_space(8),
-        pi01forcing.Dnc2Witness.from_halting_table(2048),
+        Dnc2Witness.from_halting_table(2048),
         steps=3, stage_budget=2048, functional=fn)
     report["forcing_smoke"] = {
         "b_prefix": res.b_prefix,

@@ -32,7 +32,7 @@ Execution conventions
     * The body is parsed front to back into whole instructions; a truncated
       trailing instruction is dropped.  INSTRUCTION_CODES alone holds the
       bit layout: parse_body and the prefix trie read a body through it,
-      and assemble writes one through it.
+      and numbering.assemble writes one through it.
     * The output's length is kept once, at its rope's root.
       MachineState.copy builds every child state a walk resumes from.
     * The program counter indexes instructions.  Leaving the instruction
@@ -45,7 +45,8 @@ Execution conventions
     * A run's facts live in its MachineState: program counter, steps,
       output rope and registers.  _advance returns only how the run
       stopped ("halted", "aborted", "diverged", or None when the budget
-      ran out); run and phi wrap that and the state into one Outcome.
+      ran out); run and numbering.phi wrap that and the state into one
+      Outcome.
     * An oracle is any object with a hashable `key` and an answer(index)
       that returns 0 or 1, or raises OutOfTableError to abort the run.
       OracleBranches is the one exception: it is the oracle of a walk that
@@ -79,8 +80,9 @@ Cycle detection
     step 30 and stops at step 32.  A loop that only grows an untested
     register, such as INC R1; JMP -2, is caught on its second lap.  A
     loop whose tested register keeps growing never repeats a key and runs
-    to the budget.  phi, the diagonal and every walk always look for
-    cycles; run does when asked, and is the reference without them.
+    to the budget.  numbering.phi, the diagonal and every walk always
+    look for cycles; run does when asked, and is the reference without
+    them.
 
     The counts are the run's absolute steps.  A state copied to resume a
     walk's child saves no key, as the child's cycle keys may project onto
@@ -107,9 +109,13 @@ Mirror pairs
 Program indices
     Bodies are ranked in length-lexicographic order: the empty body is 0,
     "0" is 1, "1" is 2, "00" is 3, and so on; bits.body_index and
-    bits.index_to_body convert both ways.  phi(e, x) runs body e with R2
-    initialised to x and, on halting, returns the final value of R3.  The
-    diagonal phi_e(e) is always evaluated against the all-zero oracle.
+    bits.index_to_body convert both ways.  What an index names lives in
+    numbering, above this module: phi(e, x), which runs body e with R2
+    initialised to x and, on halting, returns the final value of R3; the
+    diagonal phi_e(e) under the all-zero oracle and the halting oracle it
+    answers; s-m-n, the exact fixed point and the assembler.  This module
+    imports numbering only where parse_oracle reads a "halting:S"
+    descriptor, so a run under any other oracle compiles none of it.
 """
 
 from __future__ import annotations
@@ -131,14 +137,6 @@ class DecodeError(MachineError):
 
 class OutOfTableError(MachineError):
     """A prefix-table oracle was asked beyond its table."""
-
-
-class EscapingJumpError(MachineError):
-    """A body contains a jump that escapes the body."""
-
-
-class FixedPointError(MachineError):
-    """A transformer moved the one candidate fixed_point tries."""
 
 
 # --------------------------------------------------------------------------
@@ -201,20 +199,6 @@ OP_JMP = 7
 OP_ORACLE = 8
 OP_EMITR = 9
 
-_MNEMONIC = {
-    "HALT": OP_HALT,
-    "EMIT0": OP_EMIT0,
-    "EMIT1": OP_EMIT1,
-    "DOUBLE": OP_DOUBLE,
-    "INC": OP_INC,
-    "DEC": OP_DEC,
-    "JZ": OP_JZ,
-    "JMP": OP_JMP,
-    "ORACLE": OP_ORACLE,
-    "EMITR": OP_EMITR,
-}
-_NAME = {v: k for k, v in _MNEMONIC.items()}
-
 
 class Instructions(tuple):
     """A parsed body: a tuple of (opcode, register, offset) triples.
@@ -274,11 +258,9 @@ def extend(instrs: Instructions, code: tuple) -> Instructions:
     return _INSTRUCTIONS_BY_MASK[instrs.mask | code[3]](instrs + (code[2],))
 
 
-# the bits of each code -> (instruction, control-register mask), its
-# inverse instruction -> bits, and the widths
+# the bits of each code -> (instruction, control-register mask), and the widths
 _DECODE = {format(value, "b").zfill(width): (instruction, mask)
            for width, value, instruction, mask in INSTRUCTION_CODES}
-_ENCODE = {instruction: bits for bits, (instruction, _mask) in _DECODE.items()}
 _WIDTHS = sorted({code[0] for code in INSTRUCTION_CODES})
 
 
@@ -301,65 +283,6 @@ def parse_body(body: str) -> Instructions:
         out.append(hit[0])
         mask |= hit[1]
         i += width
-
-
-def assemble(items: list) -> str:
-    """Assemble ("MNEMONIC", args...) tuples into a body string, writing
-    each instruction as its INSTRUCTION_CODES entry.
-
-    A bare string ending in ":" defines a label; jump targets may be given
-    as label names instead of numeric offsets.  Offsets are encoded
-    relative to the next instruction and must fit in 4 signed bits;
-    registers must be 0-3.
-    """
-    labels: dict[str, int] = {}
-    instrs = []
-    for item in items:
-        if isinstance(item, str):
-            if not item.endswith(":"):
-                raise ValueError(f"bad assembly item {item!r}")
-            labels[item[:-1]] = len(instrs)
-        else:
-            instrs.append(item)
-
-    pieces = []
-    for idx, ins in enumerate(instrs):
-        op = _MNEMONIC[ins[0]]
-        reg = ins[1] if op in (OP_INC, OP_DEC, OP_JZ) else 0
-        if not 0 <= reg <= 3:
-            raise ValueError(f"register {reg} out of range at {idx}")
-        target = ins[2] if op == OP_JZ else ins[1] if op == OP_JMP else 0
-        off = labels[target] - idx - 1 if isinstance(target, str) else target
-        if not -8 <= off <= 7:
-            raise ValueError(f"offset {off} out of range at {idx}")
-        pieces.append(_ENCODE[op, reg, off])
-    return "".join(pieces)
-
-
-def disassemble(body: str) -> list[str]:
-    lines = []
-    for op, a, d in parse_body(body):
-        if op in (OP_INC, OP_DEC):
-            lines.append(f"{_NAME[op]} R{a}")
-        elif op == OP_JZ:
-            lines.append(f"JZ R{a}, {d:+d}")
-        elif op == OP_JMP:
-            lines.append(f"JMP {d:+d}")
-        elif op in _NAME:
-            lines.append(_NAME[op])
-        else:
-            lines.append(f"RES{op:04b}")
-    return lines
-
-
-def jumps_confined(body: str) -> bool:
-    """True when every jump target lands inside [0, #instructions]."""
-    instrs = parse_body(body)
-    n = len(instrs)
-    for i, (op, _a, d) in enumerate(instrs):
-        if op in (OP_JZ, OP_JMP) and not 0 <= i + 1 + d <= n:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -464,20 +387,6 @@ class ZeroOracle:
 ZERO = ZeroOracle()
 
 
-class HaltingOracle:
-    """Stage-bounded diagonal halting oracle: bit e is 1 iff phi_e(e) halts
-    within `stage` steps (diagonal runs use the all-zero oracle)."""
-
-    def __init__(self, stage: int):
-        if stage < 0:
-            raise ValueError("stage must be nonnegative")
-        self.stage = stage
-        self.key = ("halting", stage)
-
-    def answer(self, index: int) -> int:
-        return 1 if diagonal(index, self.stage)[0] else 0
-
-
 NO_PINS = (0, 0, ())
 """The pins of a node that has split on no oracle answer (see OracleBranches)."""
 
@@ -546,6 +455,8 @@ def parse_oracle(text: str | None):
             stage = parse_int(arg)
         except ValueError as exc:
             raise ValueError(f"oracle {text!r}: {exc}") from None
+        from .numbering import HaltingOracle
+
         return HaltingOracle(stage)
     if kind == "prefix":
         return PrefixOracle(read_bits(arg))
@@ -587,6 +498,16 @@ def rope_materialize(node, limit: int):
             stack.append(right)
             stack.append(left)
     return "".join(out)
+
+
+def _ropes_equal(a, b) -> bool:
+    """True when two ropes hold the same output.  A shared rope or unequal
+    lengths answer at once; otherwise both outputs are materialized, by
+    rope_materialize's explicit stack."""
+    if a is b:
+        return True
+    n = 0 if a is None else a[0]
+    return n == (0 if b is None else b[0]) and rope_materialize(a, n) == rope_materialize(b, n)
 
 
 def output_string(rope) -> str:
@@ -705,17 +626,36 @@ def _advance(instrs, oracle, budget: int, st: MachineState, detect_cycles: bool)
 
 
 class Outcome(NamedTuple):
-    """How a finished call to run or phi stopped, and what it left.
+    """How a finished call to run or numbering.phi stopped, and what it left.
 
     kind is "halted", "budget", "aborted" or "diverged" (the saved cycle
     key came back, see the module docstring; steps is then the step of
     that repeat, which may follow the run's first repeat of a key); value
-    is the final R3 of a halted run (phi's value), None otherwise."""
+    is the final R3 of a halted run (phi's value), None otherwise.
+
+    Two Outcomes are equal when kind, steps, value and output are.  The
+    ropes are compared by _ropes_equal, since tuple equality would recurse
+    through them, once per printed bit; the hash reads the output's length
+    in their place."""
 
     kind: str
     steps: int
     rope: tuple | None
     value: int | None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Outcome):
+            return NotImplemented
+        return (self.kind == other.kind and self.steps == other.steps
+                and self.value == other.value and _ropes_equal(self.rope, other.rope))
+
+    def __ne__(self, other) -> bool:  # tuple's own __ne__ would recurse
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.steps, self.value,
+                     0 if self.rope is None else self.rope[0]))
 
     @property
     def output(self) -> str:
@@ -773,67 +713,3 @@ class Memo:
 
 
 MEMO = Memo()
-
-
-# --------------------------------------------------------------------------
-# the program enumeration phi
-
-
-def phi(e: int, x: int, oracle, budget: int) -> Outcome:
-    """Run body e with R2 = x, looking for cycles; on halting the value is
-    the final R3."""
-    st = MachineState(regs=[0, 0, x, 0])
-    return _outcome(_advance(parse_body(index_to_body(e)), oracle, budget, st, True), st)
-
-
-def diagonal(e: int, stage: int) -> tuple[bool, int | None, int | None]:
-    """(halts within stage, value, halting step) for phi_e(e) under the
-    zero oracle.  MEMO.diagonal[e] keeps (stage, phi(e, e, ZERO, stage))
-    of the largest stage asked; a run cut off by its budget is run again
-    from the start when a larger stage is asked, and any other Outcome
-    answers every stage."""
-    ent = MEMO.diagonal.get(e)
-    if ent is None or ent[0] < stage and ent[1].kind == "budget":
-        ent = MEMO.diagonal[e] = (stage, phi(e, e, ZERO, stage))
-    out = ent[1]
-    if out.halted and out.steps <= stage:
-        return True, out.value, out.steps
-    return False, None, None
-
-
-# --------------------------------------------------------------------------
-# s-m-n and the exact fixed point
-
-def smn(e: int, y: int) -> int:
-    """Index of (INC R1)^y . body(e); phi_smn(e,y)(x) behaves like body(e)
-    started with R1 = y and R2 = x.  The base body must keep every jump
-    inside itself, else prepending would change where escaped jumps land.
-    """
-    if y < 0:
-        raise ValueError("parameter must be nonnegative")
-    body = index_to_body(e)
-    if not jumps_confined(body):
-        raise EscapingJumpError(f"body of index {e} has an escaping jump")
-    return body_index(assemble([("INC", 1)]) * y + body)
-
-
-def compile_const(value: int) -> int:
-    """Index of (INC R3)^value, a program whose phi-value is the given
-    constant; zero is the empty body."""
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    return body_index(assemble([("INC", 3)]) * value)
-
-
-DIVERGE_BODY = assemble([("JMP", -1)])  # a one-instruction busy loop
-
-
-def fixed_point(transformer) -> int:
-    """e = transformer(0) when transformer(e) == e, so that phi_e and
-    phi_transformer(e) are one program; FixedPointError otherwise.  Every
-    transformer here fixes it: identity, constants, and the forcing
-    step's answer compiler, whose projection ignores the index."""
-    e = transformer(0)
-    if transformer(e) != e:
-        raise FixedPointError(f"transformer moves its candidate {e}")
-    return e

@@ -16,13 +16,9 @@ from depthlab.bits import DepthlabError
 from depthlab.cli import dispatch
 from depthlab.complexity import TimeBound, halting_table, k_stage
 from depthlab.constructions import BuilderConfig, build_deep_random
-from depthlab.pi01forcing import (
-    Dnc2Witness,
-    Functional,
-    PruningSchedule,
-    force,
-    join_check,
-)
+from depthlab.dnc import Dnc2Witness, join_check
+from depthlab.numbering import HaltingOracle, assemble, compile_const, fixed_point, phi
+from depthlab.pi01forcing import Functional, PruningSchedule, force
 from depthlab.randomness import (
     count_cheap_extensions,
     default_builder_martingale,
@@ -41,15 +37,10 @@ from depthlab.semimeasure import (
     semimeasure_to_timebound,
 )
 from depthlab.toyvm import (
-    HaltingOracle,
     PrefixOracle,
     Program,
     ZERO,
-    assemble,
-    compile_const,
-    fixed_point,
     oracle_key,
-    phi,
     programs_up_to,
     rope_materialize,
     run,

@@ -25,17 +25,13 @@ from depthlab.complexity import (
     k_stage,
     k_time_bounded,
 )
-from depthlab.constructions import BuilderError, depth_profile
-from depthlab.pi01forcing import ForcingError
+from depthlab.constructions import BuilderError
+from depthlab.depth import depth_profile
+from depthlab.dnc import ForcingError
+from depthlab.numbering import FixedPointError
 from depthlab.randomness import FairnessError
 from depthlab.semimeasure import DepthViolation
-from depthlab.toyvm import (
-    DecodeError,
-    FixedPointError,
-    MachineError,
-    int_to_bin,
-    parse_oracle,
-)
+from depthlab.toyvm import DecodeError, MachineError, int_to_bin, parse_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -744,16 +740,20 @@ BASE = ("depthlab", "depthlab.cli", "depthlab.bits")
 SHARED = {"m": ("k",)}
 # the machine, which every command but space-lemma runs
 MACHINE = ("toyvm", "complexity")
-# what importing randomness, constructions or pi01forcing loads beyond
-# BASE and the machine module each imports at load: randomness imports
-# complexity and semimeasure, constructions randomness, and pi01forcing
-# complexity, only in the functions that read them
+# what importing randomness, constructions, depth, dnc or pi01forcing
+# loads beyond BASE and the machine module each imports at load:
+# randomness imports complexity and semimeasure, constructions
+# randomness, and dnc complexity, only in the functions that read them.
+# The numbering (phi, the diagonal, s-m-n) loads with dnc, which
+# pi01forcing imports; toyvm imports it only for a halting: oracle
 RANDOMNESS = ("randomness",)
 CONSTRUCTIONS = ("constructions",)
-FORCING = ("pi01forcing",)
+DEPTH = ("depth",)
+DNC = ("numbering", "dnc")
+FORCING = DNC + ("pi01forcing",)
 SEMIMEASURE = ("semimeasure",)
 # the commands that compute no Fraction ("" is the bare import)
-NO_FRACTIONS = ("", "k", "m", "solovay", "force", "join-check")
+NO_FRACTIONS = ("", "k", "m", "solovay", "profile", "force", "join-check")
 
 
 def command_module(command):
@@ -763,6 +763,8 @@ def command_module(command):
 @pytest.mark.parametrize("argv,extra", [
     ([], ()),
     (["k", "--sigma", "0", "--stage", "10", "--cap", "8"], MACHINE),
+    (["k", "--sigma", "0", "--stage", "10", "--cap", "8", "--oracle", "halting:10"],
+     MACHINE + ("numbering",)),
     (["m", "--sigma", "0", "--stage", "10", "--cap", "8"], MACHINE),
     (["convert-timebound", "--table", "{tmp}/m.tsv", "--c", "16", "--n", "1",
       "--cap", "14"], MACHINE + SEMIMEASURE),
@@ -774,17 +776,17 @@ def command_module(command):
     (["measure-cheap", "--x", "bits:0000", "--n", "1", "--k", "1", "--t", "poly:10,1",
       "--stage", "10", "--depth", "2", "--cap", "8"], MACHINE + SEMIMEASURE),
     (["profile", "--in", "bits:0000", "--t", "poly:5,1", "--stage", "100", "--cap", "8"],
-     MACHINE + CONSTRUCTIONS),
+     MACHINE + DEPTH),
     (["build-deep", "--rounds", "1", "--oracle", "none", "--T", "poly:2,2", "--cap", "8",
       "--mart-stage", "100"], MACHINE + CONSTRUCTIONS + RANDOMNESS),
     (["force", "--class", "{tmp}/sched.json", "--f", "bits:0101", "--steps", "1",
       "--budget", "100"], ("toyvm",) + FORCING),
     (["join-check", "--F", "bits:0101", "--X", "bits:0011", "--Y", "bits:0110",
-      "--k", "1", "--stage", "10", "--cap", "8"], MACHINE + FORCING),
+      "--k", "1", "--stage", "10", "--cap", "8"], MACHINE + DNC),
     (["solovay", "--t", "poly:1,1", "--range", "4", "--stage", "10", "--cap", "8"], MACHINE),
     (["selftest", "--seed", "7"],
      MACHINE + FORCING + RANDOMNESS + SEMIMEASURE + ("selftest",)),
-], ids=["import", "k", "m", "convert-timebound", "space-lemma", "psi", "avg",
+], ids=["import", "k", "k-halting", "m", "convert-timebound", "space-lemma", "psi", "avg",
         "measure-cheap", "profile", "build-deep", "force", "join-check", "solovay",
         "selftest"])
 def test_a_command_loads_only_its_own_modules(tmp_path, argv, extra):

@@ -18,16 +18,15 @@ from depthlab.complexity import (
     k_time_bounded,
     result_csv_row,
 )
+from depthlab.numbering import HaltingOracle, assemble
 from depthlab.toyvm import (
     NO_PINS,
-    HaltingOracle,
     Instructions,
     MachineError,
     MachineState,
     PrefixOracle,
     Program,
     ZERO,
-    assemble,
     output_string,
     parse_body,
     parse_oracle,
@@ -571,7 +570,8 @@ def test_lift_measured_budget_bound():
 
 
 def test_lift_diverging_reduction_raises():
-    from depthlab.toyvm import DIVERGE_BODY, Program
+    from depthlab.numbering import DIVERGE_BODY
+    from depthlab.toyvm import Program
 
     bad = Reduction(Program.encode(DIVERGE_BODY), 100)
     tau = k_time_bounded("0", TimeBound.poly(10, 1), None, 12).witness

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from depthlab import constructions
 from depthlab.bits import body_index
 from depthlab.complexity import TimeBound, halting_table
-from depthlab.constructions import BuilderConfig, build_deep_random, depth_profile
+from depthlab.constructions import BuilderConfig, build_deep_random
+from depthlab.depth import depth_profile
+from depthlab.dnc import symdiff
 from depthlab.randomness import (
     MartingaleTable,
     StagedSupermartingale,
@@ -17,7 +19,6 @@ from depthlab.randomness import (
     mixture_supermartingale,
     space_lemma_length,
 )
-from depthlab.pi01forcing import symdiff
 from depthlab.toyvm import parse_oracle
 
 

@@ -6,26 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab import complexity, pi01forcing, toyvm
+from depthlab import complexity, numbering, pi01forcing, toyvm
 from depthlab.bits import body_index, index_to_body, strings_of_length
+from depthlab.dnc import Dnc2Witness, ForcingError, is_dnc2, join_check
 from depthlab.pi01forcing import (
     MAX_DEPTH,
-    Dnc2Witness,
-    ForcingError,
     Functional,
     PruningSchedule,
     force,
-    is_dnc2,
-    join_check,
     member_string,
     members_at_stage,
 )
-from depthlab.toyvm import (
-    ZERO,
-    assemble,
-    diagonal,
-    phi,
-)
+from depthlab.numbering import assemble, diagonal, fixed_point, phi
+from depthlab.toyvm import ZERO
 
 from test_semimeasure import _ORACLE_LOOP_KINDS
 from test_toyvm import loop_bodies
@@ -227,7 +220,7 @@ def test_force_probe_and_event_programs_are_self_describing():
     sch, witness, fn, budget = full_space_instance()
     res = force(sch, witness, 3, budget, functional=fn)
     for st in res.steps:
-        from depthlab.toyvm import disassemble
+        from depthlab.numbering import disassemble
 
         n_body = index_to_body(st.n_index)
         assert tuple(st.n_disassembly) == tuple(disassemble(n_body))
@@ -248,7 +241,7 @@ def test_force_event_index_is_an_exact_fixed_point(monkeypatch):
     found = []
 
     def recording(transformer):
-        e = toyvm.fixed_point(transformer)
+        e = fixed_point(transformer)
         found.append((e, transformer(e)))
         return e
 
@@ -509,7 +502,7 @@ def test_force_runs_the_functional_per_branch_not_per_member(monkeypatch):
         calls.append(1)
         return advance(*args)
 
-    for module in (toyvm, complexity, pi01forcing):
+    for module in (toyvm, numbering, complexity, pi01forcing):
         monkeypatch.setattr(module, "_advance", counted)
     sch = PruningSchedule([(0, {"101"}), (1, {"110"})], 12)
     res = force(sch, Dnc2Witness.from_halting_table(4096), 5, 4096)

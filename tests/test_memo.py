@@ -4,7 +4,8 @@ from functools import partial
 
 from depthlab.complexity import TimeBound, k_stage
 from depthlab.semimeasure import oracle_average
-from depthlab.toyvm import MEMO, diagonal
+from depthlab.numbering import diagonal
+from depthlab.toyvm import MEMO
 
 T = TimeBound.poly(10, 1)
 

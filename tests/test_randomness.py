@@ -26,7 +26,8 @@ from depthlab.randomness import (
     space_lemma_sample,
 )
 from depthlab.semimeasure import m_stage, oracle_average, relative_mass
-from depthlab.toyvm import HaltingOracle, rope_materialize
+from depthlab.numbering import HaltingOracle
+from depthlab.toyvm import rope_materialize
 from reference_runs import (
     halting_runs,
     reference_cylinder,

@@ -99,3 +99,20 @@ def test_the_oracle_layers_import_only_what_they_run():
     # measure-cheap and avg compile no randomness
     assert _package_imports(_tree("pi01forcing.py"), at_load=True) & {"complexity"} == set()
     assert _package_imports(_tree("semimeasure.py"), at_load=False) & {"randomness"} == set()
+
+
+def test_the_numbering_and_the_layers_on_it_import_only_what_they_run():
+    # toyvm reaches the numbering only where parse_oracle reads a halting:
+    # descriptor, so a run under any other oracle compiles no phi; the
+    # DNC_2 and depth-profile layers import no forcing loop, builder or
+    # martingale, so join-check and profile compile none of them, and dnc
+    # reads complexity only inside join_check, as force loads dnc
+    toyvm = _tree("toyvm.py")
+    parse_oracle = next(node for node in toyvm.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "parse_oracle")
+    toyvm.body.remove(parse_oracle)
+    assert "numbering" in _package_imports(parse_oracle, at_load=False)
+    assert "numbering" not in _package_imports(toyvm, at_load=False)
+    above = {"pi01forcing", "constructions", "randomness"}
+    assert _package_imports(_tree("dnc.py"), at_load=True) & (above | {"complexity"}) == set()
+    assert _package_imports(_tree("depth.py"), at_load=True) & above == set()

@@ -9,6 +9,9 @@ import pytest
 from depthlab import (
     complexity,
     constructions,
+    depth,
+    dnc,
+    numbering,
     pi01forcing,
     randomness,
     selftest,
@@ -21,13 +24,10 @@ from depthlab.complexity import (
     TimeBound,
     deficiency,
 )
-from depthlab.constructions import (
-    BuilderConfig,
-    BuilderRound,
-    DepthProfile,
-    ProfileRow,
-)
-from depthlab.pi01forcing import ForcingStep, Functional, JoinReport
+from depthlab.constructions import BuilderConfig, BuilderRound
+from depthlab.depth import DepthProfile, ProfileRow
+from depthlab.dnc import JoinReport
+from depthlab.pi01forcing import ForcingStep, Functional
 from depthlab.randomness import PsiResult, StagedSupermartingale
 from depthlab.semimeasure import CodingGap, coding_gap
 from depthlab.toyvm import Outcome, Program, gamma_encode, run
@@ -96,8 +96,8 @@ def test_equal_fields_from_different_constructors_are_equal():
 def test_every_record_of_the_package_is_covered():
     """A value record added to a module is added to RECORDS too.  RECORDS
     also holds the code-lifting records, which live in the tests."""
-    found = {cls for mod in (toyvm, complexity, semimeasure, randomness, constructions,
-                             pi01forcing, selftest)
+    found = {cls for mod in (toyvm, numbering, complexity, semimeasure, randomness,
+                             constructions, depth, dnc, pi01forcing, selftest)
              for _name, cls in inspect.getmembers(mod, inspect.isclass)
              if cls.__module__ == mod.__name__ and issubclass(cls, tuple)
              and hasattr(cls, "_fields")}

@@ -21,9 +21,9 @@ from depthlab.semimeasure import (
     relative_mass,
     semimeasure_to_timebound,
 )
+from depthlab.numbering import assemble
 from depthlab.toyvm import (MEMO, NO_PINS, MachineState, OracleBranches, PrefixOracle,
-                            Program, assemble, parse_body, parse_oracle, programs_up_to,
-                            run)
+                            Program, parse_body, parse_oracle, programs_up_to, run)
 from reference_runs import halting_runs, oracle_leaves, reference_mass_map
 from test_toyvm import loop_bodies
 

@@ -6,25 +6,28 @@ from hypothesis import strategies as st
 
 from depthlab import toyvm as tv
 from depthlab.bits import body_index, index_to_body, read_bits, strings_of_length
-from depthlab.toyvm import (
+from depthlab.numbering import (
     DIVERGE_BODY,
     EscapingJumpError,
     FixedPointError,
     HaltingOracle,
-    PrefixOracle,
-    Program,
-    ZERO,
     assemble,
     compile_const,
     diagonal,
     disassemble,
     fixed_point,
+    jumps_confined,
+    phi,
+    smn,
+)
+from depthlab.toyvm import (
+    PrefixOracle,
+    Program,
+    ZERO,
     gamma_encode,
     parse_oracle,
-    phi,
     programs_up_to,
     run,
-    smn,
 )
 from reference_runs import brent_bound, recorded_run, run_body, set_rule_run
 
@@ -166,6 +169,26 @@ def test_run_reports_how_it_stopped(name):
     out, got = recorded_run(Program.encode(assemble(items)), oracle, 100,
                             detect_cycles=cycles)
     assert (out.kind, out.steps, out.output, got) == (kind, steps, output, frozenset(asked))
+
+
+# prints a 0 per lap and runs to the budget: 1,000 one-bit leaves deep
+LONG_PRINTER = [("INC", 1), ("EMIT0",), ("JZ", 1, -3), ("JMP", -3)]
+
+
+def test_outcomes_of_long_outputs_compare_without_recursing():
+    p = Program.encode(assemble(LONG_PRINTER))
+    a, b = run(p, None, 3000), run(p, None, 3000)
+    assert a.rope is not b.rope and a.rope[0] == 1000
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+def test_outcomes_whose_outputs_differ_in_one_bit_are_unequal():
+    a = run(Program.encode(assemble(LONG_PRINTER)), None, 3000)
+    length, _bit, head, _last = a.rope
+    flipped = a._replace(rope=(length, None, head, (1, 1, None, None)))
+    assert flipped.output == a.output[:-1] + "1"
+    assert a != flipped and not a == flipped
 
 
 def test_phi_reports_a_busy_loop_as_diverged():
@@ -403,7 +426,7 @@ def test_run_halts_at_exactly_its_step_count(detect_cycles):
 
 
 @pytest.mark.parametrize("reg", range(4))
-def test_growing_untested_register_diverges_on_first_lap(reg):
+def test_growing_untested_register_diverges_on_second_lap(reg):
     out = run_body(assemble([("INC", reg), ("JMP", -2)]), None, 10 ** 6,
                    detect_cycles=True)
     assert out.kind == "diverged" and out.steps <= 3
@@ -558,7 +581,7 @@ def test_smn_semantics_random_triples():
         y = rng.randrange(0, 5)
         x = rng.randrange(0, 6)
         body = index_to_body(e)
-        if not tv.jumps_confined(body):
+        if not jumps_confined(body):
             continue
         direct = run_body(body, ZERO, 500, r1=y, r2=x)
         via = phi(smn(e, y), x, ZERO, 500 + y)
